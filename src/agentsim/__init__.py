@@ -19,7 +19,6 @@ from .contention import (  # noqa: F401
     select_bcap,
 )
 from .engine import (  # noqa: F401
-    Event,
     ResourcePool,
     Trace,
     parse_trace,

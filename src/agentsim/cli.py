@@ -347,10 +347,14 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
     """Fit the energy-host profile: its own saturation constant from the GPU
     busy-time ratio, then the dynamic-power constants from a replay of the
     endpoint runs. Latency and energy hosts are never mixed."""
+    where = "energy_endpoints"
+    pipeline = load_profile(_require(e, "pipeline", where))
+    b_small, b_large = (int(_require(e, k, where)) for k in ("batch_small", "batch_large"))
+    cpu_j_small, cpu_j_large, gpu_j_small, gpu_j_large = (
+        _require(e, k, where) for k in ("cpu_j_small", "cpu_j_large", "gpu_j_small", "gpu_j_large"))
     sources: dict[str, str] = {}
     cores = int(e.get("cores", base.cpu.logical_cores))
-    b_small, b_large = int(e["batch_small"]), int(e["batch_large"])
-    busy_ratio = float(e["gpu_j_large"]) / float(e["gpu_j_small"])
+    busy_ratio = float(gpu_j_large) / float(gpu_j_small)
     b_half_energy = calibrate_gpu_busy_ratio(b_small, b_large, busy_ratio)
     # At or below the hardware thread count the oversubscription term is
     # unidentifiable from energy endpoints; pin it at 0.
@@ -361,7 +365,6 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
         f"exact fit to busy-time ratio {busy_ratio!r} between batch {b_small} "
         f"and batch {b_large} energy runs"
     )
-    pipeline = load_profile(e["pipeline"])
     probe_models = ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=base.energy)
     resources = ResourcePool(logical_cores=cores)
     integrals = {}
@@ -375,25 +378,22 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
         integrals[b_small], integrals[b_large]
     )
     cpu_w, cpu_pkg_w = fit_cpu_watts(
-        float(e["cpu_j_small"]), float(e["cpu_j_large"]),
-        busy_s, busy_l, active_s, active_l,
+        float(cpu_j_small), float(cpu_j_large), busy_s, busy_l, active_s, active_l,
     )
-    gpu_w = fit_dynamic_watts(
-        float(e["gpu_j_small"]), float(e["gpu_j_large"]), gpu_s, gpu_l,
-    )
+    gpu_w = fit_dynamic_watts(float(gpu_j_small), float(gpu_j_large), gpu_s, gpu_l)
     energy = dataclasses.replace(
         base.energy, cpu_dyn_w_per_core=cpu_w, cpu_pkg_dyn_w=cpu_pkg_w, gpu_dyn_w=gpu_w
     )
     sources["cpu_dyn_w_per_core"] = (
-        f"exact solve, with cpu_pkg_dyn_w, to endpoints {e['cpu_j_small']} J @ "
-        f"batch {b_small} and {e['cpu_j_large']} J @ batch {b_large} over busy "
+        f"exact solve, with cpu_pkg_dyn_w, to endpoints {cpu_j_small} J @ "
+        f"batch {b_small} and {cpu_j_large} J @ batch {b_large} over busy "
         f"core-s {busy_s!r} / {busy_l!r} and package-active s {active_s!r} / "
         f"{active_l!r}"
     )
     sources["cpu_pkg_dyn_w"] = "solved together with cpu_dyn_w_per_core"
     sources["gpu_dyn_w"] = (
-        f"log-least-squares fit to endpoints {e['gpu_j_small']} J @ batch "
-        f"{b_small} and {e['gpu_j_large']} J @ batch {b_large}"
+        f"log-least-squares fit to endpoints {gpu_j_small} J @ batch "
+        f"{b_small} and {gpu_j_large} J @ batch {b_large}"
     )
     return ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=energy), sources
 
@@ -442,6 +442,11 @@ def cmd_calibrate(args) -> int:
             "energy_endpoints section to fit"
         )
 
+    # both fits complete before either file is written
+    energy_fit = None
+    if doc.get("energy_endpoints"):
+        energy_fit = _calibrate_energy_profile(doc["energy_endpoints"], f"{name}_energy", base)
+
     if have_latency_fit:
         fitted = ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=base.energy)
         out = out_dir / f"{name}.yaml"
@@ -450,10 +455,8 @@ def cmd_calibrate(args) -> int:
         for key, text in sorted(sources.items()):
             print(f"{key}: {text}")
 
-    if doc.get("energy_endpoints"):
-        energy_models, energy_sources = _calibrate_energy_profile(
-            doc["energy_endpoints"], f"{name}_energy", base
-        )
+    if energy_fit is not None:
+        energy_models, energy_sources = energy_fit
         out = out_dir / f"{name}_energy.yaml"
         out.write_text(
             yaml.safe_dump(models_to_dict(energy_models, energy_sources), sort_keys=False)

@@ -1,20 +1,32 @@
 """Deterministic rate-based discrete-event engine.
 
 Virtual time advances from stage completion to stage completion; between
-events every running stage progresses at a piecewise-constant rate derived
-from the current CPU load (fair share plus oversubscription penalty), the
-thread-pool occupancy, and the GPU residency (half-saturation curve plus KV
-spill). Identical inputs produce byte-identical traces.
+events every running stage progresses at a piecewise-constant rate that
+depends only on its class and the global occupancy. The five classes are
+external calls (rate 1), CPU tools run as processes (fair share plus
+oversubscription penalty), CPU tools on a thread pool (that, times the pool
+share and GIL penalty), GPU inference through an async client
+(half-saturation curve plus KV spill) and through a host-blocking client
+(that, times the CPU rate).
+
+``simulate`` keeps per class a virtual service clock and a min-heap of
+finish tags, clock at start plus work, as in the virtual time of fair
+queueing; an event evaluates at most the five class rates, advances the
+clocks and pops the finished stages. Occupancy is kept as integer counts per
+distinct contribution, so its sums do not depend on the order stages joined
+in. ``replay_check`` sweeps the sorted interval boundaries with the same
+occupancy and rate definition. Reruns are byte-identical; traces written
+before the virtual clocks may differ from today's in the last digits of
+some times and loads, within 1e-9 relative.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-import enum
 import hashlib
+import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .contention import ContentionModels, cpu_rate, gpu_rate, thread_pool_rate
@@ -38,21 +50,6 @@ class ResourcePool:
             raise ConfigurationError("logical_cores must be >= 1")
         if self.gpu_count != 1:
             raise ConfigurationError("exactly one GPU is modeled")
-
-
-class EventKind(enum.Enum):
-    STAGE_COMPLETE = "stage_complete"
-    DISPATCH_WAKE = "dispatch_wake"
-
-
-@dataclass(frozen=True, order=True)
-class Event:
-    """Engine event, totally ordered by (time, task id, stage index)."""
-
-    time: float
-    task_id: int
-    stage_idx: int
-    kind: EventKind = field(compare=False, default=EventKind.STAGE_COMPLETE)
 
 
 @dataclass(frozen=True)
@@ -146,57 +143,86 @@ def models_fingerprint(models: ContentionModels) -> str:
     )
 
 
-@dataclass
-class _Running:
-    task: TaskInstance
-    stage_idx: int
-    mode: str
-    remaining: float
-    start: float
+# -- stage classes and occupancy ---------------------------------------------
+
+# Every running stage of one class progresses at the same rate.
+EXTERNAL, CPU_PROCESS, CPU_THREAD, GPU_ASYNC, GPU_BLOCKING = range(5)
+N_CLASSES = 5
 
 
-def _occupancy(running: list[_Running], pool_eff: int | None, kv_bytes_per_token: int):
-    """(cpu_load, gpu_residency, kv_bytes, kv_tokens, n_pool_threads) for the
-    current running set. Thread-mode stages draw CPU through the shared pool,
-    so their aggregate share is capped at the pool width."""
-    process_load = 0.0
-    thread_raw = 0.0
-    gpu_res = 0
-    kv_tokens = 0
-    n_pool = 0
-    for r in running:
-        stage = r.task.pipeline.stages[r.stage_idx]
-        if r.mode == THREAD:
-            thread_raw += stage.cpu_share
-            if stage.kind is StageKind.CPU_TOOL:
-                n_pool += 1
+def stage_class(kind: str, mode: str, host_blocking: bool) -> int:
+    """Rate class of a stage from its kind value, execution mode and client."""
+    if kind == StageKind.EXTERNAL_API.value:
+        return EXTERNAL
+    if kind == StageKind.CPU_TOOL.value:
+        return CPU_THREAD if mode == THREAD else CPU_PROCESS
+    return GPU_BLOCKING if host_blocking else GPU_ASYNC
+
+
+class Occupancy:
+    """Resource occupancy of a running set, kept as integer counts per
+    distinct contribution, so its sums do not depend on the order stages
+    joined in. Thread-mode stages draw CPU through the shared pool, so their
+    aggregate share is capped at the pool width."""
+
+    def __init__(self, pool_eff: int | None):
+        self.pool_eff = pool_eff
+        self.per_class = [0] * N_CLASSES
+        self.kv_tokens = 0
+        self._shares: tuple[dict, dict] = ({}, {})  # process, thread: share -> count
+
+    def change(self, cls: int, mode: str, cpu_share: float, kv_tokens: int, delta: int):
+        """Add (delta=+1) or remove (delta=-1) one running stage."""
+        self.per_class[cls] += delta
+        if cls >= GPU_ASYNC:
+            self.kv_tokens += delta * kv_tokens
+        shares = self._shares[mode == THREAD]
+        count = shares.get(cpu_share, 0) + delta
+        if count:
+            shares[cpu_share] = count
         else:
-            process_load += stage.cpu_share
-        if stage.kind is StageKind.GPU_INFERENCE:
-            gpu_res += 1
-            kv_tokens += stage.kv_tokens
-    thread_load = min(thread_raw, float(pool_eff)) if pool_eff is not None else thread_raw
-    return process_load + thread_load, gpu_res, kv_tokens * kv_bytes_per_token, kv_tokens, n_pool
+            del shares[cpu_share]
 
+    def record(self, steps: tuple[list, ...], t: float) -> float:
+        """Append (t, value) to each of the four step series (CPU load, GPU
+        residency, KV tokens, pool threads) whose value changed; return the
+        CPU load."""
+        process, thread = (
+            sum((share * n for share, n in sorted(shares.items())), 0.0)
+            for shares in self._shares
+        )
+        if self.pool_eff is not None:
+            thread = min(thread, float(self.pool_eff))
+        n = self.per_class
+        values = (process + thread, n[GPU_ASYNC] + n[GPU_BLOCKING], self.kv_tokens, n[CPU_THREAD])
+        for series, value in zip(steps, values):
+            if not series or series[-1][1] != value:
+                series.append((t, value))
+        return values[0]
 
-def _stage_rate(
-    stage, mode: str, load: float, gpu_res: int, kv_bytes: int, n_pool: int,
-    pool_eff: int | None, models: ContentionModels,
-) -> float:
-    """Execution rate of one running stage given the current occupancy."""
-    if stage.kind is StageKind.EXTERNAL_API:
-        return 1.0
-    if stage.kind is StageKind.CPU_TOOL:
-        base = cpu_rate(load, models.cpu)
-        if mode == THREAD:
-            return thread_pool_rate(n_pool, pool_eff, models.cpu) * base
-        return base
-    # GPU inference: saturation curve, KV spill, and (for synchronous host
-    # clients) the host CPU availability.
-    rate = gpu_rate(gpu_res, models.gpu, kv_bytes)
-    if stage.host_blocking:
-        rate *= cpu_rate(load, models.cpu)
-    return rate
+    def rates(self, load: float, models: ContentionModels) -> list[float | None]:
+        """Rate of each class that has a running stage, given the current CPU
+        load; entries of idle classes are not meaningful. Each contention
+        model is evaluated at most once."""
+        n = self.per_class
+        rates: list[float | None] = [None] * N_CLASSES
+        if n[EXTERNAL]:
+            rates[EXTERNAL] = 1.0
+        if n[CPU_PROCESS] or n[CPU_THREAD] or n[GPU_BLOCKING]:
+            cpu = cpu_rate(load, models.cpu)
+            rates[CPU_PROCESS] = cpu
+            if n[CPU_THREAD]:
+                pool = thread_pool_rate(n[CPU_THREAD], self.pool_eff, models.cpu)
+                rates[CPU_THREAD] = pool * cpu
+        if n[GPU_ASYNC] or n[GPU_BLOCKING]:
+            # saturation curve and KV spill; synchronous host clients also
+            # stall with the host CPU
+            gpu = gpu_rate(n[GPU_ASYNC] + n[GPU_BLOCKING], models.gpu,
+                           self.kv_tokens * models.gpu.kv_bytes_per_token)
+            rates[GPU_ASYNC] = gpu
+            if n[GPU_BLOCKING]:
+                rates[GPU_BLOCKING] = gpu * cpu
+        return rates
 
 
 def simulate(
@@ -210,7 +236,10 @@ def simulate(
 
     Pure function: the trace depends only on the arguments. Ties are broken
     by (time, task id, stage index) so simultaneous completions are
-    processed in a fixed order.
+    processed in a fixed order. Class c's clock S_c is the work one of its
+    stages has received since the class was last idle; a stage is done when
+    S_c reaches its tag S_c(start) + work. A clock restarts at 0.0 whenever
+    its class empties, so a stage that runs alone ends at start + work.
     """
     if not tasks:
         return Trace(
@@ -234,43 +263,28 @@ def simulate(
         pool_eff = min(dispatcher.pool_size, resources.logical_cores)
 
     by_id = {t.id: t for t in tasks}
-    running: dict[int, _Running] = {}
+    occupancy = Occupancy(pool_eff)
+    clocks = [0.0] * N_CLASSES
+    heaps: list[list[tuple[float, int]]] = [[] for _ in range(N_CLASSES)]  # (tag, task id)
+    running: dict[int, tuple[int, int, float]] = {}  # task id -> (stage idx, class, start)
     records: list[StageRecord] = []
-    cpu_steps: list[tuple[float, float]] = []
-    gpu_steps: list[tuple[float, int]] = []
-    kv_steps: list[tuple[float, int]] = []
-    pool_steps: list[tuple[float, int]] = []
+    steps: tuple[list, ...] = ([], [], [], [])  # cpu load, gpu res, kv tokens, pool threads
     now = 0.0
     remaining_stages = sum(len(t.pipeline.stages) for t in tasks)
     max_events = 100 * remaining_stages + 1000
 
     def start_stage(task_id: int, stage_idx: int):
         task = by_id[task_id]
-        running[task_id] = _Running(
-            task=task,
-            stage_idx=stage_idx,
-            mode=dispatcher.mode_of(task_id),
-            remaining=task.stage_work[stage_idx],
-            start=now,
-        )
-
-    def record_occupancy():
-        load, gpu_res, _, kv_tokens, n_pool = _occupancy(
-            _sorted_running(), pool_eff, models.gpu.kv_bytes_per_token
-        )
-        for steps, value in (
-            (cpu_steps, load), (gpu_steps, gpu_res),
-            (kv_steps, kv_tokens), (pool_steps, n_pool),
-        ):
-            if not steps or steps[-1][1] != value:
-                steps.append((now, value))
-
-    def _sorted_running() -> list[_Running]:
-        return [running[tid] for tid in sorted(running)]
+        stage = task.pipeline.stages[stage_idx]
+        mode = dispatcher.mode_of(task_id)
+        cls = stage_class(stage.kind.value, mode, stage.host_blocking)
+        occupancy.change(cls, mode, stage.cpu_share, stage.kv_tokens, 1)
+        heapq.heappush(heaps[cls], (clocks[cls] + task.stage_work[stage_idx], task_id))
+        running[task_id] = (stage_idx, cls, now)
 
     for tid in dispatcher.initial_starts():
         start_stage(tid, 0)
-    record_occupancy()
+    load = occupancy.record(steps, now)
 
     events = 0
     while running:
@@ -278,52 +292,44 @@ def simulate(
         if events > max_events:
             raise InternalConsistencyError("event budget exhausted; engine stuck")
 
-        active = _sorted_running()
-        load, gpu_res, kv_bytes, _, n_pool = _occupancy(
-            active, pool_eff, models.gpu.kv_bytes_per_token
-        )
-        rates = {
-            r.task.id: _stage_rate(
-                r.task.pipeline.stages[r.stage_idx], r.mode,
-                load, gpu_res, kv_bytes, n_pool, pool_eff, models,
-            )
-            for r in active
-        }
-        dt = min(r.remaining / rates[r.task.id] for r in active)
-
-        completions: list[Event] = []
-        for r in active:
-            need = r.remaining / rates[r.task.id]
-            if need <= dt + TIME_EPS:
-                completions.append(Event(now + dt, r.task.id, r.stage_idx))
-            else:
-                r.remaining -= rates[r.task.id] * dt
+        rates = occupancy.rates(load, models)
+        busy = [c for c in range(N_CLASSES) if heaps[c]]
+        dt = min((heaps[c][0][0] - clocks[c]) / rates[c] for c in busy)
+        finished: list[int] = []
+        for c in busy:
+            heap, clock, rate = heaps[c], clocks[c], rates[c]
+            while heap and (heap[0][0] - clock) / rate <= dt + TIME_EPS:
+                finished.append(heapq.heappop(heap)[1])
+            clocks[c] = clock + rate * dt if heap else 0.0
         now += dt
 
         released: list[int] = []
         follow_ups: list[tuple[int, int]] = []
-        for ev in sorted(completions):
-            r = running.pop(ev.task_id)
-            stage = r.task.pipeline.stages[r.stage_idx]
+        for task_id in sorted(finished):
+            stage_idx, cls, start = running.pop(task_id)
+            task = by_id[task_id]
+            stage = task.pipeline.stages[stage_idx]
+            mode = dispatcher.mode_of(task_id)
+            occupancy.change(cls, mode, stage.cpu_share, stage.kv_tokens, -1)
             records.append(
                 StageRecord(
-                    task_id=ev.task_id, stage_idx=ev.stage_idx,
-                    kind=stage.kind.value, mode=r.mode,
+                    task_id=task_id, stage_idx=stage_idx,
+                    kind=stage.kind.value, mode=mode,
                     host_blocking=stage.host_blocking,
                     cpu_share=stage.cpu_share, kv_tokens=stage.kv_tokens,
-                    work=r.task.stage_work[r.stage_idx],
-                    start=r.start, end=now, label=stage.label,
+                    work=task.stage_work[stage_idx],
+                    start=start, end=now, label=stage.label,
                 )
             )
-            released.extend(dispatcher.on_stage_complete(ev.task_id, ev.stage_idx))
-            if ev.stage_idx + 1 < len(r.task.pipeline.stages):
-                follow_ups.append((ev.task_id, ev.stage_idx + 1))
+            released.extend(dispatcher.on_stage_complete(task_id, stage_idx))
+            if stage_idx + 1 < len(task.pipeline.stages):
+                follow_ups.append((task_id, stage_idx + 1))
 
-        for task_id, stage_idx in sorted(follow_ups):
+        for task_id, stage_idx in follow_ups:
             start_stage(task_id, stage_idx)
         for task_id in sorted(set(released)):
             start_stage(task_id, 0)
-        record_occupancy()
+        load = occupancy.record(steps, now)
 
     records.sort(key=lambda r: (r.task_id, r.stage_idx))
     n_done = len(records)
@@ -339,10 +345,10 @@ def simulate(
         logical_cores=resources.logical_cores,
         pool_eff=pool_eff,
         records=records,
-        cpu_load_steps=cpu_steps,
-        gpu_res_steps=gpu_steps,
-        kv_token_steps=kv_steps,
-        pool_n_steps=pool_steps,
+        cpu_load_steps=steps[0],
+        gpu_res_steps=steps[1],
+        kv_token_steps=steps[2],
+        pool_n_steps=steps[3],
         makespan=now,
     )
 
@@ -436,106 +442,73 @@ class ReplayReport:
     detail: str = ""
 
 
-def _interval_occupancy(trace: Trace):
-    """Event times plus the occupancy tuple holding from each time to the
-    next, recomputed from the stage intervals alone. O(times * records)."""
-    times = sorted({r.start for r in trace.records} | {r.end for r in trace.records})
-    occupancy = []
-    for t in times:
-        active = [r for r in trace.records if r.start <= t < r.end]
-        occupancy.append(_occupancy_from_records(active, trace.pool_eff))
-    return times, occupancy
-
-
-def _steps_from_occupancy(times, occupancy):
-    out = {"cpuload": [], "gpures": [], "kvtokens": [], "pooln": []}
-    for t, (load, gpu_res, kv_tokens, n_pool) in zip(times, occupancy):
-        for name, value in (
-            ("cpuload", load), ("gpures", gpu_res),
-            ("kvtokens", kv_tokens), ("pooln", n_pool),
-        ):
-            series = out[name]
-            if not series or series[-1][1] != value:
-                series.append((t, value))
-    return out
-
-
-def _occupancy_from_records(active: list[StageRecord], pool_eff: int | None):
-    process_load = 0.0
-    thread_raw = 0.0
-    gpu_res = 0
-    kv_tokens = 0
-    n_pool = 0
-    for r in sorted(active, key=lambda r: r.task_id):
-        if r.mode == THREAD:
-            thread_raw += r.cpu_share
-            if r.kind == StageKind.CPU_TOOL.value:
-                n_pool += 1
-        else:
-            process_load += r.cpu_share
-        if r.kind == StageKind.GPU_INFERENCE.value:
-            gpu_res += 1
-            kv_tokens += r.kv_tokens
-    thread_load = min(thread_raw, float(pool_eff)) if pool_eff is not None else thread_raw
-    return process_load + thread_load, gpu_res, kv_tokens, n_pool
-
-
-def _record_rate(
-    r: StageRecord, load: float, gpu_res: int, kv_bytes: int, n_pool: int,
-    pool_eff: int | None, models: ContentionModels,
-) -> float:
-    if r.kind == StageKind.EXTERNAL_API.value:
-        return 1.0
-    if r.kind == StageKind.CPU_TOOL.value:
-        base = cpu_rate(load, models.cpu)
-        if r.mode == THREAD:
-            return thread_pool_rate(n_pool, pool_eff, models.cpu) * base
-        return base
-    rate = gpu_rate(gpu_res, models.gpu, kv_bytes)
-    if r.host_blocking:
-        rate *= cpu_rate(load, models.cpu)
-    return rate
-
-
 def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) -> ReplayReport:
     """Work-conservation audit: integrating each stage's recomputed rate over
     its recorded interval must recover the stage's work to within ``rel_tol``
     relative error, and the recorded occupancy step functions must match the
-    interval set. Returns a failure naming the first offending stage."""
+    interval set. Returns a failure naming the first offending stage in
+    (task, stage) order.
+
+    One sweep over the sorted interval boundaries rebuilds the occupancy and
+    keeps, per class, the prefix integral of the class rate; a stage's
+    integrated work is the difference of that integral between its end and
+    its start."""
     models = dataclasses.replace(
         models, cpu=dataclasses.replace(models.cpu, logical_cores=trace.logical_cores)
     )
-    times, occupancy = _interval_occupancy(trace)
-    for rec in sorted(trace.records, key=lambda r: (r.task_id, r.stage_idx)):
-        lo = bisect.bisect_left(times, rec.start)
-        done = 0.0
-        for i in range(lo, len(times) - 1):
-            t1, t2 = times[i], times[i + 1]
-            if t1 >= rec.end:
-                break
-            load, gpu_res, kv_tokens, n_pool = occupancy[i]
-            rate = _record_rate(
-                rec, load, gpu_res, kv_tokens * models.gpu.kv_bytes_per_token,
-                n_pool, trace.pool_eff, models,
-            )
-            done += rate * (t2 - t1)
-        if abs(done - rec.work) > rel_tol * max(rec.work, 1e-30):
+    records = trace.records
+    n = len(records)
+    keys = [
+        (stage_class(r.kind, r.mode, r.host_blocking), r.mode, r.cpu_share, r.kv_tokens)
+        for r in records
+    ]
+    # an interval that does not end after it starts is never active
+    live = [i for i in range(n) if records[i].end > records[i].start]
+    by_start = sorted(live, key=lambda i: records[i].start)
+    by_end = sorted(live, key=lambda i: records[i].end)
+    occupancy = Occupancy(trace.pool_eff)
+    integral = [0.0] * N_CLASSES  # of each class's rate, since it was last idle
+    at_start = [0.0] * n
+    done = [0.0] * n
+    recomputed: tuple[list, ...] = ([], [], [], [])
+    rates: list[float | None] = [None] * N_CLASSES
+    si = ei = 0
+    prev = 0.0
+    while ei < len(live):
+        t = records[by_end[ei]].end
+        if si < len(live):
+            t = min(t, records[by_start[si]].start)
+        for c in range(N_CLASSES):
+            if occupancy.per_class[c]:
+                integral[c] += rates[c] * (t - prev)
+        while si < len(live) and records[by_start[si]].start == t:
+            i = by_start[si]
+            occupancy.change(*keys[i], 1)
+            at_start[i] = integral[keys[i][0]]
+            si += 1
+        while ei < len(live) and records[by_end[ei]].end == t:
+            i = by_end[ei]
+            cls = keys[i][0]
+            done[i] = integral[cls] - at_start[i]
+            occupancy.change(*keys[i], -1)
+            if not occupancy.per_class[cls]:
+                integral[cls] = 0.0
+            ei += 1
+        rates = occupancy.rates(occupancy.record(recomputed, t), models)
+        prev = t
+
+    for i in sorted(range(n), key=lambda i: (records[i].task_id, records[i].stage_idx)):
+        rec = records[i]
+        if abs(done[i] - rec.work) > rel_tol * max(rec.work, 1e-30):
             return ReplayReport(
                 False,
                 f"work mismatch at task {rec.task_id} stage {rec.stage_idx}: "
-                f"integrated {done!r}, expected {rec.work!r}",
+                f"integrated {done[i]!r}, expected {rec.work!r}",
             )
 
-    recomputed = _steps_from_occupancy(times, occupancy)
-    recorded = {
-        "cpuload": trace.cpu_load_steps,
-        "gpures": trace.gpu_res_steps,
-        "kvtokens": trace.kv_token_steps,
-        "pooln": trace.pool_n_steps,
-    }
-    for name in recomputed:
-        got = [(t, float(v)) for t, v in recorded[name]]
-        want = [(t, float(v)) for t, v in recomputed[name]]
+    recorded = (trace.cpu_load_steps, trace.gpu_res_steps, trace.kv_token_steps,
+                trace.pool_n_steps)
+    for name, got, want in zip(("cpuload", "gpures", "kvtokens", "pooln"), recorded, recomputed):
         if len(got) != len(want) or any(
             abs(a - c) > TIME_EPS or abs(b - d) > 1e-9
             for (a, b), (c, d) in zip(got, want)

@@ -8,6 +8,8 @@ contention and energy constants). Loading is value-stable: load -> serialize
 
 from __future__ import annotations
 
+import copy
+import functools
 import importlib.resources
 from pathlib import Path
 
@@ -36,19 +38,25 @@ def _profile_dir() -> Path:
     return Path(importlib.resources.files("agentsim") / "profiles")
 
 
+@functools.lru_cache(maxsize=None)
+def _bundled_doc(path: Path) -> dict:
+    """A bundled document, parsed once per process (the bundled set is fixed,
+    so the cache is bounded). Callers must not mutate it."""
+    return yaml.safe_load(path.read_text())
+
+
+def _bundled_docs():
+    return (_bundled_doc(path) for path in sorted(_profile_dir().glob("*.yaml")))
+
+
 def list_profiles(kind: str | None = None) -> list[str]:
     """Names of bundled profiles, optionally filtered by kind."""
-    names = []
-    for path in sorted(_profile_dir().glob("*.yaml")):
-        doc = yaml.safe_load(path.read_text())
-        if kind is None or doc.get("kind") == kind:
-            names.append(doc["name"])
-    return names
+    return [doc["name"] for doc in _bundled_docs()
+            if kind is None or doc.get("kind") == kind]
 
 
 def _find_bundled(name: str, kind: str) -> dict:
-    for path in sorted(_profile_dir().glob("*.yaml")):
-        doc = yaml.safe_load(path.read_text())
+    for doc in _bundled_docs():
         if doc.get("name") == name and doc.get("kind") == kind:
             return doc
     raise UnknownProfileError(name, list_profiles(kind))
@@ -195,6 +203,6 @@ def load_observations(name_or_path: str) -> dict:
     if p.exists():
         doc = yaml.safe_load(p.read_text())
     else:
-        doc = _find_bundled(name_or_path, "observations")
+        doc = copy.deepcopy(_find_bundled(name_or_path, "observations"))
     _check_schema(doc, "observations")
     return doc

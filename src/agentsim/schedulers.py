@@ -128,6 +128,11 @@ class Dispatcher:
     for every completion; both return the task ids whose *next* stage may
     start now. ``mode_of`` reports process vs thread execution per task, and
     ``pool_size`` the thread-pool width (None when no thread set exists).
+
+    Each micro-batch counts down the stages left before all its tasks
+    finished their CPU prefix and the tasks left before it finished, so a
+    completion checks the gates of the two batches after its own in O(1)
+    instead of rescanning every gated task.
     """
 
     def __init__(self, policy: Policy, tasks: list[TaskInstance]):
@@ -135,14 +140,12 @@ class Dispatcher:
         self.tasks = {t.id: t for t in tasks}
         self._n_stages = {t.id: len(t.pipeline.stages) for t in tasks}
         self._done_stages = {t.id: 0 for t in tasks}
-        self._finished: set[int] = set()
         ids = [t.id for t in tasks]
 
         name = policy.name
         self._modes = {tid: PROCESS for tid in ids}
         self._pool: int | None = None
-        self._plan: MicroBatchPlan | None = None
-        self._gated: list[int] = []  # ids gated on micro-batch release, FCFS
+        gated: list[int] | None = None  # ids held for micro-batch release, FCFS
 
         if name == "multithreading":
             self._modes = {tid: THREAD for tid in ids}
@@ -151,20 +154,25 @@ class Dispatcher:
             if policy.exec_mode == THREAD:
                 self._modes = {tid: THREAD for tid in ids}
                 self._pool = policy.pool_size
-            self._plan = plan_microbatches(ids, policy.b_cap)
-            self._batch_of = self._plan.batch_of()
-            self._gated = list(ids)
+            gated = ids
         elif name in ("maws", "maws_cgam"):
             process_set, thread_set = maws_partition(tasks, policy.theta)
             self._modes = {tid: PROCESS for tid in process_set}
             self._modes.update({tid: THREAD for tid in thread_set})
             self._pool = policy.thread_pool_cores if thread_set else None
             if name == "maws_cgam":
-                self._plan = plan_microbatches(process_set, policy.b_cap)
-                self._batch_of = self._plan.batch_of()
-                self._gated = list(process_set)
+                gated = process_set
         elif name == "sequential":
             self._queue = sorted(ids)
+
+        plan = plan_microbatches(gated, policy.b_cap) if gated is not None else None
+        self._batches = plan.batches if plan is not None else ()
+        self._batch_of = plan.batch_of() if plan is not None else {}
+        self._prefix_len = {tid: self.tasks[tid].pipeline.cpu_prefix_len()
+                            for tid in self._batch_of}
+        self._prefix_left = [sum(self._prefix_len[tid] for tid in b) for b in self._batches]
+        self._tasks_left = [len(b) for b in self._batches]
+        self._released = [False] * len(self._batches)
 
     # -- introspection used by the engine ---------------------------------
 
@@ -175,20 +183,14 @@ class Dispatcher:
     def pool_size(self) -> int | None:
         return self._pool
 
-    def plan(self) -> MicroBatchPlan | None:
-        return self._plan
-
     # -- dispatch ----------------------------------------------------------
 
     def initial_starts(self) -> list[int]:
-        name = self.policy.name
-        if name == "sequential":
+        if self.policy.name == "sequential":
             return self._queue[:1]
-        if self._plan is not None:
-            released = self._release_batches()
-            free = [tid for tid in self.tasks if tid not in self._batch_of]
-            return sorted(released + free)
-        return sorted(self.tasks)
+        released = [tid for k in range(len(self._batches)) for tid in self._release(k)]
+        free = [tid for tid in self.tasks if tid not in self._batch_of]
+        return sorted(released + free)
 
     def on_stage_complete(self, task_id: int, stage_idx: int) -> list[int]:
         """Record a completion; return ids whose first stage is released now.
@@ -203,47 +205,36 @@ class Dispatcher:
                 f"task {task_id} completed stage {stage_idx} out of order"
             )
         self._done_stages[task_id] += 1
-        if self._done_stages[task_id] == self._n_stages[task_id]:
-            self._finished.add(task_id)
+        finished = self._done_stages[task_id] == self._n_stages[task_id]
 
-        name = self.policy.name
-        if name == "sequential":
-            if task_id in self._finished:
+        if self.policy.name == "sequential":
+            if finished:
                 self._queue.remove(task_id)
                 return self._queue[:1]
             return []
-        if self._plan is not None:
-            return self._release_batches()
-        return []
+        k = self._batch_of.get(task_id)
+        if k is None:
+            return []
+        if stage_idx < self._prefix_len[task_id]:
+            self._prefix_left[k] -= 1
+        if finished:
+            self._tasks_left[k] -= 1
+        # batch k's prefix gates batch k+1 (overlap); its completion gates
+        # batch k+1 (cgam) or k+2 (overlap)
+        return sorted(self._release(k + 1) + self._release(k + 2))
 
-    def _batch_fully_done(self, k: int) -> bool:
-        return all(tid in self._finished for tid in self._plan.batches[k])
-
-    def _batch_prefix_done(self, k: int) -> bool:
-        for tid in self._plan.batches[k]:
-            prefix = self.tasks[tid].pipeline.cpu_prefix_len()
-            if self._done_stages[tid] < prefix:
-                return False
-        return True
-
-    def _may_release_batch(self, k: int) -> bool:
+    def _may_release(self, k: int) -> bool:
         if k == 0:
             return True
         if self.policy.name == "cgam_overlap":
             # CPU prefix of batch k may start once batch k-1 finished its CPU
             # portion; at most two batches in flight, so k-2 must be done.
-            if not self._batch_prefix_done(k - 1):
-                return False
-            return k < 2 or self._batch_fully_done(k - 2)
-        return self._batch_fully_done(k - 1)
+            return self._prefix_left[k - 1] == 0 and (k < 2 or self._tasks_left[k - 2] == 0)
+        return self._tasks_left[k - 1] == 0
 
-    def _release_batches(self) -> list[int]:
-        released = []
-        still_gated = []
-        for tid in self._gated:
-            if self._may_release_batch(self._batch_of[tid]):
-                released.append(tid)
-            else:
-                still_gated.append(tid)
-        self._gated = still_gated
-        return sorted(released)
+    def _release(self, k: int) -> list[int]:
+        """The ids of batch k if it is still gated and may start now."""
+        if k >= len(self._batches) or self._released[k] or not self._may_release(k):
+            return []
+        self._released[k] = True
+        return list(self._batches[k])

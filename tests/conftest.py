@@ -2,6 +2,18 @@ import pytest
 
 import agentsim as a
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Property tests run a fixed example sequence, so tier-1 stays
+    # deterministic and bounded on small machines.
+    settings.register_profile(
+        "agentsim", deadline=None, derandomize=True, max_examples=150, database=None
+    )
+    settings.load_profile("agentsim")
+
 
 @pytest.fixture(scope="session")
 def models():

@@ -284,6 +284,20 @@ class TestCalibrate:
                      "--out", str(tmp_path)]) == 3
         assert "model infeasible" in capsys.readouterr().err
 
+    def test_missing_energy_endpoint_exits_2_before_writing(self, tmp_path, capsys):
+        obs = yaml.safe_load(
+            (Path(__file__).parents[1] / "src" / "agentsim" / "profiles"
+             / "observations_langchain_batch.yaml").read_text())
+        del obs["energy_endpoints"]["cpu_j_large"]
+        path = tmp_path / "obs.yaml"
+        path.write_text(yaml.safe_dump(obs))
+        out = tmp_path / "out"
+        assert main(["calibrate", "--observations", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "'cpu_j_large'" in err and "energy_endpoints" in err
+        assert list(out.iterdir()) == []
+
     def test_energy_watts_reproduce_endpoints_on_replay(self, tmp_path):
         # fitted CPU and GPU watts must replay the measured endpoints within 10%
         assert main([

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import agentsim as a
+import agentsim.engine as engine
 from agentsim.contention import (
     ContentionModels,
     CpuContentionParams,
@@ -232,3 +233,39 @@ class TestKvSpill:
         slow = simulate_mp(tasks, 96, tight).makespan
         fast = simulate_mp(tasks, 96, roomy).makespan
         assert slow == pytest.approx(fast / 0.25, rel=1e-9)
+
+
+class TestCostPerEvent:
+    """At most five contention-model evaluations per event in ``simulate``
+    and per boundary interval in ``replay_check``, counted through the
+    engine module's names (no timing)."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        calls = {"n": 0}
+        for name in ("cpu_rate", "gpu_rate", "thread_pool_rate"):
+            original = getattr(engine, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls["n"] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("policy, mix", [
+        ("multiprocessing", ("langchain_freshqa",)),
+        ("maws", ("swe_agent_apps", "langchain_guardrail")),
+    ])
+    def test_rate_calls_bounded(self, counter, models, resources, policy, mix):
+        pipes = [a.load_profile(n) for n in mix]
+        tasks = a.build_workload(a.WorkloadSpec(
+            batch_size=256, mix=tuple((p, 1.0 / len(pipes)) for p in pipes), jitter_cv=0.05))
+        trace = a.simulate(tasks, a.Policy(policy), resources, models)
+        events = len({r.end for r in trace.records})
+        assert 0 < counter["n"] <= 5 * events
+
+        counter["n"] = 0
+        assert a.replay_check(trace, models).ok
+        boundaries = {r.start for r in trace.records} | {r.end for r in trace.records}
+        assert 0 < counter["n"] <= 5 * (len(boundaries) - 1)

@@ -1,0 +1,140 @@
+"""Property tests: the virtual-clock engine against the rescanning reference
+engine on random small pipelines, mixes, policies, models and core counts."""
+
+import dataclasses
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import agentsim as a
+import reference_engine as ref
+from agentsim.contention import (
+    ContentionModels,
+    CpuContentionParams,
+    GpuSaturationParams,
+)
+from agentsim.engine import parse_trace, serialize_trace
+from agentsim.schedulers import POLICY_NAMES
+
+STAGE_KINDS = ("cpu_tool", "gpu_inference", "external_api")
+
+
+@st.composite
+def stages(draw):
+    kind = draw(st.sampled_from(STAGE_KINDS))
+    gpu = kind == "gpu_inference"
+    return a.StageSpec(
+        kind=a.StageKind(kind),
+        base_latency=draw(st.floats(1e-3, 5.0)),
+        cpu_share=draw(st.sampled_from((0.0, 0.02, 0.05, 0.3, 0.55, 1.0))),
+        kv_tokens=draw(st.integers(0, 4000)) if gpu else 0,
+        host_blocking=draw(st.booleans()) if gpu else False,
+        label=kind,
+    )
+
+
+@st.composite
+def workloads(draw):
+    n_pipes = draw(st.integers(1, 3))
+    pipes = [
+        a.PipelineSpec(name=f"p{i}", stages=tuple(draw(st.lists(stages(), min_size=1, max_size=4))))
+        for i in range(n_pipes)
+    ]
+    weights = draw(st.lists(st.integers(1, 4), min_size=n_pipes, max_size=n_pipes))
+    mix = tuple((p, w / sum(weights)) for p, w in zip(pipes, weights))
+    return a.build_workload(a.WorkloadSpec(
+        batch_size=draw(st.integers(1, 10)), mix=mix,
+        jitter_cv=draw(st.sampled_from((0.0, 0.05, 0.3))), seed=draw(st.integers(0, 99)),
+    ))
+
+
+@st.composite
+def policies(draw):
+    name = draw(st.sampled_from(POLICY_NAMES))
+    kwargs = {}
+    if name in ("cgam", "cgam_overlap", "maws_cgam"):
+        kwargs["b_cap"] = draw(st.integers(1, 4))
+    if name == "multithreading":
+        kwargs["pool_size"] = draw(st.integers(1, 8))
+    if name in ("cgam", "cgam_overlap") and draw(st.booleans()):
+        kwargs.update(exec_mode="thread", pool_size=draw(st.integers(1, 8)))
+    if name in ("maws", "maws_cgam"):
+        kwargs["theta"] = draw(st.sampled_from((0.2, 0.5, 0.8)))
+        kwargs["thread_pool_cores"] = draw(st.integers(1, 8))
+    return a.Policy(name, **kwargs)
+
+
+@st.composite
+def models(draw):
+    cores = draw(st.sampled_from((1, 2, 3, 8, 96)))
+    return ContentionModels(
+        name="prop",
+        cpu=CpuContentionParams(
+            logical_cores=cores,
+            oversub_kappa=draw(st.sampled_from((0.0, 0.3, 1.0))),
+            gil_serial_fraction=draw(st.sampled_from((0.0, 0.0126, 0.2))),
+        ),
+        gpu=GpuSaturationParams(
+            b_half=draw(st.sampled_from((0.5, 4.0, 64.0))),
+            kv_capacity=draw(st.sampled_from((3000 * 131072, 1 << 60))),
+        ),
+    )
+
+
+def assert_close(got, want, rel=1e-9):
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+def assert_same_step_function(got, want, tol=1e-9):
+    """Two step-function lists agree: the same breakpoints at times within
+    ``tol`` relative and values within ``tol``, once entries that move the
+    value by no more than ``tol`` are dropped."""
+    def breakpoints(steps):
+        kept = []
+        for t, v in steps:
+            if not kept or abs(v - kept[-1][1]) > tol:
+                kept.append((t, v))
+        return kept
+
+    got, want = breakpoints(got), breakpoints(want)
+    assert len(got) == len(want), (got, want)
+    for (t, v), (u, w) in zip(got, want):
+        assert_close(t, u, tol)
+        assert abs(v - w) <= tol, (got, want)
+
+
+@given(tasks=workloads(), policy=policies(), m=models())
+def test_engine_matches_reference(tasks, policy, m):
+    resources = a.ResourcePool(logical_cores=m.cpu.logical_cores)
+    new = a.simulate(tasks, policy, resources, m)
+    old = ref.simulate(tasks, policy, resources, m)
+
+    assert [(r.task_id, r.stage_idx) for r in new.records] == \
+        [(r.task_id, r.stage_idx) for r in old.records]
+    for x, y in zip(new.records, old.records):
+        assert dataclasses.replace(x, start=0.0, end=0.0) == \
+            dataclasses.replace(y, start=0.0, end=0.0)
+        assert_close(x.start, y.start)
+        assert_close(x.end, y.end)
+    assert_close(new.makespan, old.makespan)
+
+    for name in ("cpu_load_steps", "gpu_res_steps", "kv_token_steps", "pool_n_steps"):
+        assert_same_step_function(getattr(new, name), getattr(old, name))
+
+    assert a.replay_check(new, m).ok
+    assert ref.replay_check(old, m).ok
+    # The reference sums the CPU load in task-id order, the engine per
+    # distinct share, so where the load moves by a rounding error one of them
+    # may record a step the other does not. Both audits compare step lists
+    # entry by entry and reject that; the step functions were shown equal
+    # within 1e-9 above, and the work check runs before the step comparison.
+    for verdict in (a.replay_check(old, m), ref.replay_check(new, m)):
+        assert verdict.ok or verdict.detail == "occupancy mismatch in cpuload"
+
+    text = serialize_trace(new)
+    assert serialize_trace(a.simulate(tasks, policy, resources, m)) == text
+    assert parse_trace(text) == new

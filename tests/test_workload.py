@@ -127,6 +127,32 @@ class TestProfiles:
         assert "langchain_freshqa" in str(err.value)
         assert "haystack_nq" in str(err.value)
 
+    def test_repeated_lookups_parse_each_file_once(self, monkeypatch):
+        from agentsim import profiles
+
+        profiles._bundled_doc.cache_clear()
+        parses = []
+        real = profiles.yaml.safe_load
+        monkeypatch.setattr(profiles.yaml, "safe_load",
+                            lambda text: parses.append(1) or real(text))
+        first = a.load_profile("langchain_freshqa")
+        after_first = len(parses)
+        n_files = len(list(profiles._profile_dir().glob("*.yaml")))
+        assert 0 < after_first <= n_files
+        for _ in range(3):
+            assert a.load_profile("langchain_freshqa") == first
+            a.load_models("emerald_rapids_b200")
+            a.list_profiles()
+        assert len(parses) == n_files  # every file parsed exactly once
+
+    def test_observations_are_the_callers_to_mutate(self):
+        from agentsim.profiles import load_observations
+
+        doc = load_observations("langchain_batch_sweep")
+        doc["energy_endpoints"]["cpu_j_large"] = -1.0
+        fresh = load_observations("langchain_batch_sweep")
+        assert fresh["energy_endpoints"]["cpu_j_large"] != -1.0
+
     @pytest.mark.parametrize("name", a.list_profiles("pipeline"))
     def test_every_bundled_profile_round_trips(self, name):
         p1 = a.load_profile(name)
