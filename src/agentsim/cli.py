@@ -10,13 +10,13 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import yaml
 
 from . import __version__
 from .contention import (
@@ -47,6 +47,7 @@ from .errors import (
 )
 from .metrics import REPORT_COLUMNS, MetricsReport, compare, energy_integrals, summarize
 from .profiles import (
+    dump_yaml,
     list_profiles,
     load_models,
     load_models_file,
@@ -55,6 +56,7 @@ from .profiles import (
     load_pipeline_file,
     models_to_dict,
     pipeline_to_dict,
+    read_yaml,
 )
 from .schedulers import Policy
 from .workload import PipelineSpec, WorkloadSpec, build_workload, class_labels
@@ -178,16 +180,7 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
 
 
 def load_config_file(path: str, out: str | None = None, seed: int | None = None) -> ExperimentConfig:
-    p = Path(path)
-    try:
-        doc = yaml.safe_load(p.read_text())
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"config parse error in {path}: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"config {path} is not a mapping")
-    return parse_config(doc, p.parent, out, seed)
+    return parse_config(read_yaml(path, "config"), Path(path).parent, out, seed)
 
 
 def execute(config: ExperimentConfig) -> tuple[Trace, MetricsReport]:
@@ -248,9 +241,7 @@ def cmd_run(args) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     (config.out_dir / "trace.txt").write_text(serialize_trace(trace))
     doc = report_to_dict(report, config.config_fp)
-    (config.out_dir / "report.yaml").write_text(
-        yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
-    )
+    (config.out_dir / "report.yaml").write_text(dump_yaml(doc))
     written = _write_rows([doc], config.out_dir, "report", args.format)
     print(f"# run {config.config_fp} policy={report.policy} B={report.batch_size}")
     for key in ("p50_s", "p90_s", "p99_s", "mean_s", "makespan_s", "throughput_rps",
@@ -265,8 +256,8 @@ _SWEEP_AXES = ("batch_size", "b_cap", "lambda", "theta")
 
 def cmd_sweep(args) -> int:
     path = Path(args.config)
-    doc = yaml.safe_load(path.read_text())
-    if not isinstance(doc, dict) or "sweep" not in doc:
+    doc = read_yaml(path, "sweep config")
+    if "sweep" not in doc:
         raise ConfigurationError("sweep config needs a 'sweep' section")
     sdoc = doc["sweep"]
     axis = _require(sdoc, "axis", "sweep")
@@ -292,7 +283,7 @@ def cmd_sweep(args) -> int:
     rows = []
     curve_points: dict[int, float] = {}
     for value in values:
-        vdoc = yaml.safe_load(yaml.safe_dump(doc))  # deep copy
+        vdoc = copy.deepcopy(doc)
         if axis == "batch_size":
             vdoc["workload"]["batch_size"] = int(value)
         elif axis == "b_cap":
@@ -328,16 +319,14 @@ def cmd_sweep(args) -> int:
             "config_fp": rows[-1]["config_fp"],
             "points": {int(b): float(t) for b, t in sorted(curve_points.items())},
         }
-        (out_dir / "throughput_curve.yaml").write_text(
-            yaml.safe_dump(curve_doc, sort_keys=True)
-        )
+        (out_dir / "throughput_curve.yaml").write_text(dump_yaml(curve_doc))
         print(f"wrote {out_dir}/throughput_curve.yaml")
     return EXIT_OK
 
 
 def load_curve_file(path: str | Path) -> ThroughputCurve:
-    doc = yaml.safe_load(Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("kind") != "throughput_curve":
+    doc = read_yaml(path, "throughput curve")
+    if doc.get("kind") != "throughput_curve":
         raise ConfigurationError(f"{path} is not a throughput_curve document")
     points = {int(k): float(v) for k, v in sorted(doc["points"].items())}
     return ThroughputCurve(points=points)
@@ -450,7 +439,7 @@ def cmd_calibrate(args) -> int:
     if have_latency_fit:
         fitted = ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=base.energy)
         out = out_dir / f"{name}.yaml"
-        out.write_text(yaml.safe_dump(models_to_dict(fitted, sources), sort_keys=False))
+        out.write_text(dump_yaml(models_to_dict(fitted, sources), sort_keys=False))
         written.append(out)
         for key, text in sorted(sources.items()):
             print(f"{key}: {text}")
@@ -458,9 +447,7 @@ def cmd_calibrate(args) -> int:
     if energy_fit is not None:
         energy_models, energy_sources = energy_fit
         out = out_dir / f"{name}_energy.yaml"
-        out.write_text(
-            yaml.safe_dump(models_to_dict(energy_models, energy_sources), sort_keys=False)
-        )
+        out.write_text(dump_yaml(models_to_dict(energy_models, energy_sources), sort_keys=False))
         written.append(out)
         for key, text in sorted(energy_sources.items()):
             print(f"{key}: {text}")
@@ -473,7 +460,7 @@ def cmd_calibrate(args) -> int:
 def cmd_compare(args) -> int:
     reports = []
     for path in (args.baseline, args.candidate):
-        doc = yaml.safe_load(Path(path).read_text())
+        doc = read_yaml(path, "report")
         per_class = {}
         for cls in ("cpu_heavy", "llm_heavy"):
             if doc.get(f"{cls}_p50_s") not in (None, ""):
@@ -534,14 +521,16 @@ def cmd_profiles(args) -> int:
             obj = loader(args.name)
         except AgentsimError:
             continue
-        print(yaml.safe_dump(to_dict(obj), sort_keys=False), end="")
+        print(dump_yaml(to_dict(obj), sort_keys=False), end="")
         return EXIT_OK
     raise ConfigurationError(
         f"unknown profile {args.name!r}; available: {', '.join(list_profiles())}"
     )
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="agentsim",
         description="Deterministic simulator for batched agentic-AI serving policies",

@@ -26,7 +26,9 @@ import dataclasses
 import hashlib
 import heapq
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .contention import ContentionModels, cpu_rate, gpu_rate, thread_pool_rate
@@ -52,8 +54,9 @@ class ResourcePool:
             raise ConfigurationError("exactly one GPU is modeled")
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
+    """One completed stage interval; immutable (copy with ``_replace``)."""
+
     task_id: int
     stage_idx: int
     kind: str
@@ -116,17 +119,16 @@ def fingerprint(data) -> str:
 
 
 def workload_fingerprint(tasks: list[TaskInstance]) -> str:
+    stage_lists: dict[int, list] = {}  # id(pipeline) -> its stage list
+    for t in tasks:
+        if id(t.pipeline) not in stage_lists:
+            stage_lists[id(t.pipeline)] = [
+                (s.kind.value, s.cpu_share, s.kv_tokens, s.host_blocking)
+                for s in t.pipeline.stages
+            ]
     return fingerprint(
         [
-            (
-                t.id,
-                t.pipeline.name,
-                [
-                    (s.kind.value, s.cpu_share, s.kv_tokens, s.host_blocking)
-                    for s in t.pipeline.stages
-                ],
-                list(t.stage_work),
-            )
+            (t.id, t.pipeline.name, stage_lists[id(t.pipeline)], list(t.stage_work))
             for t in tasks
         ]
     )
@@ -146,15 +148,19 @@ def models_fingerprint(models: ContentionModels) -> str:
 # -- stage classes and occupancy ---------------------------------------------
 
 # Every running stage of one class progresses at the same rate.
-EXTERNAL, CPU_PROCESS, CPU_THREAD, GPU_ASYNC, GPU_BLOCKING = range(5)
+EXTERNAL, CPU_PROCESS, CPU_THREAD, GPU_ASYNC, GPU_BLOCKING = CLASSES = range(5)
 N_CLASSES = 5
+
+
+_EXTERNAL_KIND = StageKind.EXTERNAL_API.value
+_CPU_KIND = StageKind.CPU_TOOL.value
 
 
 def stage_class(kind: str, mode: str, host_blocking: bool) -> int:
     """Rate class of a stage from its kind value, execution mode and client."""
-    if kind == StageKind.EXTERNAL_API.value:
+    if kind == _EXTERNAL_KIND:
         return EXTERNAL
-    if kind == StageKind.CPU_TOOL.value:
+    if kind == _CPU_KIND:
         return CPU_THREAD if mode == THREAD else CPU_PROCESS
     return GPU_BLOCKING if host_blocking else GPU_ASYNC
 
@@ -163,42 +169,71 @@ class Occupancy:
     """Resource occupancy of a running set, kept as integer counts per
     distinct contribution, so its sums do not depend on the order stages
     joined in. Thread-mode stages draw CPU through the shared pool, so their
-    aggregate share is capped at the pool width."""
+    aggregate share is capped at the pool width.
+
+    Per mode (process, thread) the distinct CPU shares are kept in ascending
+    order, and a mode's load is re-summed only after it changed. The sum is
+    always ``sum([share * count, ...], 0.0)`` over ascending shares, so it is
+    the same float whichever sequence of changes led to the counts."""
 
     def __init__(self, pool_eff: int | None):
         self.pool_eff = pool_eff
         self.per_class = [0] * N_CLASSES
         self.kv_tokens = 0
-        self._shares: tuple[dict, dict] = ({}, {})  # process, thread: share -> count
+        self._counts: tuple[dict, dict] = ({}, {})  # process, thread: share -> count
+        self._shares: tuple[list, list] = ([], [])  # their keys, ascending
+        self._loads: list[float | None] = [0.0, 0.0]  # None: changed since summed
 
     def change(self, cls: int, mode: str, cpu_share: float, kv_tokens: int, delta: int):
         """Add (delta=+1) or remove (delta=-1) one running stage."""
         self.per_class[cls] += delta
         if cls >= GPU_ASYNC:
             self.kv_tokens += delta * kv_tokens
-        shares = self._shares[mode == THREAD]
-        count = shares.get(cpu_share, 0) + delta
+        m = mode == THREAD
+        counts = self._counts[m]
+        count = counts.get(cpu_share, 0)
+        if not count:
+            insort(self._shares[m], cpu_share)
+        count += delta
         if count:
-            shares[cpu_share] = count
+            counts[cpu_share] = count
         else:
-            del shares[cpu_share]
+            del counts[cpu_share]
+            shares = self._shares[m]
+            del shares[bisect_left(shares, cpu_share)]
+        self._loads[m] = None
+
+    def _sum(self, m: int) -> float:
+        counts = self._counts[m]
+        load = self._loads[m] = sum([share * counts[share] for share in self._shares[m]], 0.0)
+        return load
 
     def record(self, steps: tuple[list, ...], t: float) -> float:
         """Append (t, value) to each of the four step series (CPU load, GPU
         residency, KV tokens, pool threads) whose value changed; return the
         CPU load."""
-        process, thread = (
-            sum((share * n for share, n in sorted(shares.items())), 0.0)
-            for shares in self._shares
-        )
+        process, thread = self._loads
+        if process is None:
+            process = self._sum(0)
+        if thread is None:
+            thread = self._sum(1)
         if self.pool_eff is not None:
             thread = min(thread, float(self.pool_eff))
+        load = process + thread
         n = self.per_class
-        values = (process + thread, n[GPU_ASYNC] + n[GPU_BLOCKING], self.kv_tokens, n[CPU_THREAD])
-        for series, value in zip(steps, values):
-            if not series or series[-1][1] != value:
-                series.append((t, value))
-        return values[0]
+        cpu, gpu, kv, pool = steps
+        if not cpu or cpu[-1][1] != load:
+            cpu.append((t, load))
+        value = n[GPU_ASYNC] + n[GPU_BLOCKING]
+        if not gpu or gpu[-1][1] != value:
+            gpu.append((t, value))
+        value = self.kv_tokens
+        if not kv or kv[-1][1] != value:
+            kv.append((t, value))
+        value = n[CPU_THREAD]
+        if not pool or pool[-1][1] != value:
+            pool.append((t, value))
+        return load
 
     def rates(self, load: float, models: ContentionModels) -> list[float | None]:
         """Rate of each class that has a running stage, given the current CPU
@@ -262,25 +297,42 @@ def simulate(
     if dispatcher.pool_size is not None:
         pool_eff = min(dispatcher.pool_size, resources.logical_cores)
 
-    by_id = {t.id: t for t in tasks}
+    # The static facts of each stage, resolved once per (pipeline, mode):
+    # (class, mode, cpu share, kv tokens, kind, host blocking, label).
+    tables: dict[tuple[int, str], tuple[tuple, ...]] = {}
+    facts: dict[int, tuple[tuple, tuple[float, ...]]] = {}  # task id -> (table, work)
+    for t in tasks:
+        mode = dispatcher.mode_of(t.id)
+        key = (id(t.pipeline), mode)
+        if key not in tables:
+            tables[key] = tuple(
+                (stage_class(s.kind.value, mode, s.host_blocking), mode, s.cpu_share,
+                 s.kv_tokens, s.kind.value, s.host_blocking, s.label)
+                for s in t.pipeline.stages
+            )
+        facts[t.id] = (tables[key], t.stage_work)
+
     occupancy = Occupancy(pool_eff)
+    change = occupancy.change
     clocks = [0.0] * N_CLASSES
-    heaps: list[list[tuple[float, int]]] = [[] for _ in range(N_CLASSES)]  # (tag, task id)
-    running: dict[int, tuple[int, int, float]] = {}  # task id -> (stage idx, class, start)
+    heaps: list[list[tuple[float, int]]] = [[] for _ in CLASSES]  # (tag, task id)
+    running: dict[int, tuple[int, float]] = {}  # task id -> (stage idx, start)
     records: list[StageRecord] = []
     steps: tuple[list, ...] = ([], [], [], [])  # cpu load, gpu res, kv tokens, pool threads
     now = 0.0
     remaining_stages = sum(len(t.pipeline.stages) for t in tasks)
     max_events = 100 * remaining_stages + 1000
 
+    append_record = records.append
+    on_stage_complete = dispatcher.on_stage_complete
+    heappop, heappush = heapq.heappop, heapq.heappush
+
     def start_stage(task_id: int, stage_idx: int):
-        task = by_id[task_id]
-        stage = task.pipeline.stages[stage_idx]
-        mode = dispatcher.mode_of(task_id)
-        cls = stage_class(stage.kind.value, mode, stage.host_blocking)
-        occupancy.change(cls, mode, stage.cpu_share, stage.kv_tokens, 1)
-        heapq.heappush(heaps[cls], (clocks[cls] + task.stage_work[stage_idx], task_id))
-        running[task_id] = (stage_idx, cls, now)
+        table, work = facts[task_id]
+        cls, mode, cpu_share, kv_tokens, _, _, _ = table[stage_idx]
+        change(cls, mode, cpu_share, kv_tokens, 1)
+        heappush(heaps[cls], (clocks[cls] + work[stage_idx], task_id))
+        running[task_id] = (stage_idx, now)
 
     for tid in dispatcher.initial_starts():
         start_stage(tid, 0)
@@ -293,45 +345,38 @@ def simulate(
             raise InternalConsistencyError("event budget exhausted; engine stuck")
 
         rates = occupancy.rates(load, models)
-        busy = [c for c in range(N_CLASSES) if heaps[c]]
-        dt = min((heaps[c][0][0] - clocks[c]) / rates[c] for c in busy)
+        busy = [c for c in CLASSES if heaps[c]]
+        dt = min([(heaps[c][0][0] - clocks[c]) / rates[c] for c in busy])
         finished: list[int] = []
         for c in busy:
             heap, clock, rate = heaps[c], clocks[c], rates[c]
             while heap and (heap[0][0] - clock) / rate <= dt + TIME_EPS:
-                finished.append(heapq.heappop(heap)[1])
+                finished.append(heappop(heap)[1])
             clocks[c] = clock + rate * dt if heap else 0.0
         now += dt
 
         released: list[int] = []
         follow_ups: list[tuple[int, int]] = []
-        for task_id in sorted(finished):
-            stage_idx, cls, start = running.pop(task_id)
-            task = by_id[task_id]
-            stage = task.pipeline.stages[stage_idx]
-            mode = dispatcher.mode_of(task_id)
-            occupancy.change(cls, mode, stage.cpu_share, stage.kv_tokens, -1)
-            records.append(
-                StageRecord(
-                    task_id=task_id, stage_idx=stage_idx,
-                    kind=stage.kind.value, mode=mode,
-                    host_blocking=stage.host_blocking,
-                    cpu_share=stage.cpu_share, kv_tokens=stage.kv_tokens,
-                    work=task.stage_work[stage_idx],
-                    start=start, end=now, label=stage.label,
-                )
-            )
-            released.extend(dispatcher.on_stage_complete(task_id, stage_idx))
-            if stage_idx + 1 < len(task.pipeline.stages):
+        finished.sort()
+        for task_id in finished:
+            stage_idx, start = running.pop(task_id)
+            table, work = facts[task_id]
+            cls, mode, cpu_share, kv_tokens, kind, host_blocking, label = table[stage_idx]
+            change(cls, mode, cpu_share, kv_tokens, -1)
+            append_record(StageRecord(task_id, stage_idx, kind, mode, host_blocking,
+                                      cpu_share, kv_tokens, work[stage_idx], start, now, label))
+            released += on_stage_complete(task_id, stage_idx)
+            if stage_idx + 1 < len(table):
                 follow_ups.append((task_id, stage_idx + 1))
 
         for task_id, stage_idx in follow_ups:
             start_stage(task_id, stage_idx)
-        for task_id in sorted(set(released)):
-            start_stage(task_id, 0)
+        if released:
+            for task_id in sorted(set(released)):
+                start_stage(task_id, 0)
         load = occupancy.record(steps, now)
 
-    records.sort(key=lambda r: (r.task_id, r.stage_idx))
+    records.sort()  # (task id, stage idx) is unique, so this orders by it
     n_done = len(records)
     if n_done != remaining_stages:
         raise InternalConsistencyError(
@@ -370,11 +415,11 @@ def serialize_trace(trace: Trace) -> str:
         f"meta pool_eff {trace.pool_eff if trace.pool_eff is not None else 'none'}",
         f"meta makespan {trace.makespan!r}",
     ]
-    for r in trace.records:
+    for (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
+         start, end, label) in trace.records:
         lines.append(
-            "stage "
-            f"{r.task_id} {r.stage_idx} {r.kind} {r.mode} {int(r.host_blocking)} "
-            f"{r.cpu_share!r} {r.kv_tokens} {r.work!r} {r.start!r} {r.end!r} {r.label}"
+            f"stage {task_id} {stage_idx} {kind} {mode} {int(host_blocking)} "
+            f"{cpu_share!r} {kv_tokens} {work!r} {start!r} {end!r} {label}"
         )
     for name, steps in (
         ("cpuload", trace.cpu_load_steps),
@@ -462,11 +507,18 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
         (stage_class(r.kind, r.mode, r.host_blocking), r.mode, r.cpu_share, r.kv_tokens)
         for r in records
     ]
+    starts = [r.start for r in records]
+    ends = [r.end for r in records]
     # an interval that does not end after it starts is never active
-    live = [i for i in range(n) if records[i].end > records[i].start]
-    by_start = sorted(live, key=lambda i: records[i].start)
-    by_end = sorted(live, key=lambda i: records[i].end)
+    live = [i for i in range(n) if ends[i] > starts[i]]
+    by_start = sorted(live, key=starts.__getitem__)
+    by_end = sorted(live, key=ends.__getitem__)
+    start_times = [starts[i] for i in by_start]
+    end_times = [ends[i] for i in by_end]
+    n_live = len(live)
     occupancy = Occupancy(trace.pool_eff)
+    change = occupancy.change
+    per_class = occupancy.per_class
     integral = [0.0] * N_CLASSES  # of each class's rate, since it was last idle
     at_start = [0.0] * n
     done = [0.0] * n
@@ -474,44 +526,47 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
     rates: list[float | None] = [None] * N_CLASSES
     si = ei = 0
     prev = 0.0
-    while ei < len(live):
-        t = records[by_end[ei]].end
-        if si < len(live):
-            t = min(t, records[by_start[si]].start)
-        for c in range(N_CLASSES):
-            if occupancy.per_class[c]:
+    while ei < n_live:
+        t = end_times[ei]
+        if si < n_live and start_times[si] < t:
+            t = start_times[si]
+        for c in CLASSES:
+            if per_class[c]:
                 integral[c] += rates[c] * (t - prev)
-        while si < len(live) and records[by_start[si]].start == t:
+        while si < n_live and start_times[si] == t:
             i = by_start[si]
-            occupancy.change(*keys[i], 1)
-            at_start[i] = integral[keys[i][0]]
+            cls, mode, cpu_share, kv_tokens = keys[i]
+            change(cls, mode, cpu_share, kv_tokens, 1)
+            at_start[i] = integral[cls]
             si += 1
-        while ei < len(live) and records[by_end[ei]].end == t:
+        while ei < n_live and end_times[ei] == t:
             i = by_end[ei]
-            cls = keys[i][0]
+            cls, mode, cpu_share, kv_tokens = keys[i]
             done[i] = integral[cls] - at_start[i]
-            occupancy.change(*keys[i], -1)
-            if not occupancy.per_class[cls]:
+            change(cls, mode, cpu_share, kv_tokens, -1)
+            if not per_class[cls]:
                 integral[cls] = 0.0
             ei += 1
         rates = occupancy.rates(occupancy.record(recomputed, t), models)
         prev = t
 
-    for i in sorted(range(n), key=lambda i: (records[i].task_id, records[i].stage_idx)):
+    bad = [i for i, r in enumerate(records)
+           if abs(done[i] - r.work) > rel_tol * max(r.work, 1e-30)]
+    if bad:
+        i = min(bad, key=lambda i: (records[i].task_id, records[i].stage_idx))
         rec = records[i]
-        if abs(done[i] - rec.work) > rel_tol * max(rec.work, 1e-30):
-            return ReplayReport(
-                False,
-                f"work mismatch at task {rec.task_id} stage {rec.stage_idx}: "
-                f"integrated {done[i]!r}, expected {rec.work!r}",
-            )
+        return ReplayReport(
+            False,
+            f"work mismatch at task {rec.task_id} stage {rec.stage_idx}: "
+            f"integrated {done[i]!r}, expected {rec.work!r}",
+        )
 
     recorded = (trace.cpu_load_steps, trace.gpu_res_steps, trace.kv_token_steps,
                 trace.pool_n_steps)
     for name, got, want in zip(("cpuload", "gpures", "kvtokens", "pooln"), recorded, recomputed):
-        if len(got) != len(want) or any(
+        if got != want and (len(got) != len(want) or any(
             abs(a - c) > TIME_EPS or abs(b - d) > 1e-9
             for (a, b), (c, d) in zip(got, want)
-        ):
+        )):
             return ReplayReport(False, f"occupancy mismatch in {name}")
     return ReplayReport(True)

@@ -4,6 +4,11 @@ Profiles are human-editable YAML documents of two kinds: ``pipeline`` (stage
 lists with per-numeric-field provenance strings) and ``models`` (calibrated
 contention and energy constants). Loading is value-stable: load -> serialize
 -> load yields an equal object.
+
+Every YAML document the package reads or writes goes through ``read_yaml``
+and ``dump_yaml``. They use PyYAML's libyaml bindings when it was built
+with them and its pure-Python classes otherwise; both give the same
+documents and the same bytes.
 """
 
 from __future__ import annotations
@@ -33,20 +38,53 @@ from .workload import (
 
 PROFILE_SCHEMA_VERSION = 1
 
+try:
+    _LOADER, _DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
+except AttributeError:  # PyYAML built without libyaml
+    _LOADER, _DUMPER = yaml.SafeLoader, yaml.SafeDumper
+
+
+def read_yaml(path: str | Path, what: str) -> dict:
+    """The YAML mapping in file ``path``; a missing, unreadable or malformed
+    file, or one that does not hold a mapping, is a ConfigurationError naming
+    ``what`` it should have been."""
+    try:
+        doc = yaml.load(Path(path).read_text(), Loader=_LOADER)
+    except FileNotFoundError:
+        raise ConfigurationError(f"{what} file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {what} file {path}: {exc}")
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"{what} parse error in {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{what} {path} is not a mapping")
+    return doc
+
+
+def dump_yaml(doc, sort_keys: bool = True) -> str:
+    """Block-style YAML text of a plain document."""
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=sort_keys, default_flow_style=False)
+
 
 def _profile_dir() -> Path:
     return Path(importlib.resources.files("agentsim") / "profiles")
 
 
 @functools.lru_cache(maxsize=None)
+def _bundled_paths() -> tuple[Path, ...]:
+    """The bundled profile files, listed once per process (the set is fixed)."""
+    return tuple(sorted(_profile_dir().glob("*.yaml")))
+
+
+@functools.lru_cache(maxsize=None)
 def _bundled_doc(path: Path) -> dict:
     """A bundled document, parsed once per process (the bundled set is fixed,
     so the cache is bounded). Callers must not mutate it."""
-    return yaml.safe_load(path.read_text())
+    return read_yaml(path, "bundled profile")
 
 
 def _bundled_docs():
-    return (_bundled_doc(path) for path in sorted(_profile_dir().glob("*.yaml")))
+    return (_bundled_doc(path) for path in _bundled_paths())
 
 
 def list_profiles(kind: str | None = None) -> list[str]:
@@ -128,7 +166,7 @@ def load_profile(name: str) -> PipelineSpec:
 
 
 def load_pipeline_file(path: str | Path) -> PipelineSpec:
-    return pipeline_from_dict(yaml.safe_load(Path(path).read_text()))
+    return pipeline_from_dict(read_yaml(path, "pipeline"))
 
 
 def models_from_dict(doc: dict) -> ContentionModels:
@@ -194,14 +232,13 @@ def load_models(name: str) -> ContentionModels:
 
 
 def load_models_file(path: str | Path) -> ContentionModels:
-    return models_from_dict(yaml.safe_load(Path(path).read_text()))
+    return models_from_dict(read_yaml(path, "models"))
 
 
 def load_observations(name_or_path: str) -> dict:
     """Load a calibration observations document (bundled name or file path)."""
-    p = Path(name_or_path)
-    if p.exists():
-        doc = yaml.safe_load(p.read_text())
+    if Path(name_or_path).exists():
+        doc = read_yaml(name_or_path, "observations")
     else:
         doc = copy.deepcopy(_find_bundled(name_or_path, "observations"))
     _check_schema(doc, "observations")

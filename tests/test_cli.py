@@ -372,3 +372,22 @@ class TestProfilesCmd:
 
     def test_show_unknown_exits_2(self, capsys):
         assert main(["profiles", "show", "nope"]) == 2
+
+
+class TestUnreadableFiles:
+    """Every subcommand that reads a YAML file exits 2, without a traceback,
+    when the file is missing or malformed."""
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize("problem", ["missing", "malformed"])
+    def test_exits_2_without_traceback(self, tmp_path, capsys, command, problem):
+        path = tmp_path / f"{problem}.yaml"
+        if problem == "malformed":
+            path.write_text("schema_version: 1\nworkload: [")
+        other = write_config(tmp_path, BASE_CONFIG, "other.yaml")
+        argv = (["sweep", "--config", str(path)] if command == "sweep"
+                else ["compare", str(path), str(other)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "Traceback" not in err

@@ -120,9 +120,7 @@ class TestReplayCheck:
         pipe = a.load_profile("langchain_freshqa")
         tasks = a.build_workload(a.WorkloadSpec(batch_size=4, mix=((pipe, 1.0),), jitter_cv=0.0))
         trace = a.simulate(tasks, a.Policy("multiprocessing"), resources, models)
-        import dataclasses
-
-        bad = dataclasses.replace(trace.records[5], end=trace.records[5].end + 0.01)
+        bad = trace.records[5]._replace(end=trace.records[5].end + 0.01)
         trace.records[5] = bad
         report = a.replay_check(trace, models)
         assert not report.ok

@@ -1,7 +1,8 @@
 """Property tests: the virtual-clock engine against the rescanning reference
-engine on random small pipelines, mixes, policies, models and core counts."""
+engine on random small pipelines, mixes, policies, models and core counts,
+and the occupancy's cached CPU load against a fresh sum."""
 
-import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -17,8 +18,8 @@ from agentsim.contention import (
     CpuContentionParams,
     GpuSaturationParams,
 )
-from agentsim.engine import parse_trace, serialize_trace
-from agentsim.schedulers import POLICY_NAMES
+from agentsim.engine import CLASSES, Occupancy, parse_trace, serialize_trace
+from agentsim.schedulers import POLICY_NAMES, PROCESS, THREAD
 
 STAGE_KINDS = ("cpu_tool", "gpu_inference", "external_api")
 
@@ -116,8 +117,7 @@ def test_engine_matches_reference(tasks, policy, m):
     assert [(r.task_id, r.stage_idx) for r in new.records] == \
         [(r.task_id, r.stage_idx) for r in old.records]
     for x, y in zip(new.records, old.records):
-        assert dataclasses.replace(x, start=0.0, end=0.0) == \
-            dataclasses.replace(y, start=0.0, end=0.0)
+        assert x._replace(start=0.0, end=0.0) == y._replace(start=0.0, end=0.0)
         assert_close(x.start, y.start)
         assert_close(x.end, y.end)
     assert_close(new.makespan, old.makespan)
@@ -138,3 +138,40 @@ def test_engine_matches_reference(tasks, policy, m):
     text = serialize_trace(new)
     assert serialize_trace(a.simulate(tasks, policy, resources, m)) == text
     assert parse_trace(text) == new
+
+
+SHARES = st.one_of(st.sampled_from((0.0, 0.02, 0.05, 0.3, 0.55, 1.0)), st.floats(0.0, 1.0))
+# (finish a running stage?, which one, class, mode, share, record afterwards?)
+OCCUPANCY_OPS = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 63), st.sampled_from(CLASSES),
+              st.sampled_from((PROCESS, THREAD)), SHARES, st.booleans()),
+    min_size=1, max_size=40,
+)
+
+
+@given(ops=OCCUPANCY_OPS, pool_eff=st.sampled_from((None, 1, 3, 8)))
+def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff):
+    """After any sequence of starts and finishes, the load ``record`` returns
+    equals, bit for bit, a fresh sum over the ascending distinct shares of
+    each mode, with the thread pool's cap applied."""
+    occupancy = Occupancy(pool_eff)
+    steps: tuple[list, ...] = ([], [], [], [])
+    running = []  # (class, mode, share, kv tokens) of each running stage
+    for finish, which, cls, mode, share, record in ops:
+        if finish and running:
+            occupancy.change(*running.pop(which % len(running)), -1)
+        else:
+            running.append((cls, mode, share, which))
+            occupancy.change(cls, mode, share, which, 1)
+        if not record:
+            continue  # several changes between two records
+        load = occupancy.record(steps, 0.0)
+        per_mode = []
+        for m in (PROCESS, THREAD):
+            counts = Counter(k[2] for k in running if k[1] == m)
+            per_mode.append(sum([s * n for s, n in sorted(counts.items())], 0.0))
+        process, thread = per_mode
+        if pool_eff is not None:
+            thread = min(thread, float(pool_eff))
+        assert load.hex() == (process + thread).hex()
+        assert occupancy.per_class == [sum(k[0] == c for k in running) for c in CLASSES]

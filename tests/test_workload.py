@@ -1,6 +1,8 @@
 import pytest
+import yaml
 
 import agentsim as a
+from agentsim import profiles
 from agentsim.errors import ConfigurationError, UnknownProfileError
 from agentsim.profiles import pipeline_from_dict, pipeline_to_dict
 from agentsim.workload import largest_remainder_counts
@@ -128,13 +130,11 @@ class TestProfiles:
         assert "haystack_nq" in str(err.value)
 
     def test_repeated_lookups_parse_each_file_once(self, monkeypatch):
-        from agentsim import profiles
-
         profiles._bundled_doc.cache_clear()
         parses = []
-        real = profiles.yaml.safe_load
-        monkeypatch.setattr(profiles.yaml, "safe_load",
-                            lambda text: parses.append(1) or real(text))
+        real = profiles.yaml.load
+        monkeypatch.setattr(profiles.yaml, "load",
+                            lambda text, Loader: parses.append(1) or real(text, Loader))
         first = a.load_profile("langchain_freshqa")
         after_first = len(parses)
         n_files = len(list(profiles._profile_dir().glob("*.yaml")))
@@ -167,3 +167,29 @@ class TestProfiles:
             keys = dict(s.sources)
             assert "base_latency" in keys and keys["base_latency"].strip()
             assert "cpu_share" in keys and keys["cpu_share"].strip()
+
+
+BUNDLED_FILES = sorted(p.name for p in profiles._profile_dir().glob("*.yaml"))
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+class TestYamlParity:
+    """PyYAML's libyaml classes, used when present, and its pure-Python
+    fallback read and write the same documents."""
+
+    @pytest.mark.parametrize("filename", BUNDLED_FILES)
+    def test_both_loaders_parse_bundled_profiles_equally(self, filename):
+        text = (profiles._profile_dir() / filename).read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    @pytest.mark.parametrize("filename", BUNDLED_FILES)
+    def test_both_dumpers_write_profiles_equally(self, filename):
+        doc = yaml.load((profiles._profile_dir() / filename).read_text(), Loader=yaml.SafeLoader)
+        if doc["kind"] == "pipeline":
+            doc = pipeline_to_dict(pipeline_from_dict(doc))
+        elif doc["kind"] == "models":
+            # as `calibrate` writes it, long provenance strings included
+            doc = profiles.models_to_dict(profiles.models_from_dict(doc), doc.get("sources"))
+        for sort_keys in (False, True):
+            assert (yaml.dump(doc, Dumper=yaml.CSafeDumper, sort_keys=sort_keys)
+                    == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=sort_keys))
