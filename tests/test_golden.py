@@ -1,10 +1,13 @@
-"""Golden behaviour test: `agentsim run` outputs stay byte-identical.
+"""Golden behaviour test: `agentsim run` and `agentsim compare` outputs stay
+byte-identical.
 
 Each config below runs through the CLI, and the sha256 digests of its
 `trace.txt`, `report.csv` and `report.yaml` must equal those checked in at
 `golden_digests.json`. The set covers every bundled pipeline, all seven
 policies, mixes, the thread-pool paths, both bundled models profiles and
-batch sizes 1, 7 and 64.
+batch sizes 1, 7 and 64. Each report pair in COMPARES is also compared, and
+the digests of the command's stdout (with the output path cut from its
+`wrote` line) and of its `--out` CSV are checked the same way.
 
 A change that is meant to alter outputs regenerates the file with
 
@@ -15,7 +18,9 @@ and names each digest that changed, and why, in CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -89,12 +94,20 @@ CONFIGS = {
         "langchain_freshqa_energyhost", 7, {"name": "cgam", "b_cap": 4},
         models=ENERGY_HOST, jitter=0.0, cores=None),
     "mix_maws_b64": _config(SWE_GUARDRAIL, 64, {"name": "maws"}),
+    "mix_multiprocessing_b64": _config(SWE_GUARDRAIL, 64, {"name": "multiprocessing"}),
     "mix_maws_cgam_b64": _config(
         SWE_GUARDRAIL, 64,
         {"name": "maws_cgam", "b_cap": 16, "theta": 0.4, "thread_pool_cores": 4}, seed=5),
     "mix_multithreading_b7": _config(
         THREE_WAY, 7, {"name": "multithreading", "pool_size": 2}, seed=7),
     "mix_sequential_b7": _config(THREE_WAY, 7, {"name": "sequential"}),
+}
+
+# digest key -> (baseline config, candidate config) of one `agentsim compare`
+COMPARES = {
+    "compare_freshqa_multiprocessing_b64_cgam_b64": (
+        "freshqa_multiprocessing_b64", "freshqa_cgam_b64"),
+    "compare_mix_multiprocessing_b64_maws_b64": ("mix_multiprocessing_b64", "mix_maws_b64"),
 }
 
 
@@ -113,14 +126,35 @@ def run_digests(name: str, work_dir: Path) -> dict[str, str]:
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in OUTPUTS}
 
 
+def compare_digests(key: str, work_dir: Path) -> dict[str, str]:
+    """sha256 of the stdout and the CSV of `agentsim compare` on pair ``key``."""
+    baseline, candidate = (run(name, work_dir) / "report.yaml" for name in COMPARES[key])
+    csv = work_dir / f"{key}.csv"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["compare", str(baseline), str(candidate), "--out", str(csv)]) == 0
+    lines = ["wrote" if line.startswith("wrote ") else line
+             for line in stdout.getvalue().splitlines()]
+    return {
+        "stdout": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+        "compare.csv": hashlib.sha256(csv.read_bytes()).hexdigest(),
+    }
+
+
 def test_config_set_is_the_checked_in_set():
-    assert sorted(json.loads(DIGESTS.read_text())) == sorted(CONFIGS)
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted([*CONFIGS, *COMPARES])
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_run_outputs_match_golden_digests(name, tmp_path):
     want = json.loads(DIGESTS.read_text())[name]
     assert run_digests(name, tmp_path) == want
+
+
+@pytest.mark.parametrize("key", sorted(COMPARES))
+def test_compare_outputs_match_golden_digests(key, tmp_path):
+    want = json.loads(DIGESTS.read_text())[key]
+    assert compare_digests(key, tmp_path) == want
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
@@ -137,6 +171,8 @@ def test_both_yaml_dumpers_write_the_report_bytes(name, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, open(DIGESTS, "w") as fh:
         digests = {name: run_digests(name, Path(tmp)) for name in sorted(CONFIGS)}
+        digests.update((key, compare_digests(key, Path(tmp))) for key in sorted(COMPARES))
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {DIGESTS} ({len(digests)} configs)", file=sys.stderr)
+    print(f"wrote {DIGESTS} ({len(CONFIGS)} run configs, {len(COMPARES)} compares)",
+          file=sys.stderr)
