@@ -52,14 +52,16 @@ from .profiles import (
     load_models,
     load_models_file,
     load_observations,
-    load_profile,
     load_pipeline_file,
+    load_profile,
+    models_from_dict,
     models_to_dict,
+    pipeline_from_dict,
     pipeline_to_dict,
     read_yaml,
 )
 from .schedulers import Policy
-from .workload import PipelineSpec, WorkloadSpec, build_workload, class_labels
+from .workload import WorkloadSpec, build_workload, class_labels
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -71,35 +73,62 @@ EXIT_INTERNAL = 4
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One resolved experiment: workload, policy, resources, models, seed."""
+    """One resolved experiment: workload and seed, policy, resources, models."""
 
     workload: WorkloadSpec
     policy: Policy
     resources: ResourcePool
     models: ContentionModels
-    seed: int
-    theta: float
     out_dir: Path
     config_fp: str
 
 
-def _require(doc: dict, key: str, where: str):
+def _as(value, kind, path: str):
+    """``value`` converted to int or float, or checked to be an instance of
+    any other ``kind`` (a type or a tuple of types). Failing that, a
+    ConfigurationError naming the field path, e.g. ``workload.mix[0].proportion``."""
+    if kind in (int, float):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    elif isinstance(value, kind):
+        return value
+    names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+    raise ConfigurationError(f"{path} must be {names}, got {value!r}")
+
+
+def _field(doc: dict, where: str, key: str, kind, default=None):
+    """Field ``key`` of mapping ``doc`` (found at path ``where``) as a
+    ``kind``, or ``default`` when absent; absent without a default is a
+    ConfigurationError."""
     if key not in doc:
-        raise ConfigurationError(f"missing field {key!r} in {where}")
-    return doc[key]
+        if default is None:
+            raise ConfigurationError(f"missing field {key!r} in {where or 'config'}")
+        return default
+    return _as(doc[key], kind, f"{where}.{key}" if where else key)
 
 
-def _load_pipeline_ref(ref, base_dir: Path) -> PipelineSpec:
-    if isinstance(ref, str):
-        path = base_dir / ref
-        if ref.endswith(".yaml") and path.exists():
-            return load_pipeline_file(path)
-        return load_profile(ref)
+def _load_ref(ref: str | dict, base_dir: Path, kind: str):
+    """The ``kind`` ("pipeline" or "models") profile a config names: a
+    bundled name, a ``.yaml`` path next to the config, or an inline
+    mapping."""
+    # looked up per call, so a loader swapped in by name (the benchmark's
+    # tracer) is the one called
+    from_dict, from_file, bundled = {
+        "pipeline": (pipeline_from_dict, load_pipeline_file, load_profile),
+        "models": (models_from_dict, load_models_file, load_models),
+    }[kind]
     if isinstance(ref, dict):
-        from .profiles import pipeline_from_dict
+        return from_dict(ref)
+    path = base_dir / ref
+    return from_file(path) if ref.endswith(".yaml") and path.exists() else bundled(ref)
 
-        return pipeline_from_dict(ref)
-    raise ConfigurationError(f"bad pipeline reference: {ref!r}")
+
+# policy config key -> (Policy argument, type)
+_POLICY_FIELDS = {"b_cap": ("b_cap", int), "pool_size": ("pool_size", int),
+                  "thread_pool_cores": ("thread_pool_cores", int),
+                  "theta": ("theta", float), "exec": ("exec_mode", str)}
 
 
 def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
@@ -109,56 +138,43 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
         raise ConfigurationError(
             f"config schema_version {version!r} not supported (expected {CONFIG_SCHEMA_VERSION})"
         )
-    wdoc = _require(doc, "workload", "config")
-    batch_size = int(_require(wdoc, "batch_size", "workload"))
+    wdoc = _field(doc, "", "workload", dict)
+    batch_size = _field(wdoc, "workload", "batch_size", int)
     if "mix" in wdoc:
-        mix = tuple(
-            (_load_pipeline_ref(entry["pipeline"], base_dir), float(entry["proportion"]))
-            for entry in wdoc["mix"]
-        )
+        refs = []
+        for i, entry in enumerate(_field(wdoc, "workload", "mix", list)):
+            where = f"workload.mix[{i}]"
+            entry = _as(entry, dict, where)
+            refs.append((_field(entry, where, "pipeline", (str, dict)),
+                         _field(entry, where, "proportion", float)))
     elif "profile" in wdoc:
-        mix = ((_load_pipeline_ref(wdoc["profile"], base_dir), 1.0),)
+        refs = [(_field(wdoc, "workload", "profile", (str, dict)), 1.0)]
     else:
         raise ConfigurationError("workload needs 'profile' or 'mix'")
-    seed = seed_override if seed_override is not None else doc.get("seed")
-    if seed is None:
-        raise ConfigurationError("config must set an explicit seed")
+    mix = tuple((_load_ref(ref, base_dir, "pipeline"), share) for ref, share in refs)
     workload = WorkloadSpec(
         batch_size=batch_size, mix=mix,
-        jitter_cv=float(wdoc.get("jitter_cv", 0.05)), seed=int(seed),
+        jitter_cv=_field(wdoc, "workload", "jitter_cv", float, 0.05),
+        # a config must set its seed explicitly unless the command line does
+        seed=seed_override if seed_override is not None else _field(doc, "", "seed", int),
     )
 
-    pdoc = _require(doc, "policy", "config")
-    policy_kwargs = {}
-    for key in ("b_cap", "pool_size", "thread_pool_cores"):
-        if key in pdoc:
-            policy_kwargs[key] = int(pdoc[key])
-    if "theta" in pdoc:
-        policy_kwargs["theta"] = float(pdoc["theta"])
-    if "exec" in pdoc:
-        policy_kwargs["exec_mode"] = str(pdoc["exec"])
-    policy = Policy(name=_require(pdoc, "name", "policy"), **policy_kwargs)
+    pdoc = _field(doc, "", "policy", dict)
+    policy = Policy(name=_field(pdoc, "policy", "name", str), **{
+        arg: _field(pdoc, "policy", key, kind)
+        for key, (arg, kind) in _POLICY_FIELDS.items() if key in pdoc
+    })
 
-    mref = _require(doc, "models", "config")
-    if isinstance(mref, dict) and "profile" in mref:
-        mref = mref["profile"]
-    if isinstance(mref, str):
-        path = base_dir / mref
-        models = load_models_file(path) if mref.endswith(".yaml") and path.exists() \
-            else load_models(mref)
-    else:
-        from .profiles import models_from_dict
-
-        models = models_from_dict(mref)
+    models = _load_ref(_field(doc, "", "models", (str, dict)), base_dir, "models")
 
     # resources default to the machine the models profile was calibrated on
-    rdoc = doc.get("resources", {})
-    resources = ResourcePool(
-        logical_cores=int(rdoc.get("logical_cores", models.cpu.logical_cores)),
-        gpu_count=int(rdoc.get("gpu_count", 1)),
-    )
+    rdoc = _field(doc, "", "resources", dict, {})
+    resources = ResourcePool(logical_cores=_field(
+        rdoc, "resources", "logical_cores", int, models.cpu.logical_cores))
+    if _field(rdoc, "resources", "gpu_count", int, 1) != 1:
+        raise ConfigurationError("resources.gpu_count must be 1: exactly one GPU is modeled")
 
-    out_dir = Path(out_override or doc.get("out", "runs"))
+    out_dir = Path(out_override or _field(doc, "", "out", str, "runs"))
     config_fp = fingerprint(
         {
             "workload": {
@@ -168,13 +184,13 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
                 "seed": workload.seed,
             },
             "policy": policy.canonical(),
-            "resources": [resources.logical_cores, resources.gpu_count],
+            # the 1 is the GPU count, kept so earlier runs' fingerprints match
+            "resources": [resources.logical_cores, 1],
             "models_fp": models_fingerprint(models),
         }
     )
     return ExperimentConfig(
         workload=workload, policy=policy, resources=resources, models=models,
-        seed=int(seed), theta=float(doc.get("theta", policy.theta)),
         out_dir=out_dir, config_fp=config_fp,
     )
 
@@ -186,11 +202,11 @@ def load_config_file(path: str, out: str | None = None, seed: int | None = None)
 def execute(config: ExperimentConfig) -> tuple[Trace, MetricsReport]:
     tasks = build_workload(config.workload)
     trace = simulate(tasks, config.policy, config.resources, config.models,
-                     seed=config.seed)
+                     seed=config.workload.seed)
     audit = replay_check(trace, config.models)
     if not audit.ok:
         raise InternalConsistencyError(f"replay audit failed: {audit.detail}")
-    labels = class_labels(tasks, config.theta)
+    labels = class_labels(tasks, config.policy.theta)
     return trace, summarize(trace, config.models.energy, config.models.gpu, labels)
 
 
@@ -257,11 +273,9 @@ _SWEEP_AXES = ("batch_size", "b_cap", "lambda", "theta")
 def cmd_sweep(args) -> int:
     path = Path(args.config)
     doc = read_yaml(path, "sweep config")
-    if "sweep" not in doc:
-        raise ConfigurationError("sweep config needs a 'sweep' section")
-    sdoc = doc["sweep"]
-    axis = _require(sdoc, "axis", "sweep")
-    values = _require(sdoc, "values", "sweep")
+    sdoc = _field(doc, "", "sweep", dict)
+    axis = _field(sdoc, "sweep", "axis", str)
+    values = _field(sdoc, "sweep", "values", list)
     if axis not in _SWEEP_AXES:
         raise ConfigurationError(f"sweep axis must be one of {_SWEEP_AXES}")
     if not values:
@@ -270,7 +284,7 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if axis == "lambda":
-        curve_file = _require(sdoc, "curve", "sweep (lambda axis)")
+        curve_file = _field(sdoc, "sweep", "curve", str)
         curve = load_curve_file(path.parent / curve_file)
         ratios = gain_ratios(curve)
         lines = ["lambda,b_cap"]
@@ -328,8 +342,9 @@ def load_curve_file(path: str | Path) -> ThroughputCurve:
     doc = read_yaml(path, "throughput curve")
     if doc.get("kind") != "throughput_curve":
         raise ConfigurationError(f"{path} is not a throughput_curve document")
-    points = {int(k): float(v) for k, v in sorted(doc["points"].items())}
-    return ThroughputCurve(points=points)
+    points = sorted((_as(k, int, f"points.{k}"), _as(v, float, f"points.{k}"))
+                    for k, v in _field(doc, "", "points", dict).items())
+    return ThroughputCurve(points=dict(points))
 
 
 def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
@@ -337,12 +352,14 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
     busy-time ratio, then the dynamic-power constants from a replay of the
     endpoint runs. Latency and energy hosts are never mixed."""
     where = "energy_endpoints"
-    pipeline = load_profile(_require(e, "pipeline", where))
-    b_small, b_large = (int(_require(e, k, where)) for k in ("batch_small", "batch_large"))
+    pipeline = load_profile(_field(e, where, "pipeline", str))
+    b_small, b_large = (_field(e, where, k, int) for k in ("batch_small", "batch_large"))
+    # kept as written, so the provenance strings quote the document
     cpu_j_small, cpu_j_large, gpu_j_small, gpu_j_large = (
-        _require(e, k, where) for k in ("cpu_j_small", "cpu_j_large", "gpu_j_small", "gpu_j_large"))
+        _field(e, where, k, (int, float))
+        for k in ("cpu_j_small", "cpu_j_large", "gpu_j_small", "gpu_j_large"))
     sources: dict[str, str] = {}
-    cores = int(e.get("cores", base.cpu.logical_cores))
+    cores = _field(e, where, "cores", int, base.cpu.logical_cores)
     busy_ratio = float(gpu_j_large) / float(gpu_j_small)
     b_half_energy = calibrate_gpu_busy_ratio(b_small, b_large, busy_ratio)
     # At or below the hardware thread count the oversubscription term is
@@ -458,40 +475,14 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    reports = []
-    for path in (args.baseline, args.candidate):
-        doc = read_yaml(path, "report")
-        per_class = {}
-        for cls in ("cpu_heavy", "llm_heavy"):
-            if doc.get(f"{cls}_p50_s") not in (None, ""):
-                per_class[cls] = MetricsReport(
-                    p50=float(doc[f"{cls}_p50_s"]), p90=0.0,
-                    p99=float(doc[f"{cls}_p99_s"]), mean=0.0, makespan=0.0,
-                    throughput=0.0, kv_peak=0, cpu_dyn_energy=0.0,
-                    gpu_dyn_energy=0.0, batch_size=0,
-                    workload_fp=doc["workload_fp"], policy=doc["policy"],
-                )
-        reports.append(
-            MetricsReport(
-                p50=float(doc["p50_s"]), p90=float(doc["p90_s"]),
-                p99=float(doc["p99_s"]), mean=float(doc["mean_s"]),
-                makespan=float(doc["makespan_s"]),
-                throughput=float(doc["throughput_rps"]),
-                kv_peak=int(doc["kv_peak_bytes"]),
-                cpu_dyn_energy=float(doc["cpu_dyn_energy_j"]),
-                gpu_dyn_energy=float(doc["gpu_dyn_energy_j"]),
-                batch_size=int(doc["batch_size"]),
-                workload_fp=doc["workload_fp"], policy=doc["policy"],
-                per_class=per_class,
-            )
-        )
-    speedup = compare(reports[0], reports[1])
+    baseline, candidate = (read_yaml(path, "report") for path in (args.baseline, args.candidate))
+    speedup = compare(baseline, candidate)
     lines = [
         f"# agentsim {__version__} workload {speedup.workload_fp}",
         "metric,baseline_over_candidate",
     ]
     print(f"# compare workload {speedup.workload_fp}: "
-          f"{reports[0].policy} (baseline) vs {reports[1].policy}")
+          f"{baseline['policy']} (baseline) vs {candidate['policy']}")
     for metric, ratio in speedup.ratios.items():
         print(f"{metric:24s} {ratio:.4f}x")
         lines.append(f"{metric},{ratio!r}")

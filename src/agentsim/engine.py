@@ -45,13 +45,10 @@ class ResourcePool:
     """Machine description: logical CPU cores and a single GPU."""
 
     logical_cores: int = 96
-    gpu_count: int = 1
 
     def __post_init__(self):
         if self.logical_cores < 1:
             raise ConfigurationError("logical_cores must be >= 1")
-        if self.gpu_count != 1:
-            raise ConfigurationError("exactly one GPU is modeled")
 
 
 class StageRecord(NamedTuple):

@@ -110,13 +110,24 @@ def energy_integrals(trace: Trace) -> tuple[float, float, float]:
     )
 
 
+def _latency_report(latencies: list[float], trace: Trace, **rest) -> MetricsReport:
+    """A report whose latency fields cover ``latencies``, from ``trace``."""
+    return MetricsReport(
+        p50=percentile(latencies, 0.50), p90=percentile(latencies, 0.90),
+        p99=percentile(latencies, 0.99), mean=sum(latencies) / len(latencies),
+        throughput=len(latencies) / trace.makespan, batch_size=len(latencies),
+        workload_fp=trace.workload_fp, policy=trace.policy, **rest,
+    )
+
+
 def summarize(
     trace: Trace,
     energy_params: EnergyParams,
     kv_params: GpuSaturationParams,
     class_labels: dict[int, TaskClass] | None = None,
 ) -> MetricsReport:
-    """Metrics for one run. Empty traces yield an all-zero report."""
+    """Metrics for one run. Empty traces yield an all-zero report; a per-class
+    report covers latencies only, its energies and KV peak are 0."""
     latencies = trace.task_latencies()
     if not latencies:
         return MetricsReport(
@@ -124,7 +135,6 @@ def summarize(
             kv_peak=0, cpu_dyn_energy=0.0, gpu_dyn_energy=0.0, batch_size=0,
             workload_fp=trace.workload_fp, policy=trace.policy,
         )
-    values = list(latencies.values())
     busy_core_s, pkg_active_s, gpu_active_s = energy_integrals(trace)
     cpu_energy = (energy_params.cpu_dyn_w_per_core * busy_core_s
                   + energy_params.cpu_pkg_dyn_w * pkg_active_s)
@@ -135,61 +145,46 @@ def summarize(
     if class_labels is not None and len(set(class_labels.values())) > 1:
         for cls in sorted({c for c in class_labels.values()}, key=lambda c: c.value):
             subset = [lat for tid, lat in latencies.items() if class_labels[tid] is cls]
-            per_class[cls.value] = MetricsReport(
-                p50=percentile(subset, 0.50),
-                p90=percentile(subset, 0.90),
-                p99=percentile(subset, 0.99),
-                mean=sum(subset) / len(subset),
-                makespan=max(subset),
-                throughput=len(subset) / trace.makespan,
-                kv_peak=0,
-                cpu_dyn_energy=0.0,
-                gpu_dyn_energy=0.0,
-                batch_size=len(subset),
-                workload_fp=trace.workload_fp,
-                policy=trace.policy,
-            )
+            per_class[cls.value] = _latency_report(
+                subset, trace, makespan=max(subset), kv_peak=0,
+                cpu_dyn_energy=0.0, gpu_dyn_energy=0.0)
 
-    return MetricsReport(
-        p50=percentile(values, 0.50),
-        p90=percentile(values, 0.90),
-        p99=percentile(values, 0.99),
-        mean=sum(values) / len(values),
-        makespan=trace.makespan,
-        throughput=len(values) / trace.makespan,
+    return _latency_report(
+        list(latencies.values()), trace, makespan=trace.makespan,
         kv_peak=peak_tokens * kv_params.kv_bytes_per_token,
-        cpu_dyn_energy=cpu_energy,
-        gpu_dyn_energy=gpu_energy,
-        batch_size=len(values),
-        workload_fp=trace.workload_fp,
-        policy=trace.policy,
-        per_class=per_class,
+        cpu_dyn_energy=cpu_energy, gpu_dyn_energy=gpu_energy, per_class=per_class,
     )
 
 
-_COMPARED = (
-    "p50", "p90", "p99", "mean", "makespan", "throughput",
-    "kv_peak", "cpu_dyn_energy", "gpu_dyn_energy",
-)
+# the report columns compared; each ratio is named by its column less the unit
+_COMPARED = ("p50_s", "p90_s", "p99_s", "mean_s", "makespan_s", "throughput_rps",
+             "kv_peak_bytes", "cpu_dyn_energy_j", "gpu_dyn_energy_j")
 
 
-def compare(baseline: MetricsReport, candidate: MetricsReport) -> SpeedupReport:
-    """Baseline/candidate ratio per metric; both reports must describe the
-    same workload."""
-    if baseline.workload_fp != candidate.workload_fp:
-        raise ConfigurationError(
-            "workload fingerprint mismatch: "
-            f"{baseline.workload_fp} vs {candidate.workload_fp}"
-        )
+def _column(row: dict, column: str, kind) -> float | str:
+    value = row.get(column)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigurationError(f"not a report row: {column} is {value!r}")
+    return value
+
+
+def compare(baseline: dict, candidate: dict) -> SpeedupReport:
+    """Baseline/candidate ratio per metric of two report rows
+    (``MetricsReport.as_row()``, or a ``report.yaml``); both must describe
+    the same workload. Per-class ratios cover the classes both rows have."""
+    rows = (baseline, candidate)
+    for row in rows:
+        _column(row, "policy", str)
+    fp_b, fp_c = (_column(row, "workload_fp", str) for row in rows)
+    if fp_b != fp_c:
+        raise ConfigurationError(f"workload fingerprint mismatch: {fp_b} vs {fp_c}")
+    columns = list(_COMPARED)
+    for cls in TaskClass:
+        if all(row.get(f"{cls.value}_p50_s") not in (None, "") for row in rows):
+            columns += [f"{cls.value}_p50_s", f"{cls.value}_p99_s"]
     ratios: dict[str, float] = {}
-    for name in _COMPARED:
-        b = getattr(baseline, name)
-        c = getattr(candidate, name)
+    for column in columns:
+        b, c = (_column(row, column, (int, float)) for row in rows)
         if b and c:
-            ratios[name] = b / c
-    for cls, sub_b in baseline.per_class.items():
-        sub_c = candidate.per_class.get(cls)
-        if sub_c is not None:
-            ratios[f"{cls}_p50"] = sub_b.p50 / sub_c.p50
-            ratios[f"{cls}_p99"] = sub_b.p99 / sub_c.p99
-    return SpeedupReport(ratios=ratios, workload_fp=baseline.workload_fp)
+            ratios[column.rsplit("_", 1)[0]] = b / c
+    return SpeedupReport(ratios=ratios, workload_fp=fp_b)

@@ -27,14 +27,7 @@ from .contention import (
     GpuSaturationParams,
 )
 from .errors import ConfigurationError, UnknownProfileError
-from .workload import (
-    FlowKind,
-    Orchestrator,
-    PathKind,
-    PipelineSpec,
-    StageKind,
-    StageSpec,
-)
+from .workload import PipelineSpec, StageKind, StageSpec
 
 PROFILE_SCHEMA_VERSION = 1
 
@@ -113,6 +106,8 @@ def _check_schema(doc: dict, expected_kind: str) -> None:
 
 
 def pipeline_from_dict(doc: dict) -> PipelineSpec:
+    # the descriptive tags some profiles carry (orchestrator, path, flow)
+    # feed nothing in the model and are ignored
     _check_schema(doc, "pipeline")
     stages = []
     for s in doc["stages"]:
@@ -128,13 +123,7 @@ def pipeline_from_dict(doc: dict) -> PipelineSpec:
                 sources=tuple(sorted((k, str(v)) for k, v in sources.items())),
             )
         )
-    return PipelineSpec(
-        name=doc["name"],
-        stages=tuple(stages),
-        orchestrator=Orchestrator(doc.get("orchestrator", "host")),
-        path=PathKind(doc.get("path", "static")),
-        flow=FlowKind(doc.get("flow", "single_step")),
-    )
+    return PipelineSpec(name=doc["name"], stages=tuple(stages))
 
 
 def pipeline_to_dict(pipeline: PipelineSpec) -> dict:
@@ -142,9 +131,6 @@ def pipeline_to_dict(pipeline: PipelineSpec) -> dict:
         "schema_version": PROFILE_SCHEMA_VERSION,
         "kind": "pipeline",
         "name": pipeline.name,
-        "orchestrator": pipeline.orchestrator.value,
-        "path": pipeline.path.value,
-        "flow": pipeline.flow.value,
         "stages": [
             {
                 "label": s.label,

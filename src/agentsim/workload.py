@@ -23,21 +23,6 @@ class StageKind(enum.Enum):
     EXTERNAL_API = "external_api"
 
 
-class Orchestrator(enum.Enum):
-    LLM = "llm"
-    HOST = "host"
-
-
-class PathKind(enum.Enum):
-    STATIC = "static"
-    DYNAMIC = "dynamic"
-
-
-class FlowKind(enum.Enum):
-    SINGLE_STEP = "single_step"
-    MULTI_STEP = "multi_step"
-
-
 class TaskClass(enum.Enum):
     CPU_HEAVY = "cpu_heavy"
     LLM_HEAVY = "llm_heavy"
@@ -80,13 +65,10 @@ class StageSpec:
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Named stage sequence plus characterization tags."""
+    """Named stage sequence."""
 
     name: str
     stages: tuple[StageSpec, ...]
-    orchestrator: Orchestrator = Orchestrator.HOST
-    path: PathKind = PathKind.STATIC
-    flow: FlowKind = FlowKind.SINGLE_STEP
 
     def __post_init__(self):
         if not self.stages:
@@ -110,11 +92,11 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class TaskInstance:
-    """One request: a pipeline reference plus realized per-stage work."""
+    """One request: a pipeline reference plus realized per-stage work. Every
+    request arrives at t=0 (closed loop)."""
 
     id: int
     pipeline: PipelineSpec
-    arrival_time: float
     stage_work: tuple[float, ...]
 
     def __post_init__(self):
@@ -187,8 +169,7 @@ def build_workload(spec: WorkloadSpec) -> list[TaskInstance]:
                                         size=len(pipeline.stages))
                 work = tuple(float(s.base_latency * f)
                              for s, f in zip(pipeline.stages, factors))
-            tasks.append(TaskInstance(id=task_id, pipeline=pipeline,
-                                      arrival_time=0.0, stage_work=work))
+            tasks.append(TaskInstance(id=task_id, pipeline=pipeline, stage_work=work))
             task_id += 1
     return tasks
 

@@ -192,7 +192,7 @@ class TestAcceptance:
                 for i in range(n_tasks)
             ]
             tasks = [
-                a.TaskInstance(id=i, pipeline=pipes[i], arrival_time=0.0,
+                a.TaskInstance(id=i, pipeline=pipes[i],
                                stage_work=tuple(works[i]))
                 for i in range(n_tasks)
             ]

@@ -391,3 +391,54 @@ class TestUnreadableFiles:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert "Traceback" not in err
+
+
+class TestIllTypedInputs:
+    """Ill-typed fields, and inputs of the wrong kind, are configuration
+    errors naming the field: exit 2, no traceback."""
+
+    @pytest.mark.parametrize("change, field", [
+        ({"workload": {**BASE_CONFIG["workload"], "batch_size": "abc"}}, "workload.batch_size"),
+        ({"workload": {"mix": [{"pipeline": "langchain_freshqa"}], "batch_size": 8}},
+         "'proportion' in workload.mix[0]"),
+        ({"seed": "x"}, "seed"),
+        ({"resources": {"logical_cores": "many"}}, "resources.logical_cores"),
+        ({"models": [1, 2]}, "models"),
+    ], ids=["batch_size", "mix_proportion", "seed", "logical_cores", "models_list"])
+    def test_run_exits_2_naming_the_field(self, tmp_path, capsys, change, field):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, **change})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and field in err
+        assert "Traceback" not in err
+
+    def test_compare_on_a_run_config_exits_2(self, tmp_path, capsys):
+        cfg = str(write_config(tmp_path, BASE_CONFIG, "run.yaml"))
+        assert main(["compare", cfg, cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "not a report row" in err
+        assert "Traceback" not in err
+
+    def test_more_than_one_gpu_exits_2(self, tmp_path, capsys):
+        doc = {**BASE_CONFIG, "resources": {"logical_cores": 96, "gpu_count": 2}}
+        assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert "one GPU" in capsys.readouterr().err
+
+    def test_pipeline_tags_are_ignored(self, tmp_path, capsys):
+        # a pipeline file's descriptive tags may hold any value: the run
+        # equals the one on the bundled profile byte for byte
+        pipe = yaml.safe_load(
+            (Path(__file__).parents[1] / "src" / "agentsim" / "profiles"
+             / "langchain_freshqa.yaml").read_text())
+        pipe.update(orchestrator="bogus", path="nowhere", flow="sideways")
+        (tmp_path / "pipe.yaml").write_text(yaml.safe_dump(pipe))
+        tagged = {**BASE_CONFIG, "workload": {**BASE_CONFIG["workload"], "profile": "pipe.yaml"}}
+        for name, doc in (("bundled", BASE_CONFIG), ("tagged", tagged)):
+            cfg = write_config(tmp_path, doc, f"{name}.yaml")
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        for output in ("trace.txt", "report.yaml"):
+            assert ((tmp_path / "tagged" / output).read_bytes()
+                    == (tmp_path / "bundled" / output).read_bytes())
+        capsys.readouterr()
+        assert main(["profiles", "show", "chemcrow"]) == 0
+        assert "orchestrator" not in capsys.readouterr().out

@@ -31,7 +31,7 @@ def tasks_from_works(works, kind="cpu_tool", share=1.0):
     tasks = []
     for i, stage_works in enumerate(works):
         pipe = make_pipeline(f"t{i}", [(kind, w, share) for w in stage_works])
-        tasks.append(a.TaskInstance(id=i, pipeline=pipe, arrival_time=0.0,
+        tasks.append(a.TaskInstance(id=i, pipeline=pipe,
                                     stage_work=tuple(stage_works)))
     return tasks
 
@@ -187,7 +187,7 @@ class TestOracleAgreement:
                                  ("gpu_inference", 0.5, 0.1, 100)]),
         ]
         tasks = [
-            a.TaskInstance(id=i, pipeline=p, arrival_time=0.0,
+            a.TaskInstance(id=i, pipeline=p,
                            stage_work=tuple(works[i]))
             for i, p in enumerate(pipes)
         ]
@@ -210,7 +210,7 @@ class TestOracleAgreement:
         ]
         works = [[0.5], [1.0], [0.8]]
         tasks = [
-            a.TaskInstance(id=i, pipeline=p, arrival_time=0.0,
+            a.TaskInstance(id=i, pipeline=p,
                            stage_work=tuple(works[i]))
             for i, p in enumerate(pipes)
         ]

@@ -116,8 +116,8 @@ class TestSummarize:
                 3 * getattr(r1, metric), rel=1e-12)
         _, m1 = run_uniform(base, 4, a.Policy("multiprocessing"), models)
         _, m3 = run_uniform(scaled, 4, a.Policy("multiprocessing"), models)
-        assert compare(r1, m1).ratios["p50"] == pytest.approx(
-            compare(r3, m3).ratios["p50"], rel=1e-12)
+        assert compare(r1.as_row(), m1.as_row()).ratios["p50"] == pytest.approx(
+            compare(r3.as_row(), m3.as_row()).ratios["p50"], rel=1e-12)
 
 
 class TestCompare:
@@ -125,7 +125,7 @@ class TestCompare:
         pipe = a.load_profile("langchain_freshqa")
         _, baseline = run_uniform(pipe, 16, a.Policy("sequential"), models)
         _, candidate = run_uniform(pipe, 16, a.Policy("multiprocessing"), models)
-        speedup = compare(baseline, candidate)
+        speedup = compare(baseline.as_row(), candidate.as_row())
         assert speedup.ratios["p50"] > 1.0
         assert speedup.ratios["p50"] == pytest.approx(
             baseline.p50 / candidate.p50, rel=1e-12)
@@ -136,7 +136,7 @@ class TestCompare:
     def test_identical_reports_all_ones(self, models):
         pipe = a.load_profile("haystack_nq")
         _, report = run_uniform(pipe, 8, a.Policy("multiprocessing"), models)
-        speedup = compare(report, report)
+        speedup = compare(report.as_row(), report.as_row())
         assert all(r == pytest.approx(1.0, rel=1e-12) for r in speedup.ratios.values())
 
     def test_fingerprint_mismatch_rejected(self, models):
@@ -145,4 +145,4 @@ class TestCompare:
         _, r1 = run_uniform(p1, 8, a.Policy("multiprocessing"), models)
         _, r2 = run_uniform(p2, 8, a.Policy("multiprocessing"), models)
         with pytest.raises(ConfigurationError):
-            compare(r1, r2)
+            compare(r1.as_row(), r2.as_row())

@@ -12,7 +12,7 @@ LLM = make_pipeline("llm_heavy", [("cpu_tool", 0.001, 1.0), ("gpu_inference", 2.
 
 def tasks_of(pipeline, n, start_id=0):
     return [
-        a.TaskInstance(id=start_id + i, pipeline=pipeline, arrival_time=0.0,
+        a.TaskInstance(id=start_id + i, pipeline=pipeline,
                        stage_work=tuple(s.base_latency for s in pipeline.stages))
         for i in range(n)
     ]

@@ -18,7 +18,6 @@ class TestBuildWorkload:
         tasks = a.build_workload(a.WorkloadSpec(batch_size=4, mix=((P, 1.0),), jitter_cv=0.0))
         assert len(tasks) == 4
         assert all(t.stage_work == (2.0,) for t in tasks)
-        assert all(t.arrival_time == 0.0 for t in tasks)
 
     def test_half_half_mix_at_128(self):
         spec = a.WorkloadSpec(batch_size=128, mix=((P, 0.5), (Q, 0.5)), jitter_cv=0.0)
