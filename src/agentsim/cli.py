@@ -47,6 +47,8 @@ from .errors import (
 )
 from .metrics import REPORT_COLUMNS, MetricsReport, compare, energy_integrals, summarize
 from .profiles import (
+    _as,
+    _field,
     dump_yaml,
     list_profiles,
     load_models,
@@ -81,32 +83,6 @@ class ExperimentConfig:
     models: ContentionModels
     out_dir: Path
     config_fp: str
-
-
-def _as(value, kind, path: str):
-    """``value`` converted to int or float, or checked to be an instance of
-    any other ``kind`` (a type or a tuple of types). Failing that, a
-    ConfigurationError naming the field path, e.g. ``workload.mix[0].proportion``."""
-    if kind in (int, float):
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            pass
-    elif isinstance(value, kind):
-        return value
-    names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-    raise ConfigurationError(f"{path} must be {names}, got {value!r}")
-
-
-def _field(doc: dict, where: str, key: str, kind, default=None):
-    """Field ``key`` of mapping ``doc`` (found at path ``where``) as a
-    ``kind``, or ``default`` when absent; absent without a default is a
-    ConfigurationError."""
-    if key not in doc:
-        if default is None:
-            raise ConfigurationError(f"missing field {key!r} in {where or 'config'}")
-        return default
-    return _as(doc[key], kind, f"{where}.{key}" if where else key)
 
 
 def _load_ref(ref: str | dict, base_dir: Path, kind: str):
@@ -267,7 +243,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_AXES = ("batch_size", "b_cap", "lambda", "theta")
+_SWEEP_AXES = {"batch_size": int, "b_cap": int, "lambda": float, "theta": float}
 
 
 def cmd_sweep(args) -> int:
@@ -275,12 +251,13 @@ def cmd_sweep(args) -> int:
     doc = read_yaml(path, "sweep config")
     sdoc = _field(doc, "", "sweep", dict)
     axis = _field(sdoc, "sweep", "axis", str)
-    values = _field(sdoc, "sweep", "values", list)
     if axis not in _SWEEP_AXES:
-        raise ConfigurationError(f"sweep axis must be one of {_SWEEP_AXES}")
+        raise ConfigurationError(f"sweep axis must be one of {tuple(_SWEEP_AXES)}")
+    values = [_as(value, _SWEEP_AXES[axis], f"sweep.values[{i}]")
+              for i, value in enumerate(_field(sdoc, "sweep", "values", list))]
     if not values:
         raise ConfigurationError("sweep values must be non-empty")
-    out_dir = Path(args.out or doc.get("out", "runs"))
+    out_dir = Path(args.out or _field(doc, "", "out", str, "runs"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if axis == "lambda":
@@ -289,7 +266,7 @@ def cmd_sweep(args) -> int:
         ratios = gain_ratios(curve)
         lines = ["lambda,b_cap"]
         for lam in values:
-            lines.append(f"{_csv_cell(float(lam))},{select_bcap(ratios, float(lam))}")
+            lines.append(f"{_csv_cell(lam)},{select_bcap(ratios, lam)}")
         (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
         print(f"wrote {out_dir}/sweep.csv")
         return EXIT_OK
@@ -299,15 +276,15 @@ def cmd_sweep(args) -> int:
     for value in values:
         vdoc = copy.deepcopy(doc)
         if axis == "batch_size":
-            vdoc["workload"]["batch_size"] = int(value)
-        elif axis == "b_cap":
-            if vdoc["policy"].get("name") not in ("cgam", "cgam_overlap", "maws_cgam"):
-                raise ConfigurationError("b_cap axis needs a micro-batching policy")
-            vdoc["policy"]["b_cap"] = int(value)
-        elif axis == "theta":
-            if vdoc["policy"].get("name") not in ("maws", "maws_cgam"):
+            _field(vdoc, "", "workload", dict)["batch_size"] = value
+        else:
+            pdoc = _field(vdoc, "", "policy", dict)
+            if axis == "b_cap":
+                if pdoc.get("name") not in ("cgam", "cgam_overlap", "maws_cgam"):
+                    raise ConfigurationError("b_cap axis needs a micro-batching policy")
+            elif pdoc.get("name") not in ("maws", "maws_cgam"):
                 raise ConfigurationError("theta axis needs a maws policy")
-            vdoc["policy"]["theta"] = float(value)
+            pdoc[axis] = value
         try:
             config = parse_config(vdoc, path.parent, args.out, args.seed)
             _, report = execute(config)
@@ -321,7 +298,7 @@ def cmd_sweep(args) -> int:
         row[axis] = value
         rows.append(row)
         if axis == "batch_size":
-            curve_points[int(value)] = report.throughput
+            curve_points[value] = report.throughput
 
     written = _write_rows(rows, out_dir, "sweep", args.format, extra_columns=[axis])
     print(f"wrote {written} ({len(rows)} rows)")
@@ -331,7 +308,7 @@ def cmd_sweep(args) -> int:
             "kind": "throughput_curve",
             "tool_version": __version__,
             "config_fp": rows[-1]["config_fp"],
-            "points": {int(b): float(t) for b, t in sorted(curve_points.items())},
+            "points": dict(sorted(curve_points.items())),
         }
         (out_dir / "throughput_curve.yaml").write_text(dump_yaml(curve_doc))
         print(f"wrote {out_dir}/throughput_curve.yaml")
@@ -351,7 +328,7 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
     """Fit the energy-host profile: its own saturation constant from the GPU
     busy-time ratio, then the dynamic-power constants from a replay of the
     endpoint runs. Latency and energy hosts are never mixed."""
-    where = "energy_endpoints"
+    where = "observations.energy_endpoints"
     pipeline = load_profile(_field(e, where, "pipeline", str))
     b_small, b_large = (_field(e, where, k, int) for k in ("batch_small", "batch_large"))
     # kept as written, so the provenance strings quote the document
@@ -360,8 +337,8 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
         for k in ("cpu_j_small", "cpu_j_large", "gpu_j_small", "gpu_j_large"))
     sources: dict[str, str] = {}
     cores = _field(e, where, "cores", int, base.cpu.logical_cores)
-    busy_ratio = float(gpu_j_large) / float(gpu_j_small)
-    b_half_energy = calibrate_gpu_busy_ratio(b_small, b_large, busy_ratio)
+    b_half_energy, busy_ratio = calibrate_gpu_busy_ratio(
+        b_small, float(gpu_j_small), b_large, float(gpu_j_large))
     # At or below the hardware thread count the oversubscription term is
     # unidentifiable from energy endpoints; pin it at 0.
     kappa = 0.0 if cores >= b_large else base.cpu.oversub_kappa
@@ -406,7 +383,7 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
 
 def cmd_calibrate(args) -> int:
     doc = load_observations(args.observations)
-    name = args.name or f"{doc['name']}_fit"
+    name = args.name or f"{_field(doc, 'observations', 'name', str)}_fit"
     base = load_models(args.base) if args.base else ContentionModels(name=name)
     written: list[Path] = []
     out_dir = Path(args.out or ".")
@@ -417,10 +394,12 @@ def cmd_calibrate(args) -> int:
     gpu = base.gpu
     have_latency_fit = False
     if doc.get("cpu_observations"):
-        obs = [
-            (float(o["load"]), int(o["cores"]), float(o["base_s"]), float(o["observed_s"]))
-            for o in doc["cpu_observations"]
-        ]
+        obs = []
+        for i, o in enumerate(_field(doc, "observations", "cpu_observations", list)):
+            where = f"observations.cpu_observations[{i}]"
+            o = _as(o, dict, where)
+            obs.append(tuple(_field(o, where, key, kind) for key, kind in (
+                ("load", float), ("cores", int), ("base_s", float), ("observed_s", float))))
         fit = calibrate_cpu(obs)
         cpu = dataclasses.replace(
             cpu, logical_cores=fit.logical_cores, oversub_kappa=fit.oversub_kappa
@@ -430,15 +409,15 @@ def cmd_calibrate(args) -> int:
         )
         have_latency_fit = True
     if doc.get("gpu_latency_pair"):
-        pair = doc["gpu_latency_pair"]
-        b_half, work = calibrate_gpu(
-            int(pair["batch_a"]), float(pair["latency_a"]),
-            int(pair["batch_b"]), float(pair["latency_b"]),
-        )
+        where = "observations.gpu_latency_pair"
+        pair = _field(doc, "observations", "gpu_latency_pair", dict)
+        batch_a, latency_a, batch_b, latency_b = (_field(pair, where, key, kind) for key, kind in (
+            ("batch_a", int), ("latency_a", float), ("batch_b", int), ("latency_b", float)))
+        b_half, work = calibrate_gpu(batch_a, latency_a, batch_b, latency_b)
         gpu = dataclasses.replace(gpu, b_half=b_half)
         sources["b_half"] = (
-            f"exact fit to latency pair {pair['latency_a']} s @ {pair['batch_a']} / "
-            f"{pair['latency_b']} s @ {pair['batch_b']}; per-request work {work!r} s"
+            f"exact fit to latency pair {latency_a} s @ {batch_a} / "
+            f"{latency_b} s @ {batch_b}; per-request work {work!r} s"
         )
         have_latency_fit = True
 
@@ -451,7 +430,8 @@ def cmd_calibrate(args) -> int:
     # both fits complete before either file is written
     energy_fit = None
     if doc.get("energy_endpoints"):
-        energy_fit = _calibrate_energy_profile(doc["energy_endpoints"], f"{name}_energy", base)
+        energy_fit = _calibrate_energy_profile(
+            _field(doc, "observations", "energy_endpoints", dict), f"{name}_energy", base)
 
     if have_latency_fit:
         fitted = ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=base.energy)

@@ -8,7 +8,7 @@ be evaluated concurrently and are trivially replayable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError, InfeasibleModelError
 
@@ -57,8 +57,8 @@ class GpuSaturationParams:
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Dynamic power constants. Idle draws are stored for reference but are
-    never included in dynamic-energy totals.
+    """Dynamic power constants, in watts above idle: energy totals are
+    idle-subtracted by definition.
 
     CPU dynamic power is ``cpu_dyn_w_per_core`` per busy core plus the
     package/uncore draw ``cpu_pkg_dyn_w`` while any host work is runnable;
@@ -66,17 +66,14 @@ class EnergyParams:
     while at least one request is resident.
     """
 
-    cpu_idle_w: float = 113.0
-    gpu_idle_w: float = 115.0
-    cpu_dyn_w_per_core: float = 11.0
+    cpu_dyn_w_per_core: float = 0.0
     cpu_pkg_dyn_w: float = 0.0
-    gpu_dyn_w: float = 172.0
+    gpu_dyn_w: float = 0.0
 
     def __post_init__(self):
-        for name in ("cpu_idle_w", "gpu_idle_w", "cpu_dyn_w_per_core",
-                     "cpu_pkg_dyn_w", "gpu_dyn_w"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ConfigurationError(f"{f.name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -187,7 +184,7 @@ def calibrate_cpu(
 ) -> CpuContentionParams:
     """Least-squares fit of the oversubscription penalty coefficient.
 
-    Each observation is (load, cores, base_s, observed_s). Only
+    Each observation is (load, cores, base_s, observed_s), all > 0. Only
     oversubscribed observations (load > cores) identify kappa; with a single
     one the fit is exact. All-undersubscribed data is rejected because kappa
     is then unidentifiable.
@@ -195,6 +192,8 @@ def calibrate_cpu(
     xs, ys = [], []
     cores_seen = None
     for load, cores, base_s, observed_s in observations:
+        if min(load, cores, base_s, observed_s) <= 0:
+            raise ConfigurationError("load, cores, base_s and observed_s must be > 0")
         if load <= cores:
             continue
         cores_seen = cores
@@ -221,6 +220,8 @@ def calibrate_gpu(
     curve would be super-linear; ratios at or above b/a mean zero batching
     benefit. Both are outside the model.
     """
+    if min(batch_a, latency_a, batch_b, latency_b) <= 0:
+        raise ConfigurationError("batch sizes and latencies must be > 0")
     if not (batch_a < batch_b):
         raise ConfigurationError("need batch_a < batch_b")
     ratio = latency_b / latency_a
@@ -234,16 +235,22 @@ def calibrate_gpu(
     return b_half, work
 
 
-def calibrate_gpu_busy_ratio(batch_a: int, batch_b: int, busy_ratio: float) -> float:
-    """Solve b_half so that busy(batch_b)/busy(batch_a) equals the target,
-    where busy(b) = (b + b_half)/(1 + b_half) per unit of work."""
+def calibrate_gpu_busy_ratio(
+    batch_a: int, busy_a: float, batch_b: int, busy_b: float
+) -> tuple[float, float]:
+    """Solve b_half so that busy(batch_b)/busy(batch_a) equals the measured
+    ratio busy_b/busy_a, where busy(b) = (b + b_half)/(1 + b_half) per unit
+    of work. Returns (b_half, measured ratio)."""
+    if min(batch_a, busy_a, batch_b, busy_b) <= 0:
+        raise ConfigurationError("batch sizes and busy measures must be > 0")
     if not (batch_a < batch_b):
         raise ConfigurationError("need batch_a < batch_b")
+    busy_ratio = busy_b / busy_a
     if busy_ratio <= 1.0 or busy_ratio >= batch_b / batch_a:
         raise InfeasibleModelError(
             f"busy-time ratio {busy_ratio:.6g} outside (1, {batch_b / batch_a:.6g})"
         )
-    return (batch_b - busy_ratio * batch_a) / (busy_ratio - 1.0)
+    return (batch_b - busy_ratio * batch_a) / (busy_ratio - 1.0), busy_ratio
 
 
 def kv_peak(

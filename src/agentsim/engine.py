@@ -132,14 +132,10 @@ def workload_fingerprint(tasks: list[TaskInstance]) -> str:
 
 
 def models_fingerprint(models: ContentionModels) -> str:
-    c, g, e = models.cpu, models.gpu, models.energy
-    return fingerprint(
-        [
-            c.logical_cores, c.oversub_kappa, c.gil_serial_fraction,
-            g.b_half, g.kv_bytes_per_token, g.kv_capacity, g.spill_rate_factor,
-            e.cpu_dyn_w_per_core, e.cpu_pkg_dyn_w, e.gpu_dyn_w,
-        ]
-    )
+    """Digest of every model constant (not the name), section by section in
+    field order."""
+    _, *sections = dataclasses.astuple(models)
+    return fingerprint([value for section in sections for value in section])
 
 
 # -- stage classes and occupancy ---------------------------------------------
@@ -429,49 +425,52 @@ def serialize_trace(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+# meta key of a trace -> its parser; a trace holds every one
+_TRACE_META = {
+    "schema_version": int, "tool_version": str, "workload_fp": str, "policy": str,
+    "models_fp": str, "seed": int, "logical_cores": int, "makespan": float,
+    "pool_eff": lambda value: None if value == "none" else int(value),
+}
+
+
 def parse_trace(text: str) -> Trace:
-    meta: dict[str, str] = {}
+    """The trace ``serialize_trace`` wrote as ``text``. A malformed line is a
+    ConfigurationError naming its 1-based number."""
+    meta: dict = {}
     records: list[StageRecord] = []
     steps: dict[str, list] = {"cpuload": [], "gpures": [], "kvtokens": [], "pooln": []}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line or line.startswith("#"):
             continue
-        parts = line.split(" ")
-        tag = parts[0]
-        if tag == "meta":
-            meta[parts[1]] = " ".join(parts[2:])
-        elif tag == "stage":
-            records.append(
-                StageRecord(
-                    task_id=int(parts[1]), stage_idx=int(parts[2]),
-                    kind=parts[3], mode=parts[4], host_blocking=bool(int(parts[5])),
-                    cpu_share=float(parts[6]), kv_tokens=int(parts[7]),
-                    work=float(parts[8]), start=float(parts[9]), end=float(parts[10]),
-                    label=" ".join(parts[11:]),
-                )
-            )
-        elif tag in steps:
-            t = float(parts[1])
-            v = float(parts[2]) if tag == "cpuload" else int(parts[2])
-            steps[tag].append((t, v))
-        else:
-            raise ConfigurationError(f"unknown trace line tag {tag!r}")
-    pool_eff = None if meta["pool_eff"] == "none" else int(meta["pool_eff"])
+        tag, _, rest = line.partition(" ")
+        try:
+            if tag == "meta":
+                key, _, value = rest.partition(" ")
+                meta[key] = _TRACE_META[key](value)
+            elif tag == "stage":
+                (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
+                 start, end, label) = rest.split(" ", 10)
+                records.append(StageRecord(
+                    int(task_id), int(stage_idx), kind, mode, bool(int(host_blocking)),
+                    float(cpu_share), int(kv_tokens), float(work), float(start), float(end),
+                    label))
+            elif tag in steps:
+                t, v = rest.split(" ")
+                steps[tag].append((float(t), float(v) if tag == "cpuload" else int(v)))
+            else:
+                raise ValueError(f"unknown tag {tag!r}")
+        except (KeyError, ValueError) as exc:
+            raise ConfigurationError(f"trace line {number} is malformed ({exc}): {line!r}")
+    missing = [key for key in _TRACE_META if key not in meta]
+    if missing:
+        raise ConfigurationError(f"trace lacks meta line(s) {', '.join(missing)}")
     return Trace(
-        workload_fp=meta["workload_fp"],
-        policy=meta["policy"],
-        models_fp=meta["models_fp"],
-        seed=int(meta["seed"]),
-        logical_cores=int(meta["logical_cores"]),
-        pool_eff=pool_eff,
+        **meta,
         records=records,
         cpu_load_steps=steps["cpuload"],
         gpu_res_steps=steps["gpures"],
         kv_token_steps=steps["kvtokens"],
         pool_n_steps=steps["pooln"],
-        makespan=float(meta["makespan"]),
-        schema_version=int(meta["schema_version"]),
-        tool_version=meta["tool_version"],
     )
 
 

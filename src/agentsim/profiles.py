@@ -14,18 +14,15 @@ documents and the same bytes.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import functools
 import importlib.resources
+import math
 from pathlib import Path
 
 import yaml
 
-from .contention import (
-    ContentionModels,
-    CpuContentionParams,
-    EnergyParams,
-    GpuSaturationParams,
-)
+from .contention import ContentionModels
 from .errors import ConfigurationError, UnknownProfileError
 from .workload import PipelineSpec, StageKind, StageSpec
 
@@ -57,6 +54,36 @@ def read_yaml(path: str | Path, what: str) -> dict:
 def dump_yaml(doc, sort_keys: bool = True) -> str:
     """Block-style YAML text of a plain document."""
     return yaml.dump(doc, Dumper=_DUMPER, sort_keys=sort_keys, default_flow_style=False)
+
+
+def _as(value, kind, path: str):
+    """``value`` converted to int or float, or checked to be an instance of
+    any other ``kind`` (a type or a tuple of types); a number must be finite.
+    Failing that, a ConfigurationError naming the field path, e.g.
+    ``workload.mix[0].proportion`` or ``models.gpu.b_half``."""
+    if kind in (int, float):
+        try:
+            value_as = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            value_as = None
+    else:
+        value_as = value if isinstance(value, kind) else None
+    if value_as is not None and (not isinstance(value_as, float) or math.isfinite(value_as)):
+        return value_as
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    names = " or ".join("finite float" if k is float else k.__name__ for k in kinds)
+    raise ConfigurationError(f"{path} must be {names}, got {value!r}")
+
+
+def _field(doc: dict, where: str, key: str, kind, default=None):
+    """Field ``key`` of mapping ``doc`` (found at path ``where``) as a
+    ``kind``, or ``default`` when absent; absent without a default is a
+    ConfigurationError."""
+    if key not in doc:
+        if default is None:
+            raise ConfigurationError(f"missing field {key!r} in {where or 'config'}")
+        return default
+    return _as(doc[key], kind, f"{where}.{key}" if where else key)
 
 
 def _profile_dir() -> Path:
@@ -105,25 +132,33 @@ def _check_schema(doc: dict, expected_kind: str) -> None:
         )
 
 
+_STAGE_KINDS = tuple(kind.value for kind in StageKind)
+
+
 def pipeline_from_dict(doc: dict) -> PipelineSpec:
     # the descriptive tags some profiles carry (orchestrator, path, flow)
     # feed nothing in the model and are ignored
     _check_schema(doc, "pipeline")
     stages = []
-    for s in doc["stages"]:
-        sources = s.get("sources", {}) or {}
+    for i, s in enumerate(_field(doc, "pipeline", "stages", list)):
+        where = f"pipeline.stages[{i}]"
+        s = _as(s, dict, where)
+        kind = _field(s, where, "kind", str)
+        if kind not in _STAGE_KINDS:
+            raise ConfigurationError(f"{where}.kind must be one of {_STAGE_KINDS}, got {kind!r}")
+        sources = _as(s.get("sources") or {}, dict, f"{where}.sources")
         stages.append(
             StageSpec(
-                kind=StageKind(s["kind"]),
-                base_latency=float(s["base_latency"]),
-                cpu_share=float(s["cpu_share"]),
-                kv_tokens=int(s.get("kv_tokens", 0)),
-                label=s.get("label", ""),
-                host_blocking=bool(s.get("host_blocking", False)),
-                sources=tuple(sorted((k, str(v)) for k, v in sources.items())),
+                kind=StageKind(kind),
+                base_latency=_field(s, where, "base_latency", float),
+                cpu_share=_field(s, where, "cpu_share", float),
+                kv_tokens=_field(s, where, "kv_tokens", int, 0),
+                label=_field(s, where, "label", str, ""),
+                host_blocking=_field(s, where, "host_blocking", bool, False),
+                sources=tuple(sorted((str(k), str(v)) for k, v in sources.items())),
             )
         )
-    return PipelineSpec(name=doc["name"], stages=tuple(stages))
+    return PipelineSpec(name=_field(doc, "pipeline", "name", str), stages=tuple(stages))
 
 
 def pipeline_to_dict(pipeline: PipelineSpec) -> dict:
@@ -156,57 +191,25 @@ def load_pipeline_file(path: str | Path) -> PipelineSpec:
 
 
 def models_from_dict(doc: dict) -> ContentionModels:
+    """The models of a ``models`` document. Each section's fields are read
+    as the types of their defaults, and an omitted field takes its default;
+    the cpu and gpu sections are required."""
     _check_schema(doc, "models")
-    cpu = doc["cpu"]
-    gpu = doc["gpu"]
-    energy = doc.get("energy", {})
-    return ContentionModels(
-        name=doc["name"],
-        cpu=CpuContentionParams(
-            logical_cores=int(cpu["logical_cores"]),
-            oversub_kappa=float(cpu["oversub_kappa"]),
-            gil_serial_fraction=float(cpu.get("gil_serial_fraction", 0.0)),
-        ),
-        gpu=GpuSaturationParams(
-            b_half=float(gpu["b_half"]),
-            kv_bytes_per_token=int(gpu["kv_bytes_per_token"]),
-            kv_capacity=int(gpu["kv_capacity"]),
-            spill_rate_factor=float(gpu.get("spill_rate_factor", 0.25)),
-        ),
-        energy=EnergyParams(
-            cpu_idle_w=float(energy.get("cpu_idle_w", 0.0)),
-            gpu_idle_w=float(energy.get("gpu_idle_w", 0.0)),
-            cpu_dyn_w_per_core=float(energy.get("cpu_dyn_w_per_core", 0.0)),
-            cpu_pkg_dyn_w=float(energy.get("cpu_pkg_dyn_w", 0.0)),
-            gpu_dyn_w=float(energy.get("gpu_dyn_w", 0.0)),
-        ),
-    )
+    params = {}
+    for section in dataclasses.fields(ContentionModels)[1:]:  # after the name
+        where = f"models.{section.name}"
+        fields = _field(doc, "models", section.name, dict,
+                        {} if section.name == "energy" else None)
+        params[section.name] = section.default_factory(**{
+            f.name: _field(fields, where, f.name, type(f.default), f.default)
+            for f in dataclasses.fields(section.default_factory)
+        })
+    return ContentionModels(name=_field(doc, "models", "name", str), **params)
 
 
 def models_to_dict(models: ContentionModels, sources: dict | None = None) -> dict:
-    doc = {
-        "schema_version": PROFILE_SCHEMA_VERSION,
-        "kind": "models",
-        "name": models.name,
-        "cpu": {
-            "logical_cores": models.cpu.logical_cores,
-            "oversub_kappa": models.cpu.oversub_kappa,
-            "gil_serial_fraction": models.cpu.gil_serial_fraction,
-        },
-        "gpu": {
-            "b_half": models.gpu.b_half,
-            "kv_bytes_per_token": models.gpu.kv_bytes_per_token,
-            "kv_capacity": models.gpu.kv_capacity,
-            "spill_rate_factor": models.gpu.spill_rate_factor,
-        },
-        "energy": {
-            "cpu_idle_w": models.energy.cpu_idle_w,
-            "gpu_idle_w": models.energy.gpu_idle_w,
-            "cpu_dyn_w_per_core": models.energy.cpu_dyn_w_per_core,
-            "cpu_pkg_dyn_w": models.energy.cpu_pkg_dyn_w,
-            "gpu_dyn_w": models.energy.gpu_dyn_w,
-        },
-    }
+    doc = {"schema_version": PROFILE_SCHEMA_VERSION, "kind": "models",
+           **dataclasses.asdict(models)}
     if sources:
         doc["sources"] = sources
     return doc

@@ -146,6 +146,7 @@ class Dispatcher:
         self._modes = {tid: PROCESS for tid in ids}
         self._pool: int | None = None
         gated: list[int] | None = None  # ids held for micro-batch release, FCFS
+        b_cap = policy.b_cap
 
         if name == "multithreading":
             self._modes = {tid: THREAD for tid in ids}
@@ -163,9 +164,11 @@ class Dispatcher:
             if name == "maws_cgam":
                 gated = process_set
         elif name == "sequential":
-            self._queue = sorted(ids)
+            # one task at a time: micro-batches of one, each released when
+            # the one before it finished
+            gated, b_cap = sorted(ids), 1
 
-        plan = plan_microbatches(gated, policy.b_cap) if gated is not None else None
+        plan = plan_microbatches(gated, b_cap) if gated is not None else None
         self._batches = plan.batches if plan is not None else ()
         self._batch_of = plan.batch_of() if plan is not None else {}
         self._prefix_len = {tid: self.tasks[tid].pipeline.cpu_prefix_len()
@@ -186,8 +189,6 @@ class Dispatcher:
     # -- dispatch ----------------------------------------------------------
 
     def initial_starts(self) -> list[int]:
-        if self.policy.name == "sequential":
-            return self._queue[:1]
         released = [tid for k in range(len(self._batches)) for tid in self._release(k)]
         free = [tid for tid in self.tasks if tid not in self._batch_of]
         return sorted(released + free)
@@ -195,8 +196,8 @@ class Dispatcher:
     def on_stage_complete(self, task_id: int, stage_idx: int) -> list[int]:
         """Record a completion; return ids whose first stage is released now.
 
-        The engine itself continues a task's own pipeline; only cross-task
-        gates (sequential turn-taking, micro-batch barriers) emit ids here.
+        The engine itself continues a task's own pipeline; only the cross-task
+        micro-batch gate emits ids here.
         """
         if task_id not in self.tasks:
             raise InternalConsistencyError(f"dispatch for unknown task {task_id}")
@@ -207,11 +208,6 @@ class Dispatcher:
         self._done_stages[task_id] += 1
         finished = self._done_stages[task_id] == self._n_stages[task_id]
 
-        if self.policy.name == "sequential":
-            if finished:
-                self._queue.remove(task_id)
-                return self._queue[:1]
-            return []
         k = self._batch_of.get(task_id)
         if k is None:
             return []

@@ -133,6 +133,8 @@ class WorkloadSpec:
             raise ConfigurationError(f"mix proportions must sum to 1 (got {total})")
         if self.jitter_cv < 0:
             raise ConfigurationError("jitter_cv must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 def largest_remainder_counts(proportions: list[float], total: int) -> list[int]:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 from pathlib import Path
 
@@ -16,6 +17,30 @@ BASE_CONFIG = {
     "models": "emerald_rapids_b200",
     "seed": 0,
 }
+
+
+PROFILES = Path(__file__).parents[1] / "src" / "agentsim" / "profiles"
+HOST = yaml.safe_load((PROFILES / "emerald_rapids_b200.yaml").read_text())
+FRESHQA = yaml.safe_load((PROFILES / "langchain_freshqa.yaml").read_text())
+OBSERVATIONS = yaml.safe_load((PROFILES / "observations_langchain_batch.yaml").read_text())
+
+
+def with_field(doc, path, value):
+    """A copy of ``doc`` whose field at ``path`` (keys and list indices) is
+    ``value``."""
+    doc = copy.deepcopy(doc)
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    return doc
+
+
+def inline_freshqa(path, value):
+    """BASE_CONFIG's workload on an inline langchain_freshqa document whose
+    field at ``path`` is ``value``."""
+    return {"workload": {**BASE_CONFIG["workload"], "profile": with_field(FRESHQA, path, value)}}
 
 
 def write_config(tmp_path, doc, name="config.yaml"):
@@ -404,10 +429,46 @@ class TestIllTypedInputs:
         ({"seed": "x"}, "seed"),
         ({"resources": {"logical_cores": "many"}}, "resources.logical_cores"),
         ({"models": [1, 2]}, "models"),
-    ], ids=["batch_size", "mix_proportion", "seed", "logical_cores", "models_list"])
+        ({"workload": {**BASE_CONFIG["workload"], "batch_size": float("inf")}},
+         "workload.batch_size"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"models": {k: v for k, v in HOST.items() if k != "gpu"}}, "'gpu' in models"),
+        ({"models": with_field(HOST, ("gpu", "b_half"), float("nan"))}, "models.gpu.b_half"),
+        (inline_freshqa(("stages", 0, "base_latency"), float("inf")),
+         "pipeline.stages[0].base_latency"),
+        (inline_freshqa(("stages", 1, "label"), 7), "pipeline.stages[1].label"),
+        (inline_freshqa(("stages", 2, "kind"), "tpu"), "pipeline.stages[2].kind"),
+    ], ids=["batch_size", "mix_proportion", "seed", "logical_cores", "models_list",
+            "infinite_batch_size", "negative_seed", "models_without_gpu", "nan_b_half",
+            "infinite_base_latency", "numeric_label", "unknown_stage_kind"])
     def test_run_exits_2_naming_the_field(self, tmp_path, capsys, change, field):
         cfg = write_config(tmp_path, {**BASE_CONFIG, **change})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and field in err
+        assert "Traceback" not in err
+
+    def test_sweep_value_exits_2_naming_it(self, tmp_path, capsys):
+        doc = {**BASE_CONFIG, "sweep": {"axis": "batch_size", "values": [4, "abc"]}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "sweep.values[1]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("cpu_observations", 0, "cores"), "x", "observations.cpu_observations[0].cores"),
+        (("cpu_observations", 0, "cores"), 0, "must be > 0"),
+        (("gpu_latency_pair", "batch_a"), 0, "must be > 0"),
+        (("gpu_latency_pair", "latency_b"), float("nan"), "observations.gpu_latency_pair.latency_b"),
+        (("energy_endpoints", "gpu_j_small"), 0.0, "must be > 0"),
+        (("energy_endpoints", "batch_small"), 0, "must be > 0"),
+    ], ids=["cores_string", "zero_cores", "zero_batch_a", "nan_latency", "zero_gpu_energy",
+            "zero_batch_small"])
+    def test_calibrate_exits_2_naming_the_field(self, tmp_path, capsys, path, value, field):
+        obs = tmp_path / "obs.yaml"
+        obs.write_text(yaml.safe_dump(with_field(OBSERVATIONS, path, value)))
+        assert main(["calibrate", "--observations", str(obs), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and field in err
         assert "Traceback" not in err

@@ -108,6 +108,15 @@ class TestModelsFingerprint:
         assert models_fingerprint(pkg) != models_fingerprint(base)
         assert models_from_dict(models_to_dict(pkg)) == pkg
 
+    def test_idle_keys_are_ignored_and_omitted_constants_take_defaults(self, models):
+        doc = models_to_dict(models)
+        doc["energy"].update(cpu_idle_w=113.0, gpu_idle_w=115.0)
+        assert models_from_dict(doc) == models
+        for section in ("cpu", "gpu"):
+            doc[section] = {}
+        del doc["energy"]
+        assert models_from_dict(doc) == ContentionModels(name=models.name)
+
 
 class TestReplayCheck:
     def test_simulate_output_passes(self, models, resources):

@@ -1,7 +1,9 @@
 """Property tests: the virtual-clock engine against the rescanning reference
 engine on random small pipelines, mixes, policies, models and core counts,
-and the occupancy's cached CPU load against a fresh sum."""
+the occupancy's cached CPU load against a fresh sum, and the trace parser on
+corrupted traces."""
 
+import functools
 from collections import Counter
 
 import pytest
@@ -19,6 +21,7 @@ from agentsim.contention import (
     GpuSaturationParams,
 )
 from agentsim.engine import CLASSES, Occupancy, parse_trace, serialize_trace
+from agentsim.errors import ConfigurationError
 from agentsim.schedulers import POLICY_NAMES, PROCESS, THREAD
 
 STAGE_KINDS = ("cpu_tool", "gpu_inference", "external_api")
@@ -175,3 +178,36 @@ def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff):
             thread = min(thread, float(pool_eff))
         assert load.hex() == (process + thread).hex()
         assert occupancy.per_class == [sum(k[0] == c for k in running) for c in CLASSES]
+
+
+@functools.cache
+def real_trace_lines() -> tuple[str, ...]:
+    """The lines of a real trace that has every kind of line: a maws run of
+    the swe_agent_apps/langchain_guardrail mix, so a thread pool is in use."""
+    mix = ((a.load_profile("swe_agent_apps"), 0.5), (a.load_profile("langchain_guardrail"), 0.5))
+    tasks = a.build_workload(a.WorkloadSpec(batch_size=4, mix=mix, seed=0))
+    trace = a.simulate(tasks, a.Policy("maws"), a.ResourcePool(),
+                       a.load_models("emerald_rapids_b200"))
+    return tuple(serialize_trace(trace).splitlines())
+
+
+@given(data=st.data())
+def test_a_corrupt_trace_line_is_a_configuration_error_naming_it(data):
+    """Truncating one line of a real trace, or replacing one of its
+    characters, either still parses or is a ConfigurationError that names
+    the line (or, for a meta line made blank or a comment, the missing
+    key)."""
+    lines = list(real_trace_lines())
+    i = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    at = data.draw(st.integers(0, len(line) - 1))
+    if data.draw(st.booleans()):
+        lines[i] = line[:at]
+    else:
+        char = data.draw(st.characters(min_codepoint=32, max_codepoint=126))
+        lines[i] = line[:at] + char + line[at + 1:]
+    try:
+        parse_trace("\n".join(lines) + "\n")
+    except ConfigurationError as exc:
+        assert (str(exc).startswith(f"trace line {i + 1} ")
+                or line.startswith("meta") and "lacks meta" in str(exc)), str(exc)

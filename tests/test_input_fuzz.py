@@ -1,0 +1,147 @@
+"""Mutation fuzzer for the exit-code contract.
+
+Each example takes one input document (a run config with its pipeline and
+models documents inlined, a sweep config, or the bundled calibration
+observations), changes one field at a random path and runs the CLI on it in
+process. Whatever the change, the exit is 0, 2 or 3, no exception escapes,
+stderr holds no traceback, and a command that exits 0 writes no NaN or
+infinity into a report or profile.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+import yaml
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agentsim.cli import main
+
+PROFILES = Path(__file__).parents[1] / "src" / "agentsim" / "profiles"
+
+
+def _bundled(name: str) -> dict:
+    return yaml.safe_load((PROFILES / f"{name}.yaml").read_text())
+
+
+def _run_config(pipelines, batch_size, policy, models, seed, cores=None, jitter=0.05):
+    """A golden-style run config with every profile it names inlined."""
+    if isinstance(pipelines, str):
+        workload = {"profile": _bundled(pipelines)}
+    else:
+        workload = {"mix": [{"pipeline": _bundled(p), "proportion": share}
+                            for p, share in pipelines]}
+    doc = {
+        "schema_version": 1,
+        "workload": {**workload, "batch_size": batch_size, "jitter_cv": jitter},
+        "policy": policy,
+        "models": _bundled(models),
+        "seed": seed,
+    }
+    if cores is not None:
+        doc["resources"] = {"logical_cores": cores}
+    return doc
+
+
+# input name -> (subcommand, document)
+INPUTS = {
+    "freshqa_cgam_overlap_b8": ("run", _run_config(
+        "langchain_freshqa", 8, {"name": "cgam_overlap", "b_cap": 4},
+        "emerald_rapids_b200", seed=2, cores=96)),
+    "mix_maws_cgam_b8": ("run", _run_config(
+        [("swe_agent_apps", 0.5), ("langchain_guardrail", 0.5)], 8,
+        {"name": "maws_cgam", "b_cap": 4, "theta": 0.4, "thread_pool_cores": 4},
+        "emerald_rapids_b200", seed=5, cores=32)),
+    "energyhost_multithreading_b7": ("run", _run_config(
+        "langchain_freshqa_energyhost", 7, {"name": "multithreading", "pool_size": 4},
+        "threadripper_h200_energy", seed=1, jitter=0.0)),
+    "toolformer_batch_size_sweep": ("sweep", {
+        "schema_version": 1,
+        "workload": {"profile": "toolformer_mawps", "batch_size": 4},
+        "policy": {"name": "cgam", "b_cap": 2},
+        "models": "emerald_rapids_b200",
+        "seed": 0,
+        "sweep": {"axis": "batch_size", "values": [2, 4]},
+    }),
+    "langchain_batch_sweep": ("calibrate", _bundled("observations_langchain_batch")),
+}
+
+# any value may be dropped or replaced by one of another type
+CHANGES = [("drop", None)] + [
+    (f"retype {value!r}", lambda _, value=value: copy.deepcopy(value))
+    for value in (None, "x", [1], {"a": 1}, True)
+]
+# a number may also be moved
+NUMBER_CHANGES = [
+    ("zero", lambda v: 0), ("minus one", lambda v: -1),
+    ("double", lambda v: v * 2), ("halve", lambda v: v * 0.5),
+    ("nan", lambda v: math.nan), ("inf", lambda v: math.inf), ("-inf", lambda v: -math.inf),
+]
+
+NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+def _paths(node, prefix=()):
+    """The path of every mapping value and list item below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_inputs(draw):
+    name = draw(st.sampled_from(sorted(INPUTS)))
+    command, doc = INPUTS[name]
+    doc = copy.deepcopy(doc)
+    *parents, key = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    value = parent[key]
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    _, apply = draw(st.sampled_from(CHANGES + (NUMBER_CHANGES if numeric else [])))
+    if apply is None:
+        del parent[key]
+    else:
+        parent[key] = apply(value)
+    return command, doc
+
+
+@settings(max_examples=350, derandomize=True)
+@given(mutated_inputs())
+def test_one_mutated_field_keeps_the_exit_code_contract(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "input.yaml", Path(tmp) / "out"
+        path.write_text(yaml.safe_dump(doc))
+        if command == "calibrate":
+            argv = ["calibrate", "--observations", str(path),
+                    "--base", "emerald_rapids_b200", "--out", str(out)]
+        else:
+            argv = [command, "--config", str(path), "--out", str(out)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 2, 3), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        if code == 0:
+            for written in out.rglob("*"):
+                if written.is_file() and written.name != "trace.txt":
+                    assert not NON_FINITE.search(written.read_text()), written.name
