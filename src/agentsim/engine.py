@@ -109,26 +109,33 @@ class Trace:
         )
 
 
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def fingerprint(data) -> str:
     """Stable 16-hex digest of a JSON-serializable structure."""
-    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return hashlib.sha256(_json(data).encode()).hexdigest()[:16]
 
 
 def workload_fingerprint(tasks: list[TaskInstance]) -> str:
-    stage_lists: dict[int, list] = {}  # id(pipeline) -> its stage list
+    """``fingerprint`` of ``[(id, pipeline name, [(kind, cpu share, kv
+    tokens, host blocking), ...], [work, ...]), ...]`` over the tasks. Each
+    pipeline's name and stage list is encoded once and the text is hashed
+    task by task, so the whole document is never built."""
+    digest = hashlib.sha256(b"[")
+    encoded: dict[int, str] = {}  # id(pipeline) -> ",<name>,<stage list>,"
+    sep = ""
     for t in tasks:
-        if id(t.pipeline) not in stage_lists:
-            stage_lists[id(t.pipeline)] = [
-                (s.kind.value, s.cpu_share, s.kv_tokens, s.host_blocking)
-                for s in t.pipeline.stages
-            ]
-    return fingerprint(
-        [
-            (t.id, t.pipeline.name, stage_lists[id(t.pipeline)], list(t.stage_work))
-            for t in tasks
-        ]
-    )
+        pipeline = t.pipeline
+        middle = encoded.get(id(pipeline))
+        if middle is None:
+            middle = encoded[id(pipeline)] = "," + _json(pipeline.name) + "," + _json(
+                [(s.kind.value, s.cpu_share, s.kv_tokens, s.host_blocking)
+                 for s in pipeline.stages]) + ","
+        digest.update(f"{sep}[{t.id}{middle}{_json(t.stage_work)}]".encode())
+        sep = ","
+    digest.update(b"]")
+    return digest.hexdigest()[:16]
 
 
 def models_fingerprint(models: ContentionModels) -> str:
@@ -317,6 +324,7 @@ def simulate(
     max_events = 100 * remaining_stages + 1000
 
     append_record = records.append
+    new_record = tuple.__new__  # StageRecord without its Python-level __new__
     on_stage_complete = dispatcher.on_stage_complete
     heappop, heappush = heapq.heappop, heapq.heappush
 
@@ -338,32 +346,44 @@ def simulate(
             raise InternalConsistencyError("event budget exhausted; engine stuck")
 
         rates = occupancy.rates(load, models)
-        busy = [c for c in CLASSES if heaps[c]]
-        dt = min([(heaps[c][0][0] - clocks[c]) / rates[c] for c in busy])
+        dt = None  # the least time to a finish tag, as min() would take it
+        for heap, clock, rate in zip(heaps, clocks, rates):
+            if heap:
+                d = (heap[0][0] - clock) / rate
+                if dt is None or d < dt:
+                    dt = d
+        limit = dt + TIME_EPS
         finished: list[int] = []
-        for c in busy:
-            heap, clock, rate = heaps[c], clocks[c], rates[c]
-            while heap and (heap[0][0] - clock) / rate <= dt + TIME_EPS:
-                finished.append(heappop(heap)[1])
-            clocks[c] = clock + rate * dt if heap else 0.0
+        for c in CLASSES:
+            heap = heaps[c]
+            if heap:
+                clock, rate = clocks[c], rates[c]
+                while heap and (heap[0][0] - clock) / rate <= limit:
+                    finished.append(heappop(heap)[1])
+                clocks[c] = clock + rate * dt if heap else 0.0
         now += dt
 
+        # The occupancy's sums do not depend on the order of its changes, so
+        # a follow-up stage starts as soon as the stage before it is recorded.
         released: list[int] = []
-        follow_ups: list[tuple[int, int]] = []
         finished.sort()
         for task_id in finished:
-            stage_idx, start = running.pop(task_id)
+            stage_idx, start = running[task_id]
             table, work = facts[task_id]
             cls, mode, cpu_share, kv_tokens, kind, host_blocking, label = table[stage_idx]
             change(cls, mode, cpu_share, kv_tokens, -1)
-            append_record(StageRecord(task_id, stage_idx, kind, mode, host_blocking,
-                                      cpu_share, kv_tokens, work[stage_idx], start, now, label))
+            append_record(new_record(StageRecord, (
+                task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens,
+                work[stage_idx], start, now, label)))
             released += on_stage_complete(task_id, stage_idx)
-            if stage_idx + 1 < len(table):
-                follow_ups.append((task_id, stage_idx + 1))
-
-        for task_id, stage_idx in follow_ups:
-            start_stage(task_id, stage_idx)
+            stage_idx += 1
+            if stage_idx < len(table):
+                cls, mode, cpu_share, kv_tokens, _, _, _ = table[stage_idx]
+                change(cls, mode, cpu_share, kv_tokens, 1)
+                heappush(heaps[cls], (clocks[cls] + work[stage_idx], task_id))
+                running[task_id] = (stage_idx, now)
+            else:
+                del running[task_id]
         if released:
             for task_id in sorted(set(released)):
                 start_stage(task_id, 0)
@@ -394,9 +414,23 @@ def simulate(
 # -- trace serialization ----------------------------------------------------
 
 
+class _Reprs(dict):
+    """float -> its repr, formatted on first use. Zero is never stored, as
+    ``0.0`` and ``-0.0`` are one key but two texts."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
 def serialize_trace(trace: Trace) -> str:
-    """Line-oriented text form with bit-exact floats (repr round-trip)."""
-    lines = [
+    """Line-oriented text form with bit-exact floats (repr round-trip).
+    Each distinct event time (a float, as ``simulate`` and ``parse_trace``
+    make them) is formatted once, and each section is joined on its own."""
+    reprs = _Reprs()
+    sections = [
         "# agentsim trace",
         f"meta schema_version {trace.schema_version}",
         f"meta tool_version {trace.tool_version}",
@@ -408,21 +442,22 @@ def serialize_trace(trace: Trace) -> str:
         f"meta pool_eff {trace.pool_eff if trace.pool_eff is not None else 'none'}",
         f"meta makespan {trace.makespan!r}",
     ]
-    for (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
-         start, end, label) in trace.records:
-        lines.append(
+    if trace.records:
+        sections.append("\n".join([
             f"stage {task_id} {stage_idx} {kind} {mode} {int(host_blocking)} "
-            f"{cpu_share!r} {kv_tokens} {work!r} {start!r} {end!r} {label}"
-        )
+            f"{cpu_share!r} {kv_tokens} {work!r} {reprs[start]} {reprs[end]} {label}"
+            for (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
+                 start, end, label) in trace.records
+        ]))
     for name, steps in (
         ("cpuload", trace.cpu_load_steps),
         ("gpures", trace.gpu_res_steps),
         ("kvtokens", trace.kv_token_steps),
         ("pooln", trace.pool_n_steps),
     ):
-        for t, v in steps:
-            lines.append(f"{name} {t!r} {v!r}")
-    return "\n".join(lines) + "\n"
+        if steps:
+            sections.append("\n".join([f"{name} {reprs[t]} {v!r}" for t, v in steps]))
+    return "\n".join(sections) + "\n"
 
 
 # meta key of a trace -> its parser; a trace holds every one

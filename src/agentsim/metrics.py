@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, pairwise
 
 from .contention import EnergyParams, GpuSaturationParams
 from .engine import Trace
 from .errors import ConfigurationError
+from .profiles import _as
 from .workload import TaskClass
 
 
@@ -78,43 +80,41 @@ class SpeedupReport:
 def percentile(latencies: list[float], p: float) -> float:
     """Nearest-rank percentile: sort ascending, take element ceil(p*n),
     1-based."""
-    if not latencies:
-        raise ConfigurationError("percentile of an empty list")
     if not 0.0 < p <= 1.0:
         raise ConfigurationError("p must be in (0, 1]")
-    ordered = sorted(latencies)
-    rank = math.ceil(p * len(ordered))
-    return ordered[rank - 1]
+    return _nearest_rank(sorted(latencies), p)
 
 
-def _integrate_steps(steps: list[tuple[float, float]], end: float, transform) -> float:
-    total = 0.0
-    for (t1, v), nxt in zip(steps, steps[1:] + [(end, None)]):
-        t2 = nxt[0]
-        if t2 > t1:
-            total += transform(v) * (t2 - t1)
-    return total
+def _nearest_rank(ordered: list[float], p: float) -> float:
+    if not ordered:
+        raise ConfigurationError("percentile of an empty list")
+    return ordered[math.ceil(p * len(ordered)) - 1]
 
 
 def energy_integrals(trace: Trace) -> tuple[float, float, float]:
     """(busy core-seconds, CPU package-active seconds, GPU-active seconds):
-    the usage each dynamic-power constant multiplies."""
+    the usage each dynamic-power constant multiplies. Each value of a step
+    series holds until the next step's time, the last one until the
+    makespan."""
     cores = float(trace.logical_cores)
-    cpu_steps = trace.cpu_load_steps
-    return (
-        _integrate_steps(cpu_steps, trace.makespan, lambda load: min(load, cores)),
-        _integrate_steps(cpu_steps, trace.makespan,
-                         lambda load: 1.0 if load > 0 else 0.0),
-        _integrate_steps(trace.gpu_res_steps, trace.makespan,
-                         lambda res: 1.0 if res >= 1 else 0.0),
-    )
+    end = trace.makespan
+    busy = active = gpu = 0.0
+    for (t1, load), (t2, _) in pairwise(chain(trace.cpu_load_steps, ((end, None),))):
+        if t2 > t1:
+            busy += (cores if cores < load else load) * (t2 - t1)
+            active += (1.0 if load > 0 else 0.0) * (t2 - t1)
+    for (t1, res), (t2, _) in pairwise(chain(trace.gpu_res_steps, ((end, None),))):
+        if t2 > t1:
+            gpu += (1.0 if res >= 1 else 0.0) * (t2 - t1)
+    return busy, active, gpu
 
 
 def _latency_report(latencies: list[float], trace: Trace, **rest) -> MetricsReport:
     """A report whose latency fields cover ``latencies``, from ``trace``."""
+    ordered = sorted(latencies)
     return MetricsReport(
-        p50=percentile(latencies, 0.50), p90=percentile(latencies, 0.90),
-        p99=percentile(latencies, 0.99), mean=sum(latencies) / len(latencies),
+        p50=_nearest_rank(ordered, 0.50), p90=_nearest_rank(ordered, 0.90),
+        p99=_nearest_rank(ordered, 0.99), mean=sum(latencies) / len(latencies),
         throughput=len(latencies) / trace.makespan, batch_size=len(latencies),
         workload_fp=trace.workload_fp, policy=trace.policy, **rest,
     )
@@ -161,30 +161,27 @@ _COMPARED = ("p50_s", "p90_s", "p99_s", "mean_s", "makespan_s", "throughput_rps"
              "kv_peak_bytes", "cpu_dyn_energy_j", "gpu_dyn_energy_j")
 
 
-def _column(row: dict, column: str, kind) -> float | str:
-    value = row.get(column)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigurationError(f"not a report row: {column} is {value!r}")
-    return value
-
-
 def compare(baseline: dict, candidate: dict) -> SpeedupReport:
     """Baseline/candidate ratio per metric of two report rows
     (``MetricsReport.as_row()``, or a ``report.yaml``); both must describe
     the same workload. Per-class ratios cover the classes both rows have."""
-    rows = (baseline, candidate)
-    for row in rows:
-        _column(row, "policy", str)
-    fp_b, fp_c = (_column(row, "workload_fp", str) for row in rows)
+    rows = {"baseline": baseline, "candidate": candidate}
+
+    def columns(column: str, kind) -> list:
+        return [_as(row.get(column), kind, f"not a report row: {which}.{column}")
+                for which, row in rows.items()]
+
+    columns("policy", str)
+    fp_b, fp_c = columns("workload_fp", str)
     if fp_b != fp_c:
         raise ConfigurationError(f"workload fingerprint mismatch: {fp_b} vs {fp_c}")
-    columns = list(_COMPARED)
+    compared = list(_COMPARED)
     for cls in TaskClass:
-        if all(row.get(f"{cls.value}_p50_s") not in (None, "") for row in rows):
-            columns += [f"{cls.value}_p50_s", f"{cls.value}_p99_s"]
+        if all(row.get(f"{cls.value}_p50_s") not in (None, "") for row in rows.values()):
+            compared += [f"{cls.value}_p50_s", f"{cls.value}_p99_s"]
     ratios: dict[str, float] = {}
-    for column in columns:
-        b, c = (_column(row, column, (int, float)) for row in rows)
+    for column in compared:
+        b, c = columns(column, (int, float))
         if b and c:
             ratios[column.rsplit("_", 1)[0]] = b / c
     return SpeedupReport(ratios=ratios, workload_fp=fp_b)

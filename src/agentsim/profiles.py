@@ -58,19 +58,24 @@ def dump_yaml(doc, sort_keys: bool = True) -> str:
 
 def _as(value, kind, path: str):
     """``value`` converted to int or float, or checked to be an instance of
-    any other ``kind`` (a type or a tuple of types); a number must be finite.
-    Failing that, a ConfigurationError naming the field path, e.g.
-    ``workload.mix[0].proportion`` or ``models.gpu.b_half``."""
-    if kind in (int, float):
-        try:
-            value_as = kind(value)
-        except (TypeError, ValueError, OverflowError):
-            value_as = None
-    else:
-        value_as = value if isinstance(value, kind) else None
+    any other ``kind`` (a type or a tuple of types); a number must be finite,
+    an int must not lose a fraction (``64.0`` is 64, ``2.9`` is refused), and
+    a bool is no number. Failing that, a ConfigurationError naming the field
+    path, e.g. ``workload.mix[0].proportion`` or ``models.gpu.b_half``."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    value_as = None
+    if isinstance(value, bool) and bool not in kinds:
+        pass  # a bool is no number
+    elif kind in (int, float):
+        if kind is float or not isinstance(value, float) or value.is_integer():
+            try:
+                value_as = kind(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    elif isinstance(value, kind):
+        value_as = value
     if value_as is not None and (not isinstance(value_as, float) or math.isfinite(value_as)):
         return value_as
-    kinds = kind if isinstance(kind, tuple) else (kind,)
     names = " or ".join("finite float" if k is float else k.__name__ for k in kinds)
     raise ConfigurationError(f"{path} must be {names}, got {value!r}")
 
@@ -147,13 +152,16 @@ def pipeline_from_dict(doc: dict) -> PipelineSpec:
         if kind not in _STAGE_KINDS:
             raise ConfigurationError(f"{where}.kind must be one of {_STAGE_KINDS}, got {kind!r}")
         sources = _as(s.get("sources") or {}, dict, f"{where}.sources")
+        label = _field(s, where, "label", str, "")
+        if "".join(label.splitlines()) != label:  # the trace is one line per stage
+            raise ConfigurationError(f"{where}.label must not hold a line break, got {label!r}")
         stages.append(
             StageSpec(
                 kind=StageKind(kind),
                 base_latency=_field(s, where, "base_latency", float),
                 cpu_share=_field(s, where, "cpu_share", float),
                 kv_tokens=_field(s, where, "kv_tokens", int, 0),
-                label=_field(s, where, "label", str, ""),
+                label=label,
                 host_blocking=_field(s, where, "host_blocking", bool, False),
                 sources=tuple(sorted((str(k), str(v)) for k, v in sources.items())),
             )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, InternalConsistencyError
-from .workload import TaskClass, TaskInstance, classify_task
+from .workload import TaskClass, TaskInstance, class_labels
 
 POLICY_NAMES = (
     "sequential",
@@ -112,12 +112,10 @@ def maws_partition(
     multiplexed over a small shared thread pool so their host-side draw stops
     crowding the CPU-heavy workers.
     """
+    labels = class_labels(tasks, theta)
     process_set, thread_set = [], []
     for t in tasks:
-        if classify_task(t.pipeline, theta) is TaskClass.CPU_HEAVY:
-            process_set.append(t.id)
-        else:
-            thread_set.append(t.id)
+        (process_set if labels[t.id] is TaskClass.CPU_HEAVY else thread_set).append(t.id)
     return process_set, thread_set
 
 

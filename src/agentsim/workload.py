@@ -154,25 +154,29 @@ def build_workload(spec: WorkloadSpec) -> list[TaskInstance]:
 
     Pure function of the spec: identical specs produce identical task
     lists byte for byte. Tasks are grouped by mix entry in order, ids are
-    sequential from 0, and all arrivals are at t=0.
+    sequential from 0, and all arrivals are at t=0. The jitter factors of
+    every stage come from one draw, in task and stage order; numpy's
+    generator gives the same stream whether a draw is split or not.
     """
     counts = largest_remainder_counts([p for _, p in spec.mix], spec.batch_size)
-    rng = np.random.default_rng(spec.seed) if spec.jitter_cv > 0 else None
-    sigma = math.sqrt(math.log(1.0 + spec.jitter_cv**2)) if spec.jitter_cv > 0 else 0.0
+    bases = [tuple(s.base_latency for s in pipeline.stages) for pipeline, _ in spec.mix]
+    factors: list[float] = []
+    if spec.jitter_cv > 0:
+        sigma = math.sqrt(math.log(1.0 + spec.jitter_cv**2))
+        factors = np.random.default_rng(spec.seed).lognormal(
+            mean=-0.5 * sigma**2, sigma=sigma,
+            size=sum(count * len(base) for base, count in zip(bases, counts))).tolist()
 
     tasks: list[TaskInstance] = []
-    task_id = 0
-    for (pipeline, _), count in zip(spec.mix, counts):
+    at = 0  # next unused factor
+    for (pipeline, _), base, count in zip(spec.mix, bases, counts):
+        n = len(base)
         for _ in range(count):
-            if rng is None:
-                work = tuple(s.base_latency for s in pipeline.stages)
-            else:
-                factors = rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma,
-                                        size=len(pipeline.stages))
-                work = tuple(float(s.base_latency * f)
-                             for s, f in zip(pipeline.stages, factors))
-            tasks.append(TaskInstance(id=task_id, pipeline=pipeline, stage_work=work))
-            task_id += 1
+            work = base
+            if factors:
+                work = tuple([b * f for b, f in zip(base, factors[at:at + n])])
+                at += n
+            tasks.append(TaskInstance(id=len(tasks), pipeline=pipeline, stage_work=work))
     return tasks
 
 
@@ -190,4 +194,12 @@ def classify_task(pipeline: PipelineSpec, theta: float = 0.5) -> TaskClass:
 
 
 def class_labels(tasks: list[TaskInstance], theta: float = 0.5) -> dict[int, TaskClass]:
-    return {t.id: classify_task(t.pipeline, theta) for t in tasks}
+    """Task id -> class, classifying each distinct pipeline once."""
+    classes: dict[int, TaskClass] = {}  # id(pipeline) -> its class
+    labels = {}
+    for t in tasks:
+        cls = classes.get(id(t.pipeline))
+        if cls is None:
+            cls = classes[id(t.pipeline)] = classify_task(t.pipeline, theta)
+        labels[t.id] = cls
+    return labels

@@ -7,7 +7,7 @@ import yaml
 import pytest
 
 from agentsim.cli import main
-from agentsim.engine import parse_trace
+from agentsim.engine import parse_trace, serialize_trace
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -438,15 +438,41 @@ class TestIllTypedInputs:
          "pipeline.stages[0].base_latency"),
         (inline_freshqa(("stages", 1, "label"), 7), "pipeline.stages[1].label"),
         (inline_freshqa(("stages", 2, "kind"), "tpu"), "pipeline.stages[2].kind"),
+        ({"workload": {**BASE_CONFIG["workload"], "batch_size": 2.9}}, "workload.batch_size"),
+        ({"workload": {**BASE_CONFIG["workload"], "batch_size": True}}, "workload.batch_size"),
+        ({"workload": {**BASE_CONFIG["workload"], "jitter_cv": True}}, "workload.jitter_cv"),
+        (inline_freshqa(("stages", 1, "label"), "web\nsearch"), "pipeline.stages[1].label"),
+        (inline_freshqa(("stages", 0, "label"), "web\r"), "pipeline.stages[0].label"),
     ], ids=["batch_size", "mix_proportion", "seed", "logical_cores", "models_list",
             "infinite_batch_size", "negative_seed", "models_without_gpu", "nan_b_half",
-            "infinite_base_latency", "numeric_label", "unknown_stage_kind"])
+            "infinite_base_latency", "numeric_label", "unknown_stage_kind",
+            "fractional_batch_size", "bool_batch_size", "bool_jitter_cv",
+            "label_with_newline", "label_ending_in_carriage_return"])
     def test_run_exits_2_naming_the_field(self, tmp_path, capsys, change, field):
         cfg = write_config(tmp_path, {**BASE_CONFIG, **change})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and field in err
         assert "Traceback" not in err
+
+    def test_integral_float_is_an_int(self, tmp_path):
+        # batch_size 8.0 is batch_size 8: the same outputs byte for byte
+        for name, size in (("int", 8), ("float", 8.0)):
+            doc = {**BASE_CONFIG, "workload": {**BASE_CONFIG["workload"], "batch_size": size}}
+            cfg = write_config(tmp_path, doc, f"{name}.yaml")
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        for output in ("trace.txt", "report.yaml"):
+            assert ((tmp_path / "float" / output).read_bytes()
+                    == (tmp_path / "int" / output).read_bytes())
+
+    def test_label_with_spaces_round_trips(self, tmp_path):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, **inline_freshqa(
+            ("stages", 1, "label"), " web  search ")})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "trace.txt").read_text()
+        trace = parse_trace(text)
+        assert {r.label for r in trace.records if r.stage_idx == 1} == {" web  search "}
+        assert serialize_trace(trace) == text
 
     def test_sweep_value_exits_2_naming_it(self, tmp_path, capsys):
         doc = {**BASE_CONFIG, "sweep": {"axis": "batch_size", "values": [4, "abc"]}}

@@ -4,6 +4,7 @@ the occupancy's cached CPU load against a fresh sum, and the trace parser on
 corrupted traces."""
 
 import functools
+import math
 from collections import Counter
 
 import pytest
@@ -20,7 +21,14 @@ from agentsim.contention import (
     CpuContentionParams,
     GpuSaturationParams,
 )
-from agentsim.engine import CLASSES, Occupancy, parse_trace, serialize_trace
+from agentsim.engine import (
+    CLASSES,
+    Occupancy,
+    StageRecord,
+    Trace,
+    parse_trace,
+    serialize_trace,
+)
 from agentsim.errors import ConfigurationError
 from agentsim.schedulers import POLICY_NAMES, PROCESS, THREAD
 
@@ -141,6 +149,35 @@ def test_engine_matches_reference(tasks, policy, m):
     text = serialize_trace(new)
     assert serialize_trace(a.simulate(tasks, policy, resources, m)) == text
     assert parse_trace(text) == new
+    assert serialize_trace(parse_trace(text)) == text
+
+
+def test_round_trip_keeps_the_sign_of_zero():
+    """``0.0 == -0.0``, so only the text shows a lost sign. A hand-built
+    trace holds both zeros, in each order, as times and as values."""
+    records = [
+        StageRecord(0, 0, "cpu_tool", "process", False, 0.0, 0, 1.0, 0.0, 1.0, "a b"),
+        StageRecord(1, 0, "external_api", "process", False, -0.0, 0, 1.0, -0.0, 1.0, ""),
+        StageRecord(2, 0, "gpu_inference", "thread", True, 0.5, 7, 2.0, -0.0, 0.0, "x"),
+    ]
+    trace = Trace(
+        workload_fp="0" * 16, policy="maws", models_fp="1" * 16, seed=0, logical_cores=4,
+        pool_eff=2, records=records,
+        cpu_load_steps=[(-0.0, -0.0), (0.0, 0.0), (1.0, -0.0)],
+        gpu_res_steps=[(0.0, 1), (-0.0, 0)], kv_token_steps=[(-0.0, 7)],
+        pool_n_steps=[(0.0, 0), (-0.0, 1)], makespan=-0.0,
+    )
+    text = serialize_trace(trace)
+    lines = text.splitlines()
+    assert "stage 1 0 external_api process 0 -0.0 0 1.0 -0.0 1.0 " in lines
+    assert "stage 2 0 gpu_inference thread 1 0.5 7 2.0 -0.0 0.0 x" in lines
+    assert ["cpuload -0.0 -0.0", "cpuload 0.0 0.0", "cpuload 1.0 -0.0",
+            "gpures 0.0 1", "gpures -0.0 0", "kvtokens -0.0 7",
+            "pooln 0.0 0", "pooln -0.0 1"] == lines[-8:]
+    assert "meta makespan -0.0" in lines
+    parsed = parse_trace(text)
+    assert [math.copysign(1.0, r.start) for r in parsed.records] == [1.0, -1.0, -1.0]
+    assert serialize_trace(parsed) == text
 
 
 SHARES = st.one_of(st.sampled_from((0.0, 0.02, 0.05, 0.3, 0.55, 1.0)), st.floats(0.0, 1.0))

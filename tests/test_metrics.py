@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 import agentsim as a
 from agentsim.contention import EnergyParams, GpuSaturationParams
@@ -146,3 +147,34 @@ class TestCompare:
         _, r2 = run_uniform(p2, 8, a.Policy("multiprocessing"), models)
         with pytest.raises(ConfigurationError):
             compare(r1.as_row(), r2.as_row())
+
+    @pytest.mark.parametrize("column, value", [
+        ("p50_s", float("nan")), ("makespan_s", float("inf")), ("p99_s", True),
+        ("kv_peak_bytes", "many"), ("policy", None),
+    ])
+    def test_ill_typed_column_rejected(self, models, column, value):
+        pipe = a.load_profile("haystack_nq")
+        _, report = run_uniform(pipe, 8, a.Policy("multiprocessing"), models)
+        row = report.as_row()
+        with pytest.raises(ConfigurationError, match=f"candidate.{column} must be"):
+            compare(row, {**row, column: value})
+
+    def test_cli_compare_on_a_nan_report_exits_2(self, tmp_path, capsys):
+        from agentsim.cli import main
+
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "schema_version": 1,
+            "workload": {"profile": "haystack_nq", "batch_size": 4, "jitter_cv": 0.0},
+            "policy": {"name": "multiprocessing"}, "models": "emerald_rapids_b200", "seed": 0,
+        }))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = tmp_path / "out" / "report.yaml"
+        nan_report = tmp_path / "nan.yaml"
+        nan_report.write_text(yaml.safe_dump(
+            {**yaml.safe_load(report.read_text()), "p50_s": float("nan")}))
+        capsys.readouterr()
+        assert main(["compare", str(report), str(nan_report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "candidate.p50_s" in err
+        assert "Traceback" not in err

@@ -1,0 +1,98 @@
+"""Property tests: ``build_workload``, ``workload_fingerprint`` and
+``class_labels`` against their reference forms in ``reference_workload`` on
+random pipelines, mixes, seeds and jitter, non-finite work included."""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import agentsim as a
+import reference_workload as ref
+from agentsim.engine import workload_fingerprint
+from agentsim.errors import ConfigurationError
+from agentsim.workload import class_labels
+
+# base latencies: positive floats of any size, and the non-finite values a
+# StageSpec accepts
+BASE_LATENCIES = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.sampled_from((1e-3, 0.5, 2.0, math.inf, math.nan)),
+)
+
+
+@st.composite
+def pipelines(draw, i):
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(list(a.StageKind)))
+        gpu = kind is a.StageKind.GPU_INFERENCE
+        stages.append(a.StageSpec(
+            kind=kind,
+            base_latency=draw(BASE_LATENCIES),
+            cpu_share=draw(st.one_of(st.sampled_from((0.0, 0.05, 1.0)), st.floats(0.0, 1.0))),
+            kv_tokens=draw(st.integers(0, 4000)) if gpu else 0,
+            host_blocking=draw(st.booleans()) if gpu else False,
+        ))
+    return a.PipelineSpec(name=draw(st.text(max_size=6)) + str(i), stages=tuple(stages))
+
+
+@st.composite
+def specs(draw):
+    pipes = [draw(pipelines(i)) for i in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        pipes.append(pipes[0])  # one pipeline object in two mix entries
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(pipes), max_size=len(pipes)))
+    return a.WorkloadSpec(
+        batch_size=draw(st.integers(1, 40)),
+        mix=tuple((p, w / sum(weights)) for p, w in zip(pipes, weights)),
+        jitter_cv=draw(st.one_of(st.sampled_from((0.0, 0.05)), st.floats(0.0, 3.0))),
+        seed=draw(st.integers(0, 2**63)),
+    )
+
+
+def bits(tasks):
+    """Each task's id, pipeline object and work, floats by their bits."""
+    return [(t.id, id(t.pipeline), [(type(w), w.hex()) for w in t.stage_work])
+            for t in tasks]
+
+
+@given(spec=specs(), theta=st.sampled_from((0.2, 0.5, 0.8)))
+def test_build_workload_matches_reference(spec, theta):
+    try:
+        want = ref.build_workload(spec)
+    except ConfigurationError as exc:  # a work value underflowed to 0
+        with pytest.raises(ConfigurationError, match=str(exc)):
+            a.build_workload(spec)
+        return
+    tasks = a.build_workload(spec)
+    assert bits(tasks) == bits(want)
+    assert workload_fingerprint(tasks) == ref.workload_fingerprint(want)
+    assert class_labels(tasks, theta) == ref.class_labels(want, theta)
+
+
+# work values of any type a TaskInstance accepts, each encoded by json
+WORK = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True),
+    st.just(math.nan),
+    st.integers(1, 2**70),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(np.float64),
+    st.just(True),
+)
+
+
+@given(data=st.data())
+def test_fingerprint_of_any_task_list_matches_reference(data):
+    pipes = [data.draw(pipelines(i)) for i in range(data.draw(st.integers(1, 3)))]
+    tasks = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        pipe = data.draw(st.sampled_from(pipes))
+        work = data.draw(st.lists(WORK, min_size=len(pipe.stages), max_size=len(pipe.stages)))
+        tasks.append(a.TaskInstance(id=data.draw(st.integers(0, 10**20)), pipeline=pipe,
+                                    stage_work=tuple(work)))
+    assert workload_fingerprint(tasks) == ref.workload_fingerprint(tasks)
