@@ -221,9 +221,11 @@ class Dispatcher:
         if k == 0:
             return True
         if self.policy.name == "cgam_overlap":
-            # CPU prefix of batch k may start once batch k-1 finished its CPU
-            # portion; at most two batches in flight, so k-2 must be done.
-            return self._prefix_left[k - 1] == 0 and (k < 2 or self._tasks_left[k - 2] == 0)
+            # CPU prefix of batch k may start once batch k-1 was released and
+            # finished its CPU portion (an empty prefix is finished at once);
+            # at most two batches in flight, so k-2 must be done.
+            return (self._released[k - 1] and self._prefix_left[k - 1] == 0
+                    and (k < 2 or self._tasks_left[k - 2] == 0))
         return self._tasks_left[k - 1] == 0
 
     def _release(self, k: int) -> list[int]:
@@ -231,4 +233,5 @@ class Dispatcher:
         if k >= len(self._batches) or self._released[k] or not self._may_release(k):
             return []
         self._released[k] = True
-        return list(self._batches[k])
+        # under cgam_overlap a release can open the next batch's gate
+        return list(self._batches[k]) + self._release(k + 1)

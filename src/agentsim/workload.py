@@ -12,9 +12,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigurationError
+from .rng import lognormal
 
 
 class StageKind(enum.Enum):
@@ -51,8 +50,8 @@ class StageSpec:
     sources: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        if self.base_latency <= 0:
-            raise ConfigurationError(f"stage {self.label!r}: base_latency must be > 0")
+        if not 0.0 < self.base_latency < math.inf:
+            raise ConfigurationError(f"stage {self.label!r}: base_latency must be finite and > 0")
         if not 0.0 <= self.cpu_share <= 1.0:
             raise ConfigurationError(f"stage {self.label!r}: cpu_share must be in [0, 1]")
         if self.kv_tokens < 0:
@@ -102,8 +101,8 @@ class TaskInstance:
     def __post_init__(self):
         if len(self.stage_work) != len(self.pipeline.stages):
             raise ConfigurationError("stage_work length must equal stage count")
-        if any(w <= 0 for w in self.stage_work):
-            raise ConfigurationError("all stage_work entries must be > 0")
+        if not all(0.0 < w < math.inf for w in self.stage_work):
+            raise ConfigurationError("all stage_work entries must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -126,13 +125,16 @@ class WorkloadSpec:
             raise ConfigurationError("batch_size must be >= 1")
         if not self.mix:
             raise ConfigurationError("workload mix must not be empty")
-        if any(p <= 0 for _, p in self.mix):
-            raise ConfigurationError("mix proportions must be positive")
+        if not all(0.0 < p < math.inf for _, p in self.mix):
+            raise ConfigurationError("mix proportions must be finite and positive")
         total = sum(p for _, p in self.mix)
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(f"mix proportions must sum to 1 (got {total})")
-        if self.jitter_cv < 0:
-            raise ConfigurationError("jitter_cv must be >= 0")
+        if not 0.0 <= self.jitter_cv < math.inf:
+            raise ConfigurationError("workload.jitter_cv must be finite and >= 0")
+        if self.jitter_cv * self.jitter_cv == math.inf:  # build_workload squares it
+            raise ConfigurationError(
+                f"workload.jitter_cv {self.jitter_cv!r} is too large: its square overflows")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
 
@@ -155,17 +157,17 @@ def build_workload(spec: WorkloadSpec) -> list[TaskInstance]:
     Pure function of the spec: identical specs produce identical task
     lists byte for byte. Tasks are grouped by mix entry in order, ids are
     sequential from 0, and all arrivals are at t=0. The jitter factors of
-    every stage come from one draw, in task and stage order; numpy's
-    generator gives the same stream whether a draw is split or not.
+    every stage are one stream of ``rng.lognormal(spec.seed, ...)``, in task
+    and stage order: numpy's ``default_rng(seed).lognormal`` stream, bit for
+    bit, drawn without numpy.
     """
     counts = largest_remainder_counts([p for _, p in spec.mix], spec.batch_size)
     bases = [tuple(s.base_latency for s in pipeline.stages) for pipeline, _ in spec.mix]
     factors: list[float] = []
     if spec.jitter_cv > 0:
         sigma = math.sqrt(math.log(1.0 + spec.jitter_cv**2))
-        factors = np.random.default_rng(spec.seed).lognormal(
-            mean=-0.5 * sigma**2, sigma=sigma,
-            size=sum(count * len(base) for base, count in zip(bases, counts))).tolist()
+        factors = lognormal(spec.seed, -0.5 * sigma**2, sigma,
+                            sum(count * len(base) for base, count in zip(bases, counts)))
 
     tasks: list[TaskInstance] = []
     at = 0  # next unused factor

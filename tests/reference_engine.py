@@ -3,8 +3,10 @@
 This is the engine and replay audit ``agentsim`` shipped before the
 virtual-clock rewrite, kept verbatim (together with the dispatcher that
 rescanned every gated task on each completion) so property tests can check
-that the production engine reproduces it to 1e-9 relative. Its cost is
-quadratic in the batch size; use it only on small inputs.
+that the production engine reproduces it to 1e-9 relative. One deliberate
+change: the ``cgam_overlap`` gate also waits until the batch before was
+released, as the production gate does, so batches start in order. Its cost
+is quadratic in the batch size; use it only on small inputs.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ class Dispatcher:
         self._pool: int | None = None
         self._plan: MicroBatchPlan | None = None
         self._gated: list[int] = []  # ids gated on micro-batch release, FCFS
+        self._released: set[int] = set()  # indices of released micro-batches
 
         if name == "multithreading":
             self._modes = {tid: THREAD for tid in ids}
@@ -157,9 +160,10 @@ class Dispatcher:
         if k == 0:
             return True
         if self.policy.name == "cgam_overlap":
-            # CPU prefix of batch k may start once batch k-1 finished its CPU
-            # portion; at most two batches in flight, so k-2 must be done.
-            if not self._batch_prefix_done(k - 1):
+            # CPU prefix of batch k may start once batch k-1 was released and
+            # finished its CPU portion; at most two batches in flight, so k-2
+            # must be done.
+            if k - 1 not in self._released or not self._batch_prefix_done(k - 1):
                 return False
             return k < 2 or self._batch_fully_done(k - 2)
         return self._batch_fully_done(k - 1)
@@ -170,6 +174,7 @@ class Dispatcher:
         for tid in self._gated:
             if self._may_release_batch(self._batch_of[tid]):
                 released.append(tid)
+                self._released.add(self._batch_of[tid])
             else:
                 still_gated.append(tid)
         self._gated = still_gated

@@ -1,11 +1,15 @@
 import copy
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
 
 import pytest
 
+import agentsim
 from agentsim.cli import main
 from agentsim.engine import parse_trace, serialize_trace
 
@@ -60,6 +64,21 @@ class TestRun:
         assert "config_fp" in csv_header and "tool_version" in csv_header
         out = capsys.readouterr().out
         assert "p50_s" in out
+
+    def test_run_never_imports_numpy(self, tmp_path):
+        # in a fresh interpreter, so that no other test's import counts
+        doc = {**BASE_CONFIG, "workload": {**BASE_CONFIG["workload"], "jitter_cv": 0.05}}
+        cfg = write_config(tmp_path, doc)
+        args = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        code = ("import sys; from agentsim.cli import main; "
+                f"code = main({args!r}); print(code, 'numpy' in sys.modules)")
+        src = Path(agentsim.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, {**BASE_CONFIG, "out": str(tmp_path / "o1")})
@@ -443,11 +462,12 @@ class TestIllTypedInputs:
         ({"workload": {**BASE_CONFIG["workload"], "jitter_cv": True}}, "workload.jitter_cv"),
         (inline_freshqa(("stages", 1, "label"), "web\nsearch"), "pipeline.stages[1].label"),
         (inline_freshqa(("stages", 0, "label"), "web\r"), "pipeline.stages[0].label"),
+        ({"workload": {**BASE_CONFIG["workload"], "jitter_cv": 1e200}}, "workload.jitter_cv"),
     ], ids=["batch_size", "mix_proportion", "seed", "logical_cores", "models_list",
             "infinite_batch_size", "negative_seed", "models_without_gpu", "nan_b_half",
             "infinite_base_latency", "numeric_label", "unknown_stage_kind",
             "fractional_batch_size", "bool_batch_size", "bool_jitter_cv",
-            "label_with_newline", "label_ending_in_carriage_return"])
+            "label_with_newline", "label_ending_in_carriage_return", "overflowing_jitter_cv"])
     def test_run_exits_2_naming_the_field(self, tmp_path, capsys, change, field):
         cfg = write_config(tmp_path, {**BASE_CONFIG, **change})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

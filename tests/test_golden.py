@@ -5,7 +5,7 @@ Each config below runs through the CLI, and the sha256 digests of its
 `trace.txt`, `report.csv` and `report.yaml` must equal those checked in at
 `golden_digests.json`. The set covers every bundled pipeline, all seven
 policies, mixes, the thread-pool paths, both bundled models profiles and
-batch sizes 1, 7 and 64. Each report pair in COMPARES is also compared, and
+batch sizes 1, 7, 64 and 256. Each report pair in COMPARES is also compared, and
 the digests of the command's stdout (with the output path cut from its
 `wrote` line) and of its `--out` CSV are checked the same way.
 
@@ -87,6 +87,9 @@ CONFIGS = {
         "swe_agent_apps", 64, {"name": "maws_cgam", "b_cap": 8}, cores=32),
     "toolformer_cgam_b7": _config("toolformer_mawps", 7, {"name": "cgam", "b_cap": 2}),
     "toolformer_multiprocessing_b1": _config("toolformer_mawps", 1, {"name": "multiprocessing"}),
+    # GPU-first: an empty CPU prefix must not let a batch overtake the one before
+    "toolformer_cgam_overlap_b256": _config(
+        "toolformer_mawps", 256, {"name": "cgam_overlap", "b_cap": 64}),
     "energyhost_multiprocessing_b64": _config(
         "langchain_freshqa_energyhost", 64, {"name": "multiprocessing"},
         models=ENERGY_HOST, cores=None),

@@ -8,6 +8,7 @@ from conftest import make_pipeline
 
 CPU = make_pipeline("cpu_heavy", [("cpu_tool", 2.0, 1.0), ("gpu_inference", 0.5, 0.05)])
 LLM = make_pipeline("llm_heavy", [("cpu_tool", 0.001, 1.0), ("gpu_inference", 2.0, 0.05)])
+GPU_FIRST = make_pipeline("gpu_first", [("gpu_inference", 1.0, 0.05), ("cpu_tool", 1.0, 1.0)])
 
 
 def tasks_of(pipeline, n, start_id=0):
@@ -105,6 +106,18 @@ class TestDispatcher:
         d.on_stage_complete(0, 1)
         assert d.on_stage_complete(1, 1) == [4, 5]
 
+    def test_cgam_overlap_releases_batches_in_order(self):
+        tasks = tasks_of(GPU_FIRST, 4)
+        d = Dispatcher(a.Policy("cgam_overlap", b_cap=1), tasks)
+        # batch 0's CPU prefix is empty, so it lets batch 1 through at once
+        assert d.initial_starts() == [0, 1]
+        d.on_stage_complete(1, 0)
+        # batch 3's prefix is empty too, but batch 2 was not released
+        assert d.on_stage_complete(1, 1) == []
+        d.on_stage_complete(0, 0)
+        # releasing batch 2 opens batch 3's gate in the same step
+        assert d.on_stage_complete(0, 1) == [2, 3]
+
     def test_unknown_task_is_internal_error(self):
         d = Dispatcher(a.Policy("multiprocessing"), tasks_of(CPU, 2))
         with pytest.raises(InternalConsistencyError):
@@ -190,6 +203,14 @@ class TestPolicyEquivalences:
             # batch k+1 may overlap batch k, batch k+2 may not
             assert spans[k + 2][0] >= spans[k][1] - 1e-12
         assert spans[1][0] < spans[0][1]  # the overlap actually happens
+
+    def test_cgam_overlap_starts_gpu_first_batches_in_order(self, models, resources):
+        works = [(2.0, 1.0), (1.0, 0.5), (1.0, 1.0), (1.0, 1.0)]
+        tasks = [a.TaskInstance(id=i, pipeline=GPU_FIRST, stage_work=w)
+                 for i, w in enumerate(works)]
+        trace = a.simulate(tasks, a.Policy("cgam_overlap", b_cap=1), resources, models)
+        starts = {r.task_id: r.start for r in trace.records if r.stage_idx == 0}
+        assert [starts[i] for i in range(4)] == sorted(starts.values())
 
     @staticmethod
     def batch_spans(trace, b_cap):

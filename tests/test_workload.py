@@ -1,3 +1,6 @@
+import math
+import sys
+
 import pytest
 import yaml
 
@@ -71,6 +74,36 @@ class TestBuildWorkload:
     def test_bad_proportions_rejected(self):
         with pytest.raises(ConfigurationError):
             a.WorkloadSpec(batch_size=4, mix=((P, 0.5), (Q, 0.6)))
+
+    # NaN passes a `<= 0` check: before these were refused, a NaN base
+    # latency built a workload that simulate gave up on as "engine stuck"
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_base_latency_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="base_latency must be finite and > 0"):
+            a.StageSpec(kind=a.StageKind.CPU_TOOL, base_latency=value, cpu_share=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_stage_work_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="stage_work entries must be finite"):
+            a.TaskInstance(id=0, pipeline=Q, stage_work=(1.0, value))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_proportion_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="mix proportions must be finite"):
+            a.WorkloadSpec(batch_size=4, mix=((P, value),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1, 1e200])
+    def test_bad_jitter_cv_rejected_naming_it(self, value):
+        with pytest.raises(ConfigurationError, match="workload.jitter_cv"):
+            a.WorkloadSpec(batch_size=4, mix=((P, 1.0),), jitter_cv=value)
+
+    def test_largest_jitter_cv_whose_square_is_finite_builds(self):
+        cv = math.sqrt(sys.float_info.max)
+        tasks = a.build_workload(a.WorkloadSpec(batch_size=4, mix=((P, 1.0),), jitter_cv=cv))
+        assert all(0.0 < t.stage_work[0] < math.inf for t in tasks)
+        with pytest.raises(ConfigurationError, match="its square overflows"):
+            a.WorkloadSpec(batch_size=4, mix=((P, 1.0),),
+                           jitter_cv=math.nextafter(cv, math.inf))
 
 
 class TestClassify:
