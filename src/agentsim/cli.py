@@ -45,7 +45,14 @@ from .errors import (
     InfeasibleModelError,
     InternalConsistencyError,
 )
-from .metrics import REPORT_COLUMNS, MetricsReport, compare, energy_integrals, summarize
+from .metrics import (
+    METRIC_COLUMNS,
+    REPORT_COLUMNS,
+    MetricsReport,
+    compare,
+    energy_integrals,
+    summarize,
+)
 from .profiles import (
     _as,
     _field,
@@ -62,7 +69,7 @@ from .profiles import (
     pipeline_to_dict,
     read_yaml,
 )
-from .schedulers import Policy
+from .schedulers import POLICY_FIELDS, Policy
 from .workload import WorkloadSpec, build_workload, class_labels
 
 CONFIG_SCHEMA_VERSION = 1
@@ -101,10 +108,11 @@ def _load_ref(ref: str | dict, base_dir: Path, kind: str):
     return from_file(path) if ref.endswith(".yaml") and path.exists() else bundled(ref)
 
 
-# policy config key -> (Policy argument, type)
-_POLICY_FIELDS = {"b_cap": ("b_cap", int), "pool_size": ("pool_size", int),
-                  "thread_pool_cores": ("thread_pool_cores", int),
-                  "theta": ("theta", float), "exec": ("exec_mode", str)}
+def _parse_policy(pdoc: dict) -> Policy:
+    return Policy(name=_field(pdoc, "policy", "name", str), **{
+        arg: _field(pdoc, "policy", key, kind)
+        for key, (arg, kind) in POLICY_FIELDS.items() if key in pdoc
+    })
 
 
 def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
@@ -135,11 +143,7 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
         seed=seed_override if seed_override is not None else _field(doc, "", "seed", int),
     )
 
-    pdoc = _field(doc, "", "policy", dict)
-    policy = Policy(name=_field(pdoc, "policy", "name", str), **{
-        arg: _field(pdoc, "policy", key, kind)
-        for key, (arg, kind) in _POLICY_FIELDS.items() if key in pdoc
-    })
+    policy = _parse_policy(_field(doc, "", "policy", dict))
 
     models = _load_ref(_field(doc, "", "models", (str, dict)), base_dir, "models")
 
@@ -236,8 +240,7 @@ def cmd_run(args) -> int:
     (config.out_dir / "report.yaml").write_text(dump_yaml(doc))
     written = _write_rows([doc], config.out_dir, "report", args.format)
     print(f"# run {config.config_fp} policy={report.policy} B={report.batch_size}")
-    for key in ("p50_s", "p90_s", "p99_s", "mean_s", "makespan_s", "throughput_rps",
-                "kv_peak_bytes", "cpu_dyn_energy_j", "gpu_dyn_energy_j"):
+    for key in METRIC_COLUMNS:
         print(f"{key} {doc[key]!r}")
     print(f"wrote {config.out_dir}/trace.txt {config.out_dir}/report.yaml {written}")
     return EXIT_OK
@@ -257,6 +260,10 @@ def cmd_sweep(args) -> int:
               for i, value in enumerate(_field(sdoc, "sweep", "values", list))]
     if not values:
         raise ConfigurationError("sweep values must be non-empty")
+    if axis in POLICY_FIELDS:
+        # an axis the policy does not read is refused before the first run,
+        # so it leaves no partial file
+        _parse_policy({**_field(doc, "", "policy", dict), axis: values[0]})
     out_dir = Path(args.out or _field(doc, "", "out", str, "runs"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -272,19 +279,9 @@ def cmd_sweep(args) -> int:
         return EXIT_OK
 
     rows = []
-    curve_points: dict[int, float] = {}
     for value in values:
         vdoc = copy.deepcopy(doc)
-        if axis == "batch_size":
-            _field(vdoc, "", "workload", dict)["batch_size"] = value
-        else:
-            pdoc = _field(vdoc, "", "policy", dict)
-            if axis == "b_cap":
-                if pdoc.get("name") not in ("cgam", "cgam_overlap", "maws_cgam"):
-                    raise ConfigurationError("b_cap axis needs a micro-batching policy")
-            elif pdoc.get("name") not in ("maws", "maws_cgam"):
-                raise ConfigurationError("theta axis needs a maws policy")
-            pdoc[axis] = value
+        _field(vdoc, "", "workload" if axis == "batch_size" else "policy", dict)[axis] = value
         try:
             config = parse_config(vdoc, path.parent, args.out, args.seed)
             _, report = execute(config)
@@ -297,8 +294,6 @@ def cmd_sweep(args) -> int:
         row = report_to_dict(report, config.config_fp)
         row[axis] = value
         rows.append(row)
-        if axis == "batch_size":
-            curve_points[value] = report.throughput
 
     written = _write_rows(rows, out_dir, "sweep", args.format, extra_columns=[axis])
     print(f"wrote {written} ({len(rows)} rows)")
@@ -308,7 +303,7 @@ def cmd_sweep(args) -> int:
             "kind": "throughput_curve",
             "tool_version": __version__,
             "config_fp": rows[-1]["config_fp"],
-            "points": dict(sorted(curve_points.items())),
+            "points": dict(sorted((row[axis], row["throughput_rps"]) for row in rows)),
         }
         (out_dir / "throughput_curve.yaml").write_text(dump_yaml(curve_doc))
         print(f"wrote {out_dir}/throughput_curve.yaml")
@@ -392,7 +387,6 @@ def cmd_calibrate(args) -> int:
     sources: dict[str, str] = {}
     cpu = base.cpu
     gpu = base.gpu
-    have_latency_fit = False
     if doc.get("cpu_observations"):
         obs = []
         for i, o in enumerate(_field(doc, "observations", "cpu_observations", list)):
@@ -407,7 +401,6 @@ def cmd_calibrate(args) -> int:
         sources["oversub_kappa"] = (
             f"least-squares fit over {len(obs)} oversubscription observation(s)"
         )
-        have_latency_fit = True
     if doc.get("gpu_latency_pair"):
         where = "observations.gpu_latency_pair"
         pair = _field(doc, "observations", "gpu_latency_pair", dict)
@@ -419,36 +412,27 @@ def cmd_calibrate(args) -> int:
             f"exact fit to latency pair {latency_a} s @ {batch_a} / "
             f"{latency_b} s @ {batch_b}; per-request work {work!r} s"
         )
-        have_latency_fit = True
 
-    if not have_latency_fit and not doc.get("energy_endpoints"):
+    if not sources and not doc.get("energy_endpoints"):
         raise InfeasibleModelError(
             "observations contain no cpu_observations, gpu_latency_pair, or "
             "energy_endpoints section to fit"
         )
 
     # both fits complete before either file is written
-    energy_fit = None
+    fits = []
+    if sources:  # a latency fit
+        fits.append((ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=base.energy), sources))
     if doc.get("energy_endpoints"):
-        energy_fit = _calibrate_energy_profile(
-            _field(doc, "observations", "energy_endpoints", dict), f"{name}_energy", base)
+        fits.append(_calibrate_energy_profile(
+            _field(doc, "observations", "energy_endpoints", dict), f"{name}_energy", base))
 
-    if have_latency_fit:
-        fitted = ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=base.energy)
-        out = out_dir / f"{name}.yaml"
-        out.write_text(dump_yaml(models_to_dict(fitted, sources), sort_keys=False))
+    for models, model_sources in fits:
+        out = out_dir / f"{models.name}.yaml"
+        out.write_text(dump_yaml(models_to_dict(models, model_sources), sort_keys=False))
         written.append(out)
-        for key, text in sorted(sources.items()):
+        for key, text in sorted(model_sources.items()):
             print(f"{key}: {text}")
-
-    if energy_fit is not None:
-        energy_models, energy_sources = energy_fit
-        out = out_dir / f"{name}_energy.yaml"
-        out.write_text(dump_yaml(models_to_dict(energy_models, energy_sources), sort_keys=False))
-        written.append(out)
-        for key, text in sorted(energy_sources.items()):
-            print(f"{key}: {text}")
-
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

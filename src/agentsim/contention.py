@@ -210,29 +210,33 @@ def calibrate_cpu(
     return CpuContentionParams(logical_cores=int(cores_seen), oversub_kappa=max(0.0, kappa))
 
 
+def _solve_b_half(batch_a: int, a: float, batch_b: int, b: float,
+                  what: str) -> tuple[float, float]:
+    """(b_half, b/a) for a ``what`` measure that grows as batch + b_half,
+    measured as ``a`` at ``batch_a`` and ``b`` at ``batch_b``. A ratio at or
+    below 1 (a super-linear curve) or at or above batch_b/batch_a (no
+    batching benefit) is outside the model."""
+    if min(batch_a, a, batch_b, b) <= 0:
+        raise ConfigurationError(f"batch sizes and {what} measures must be > 0")
+    if not (batch_a < batch_b):
+        raise ConfigurationError("need batch_a < batch_b")
+    ratio = b / a
+    if ratio <= 1.0 or ratio >= batch_b / batch_a:
+        raise InfeasibleModelError(
+            f"{what} ratio {ratio:.6g} outside (1, {batch_b / batch_a:.6g}): "
+            "saturation model cannot represent these observations"
+        )
+    return (batch_b - ratio * batch_a) / (ratio - 1.0), ratio
+
+
 def calibrate_gpu(
     batch_a: int, latency_a: float, batch_b: int, latency_b: float
 ) -> tuple[float, float]:
     """Solve the half-saturation constant and per-request work from one
-    latency pair measured at two residencies.
-
-    Returns (b_half, work_at_residency_one). Ratios at or below 1 mean the
-    curve would be super-linear; ratios at or above b/a mean zero batching
-    benefit. Both are outside the model.
-    """
-    if min(batch_a, latency_a, batch_b, latency_b) <= 0:
-        raise ConfigurationError("batch sizes and latencies must be > 0")
-    if not (batch_a < batch_b):
-        raise ConfigurationError("need batch_a < batch_b")
-    ratio = latency_b / latency_a
-    if ratio <= 1.0 or ratio >= batch_b / batch_a:
-        raise InfeasibleModelError(
-            f"latency ratio {ratio:.6g} outside (1, {batch_b / batch_a:.6g}): "
-            "saturation model cannot represent these observations"
-        )
-    b_half = (batch_b - ratio * batch_a) / (ratio - 1.0)
-    work = latency_a * (1.0 + b_half) / (batch_a + b_half)
-    return b_half, work
+    latency pair measured at two residencies. Returns (b_half,
+    work_at_residency_one)."""
+    b_half, _ = _solve_b_half(batch_a, latency_a, batch_b, latency_b, "latency")
+    return b_half, latency_a * (1.0 + b_half) / (batch_a + b_half)
 
 
 def calibrate_gpu_busy_ratio(
@@ -241,16 +245,7 @@ def calibrate_gpu_busy_ratio(
     """Solve b_half so that busy(batch_b)/busy(batch_a) equals the measured
     ratio busy_b/busy_a, where busy(b) = (b + b_half)/(1 + b_half) per unit
     of work. Returns (b_half, measured ratio)."""
-    if min(batch_a, busy_a, batch_b, busy_b) <= 0:
-        raise ConfigurationError("batch sizes and busy measures must be > 0")
-    if not (batch_a < batch_b):
-        raise ConfigurationError("need batch_a < batch_b")
-    busy_ratio = busy_b / busy_a
-    if busy_ratio <= 1.0 or busy_ratio >= batch_b / batch_a:
-        raise InfeasibleModelError(
-            f"busy-time ratio {busy_ratio:.6g} outside (1, {batch_b / batch_a:.6g})"
-        )
-    return (batch_b - busy_ratio * batch_a) / (busy_ratio - 1.0), busy_ratio
+    return _solve_b_half(batch_a, busy_a, batch_b, busy_b, "busy-time")
 
 
 def kv_peak(

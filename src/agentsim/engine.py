@@ -109,6 +109,11 @@ class Trace:
         )
 
 
+# (line tag, Trace field) of each step series, in the order the lines are
+# written and Occupancy.record appends to them
+STEP_SERIES = (("cpuload", "cpu_load_steps"), ("gpures", "gpu_res_steps"),
+               ("kvtokens", "kv_token_steps"), ("pooln", "pool_n_steps"))
+
 _json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -260,6 +265,13 @@ class Occupancy:
         return rates
 
 
+def _on_machine(models: ContentionModels, logical_cores: int) -> ContentionModels:
+    """``models`` with its CPU contention bound to a machine of ``logical_cores``:
+    a run's machine size is in its resources, not in the models profile."""
+    return dataclasses.replace(
+        models, cpu=dataclasses.replace(models.cpu, logical_cores=logical_cores))
+
+
 def simulate(
     tasks: list[TaskInstance],
     policy: Policy,
@@ -288,10 +300,7 @@ def simulate(
             kv_token_steps=[], pool_n_steps=[], makespan=0.0,
         )
 
-    # The machine size lives in resources; rebind the contention params to it.
-    models = dataclasses.replace(
-        models, cpu=dataclasses.replace(models.cpu, logical_cores=resources.logical_cores)
-    )
+    models = _on_machine(models, resources.logical_cores)
     dispatcher = Dispatcher(policy, tasks)
     pool_eff = None
     if dispatcher.pool_size is not None:
@@ -318,7 +327,7 @@ def simulate(
     heaps: list[list[tuple[float, int]]] = [[] for _ in CLASSES]  # (tag, task id)
     running: dict[int, tuple[int, float]] = {}  # task id -> (stage idx, start)
     records: list[StageRecord] = []
-    steps: tuple[list, ...] = ([], [], [], [])  # cpu load, gpu res, kv tokens, pool threads
+    steps: tuple[list, ...] = ([], [], [], [])  # in STEP_SERIES order
     now = 0.0
     remaining_stages = sum(len(t.pipeline.stages) for t in tasks)
     max_events = 100 * remaining_stages + 1000
@@ -403,15 +412,21 @@ def simulate(
         logical_cores=resources.logical_cores,
         pool_eff=pool_eff,
         records=records,
-        cpu_load_steps=steps[0],
-        gpu_res_steps=steps[1],
-        kv_token_steps=steps[2],
-        pool_n_steps=steps[3],
+        **{name: series for (_, name), series in zip(STEP_SERIES, steps)},
         makespan=now,
     )
 
 
 # -- trace serialization ----------------------------------------------------
+
+
+# meta key of a trace -> its parser, in the order the lines are written; a
+# trace holds every one, and None is written as "none"
+_TRACE_META = {
+    "schema_version": int, "tool_version": str, "workload_fp": str, "policy": str,
+    "models_fp": str, "seed": int, "logical_cores": int,
+    "pool_eff": lambda value: None if value == "none" else int(value), "makespan": float,
+}
 
 
 class _Reprs(dict):
@@ -430,18 +445,10 @@ def serialize_trace(trace: Trace) -> str:
     Each distinct event time (a float, as ``simulate`` and ``parse_trace``
     make them) is formatted once, and each section is joined on its own."""
     reprs = _Reprs()
-    sections = [
-        "# agentsim trace",
-        f"meta schema_version {trace.schema_version}",
-        f"meta tool_version {trace.tool_version}",
-        f"meta workload_fp {trace.workload_fp}",
-        f"meta policy {trace.policy}",
-        f"meta models_fp {trace.models_fp}",
-        f"meta seed {trace.seed}",
-        f"meta logical_cores {trace.logical_cores}",
-        f"meta pool_eff {trace.pool_eff if trace.pool_eff is not None else 'none'}",
-        f"meta makespan {trace.makespan!r}",
-    ]
+    sections = ["# agentsim trace"]
+    for key in _TRACE_META:
+        value = getattr(trace, key)
+        sections.append(f"meta {key} {'none' if value is None else value}")
     if trace.records:
         sections.append("\n".join([
             f"stage {task_id} {stage_idx} {kind} {mode} {int(host_blocking)} "
@@ -449,23 +456,10 @@ def serialize_trace(trace: Trace) -> str:
             for (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
                  start, end, label) in trace.records
         ]))
-    for name, steps in (
-        ("cpuload", trace.cpu_load_steps),
-        ("gpures", trace.gpu_res_steps),
-        ("kvtokens", trace.kv_token_steps),
-        ("pooln", trace.pool_n_steps),
-    ):
-        if steps:
-            sections.append("\n".join([f"{name} {reprs[t]} {v!r}" for t, v in steps]))
+    for tag, name in STEP_SERIES:
+        if steps := getattr(trace, name):
+            sections.append("\n".join([f"{tag} {reprs[t]} {v!r}" for t, v in steps]))
     return "\n".join(sections) + "\n"
-
-
-# meta key of a trace -> its parser; a trace holds every one
-_TRACE_META = {
-    "schema_version": int, "tool_version": str, "workload_fp": str, "policy": str,
-    "models_fp": str, "seed": int, "logical_cores": int, "makespan": float,
-    "pool_eff": lambda value: None if value == "none" else int(value),
-}
 
 
 def parse_trace(text: str) -> Trace:
@@ -473,7 +467,7 @@ def parse_trace(text: str) -> Trace:
     ConfigurationError naming its 1-based number."""
     meta: dict = {}
     records: list[StageRecord] = []
-    steps: dict[str, list] = {"cpuload": [], "gpures": [], "kvtokens": [], "pooln": []}
+    steps: dict[str, list] = {tag: [] for tag, _ in STEP_SERIES}
     for number, line in enumerate(text.splitlines(), 1):
         if not line or line.startswith("#"):
             continue
@@ -502,10 +496,7 @@ def parse_trace(text: str) -> Trace:
     return Trace(
         **meta,
         records=records,
-        cpu_load_steps=steps["cpuload"],
-        gpu_res_steps=steps["gpures"],
-        kv_token_steps=steps["kvtokens"],
-        pool_n_steps=steps["pooln"],
+        **{name: steps[tag] for tag, name in STEP_SERIES},
     )
 
 
@@ -529,9 +520,7 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
     keeps, per class, the prefix integral of the class rate; a stage's
     integrated work is the difference of that integral between its end and
     its start."""
-    models = dataclasses.replace(
-        models, cpu=dataclasses.replace(models.cpu, logical_cores=trace.logical_cores)
-    )
+    models = _on_machine(models, trace.logical_cores)
     records = trace.records
     n = len(records)
     keys = [
@@ -592,12 +581,11 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
             f"integrated {done[i]!r}, expected {rec.work!r}",
         )
 
-    recorded = (trace.cpu_load_steps, trace.gpu_res_steps, trace.kv_token_steps,
-                trace.pool_n_steps)
-    for name, got, want in zip(("cpuload", "gpures", "kvtokens", "pooln"), recorded, recomputed):
+    for (tag, name), want in zip(STEP_SERIES, recomputed):
+        got = getattr(trace, name)
         if got != want and (len(got) != len(want) or any(
             abs(a - c) > TIME_EPS or abs(b - d) > 1e-9
             for (a, b), (c, d) in zip(got, want)
         )):
-            return ReplayReport(False, f"occupancy mismatch in {name}")
+            return ReplayReport(False, f"occupancy mismatch in {tag}")
     return ReplayReport(True)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
 
-from .contention import EnergyParams, GpuSaturationParams
+from .contention import EnergyParams, GpuSaturationParams, kv_peak
 from .engine import Trace
 from .errors import ConfigurationError
 from .profiles import _as
@@ -40,33 +40,26 @@ class MetricsReport:
     per_class: dict[str, "MetricsReport"] = field(default_factory=dict)
 
     def as_row(self) -> dict:
-        row = {
-            "policy": self.policy,
-            "batch_size": self.batch_size,
-            "p50_s": self.p50,
-            "p90_s": self.p90,
-            "p99_s": self.p99,
-            "mean_s": self.mean,
-            "makespan_s": self.makespan,
-            "throughput_rps": self.throughput,
-            "kv_peak_bytes": self.kv_peak,
-            "cpu_dyn_energy_j": self.cpu_dyn_energy,
-            "gpu_dyn_energy_j": self.gpu_dyn_energy,
-            "workload_fp": self.workload_fp,
-        }
-        for cls in (TaskClass.CPU_HEAVY, TaskClass.LLM_HEAVY):
+        row = {column: getattr(self, name) for column, name in _ROW_FIELDS.items()}
+        for cls in TaskClass:
             sub = self.per_class.get(cls.value)
-            row[f"{cls.value}_p50_s"] = sub.p50 if sub else ""
-            row[f"{cls.value}_p99_s"] = sub.p99 if sub else ""
+            for column, name in _CLASS_FIELDS.items():
+                row[f"{cls.value}_{column}"] = getattr(sub, name) if sub else ""
         return row
 
 
-REPORT_COLUMNS = [
-    "policy", "batch_size", "p50_s", "p90_s", "p99_s", "mean_s", "makespan_s",
-    "throughput_rps", "kv_peak_bytes", "cpu_dyn_energy_j", "gpu_dyn_energy_j",
-    "workload_fp", "cpu_heavy_p50_s", "cpu_heavy_p99_s",
-    "llm_heavy_p50_s", "llm_heavy_p99_s",
-]
+# the metric columns of a report row: what `agentsim run` prints and
+# `compare` divides; each is its MetricsReport field plus a unit
+METRIC_COLUMNS = ("p50_s", "p90_s", "p99_s", "mean_s", "makespan_s", "throughput_rps",
+                  "kv_peak_bytes", "cpu_dyn_energy_j", "gpu_dyn_energy_j")
+# report column -> the MetricsReport field it holds, in column order
+_ROW_FIELDS = {"policy": "policy", "batch_size": "batch_size",
+               **{column: column.rsplit("_", 1)[0] for column in METRIC_COLUMNS},
+               "workload_fp": "workload_fp"}
+# the columns of each per-class report, each prefixed by its class
+_CLASS_FIELDS = {"p50_s": "p50", "p99_s": "p99"}
+REPORT_COLUMNS = [*_ROW_FIELDS, *(f"{cls.value}_{column}"
+                                  for cls in TaskClass for column in _CLASS_FIELDS)]
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,6 @@ def summarize(
     cpu_energy = (energy_params.cpu_dyn_w_per_core * busy_core_s
                   + energy_params.cpu_pkg_dyn_w * pkg_active_s)
     gpu_energy = energy_params.gpu_dyn_w * gpu_active_s
-    peak_tokens = max((v for _, v in trace.kv_token_steps), default=0)
 
     per_class: dict[str, MetricsReport] = {}
     if class_labels is not None and len(set(class_labels.values())) > 1:
@@ -151,20 +143,16 @@ def summarize(
 
     return _latency_report(
         list(latencies.values()), trace, makespan=trace.makespan,
-        kv_peak=peak_tokens * kv_params.kv_bytes_per_token,
+        kv_peak=kv_peak(trace.kv_token_steps, kv_params),
         cpu_dyn_energy=cpu_energy, gpu_dyn_energy=gpu_energy, per_class=per_class,
     )
-
-
-# the report columns compared; each ratio is named by its column less the unit
-_COMPARED = ("p50_s", "p90_s", "p99_s", "mean_s", "makespan_s", "throughput_rps",
-             "kv_peak_bytes", "cpu_dyn_energy_j", "gpu_dyn_energy_j")
 
 
 def compare(baseline: dict, candidate: dict) -> SpeedupReport:
     """Baseline/candidate ratio per metric of two report rows
     (``MetricsReport.as_row()``, or a ``report.yaml``); both must describe
-    the same workload. Per-class ratios cover the classes both rows have."""
+    the same workload. Each ratio is named by its column less the unit;
+    per-class ratios cover the classes both rows have."""
     rows = {"baseline": baseline, "candidate": candidate}
 
     def columns(column: str, kind) -> list:
@@ -175,10 +163,10 @@ def compare(baseline: dict, candidate: dict) -> SpeedupReport:
     fp_b, fp_c = columns("workload_fp", str)
     if fp_b != fp_c:
         raise ConfigurationError(f"workload fingerprint mismatch: {fp_b} vs {fp_c}")
-    compared = list(_COMPARED)
+    compared = list(METRIC_COLUMNS)
     for cls in TaskClass:
         if all(row.get(f"{cls.value}_p50_s") not in (None, "") for row in rows.values()):
-            compared += [f"{cls.value}_p50_s", f"{cls.value}_p99_s"]
+            compared += [f"{cls.value}_{column}" for column in _CLASS_FIELDS]
     ratios: dict[str, float] = {}
     for column in compared:
         b, c = columns(column, (int, float))

@@ -10,23 +10,35 @@ enforced by the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError, InternalConsistencyError
 from .workload import TaskClass, TaskInstance, class_labels
 
-POLICY_NAMES = (
-    "sequential",
-    "multithreading",
-    "multiprocessing",
-    "cgam",
-    "cgam_overlap",
-    "maws",
-    "maws_cgam",
-)
-
 PROCESS = "process"
 THREAD = "thread"
+
+# config key of each policy parameter -> (Policy field, type), in the order
+# Policy.canonical names them
+POLICY_FIELDS = {
+    "b_cap": ("b_cap", int), "pool_size": ("pool_size", int), "theta": ("theta", float),
+    "thread_pool_cores": ("thread_pool_cores", int), "exec": ("exec_mode", str),
+}
+
+# The parameters each policy reads. Every policy reads theta, the CPU-heavy
+# threshold that also splits the per-class report; a micro-batching policy
+# reads pool_size only under exec: thread. Each integer parameter a policy
+# reads must be >= 1, so b_cap and pool_size, which default to None, must be set.
+POLICY_PARAMS = {
+    "sequential": ("theta",),
+    "multithreading": ("pool_size", "theta"),
+    "multiprocessing": ("theta",),
+    "cgam": ("b_cap", "pool_size", "theta", "exec"),
+    "cgam_overlap": ("b_cap", "pool_size", "theta", "exec"),
+    "maws": ("theta", "thread_pool_cores"),
+    "maws_cgam": ("b_cap", "theta", "thread_pool_cores"),
+}
+POLICY_NAMES = tuple(POLICY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -35,7 +47,8 @@ class Policy:
 
     ``exec_mode`` selects the parallelization used inside CGAM micro-batches
     so a thread-parallel workload keeps thread semantics when capped (the
-    retrieval-bound case); it defaults to process semantics.
+    retrieval-bound case); it defaults to process semantics. A parameter the
+    policy does not read (``POLICY_PARAMS``) must keep its default.
     """
 
     name: str
@@ -46,40 +59,47 @@ class Policy:
     exec_mode: str = PROCESS
 
     def __post_init__(self):
-        if self.name not in POLICY_NAMES:
+        if self.name not in POLICY_PARAMS:
             raise ConfigurationError(
                 f"unknown policy {self.name!r}; expected one of {', '.join(POLICY_NAMES)}"
             )
-        if self.name in ("cgam", "cgam_overlap", "maws_cgam"):
-            if self.b_cap is None or self.b_cap < 1:
-                raise ConfigurationError(f"policy {self.name!r} requires b_cap >= 1")
-        if self.name == "multithreading" and (self.pool_size is None or self.pool_size < 1):
-            raise ConfigurationError("multithreading requires pool_size >= 1")
-        if self.name in ("cgam", "cgam_overlap") and self.exec_mode == THREAD:
-            if self.pool_size is None or self.pool_size < 1:
+        reads = self.reads()
+        for key, (name, kind) in POLICY_FIELDS.items():
+            value = getattr(self, name)
+            if key not in reads and value != _DEFAULTS[name]:
                 raise ConfigurationError(
-                    f"{self.name} with thread execution requires pool_size >= 1"
-                )
-        if self.name in ("maws", "maws_cgam"):
-            if not 0.0 < self.theta < 1.0:
-                raise ConfigurationError("theta must be in (0, 1)")
-            if self.thread_pool_cores < 1:
-                raise ConfigurationError("thread_pool_cores must be >= 1")
+                    f"policy.{key} is not read by policy {self.name!r}, which reads "
+                    f"{', '.join(reads)}")
+            if key in reads and kind is int and (value is None or value < 1):
+                raise ConfigurationError(f"policy {self.name!r} requires {key} >= 1")
+        if not 0.0 < self.theta < 1.0:
+            raise ConfigurationError("theta must be in (0, 1)")
         if self.exec_mode not in (PROCESS, THREAD):
             raise ConfigurationError("exec_mode must be 'process' or 'thread'")
 
+    def reads(self) -> tuple[str, ...]:
+        """The config keys of the parameters this policy reads."""
+        keys = POLICY_PARAMS[self.name]
+        if "exec" in keys and self.exec_mode != THREAD:
+            keys = tuple(key for key in keys if key != "pool_size")
+        return keys
+
     def canonical(self) -> str:
+        """The name, then ``key=value`` for each parameter the policy reads
+        that is off its default. The MAWS policies, which read
+        thread_pool_cores, name their split in full, defaults included, as
+        their fingerprints always have."""
+        reads = self.reads()
+        split = ("theta", "thread_pool_cores") if "thread_pool_cores" in reads else ()
         parts = [self.name]
-        if self.b_cap is not None:
-            parts.append(f"b_cap={self.b_cap}")
-        if self.pool_size is not None:
-            parts.append(f"pool_size={self.pool_size}")
-        if self.name in ("maws", "maws_cgam"):
-            parts.append(f"theta={self.theta!r}")
-            parts.append(f"thread_pool_cores={self.thread_pool_cores}")
-        if self.name in ("cgam", "cgam_overlap") and self.exec_mode != PROCESS:
-            parts.append(f"exec={self.exec_mode}")
+        for key, (name, _) in POLICY_FIELDS.items():
+            value = getattr(self, name)
+            if key in reads and (value != _DEFAULTS[name] or key in split):
+                parts.append(f"{key}={value}")
         return " ".join(parts)
+
+
+_DEFAULTS = {f.name: f.default for f in fields(Policy)}
 
 
 @dataclass(frozen=True)

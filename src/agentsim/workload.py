@@ -56,10 +56,10 @@ class StageSpec:
             raise ConfigurationError(f"stage {self.label!r}: cpu_share must be in [0, 1]")
         if self.kv_tokens < 0:
             raise ConfigurationError(f"stage {self.label!r}: kv_tokens must be >= 0")
-        if self.kv_tokens > 0 and self.kind is not StageKind.GPU_INFERENCE:
-            raise ConfigurationError(
-                f"stage {self.label!r}: kv_tokens only valid on gpu_inference stages"
-            )
+        for name in ("kv_tokens", "host_blocking"):
+            if getattr(self, name) and self.kind is not StageKind.GPU_INFERENCE:
+                raise ConfigurationError(
+                    f"stage {self.label!r}: {name} only valid on gpu_inference stages")
 
 
 @dataclass(frozen=True)

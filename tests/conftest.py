@@ -15,6 +15,25 @@ else:
     settings.load_profile("agentsim")
 
 
+# The policy parameters each policy reads, by config key, as the README
+# documents them: every policy reads theta, and cgam and cgam_overlap read
+# pool_size only under exec: thread. Written out here, apart from the
+# package's own table, so the tests check that table.
+POLICY_READS = {
+    "sequential": {"theta"},
+    "multithreading": {"pool_size", "theta"},
+    "multiprocessing": {"theta"},
+    "cgam": {"b_cap", "pool_size", "theta", "exec"},
+    "cgam_overlap": {"b_cap", "pool_size", "theta", "exec"},
+    "maws": {"theta", "thread_pool_cores"},
+    "maws_cgam": {"b_cap", "theta", "thread_pool_cores"},
+}
+# config key -> (Policy field, type) of each policy parameter
+POLICY_KEYS = {"b_cap": ("b_cap", int), "pool_size": ("pool_size", int),
+               "theta": ("theta", float), "thread_pool_cores": ("thread_pool_cores", int),
+               "exec": ("exec_mode", str)}
+
+
 @pytest.fixture(scope="session")
 def models():
     return a.load_models("emerald_rapids_b200")

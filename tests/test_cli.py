@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,16 @@ import yaml
 import pytest
 
 import agentsim
-from agentsim.cli import main
+from agentsim.cli import main, parse_config
 from agentsim.engine import parse_trace, serialize_trace
+from agentsim.schedulers import POLICY_FIELDS, POLICY_PARAMS
 
+from conftest import POLICY_KEYS, POLICY_READS
+
+SWE_GUARDRAIL = [
+    {"pipeline": "swe_agent_apps", "proportion": 0.5},
+    {"pipeline": "langchain_guardrail", "proportion": 0.5},
+]
 BASE_CONFIG = {
     "schema_version": 1,
     "workload": {"profile": "langchain_freshqa", "batch_size": 8, "jitter_cv": 0.0},
@@ -195,9 +203,24 @@ class TestSweep:
         # sweep row carries the axis column first, then the same report cells
         assert sweep_rows[1].split(",", 1)[1] == run_row
 
-    def test_bcap_sweep_requires_microbatch_policy(self, tmp_path):
+    def test_bcap_sweep_requires_microbatch_policy(self, tmp_path, capsys):
+        # refused before the first run: no partial file is written
         cfg = self.sweep_doc(tmp_path, "b_cap", [2, 4])
         assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "policy.b_cap" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_out" / "sweep_partial.csv").exists()
+
+    def test_theta_sweep_on_a_non_maws_policy_splits_the_report(self, tmp_path):
+        # under multiprocessing theta moves only the per-class split
+        doc = {**BASE_CONFIG, "workload": {"mix": SWE_GUARDRAIL, "batch_size": 8},
+               "out": str(tmp_path / "sweep_out"),
+               "sweep": {"axis": "theta", "values": [0.5, 0.95]}}
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc))]) == 0
+        header, *rows = (tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()
+        columns = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert columns[0]["p50_s"] == columns[1]["p50_s"]
+        assert columns[0]["cpu_heavy_p50_s"] and not columns[1]["cpu_heavy_p50_s"]
+        assert columns[0]["config_fp"] != columns[1]["config_fp"]
 
     def test_failed_member_run_leaves_partial_results(self, tmp_path, capsys):
         cfg = self.sweep_doc(tmp_path, "b_cap", [2, 0],
@@ -270,6 +293,77 @@ class TestSweep:
         assert got[1.1] == 64
         assert got[1.05] == 128
         assert got[1.6] == 32
+
+
+def policy_doc(name: str) -> dict:
+    """An accepted policy mapping: ``name`` with each parameter it requires."""
+    doc = {"name": name}
+    if "b_cap" in POLICY_READS[name]:
+        doc["b_cap"] = 2
+    if name == "multithreading":
+        doc["pool_size"] = 2
+    return doc
+
+
+# a value off its default for each policy parameter
+OFF_DEFAULT = {"b_cap": 4, "pool_size": 4, "theta": 0.3, "thread_pool_cores": 4,
+               "exec": "thread"}
+UNREAD = [(name, key) for name in sorted(POLICY_READS) for key in OFF_DEFAULT
+          if key not in POLICY_READS[name]]
+README = Path(__file__).parents[1] / "README.md"
+
+
+class TestPolicyParameters:
+    """Each policy accepts the parameters it reads, and a config that sets
+    any other one off its default exits 2 naming it."""
+
+    @pytest.mark.parametrize("name, key", UNREAD + [("cgam", "pool_size"),
+                                                    ("cgam_overlap", "pool_size")])
+    def test_unread_parameter_exits_2_naming_it(self, tmp_path, capsys, name, key):
+        # cgam and cgam_overlap read pool_size only under exec: thread
+        doc = {**BASE_CONFIG, "policy": {**policy_doc(name), key: OFF_DEFAULT[key]}}
+        assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and f"policy.{key}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, key", [(name, key) for name in sorted(POLICY_READS)
+                                           for key in sorted(POLICY_READS[name])])
+    def test_read_parameter_is_accepted(self, tmp_path, name, key):
+        pdoc = {**policy_doc(name), key: OFF_DEFAULT[key]}
+        if name.startswith("cgam") and key in ("exec", "pool_size"):
+            pdoc.update(exec="thread", pool_size=4)
+        config = parse_config({**BASE_CONFIG, "policy": pdoc}, tmp_path)
+        assert getattr(config.policy, POLICY_KEYS[key][0]) == OFF_DEFAULT[key]
+
+    def test_theta_off_its_default_changes_the_config_fingerprint(self, tmp_path):
+        # theta splits the per-class report under every policy, so two
+        # configs that differ only in it must not share a fingerprint
+        fps = []
+        for name, theta in (("default", None), ("high", 0.95)):
+            policy = {"name": "multiprocessing", **({"theta": theta} if theta else {})}
+            doc = {**BASE_CONFIG, "policy": policy, "workload": {
+                "mix": SWE_GUARDRAIL, "batch_size": 8, "jitter_cv": 0.0}}
+            cfg = write_config(tmp_path, doc, f"{name}.yaml")
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            fps.append(yaml.safe_load((tmp_path / name / "report.yaml").read_text())["config_fp"])
+        assert fps[0] != fps[1]
+
+    def test_readme_run_config_parses_and_names_the_readers(self, tmp_path):
+        text = README.read_text().split("A run config is one YAML document:", 1)[1]
+        block = text.split("```yaml\n", 1)[1].split("```", 1)[0]
+        config = parse_config(yaml.safe_load(block), README.parent)
+        assert config.policy.name == "cgam"
+        # each policy key's comment starts with the policies that read it
+        readers = {}
+        for match in re.finditer(r"^\s*#?\s*(\w+): [^#\n]*#([^:(\n]*)", block, re.M):
+            key, names = match.groups()
+            if key in POLICY_FIELDS:
+                readers[key] = (set(POLICY_PARAMS) if "every policy" in names
+                                else set(re.findall(r"\w+", names)) & set(POLICY_PARAMS))
+        assert readers == {key: {name for name, reads in POLICY_PARAMS.items() if key in reads}
+                           for key in POLICY_FIELDS}
 
 
 class TestCalibrate:
@@ -463,11 +557,14 @@ class TestIllTypedInputs:
         (inline_freshqa(("stages", 1, "label"), "web\nsearch"), "pipeline.stages[1].label"),
         (inline_freshqa(("stages", 0, "label"), "web\r"), "pipeline.stages[0].label"),
         ({"workload": {**BASE_CONFIG["workload"], "jitter_cv": 1e200}}, "workload.jitter_cv"),
+        (inline_freshqa(("stages", 1, "host_blocking"), True),
+         "host_blocking only valid on gpu_inference"),
     ], ids=["batch_size", "mix_proportion", "seed", "logical_cores", "models_list",
             "infinite_batch_size", "negative_seed", "models_without_gpu", "nan_b_half",
             "infinite_base_latency", "numeric_label", "unknown_stage_kind",
             "fractional_batch_size", "bool_batch_size", "bool_jitter_cv",
-            "label_with_newline", "label_ending_in_carriage_return", "overflowing_jitter_cv"])
+            "label_with_newline", "label_ending_in_carriage_return", "overflowing_jitter_cv",
+            "host_blocking_cpu_tool"])
     def test_run_exits_2_naming_the_field(self, tmp_path, capsys, change, field):
         cfg = write_config(tmp_path, {**BASE_CONFIG, **change})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
