@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .contention import (
@@ -80,8 +79,7 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """One resolved experiment: workload and seed, policy, resources, models."""
 
     workload: WorkloadSpec
@@ -337,8 +335,8 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
     # At or below the hardware thread count the oversubscription term is
     # unidentifiable from energy endpoints; pin it at 0.
     kappa = 0.0 if cores >= b_large else base.cpu.oversub_kappa
-    cpu = dataclasses.replace(base.cpu, logical_cores=cores, oversub_kappa=kappa)
-    gpu = dataclasses.replace(base.gpu, b_half=b_half_energy)
+    cpu = base.cpu.replace(logical_cores=cores, oversub_kappa=kappa)
+    gpu = base.gpu.replace(b_half=b_half_energy)
     sources["b_half"] = (
         f"exact fit to busy-time ratio {busy_ratio!r} between batch {b_small} "
         f"and batch {b_large} energy runs"
@@ -359,9 +357,8 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
         float(cpu_j_small), float(cpu_j_large), busy_s, busy_l, active_s, active_l,
     )
     gpu_w = fit_dynamic_watts(float(gpu_j_small), float(gpu_j_large), gpu_s, gpu_l)
-    energy = dataclasses.replace(
-        base.energy, cpu_dyn_w_per_core=cpu_w, cpu_pkg_dyn_w=cpu_pkg_w, gpu_dyn_w=gpu_w
-    )
+    energy = base.energy.replace(cpu_dyn_w_per_core=cpu_w, cpu_pkg_dyn_w=cpu_pkg_w,
+                                 gpu_dyn_w=gpu_w)
     sources["cpu_dyn_w_per_core"] = (
         f"exact solve, with cpu_pkg_dyn_w, to endpoints {cpu_j_small} J @ "
         f"batch {b_small} and {cpu_j_large} J @ batch {b_large} over busy "
@@ -395,9 +392,7 @@ def cmd_calibrate(args) -> int:
             obs.append(tuple(_field(o, where, key, kind) for key, kind in (
                 ("load", float), ("cores", int), ("base_s", float), ("observed_s", float))))
         fit = calibrate_cpu(obs)
-        cpu = dataclasses.replace(
-            cpu, logical_cores=fit.logical_cores, oversub_kappa=fit.oversub_kappa
-        )
+        cpu = cpu.replace(logical_cores=fit.logical_cores, oversub_kappa=fit.oversub_kappa)
         sources["oversub_kappa"] = (
             f"least-squares fit over {len(obs)} oversubscription observation(s)"
         )
@@ -407,7 +402,7 @@ def cmd_calibrate(args) -> int:
         batch_a, latency_a, batch_b, latency_b = (_field(pair, where, key, kind) for key, kind in (
             ("batch_a", int), ("latency_a", float), ("batch_b", int), ("latency_b", float)))
         b_half, work = calibrate_gpu(batch_a, latency_a, batch_b, latency_b)
-        gpu = dataclasses.replace(gpu, b_half=b_half)
+        gpu = gpu.replace(b_half=b_half)
         sources["b_half"] = (
             f"exact fit to latency pair {latency_a} s @ {batch_a} / "
             f"{latency_b} s @ {batch_b}; per-request work {work!r} s"

@@ -8,13 +8,12 @@ be evaluated concurrently and are trivially replayable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError, InfeasibleModelError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class CpuContentionParams:
+class CpuContentionParams(Frozen):
     """CPU-side contention knobs.
 
     ``oversub_kappa`` is the linear context-switch penalty applied on top of
@@ -22,41 +21,38 @@ class CpuContentionParams:
     ``gil_serial_fraction`` only matters for thread-pool execution.
     """
 
-    logical_cores: int = 96
-    oversub_kappa: float = 0.0
-    gil_serial_fraction: float = 0.0
+    __slots__ = ("logical_cores", "oversub_kappa", "gil_serial_fraction")
 
-    def __post_init__(self):
-        if self.logical_cores < 1:
+    def __init__(self, logical_cores: int = 96, oversub_kappa: float = 0.0,
+                 gil_serial_fraction: float = 0.0):
+        if logical_cores < 1:
             raise ConfigurationError("logical_cores must be >= 1")
-        if self.oversub_kappa < 0:
+        if oversub_kappa < 0:
             raise ConfigurationError("oversub_kappa must be >= 0")
-        if not 0.0 <= self.gil_serial_fraction <= 1.0:
+        if not 0.0 <= gil_serial_fraction <= 1.0:
             raise ConfigurationError("gil_serial_fraction must be in [0, 1]")
+        self._init(logical_cores, oversub_kappa, gil_serial_fraction)
 
 
-@dataclass(frozen=True)
-class GpuSaturationParams:
+class GpuSaturationParams(Frozen):
     """Half-saturation throughput curve plus a hard KV spill penalty."""
 
-    b_half: float = 64.0
-    kv_bytes_per_token: int = 131072
-    kv_capacity: int = 34359738368
-    spill_rate_factor: float = 0.25
+    __slots__ = ("b_half", "kv_bytes_per_token", "kv_capacity", "spill_rate_factor")
 
-    def __post_init__(self):
-        if self.b_half <= 0:
+    def __init__(self, b_half: float = 64.0, kv_bytes_per_token: int = 131072,
+                 kv_capacity: int = 34359738368, spill_rate_factor: float = 0.25):
+        if b_half <= 0:
             raise ConfigurationError("b_half must be > 0")
-        if self.kv_capacity <= 0:
+        if kv_capacity <= 0:
             raise ConfigurationError("kv_capacity must be > 0")
-        if not 0.0 < self.spill_rate_factor <= 1.0:
+        if not 0.0 < spill_rate_factor <= 1.0:
             raise ConfigurationError("spill_rate_factor must be in (0, 1]")
-        if self.kv_bytes_per_token < 0:
+        if kv_bytes_per_token < 0:
             raise ConfigurationError("kv_bytes_per_token must be >= 0")
+        self._init(b_half, kv_bytes_per_token, kv_capacity, spill_rate_factor)
 
 
-@dataclass(frozen=True)
-class EnergyParams:
+class EnergyParams(Frozen):
     """Dynamic power constants, in watts above idle: energy totals are
     idle-subtracted by definition.
 
@@ -66,38 +62,41 @@ class EnergyParams:
     while at least one request is resident.
     """
 
-    cpu_dyn_w_per_core: float = 0.0
-    cpu_pkg_dyn_w: float = 0.0
-    gpu_dyn_w: float = 0.0
+    __slots__ = ("cpu_dyn_w_per_core", "cpu_pkg_dyn_w", "gpu_dyn_w")
 
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ConfigurationError(f"{f.name} must be >= 0")
+    def __init__(self, cpu_dyn_w_per_core: float = 0.0, cpu_pkg_dyn_w: float = 0.0,
+                 gpu_dyn_w: float = 0.0):
+        values = (cpu_dyn_w_per_core, cpu_pkg_dyn_w, gpu_dyn_w)
+        for name, value in zip(self.__slots__, values):
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
+        self._init(*values)
 
 
-@dataclass(frozen=True)
-class ContentionModels:
+class ContentionModels(Frozen):
     """Bundle of all calibrated model parameters for one host profile."""
 
-    name: str = "default"
-    cpu: CpuContentionParams = field(default_factory=CpuContentionParams)
-    gpu: GpuSaturationParams = field(default_factory=GpuSaturationParams)
-    energy: EnergyParams = field(default_factory=EnergyParams)
+    __slots__ = ("name", "cpu", "gpu", "energy")
+
+    def __init__(self, name: str = "default",
+                 cpu: CpuContentionParams = CpuContentionParams(),
+                 gpu: GpuSaturationParams = GpuSaturationParams(),
+                 energy: EnergyParams = EnergyParams()):
+        self._init(name, cpu, gpu, energy)
 
 
-@dataclass(frozen=True)
-class ThroughputCurve:
+class ThroughputCurve(Frozen):
     """Measured throughput (requests/s) per batch size, batch sizes ascending."""
 
-    points: dict[int, float]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        keys = list(self.points)
+    def __init__(self, points: dict[int, float]):
+        keys = list(points)
         if keys != sorted(keys):
             raise ConfigurationError("throughput curve keys must be increasing")
-        if any(v <= 0 for v in self.points.values()):
+        if any(v <= 0 for v in points.values()):
             raise ConfigurationError("throughput values must be > 0")
+        self._init(points)
 
 
 def cpu_rate(active_cpu_load: float, params: CpuContentionParams) -> float:

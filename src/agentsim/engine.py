@@ -22,17 +22,16 @@ some times and loads, within 1e-9 relative.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import heapq
 import json
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import __version__
 from .contention import ContentionModels, cpu_rate, gpu_rate, thread_pool_rate
 from .errors import ConfigurationError, InternalConsistencyError
+from .frozen import Frozen
 from .schedulers import THREAD, Dispatcher, Policy
 from .workload import StageKind, TaskInstance
 
@@ -40,15 +39,15 @@ TIME_EPS = 1e-12  # absolute epsilon for all virtual-time comparisons
 TRACE_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ResourcePool:
+class ResourcePool(Frozen):
     """Machine description: logical CPU cores and a single GPU."""
 
-    logical_cores: int = 96
+    __slots__ = ("logical_cores",)
 
-    def __post_init__(self):
-        if self.logical_cores < 1:
+    def __init__(self, logical_cores: int = 96):
+        if logical_cores < 1:
             raise ConfigurationError("logical_cores must be >= 1")
+        self._init(logical_cores)
 
 
 class StageRecord(NamedTuple):
@@ -67,8 +66,7 @@ class StageRecord(NamedTuple):
     label: str
 
 
-@dataclass
-class Trace:
+class Trace(NamedTuple):
     """Complete record of one simulation run.
 
     Besides per-(task, stage) intervals it stores the resource-occupancy
@@ -146,8 +144,8 @@ def workload_fingerprint(tasks: list[TaskInstance]) -> str:
 def models_fingerprint(models: ContentionModels) -> str:
     """Digest of every model constant (not the name), section by section in
     field order."""
-    _, *sections = dataclasses.astuple(models)
-    return fingerprint([value for section in sections for value in section])
+    _, *sections = models.as_dict().values()
+    return fingerprint([value for section in sections for value in section.as_dict().values()])
 
 
 # -- stage classes and occupancy ---------------------------------------------
@@ -268,8 +266,7 @@ class Occupancy:
 def _on_machine(models: ContentionModels, logical_cores: int) -> ContentionModels:
     """``models`` with its CPU contention bound to a machine of ``logical_cores``:
     a run's machine size is in its resources, not in the models profile."""
-    return dataclasses.replace(
-        models, cpu=dataclasses.replace(models.cpu, logical_cores=logical_cores))
+    return models.replace(cpu=models.cpu.replace(logical_cores=logical_cores))
 
 
 def simulate(
@@ -288,6 +285,7 @@ def simulate(
     S_c reaches its tag S_c(start) + work. A clock restarts at 0.0 whenever
     its class empties, so a stage that runs alone ends at start + work.
     """
+    models = _on_machine(models, resources.logical_cores)
     if not tasks:
         return Trace(
             workload_fp=workload_fingerprint(tasks),
@@ -300,7 +298,6 @@ def simulate(
             kv_token_steps=[], pool_n_steps=[], makespan=0.0,
         )
 
-    models = _on_machine(models, resources.logical_cores)
     dispatcher = Dispatcher(policy, tasks)
     pool_eff = None
     if dispatcher.pool_size is not None:
@@ -503,8 +500,7 @@ def parse_trace(text: str) -> Trace:
 # -- replay / audit ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReplayReport:
+class ReplayReport(NamedTuple):
     ok: bool
     detail: str = ""
 

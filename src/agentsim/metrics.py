@@ -13,8 +13,9 @@ time at least one request is resident. Idle draws are excluded throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain, pairwise
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .contention import EnergyParams, GpuSaturationParams, kv_peak
 from .engine import Trace
@@ -23,8 +24,7 @@ from .profiles import _as
 from .workload import TaskClass
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     p50: float
     p90: float
     p99: float
@@ -37,7 +37,7 @@ class MetricsReport:
     batch_size: int
     workload_fp: str
     policy: str
-    per_class: dict[str, "MetricsReport"] = field(default_factory=dict)
+    per_class: dict[str, MetricsReport] = MappingProxyType({})  # read-only, so shareable
 
     def as_row(self) -> dict:
         row = {column: getattr(self, name) for column, name in _ROW_FIELDS.items()}
@@ -62,8 +62,7 @@ REPORT_COLUMNS = [*_ROW_FIELDS, *(f"{cls.value}_{column}"
                                   for cls in TaskClass for column in _CLASS_FIELDS)]
 
 
-@dataclass(frozen=True)
-class SpeedupReport:
+class SpeedupReport(NamedTuple):
     """Per-metric baseline/candidate ratios."""
 
     ratios: dict[str, float]

@@ -14,7 +14,6 @@ documents and the same bytes.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import importlib.resources
 import math
@@ -96,9 +95,10 @@ def _profile_dir() -> Path:
 
 
 @functools.lru_cache(maxsize=None)
-def _bundled_paths() -> tuple[Path, ...]:
-    """The bundled profile files, listed once per process (the set is fixed)."""
-    return tuple(sorted(_profile_dir().glob("*.yaml")))
+def _bundled_paths() -> dict[str, Path]:
+    """Each bundled profile file by its stem, which is the profile's name,
+    listed once per process (the set is fixed). Callers must not mutate it."""
+    return {path.stem: path for path in sorted(_profile_dir().glob("*.yaml"))}
 
 
 @functools.lru_cache(maxsize=None)
@@ -109,7 +109,7 @@ def _bundled_doc(path: Path) -> dict:
 
 
 def _bundled_docs():
-    return (_bundled_doc(path) for path in _bundled_paths())
+    return (_bundled_doc(path) for path in _bundled_paths().values())
 
 
 def list_profiles(kind: str | None = None) -> list[str]:
@@ -119,8 +119,12 @@ def list_profiles(kind: str | None = None) -> list[str]:
 
 
 def _find_bundled(name: str, kind: str) -> dict:
-    for doc in _bundled_docs():
-        if doc.get("name") == name and doc.get("kind") == kind:
+    """The bundled ``kind`` document named ``name``: ``profiles/<name>.yaml``,
+    the only file parsed."""
+    path = _bundled_paths().get(name)
+    if path is not None:
+        doc = _bundled_doc(path)
+        if doc.get("kind") == kind:
             return doc
     raise UnknownProfileError(name, list_profiles(kind))
 
@@ -204,20 +208,21 @@ def models_from_dict(doc: dict) -> ContentionModels:
     the cpu and gpu sections are required."""
     _check_schema(doc, "models")
     params = {}
-    for section in dataclasses.fields(ContentionModels)[1:]:  # after the name
-        where = f"models.{section.name}"
-        fields = _field(doc, "models", section.name, dict,
-                        {} if section.name == "energy" else None)
-        params[section.name] = section.default_factory(**{
-            f.name: _field(fields, where, f.name, type(f.default), f.default)
-            for f in dataclasses.fields(section.default_factory)
+    _, *sections = ContentionModels().as_dict().items()  # each section's defaults
+    for section, default in sections:
+        where = f"models.{section}"
+        fields = _field(doc, "models", section, dict, {} if section == "energy" else None)
+        params[section] = type(default)(**{
+            name: _field(fields, where, name, type(value), value)
+            for name, value in default.as_dict().items()
         })
     return ContentionModels(name=_field(doc, "models", "name", str), **params)
 
 
 def models_to_dict(models: ContentionModels, sources: dict | None = None) -> dict:
-    doc = {"schema_version": PROFILE_SCHEMA_VERSION, "kind": "models",
-           **dataclasses.asdict(models)}
+    _, *sections = models.as_dict().items()
+    doc = {"schema_version": PROFILE_SCHEMA_VERSION, "kind": "models", "name": models.name,
+           **{section: params.as_dict() for section, params in sections}}
     if sources:
         doc["sources"] = sources
     return doc

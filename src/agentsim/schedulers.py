@@ -10,9 +10,10 @@ enforced by the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ConfigurationError, InternalConsistencyError
+from .frozen import Frozen
 from .workload import TaskClass, TaskInstance, class_labels
 
 PROCESS = "process"
@@ -41,8 +42,7 @@ POLICY_PARAMS = {
 POLICY_NAMES = tuple(POLICY_PARAMS)
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(Frozen):
     """Scheduler variant plus its parameters.
 
     ``exec_mode`` selects the parallelization used inside CGAM micro-batches
@@ -51,30 +51,27 @@ class Policy:
     policy does not read (``POLICY_PARAMS``) must keep its default.
     """
 
-    name: str
-    b_cap: int | None = None
-    pool_size: int | None = None
-    theta: float = 0.5
-    thread_pool_cores: int = 8
-    exec_mode: str = PROCESS
+    __slots__ = ("name", "b_cap", "pool_size", "theta", "thread_pool_cores", "exec_mode")
 
-    def __post_init__(self):
-        if self.name not in POLICY_PARAMS:
+    def __init__(self, name: str, b_cap: int | None = None, pool_size: int | None = None,
+                 theta: float = 0.5, thread_pool_cores: int = 8, exec_mode: str = PROCESS):
+        self._init(name, b_cap, pool_size, theta, thread_pool_cores, exec_mode)
+        if name not in POLICY_PARAMS:
             raise ConfigurationError(
-                f"unknown policy {self.name!r}; expected one of {', '.join(POLICY_NAMES)}"
+                f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
             )
         reads = self.reads()
-        for key, (name, kind) in POLICY_FIELDS.items():
-            value = getattr(self, name)
-            if key not in reads and value != _DEFAULTS[name]:
+        for key, (field, kind) in POLICY_FIELDS.items():
+            value = getattr(self, field)
+            if key not in reads and value != _DEFAULTS[field]:
                 raise ConfigurationError(
-                    f"policy.{key} is not read by policy {self.name!r}, which reads "
+                    f"policy.{key} is not read by policy {name!r}, which reads "
                     f"{', '.join(reads)}")
             if key in reads and kind is int and (value is None or value < 1):
-                raise ConfigurationError(f"policy {self.name!r} requires {key} >= 1")
-        if not 0.0 < self.theta < 1.0:
+                raise ConfigurationError(f"policy {name!r} requires {key} >= 1")
+        if not 0.0 < theta < 1.0:
             raise ConfigurationError("theta must be in (0, 1)")
-        if self.exec_mode not in (PROCESS, THREAD):
+        if exec_mode not in (PROCESS, THREAD):
             raise ConfigurationError("exec_mode must be 'process' or 'thread'")
 
     def reads(self) -> tuple[str, ...]:
@@ -99,11 +96,10 @@ class Policy:
         return " ".join(parts)
 
 
-_DEFAULTS = {f.name: f.default for f in fields(Policy)}
+_DEFAULTS = dict(zip(Policy.__slots__[1:], Policy.__init__.__defaults__))
 
 
-@dataclass(frozen=True)
-class MicroBatchPlan:
+class MicroBatchPlan(NamedTuple):
     """FCFS partition of a task-id list into contiguous chunks of at most
     b_cap; all but the last chunk are exactly b_cap wide."""
 

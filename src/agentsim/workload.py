@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
+from .frozen import Frozen
 from .rng import lognormal
 
 
@@ -27,8 +27,7 @@ class TaskClass(enum.Enum):
     LLM_HEAVY = "llm_heavy"
 
 
-@dataclass(frozen=True)
-class StageSpec:
+class StageSpec(Frozen):
     """One pipeline stage.
 
     ``base_latency`` is the stage duration at concurrency 1.
@@ -38,40 +37,40 @@ class StageSpec:
     synchronous host client, whose progress stalls with the host CPU when
     the machine is oversubscribed; async clients are unaffected.
     ``sources`` carries free-text provenance per numeric field and is
-    ignored for equality.
+    ignored for equality and the hash.
     """
 
-    kind: StageKind
-    base_latency: float
-    cpu_share: float
-    kv_tokens: int = 0
-    label: str = ""
-    host_blocking: bool = False
-    sources: tuple[tuple[str, str], ...] = field(default=(), compare=False)
+    __slots__ = ("kind", "base_latency", "cpu_share", "kv_tokens", "label", "host_blocking",
+                 "sources")
 
-    def __post_init__(self):
-        if not 0.0 < self.base_latency < math.inf:
-            raise ConfigurationError(f"stage {self.label!r}: base_latency must be finite and > 0")
-        if not 0.0 <= self.cpu_share <= 1.0:
-            raise ConfigurationError(f"stage {self.label!r}: cpu_share must be in [0, 1]")
-        if self.kv_tokens < 0:
-            raise ConfigurationError(f"stage {self.label!r}: kv_tokens must be >= 0")
-        for name in ("kv_tokens", "host_blocking"):
-            if getattr(self, name) and self.kind is not StageKind.GPU_INFERENCE:
+    def __init__(self, kind: StageKind, base_latency: float, cpu_share: float,
+                 kv_tokens: int = 0, label: str = "", host_blocking: bool = False,
+                 sources: tuple[tuple[str, str], ...] = ()):
+        if not 0.0 < base_latency < math.inf:
+            raise ConfigurationError(f"stage {label!r}: base_latency must be finite and > 0")
+        if not 0.0 <= cpu_share <= 1.0:
+            raise ConfigurationError(f"stage {label!r}: cpu_share must be in [0, 1]")
+        if kv_tokens < 0:
+            raise ConfigurationError(f"stage {label!r}: kv_tokens must be >= 0")
+        for name, value in (("kv_tokens", kv_tokens), ("host_blocking", host_blocking)):
+            if value and kind is not StageKind.GPU_INFERENCE:
                 raise ConfigurationError(
-                    f"stage {self.label!r}: {name} only valid on gpu_inference stages")
+                    f"stage {label!r}: {name} only valid on gpu_inference stages")
+        self._init(kind, base_latency, cpu_share, kv_tokens, label, host_blocking, sources)
+
+    def _key(self) -> tuple:
+        return super()._key()[:-1]  # every field but sources
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
+class PipelineSpec(Frozen):
     """Named stage sequence."""
 
-    name: str
-    stages: tuple[StageSpec, ...]
+    __slots__ = ("name", "stages")
 
-    def __post_init__(self):
-        if not self.stages:
-            raise ConfigurationError(f"pipeline {self.name!r} needs at least one stage")
+    def __init__(self, name: str, stages: tuple[StageSpec, ...]):
+        if not stages:
+            raise ConfigurationError(f"pipeline {name!r} needs at least one stage")
+        self._init(name, stages)
 
     @property
     def total_base_latency(self) -> float:
@@ -89,24 +88,21 @@ class PipelineSpec:
         return len(self.stages)
 
 
-@dataclass(frozen=True)
-class TaskInstance:
+class TaskInstance(Frozen):
     """One request: a pipeline reference plus realized per-stage work. Every
     request arrives at t=0 (closed loop)."""
 
-    id: int
-    pipeline: PipelineSpec
-    stage_work: tuple[float, ...]
+    __slots__ = ("id", "pipeline", "stage_work")
 
-    def __post_init__(self):
-        if len(self.stage_work) != len(self.pipeline.stages):
+    def __init__(self, id: int, pipeline: PipelineSpec, stage_work: tuple[float, ...]):
+        if len(stage_work) != len(pipeline.stages):
             raise ConfigurationError("stage_work length must equal stage count")
-        if not all(0.0 < w < math.inf for w in self.stage_work):
+        if not all(0.0 < w < math.inf for w in stage_work):
             raise ConfigurationError("all stage_work entries must be finite and > 0")
+        self._init(id, pipeline, stage_work)
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Frozen):
     """Closed-loop batch: B tasks drawn from a pipeline mix.
 
     ``jitter_cv`` is the coefficient of variation of multiplicative
@@ -115,28 +111,27 @@ class WorkloadSpec:
     profile's base latencies exactly.
     """
 
-    batch_size: int
-    mix: tuple[tuple[PipelineSpec, float], ...]
-    jitter_cv: float = 0.05
-    seed: int = 0
+    __slots__ = ("batch_size", "mix", "jitter_cv", "seed")
 
-    def __post_init__(self):
-        if self.batch_size < 1:
+    def __init__(self, batch_size: int, mix: tuple[tuple[PipelineSpec, float], ...],
+                 jitter_cv: float = 0.05, seed: int = 0):
+        if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if not self.mix:
+        if not mix:
             raise ConfigurationError("workload mix must not be empty")
-        if not all(0.0 < p < math.inf for _, p in self.mix):
+        if not all(0.0 < p < math.inf for _, p in mix):
             raise ConfigurationError("mix proportions must be finite and positive")
-        total = sum(p for _, p in self.mix)
+        total = sum(p for _, p in mix)
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(f"mix proportions must sum to 1 (got {total})")
-        if not 0.0 <= self.jitter_cv < math.inf:
+        if not 0.0 <= jitter_cv < math.inf:
             raise ConfigurationError("workload.jitter_cv must be finite and >= 0")
-        if self.jitter_cv * self.jitter_cv == math.inf:  # build_workload squares it
+        if jitter_cv * jitter_cv == math.inf:  # build_workload squares it
             raise ConfigurationError(
-                f"workload.jitter_cv {self.jitter_cv!r} is too large: its square overflows")
-        if self.seed < 0:
+                f"workload.jitter_cv {jitter_cv!r} is too large: its square overflows")
+        if seed < 0:
             raise ConfigurationError("seed must be >= 0")
+        self._init(batch_size, mix, jitter_cv, seed)
 
 
 def largest_remainder_counts(proportions: list[float], total: int) -> list[int]:

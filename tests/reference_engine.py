@@ -12,7 +12,6 @@ is quadratic in the batch size; use it only on small inputs.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import enum
 from dataclasses import dataclass, field
 
@@ -247,6 +246,8 @@ def simulate(
     by (time, task id, stage index) so simultaneous completions are
     processed in a fixed order.
     """
+    # The machine size lives in resources; rebind the contention params to it.
+    models = models.replace(cpu=models.cpu.replace(logical_cores=resources.logical_cores))
     if not tasks:
         return Trace(
             workload_fp=workload_fingerprint(tasks),
@@ -259,10 +260,6 @@ def simulate(
             kv_token_steps=[], pool_n_steps=[], makespan=0.0,
         )
 
-    # The machine size lives in resources; rebind the contention params to it.
-    models = dataclasses.replace(
-        models, cpu=dataclasses.replace(models.cpu, logical_cores=resources.logical_cores)
-    )
     dispatcher = Dispatcher(policy, tasks)
     pool_eff = None
     if dispatcher.pool_size is not None:
@@ -449,9 +446,7 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
     its recorded interval must recover the stage's work to within ``rel_tol``
     relative error, and the recorded occupancy step functions must match the
     interval set. Returns a failure naming the first offending stage."""
-    models = dataclasses.replace(
-        models, cpu=dataclasses.replace(models.cpu, logical_cores=trace.logical_cores)
-    )
+    models = models.replace(cpu=models.cpu.replace(logical_cores=trace.logical_cores))
     times, occupancy = _interval_occupancy(trace)
     for rec in sorted(trace.records, key=lambda r: (r.task_id, r.stage_idx)):
         lo = bisect.bisect_left(times, rec.start)

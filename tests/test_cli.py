@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import os
 import re
 import subprocess
@@ -34,7 +33,7 @@ BASE_CONFIG = {
 PROFILES = Path(__file__).parents[1] / "src" / "agentsim" / "profiles"
 HOST = yaml.safe_load((PROFILES / "emerald_rapids_b200.yaml").read_text())
 FRESHQA = yaml.safe_load((PROFILES / "langchain_freshqa.yaml").read_text())
-OBSERVATIONS = yaml.safe_load((PROFILES / "observations_langchain_batch.yaml").read_text())
+OBSERVATIONS = yaml.safe_load((PROFILES / "langchain_batch_sweep.yaml").read_text())
 
 
 def with_field(doc, path, value):
@@ -74,19 +73,22 @@ class TestRun:
         assert "p50_s" in out
 
     def test_run_never_imports_numpy(self, tmp_path):
-        # in a fresh interpreter, so that no other test's import counts
+        # in a fresh interpreter, so that no other test's import counts; nor
+        # dataclasses and the inspect it pulls in, whose import and generated
+        # methods once cost a quarter of the set-up time
         doc = {**BASE_CONFIG, "workload": {**BASE_CONFIG["workload"], "jitter_cv": 0.05}}
         cfg = write_config(tmp_path, doc)
         args = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        absent = ("numpy", "dataclasses", "inspect")
         code = ("import sys; from agentsim.cli import main; "
-                f"code = main({args!r}); print(code, 'numpy' in sys.modules)")
+                f"code = main({args!r}); print(code, [m for m in {absent!r} if m in sys.modules])")
         src = Path(agentsim.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, {**BASE_CONFIG, "out": str(tmp_path / "o1")})
@@ -391,7 +393,7 @@ class TestCalibrate:
         fitted = yaml.safe_load(
             (tmp_path / "langchain_batch_sweep_fit_energy.yaml").read_text())
         bundled = a.load_models("threadripper_h200_energy")
-        assert fitted["energy"] == dataclasses.asdict(bundled.energy)
+        assert fitted["energy"] == bundled.energy.as_dict()
         assert fitted["gpu"]["b_half"] == bundled.gpu.b_half
 
     def test_undersubscribed_only_exits_3(self, tmp_path):
@@ -413,7 +415,7 @@ class TestCalibrate:
         # host; a larger energy ratio needs a negative package draw
         obs = yaml.safe_load(
             (Path(__file__).parents[1] / "src" / "agentsim" / "profiles"
-             / "observations_langchain_batch.yaml").read_text())
+             / "langchain_batch_sweep.yaml").read_text())
         del obs["cpu_observations"], obs["gpu_latency_pair"]
         obs["energy_endpoints"]["cpu_j_large"] = 22.0 * 130
         path = tmp_path / "obs.yaml"
@@ -425,7 +427,7 @@ class TestCalibrate:
     def test_missing_energy_endpoint_exits_2_before_writing(self, tmp_path, capsys):
         obs = yaml.safe_load(
             (Path(__file__).parents[1] / "src" / "agentsim" / "profiles"
-             / "observations_langchain_batch.yaml").read_text())
+             / "langchain_batch_sweep.yaml").read_text())
         del obs["energy_endpoints"]["cpu_j_large"]
         path = tmp_path / "obs.yaml"
         path.write_text(yaml.safe_dump(obs))

@@ -79,6 +79,15 @@ class TestSimulateBasics:
                            bare_models())
         assert trace.makespan == 0.0 and trace.records == []
 
+    def test_empty_workload_records_the_models_bound_to_the_machine(self, models):
+        resources = a.ResourcePool(logical_cores=4)
+        one = tasks_from_works([[1.0]])
+        fps = {len(tasks): a.simulate(tasks, a.Policy("multiprocessing"), resources,
+                                      models).models_fp
+               for tasks in ([], one)}
+        assert models.cpu.logical_cores != 4
+        assert fps[0] == fps[1]
+
 
 class TestDeterminism:
     def test_identical_inputs_identical_bytes(self, models, resources):

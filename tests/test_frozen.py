@@ -1,0 +1,153 @@
+"""The validated value records: a refused value is refused alike at
+construction and through ``replace``, fields cannot be assigned, and copies
+and the record protocol (equality, hash, repr) behave as values do."""
+
+import copy
+import pickle
+import re
+
+import pytest
+
+import agentsim as a
+from agentsim.errors import ConfigurationError
+from agentsim.frozen import Frozen
+
+from conftest import make_pipeline
+
+PIPE = make_pipeline("p", [("cpu_tool", 1.0, 1.0)])
+GPU_STAGE = dict(kind=a.StageKind.GPU_INFERENCE, base_latency=1.0, cpu_share=0.1)
+
+# class, valid arguments, and (field, refused value, message) cases
+CASES = [
+    (a.CpuContentionParams, {}, [
+        ("logical_cores", 0, "logical_cores must be >= 1"),
+        ("oversub_kappa", -0.5, "oversub_kappa must be >= 0"),
+        ("gil_serial_fraction", 1.5, "gil_serial_fraction must be in [0, 1]"),
+    ]),
+    (a.GpuSaturationParams, {}, [
+        ("b_half", 0.0, "b_half must be > 0"),
+        ("kv_bytes_per_token", -1, "kv_bytes_per_token must be >= 0"),
+        ("kv_capacity", 0, "kv_capacity must be > 0"),
+        ("spill_rate_factor", 0.0, "spill_rate_factor must be in (0, 1]"),
+    ]),
+    (a.EnergyParams, {}, [
+        ("cpu_dyn_w_per_core", -1.0, "cpu_dyn_w_per_core must be >= 0"),
+        ("cpu_pkg_dyn_w", -1.0, "cpu_pkg_dyn_w must be >= 0"),
+        ("gpu_dyn_w", -1.0, "gpu_dyn_w must be >= 0"),
+    ]),
+    (a.ThroughputCurve, {"points": {1: 2.0, 2: 3.0}}, [
+        ("points", {2: 3.0, 1: 2.0}, "throughput curve keys must be increasing"),
+        ("points", {1: 2.0, 2: 0.0}, "throughput values must be > 0"),
+    ]),
+    (a.StageSpec, {**GPU_STAGE, "label": "s"}, [
+        ("base_latency", 0.0, "stage 's': base_latency must be finite and > 0"),
+        ("base_latency", float("inf"), "stage 's': base_latency must be finite and > 0"),
+        ("cpu_share", 1.5, "stage 's': cpu_share must be in [0, 1]"),
+        ("kv_tokens", -1, "stage 's': kv_tokens must be >= 0"),
+        ("kind", a.StageKind.CPU_TOOL, None),  # valid: no kv_tokens, not blocking
+    ]),
+    (a.StageSpec, {**GPU_STAGE, "label": "s", "kv_tokens": 8}, [
+        ("kind", a.StageKind.CPU_TOOL, "stage 's': kv_tokens only valid on gpu_inference stages"),
+    ]),
+    (a.StageSpec, {**GPU_STAGE, "label": "s", "host_blocking": True}, [
+        ("kind", a.StageKind.EXTERNAL_API,
+         "stage 's': host_blocking only valid on gpu_inference stages"),
+    ]),
+    (a.PipelineSpec, {"name": "p", "stages": PIPE.stages}, [
+        ("stages", (), "pipeline 'p' needs at least one stage"),
+    ]),
+    (a.TaskInstance, {"id": 0, "pipeline": PIPE, "stage_work": (1.0,)}, [
+        ("stage_work", (1.0, 2.0), "stage_work length must equal stage count"),
+        ("stage_work", (0.0,), "all stage_work entries must be finite and > 0"),
+    ]),
+    (a.WorkloadSpec, {"batch_size": 2, "mix": ((PIPE, 1.0),)}, [
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("mix", (), "workload mix must not be empty"),
+        ("mix", ((PIPE, 0.0),), "mix proportions must be finite and positive"),
+        ("mix", ((PIPE, 0.5),), "mix proportions must sum to 1 (got 0.5)"),
+        ("jitter_cv", -0.1, "workload.jitter_cv must be finite and >= 0"),
+        ("jitter_cv", 1e200, "workload.jitter_cv 1e+200 is too large: its square overflows"),
+        ("seed", -1, "seed must be >= 0"),
+    ]),
+    (a.ResourcePool, {}, [
+        ("logical_cores", 0, "logical_cores must be >= 1"),
+    ]),
+    (a.Policy, {"name": "cgam", "b_cap": 4}, [
+        ("name", "nope", "unknown policy 'nope'; expected one of sequential, "),
+        ("b_cap", 0, "policy 'cgam' requires b_cap >= 1"),
+        ("pool_size", 4, "policy.pool_size is not read by policy 'cgam', which reads "
+                         "b_cap, theta, exec"),
+        ("theta", 1.0, "theta must be in (0, 1)"),
+        ("exec_mode", "fork", "exec_mode must be 'process' or 'thread'"),
+    ]),
+]
+REFUSALS = [(cls, args, field, value, message)
+            for cls, args, cases in CASES for field, value, message in cases
+            if message is not None]
+RECORDS = {cls: cls(**args) for cls, args, _ in CASES}
+RECORDS[a.ContentionModels] = a.ContentionModels(name="m", cpu=a.CpuContentionParams(8))
+
+
+@pytest.mark.parametrize("cls, args, field, value, message", REFUSALS,
+                         ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_a_refused_value_is_refused_at_construction_and_through_replace(
+        cls, args, field, value, message):
+    record = cls(**args)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        cls(**{**args, field: value})
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        record.replace(**{field: value})
+
+
+@pytest.mark.parametrize("cls, args, cases", CASES,
+                         ids=lambda v: v.__name__ if isinstance(v, type) else "")
+def test_replace_changes_only_the_named_fields(cls, args, cases):
+    record = cls(**args)
+    assert record.replace() == record and record.replace() is not record
+    for field, value, message in cases:
+        if message is None:
+            changed = record.replace(**{field: value})
+            assert getattr(changed, field) == value
+            assert {k: v for k, v in changed.as_dict().items() if k != field} == {
+                k: v for k, v in record.as_dict().items() if k != field}
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=lambda r: type(r).__name__)
+def test_fields_cannot_be_assigned_or_added(record):
+    for field in record.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=lambda r: type(r).__name__)
+def test_copies_are_equal_values(record):
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record
+    fields = ", ".join(f"{k}={v!r}" for k, v in record.as_dict().items())
+    assert repr(record) == f"{type(record).__name__}({fields})"
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+def test_fields_are_the_init_parameters_in_order(cls):
+    # replace and copies pass every field back to __init__ by name or position
+    code = cls.__init__.__code__
+    assert cls.__slots__ == code.co_varnames[1:code.co_argcount]
+    assert issubclass(cls, Frozen)
+
+
+def test_stage_sources_are_ignored_by_equality_and_hash():
+    stage = a.StageSpec(**GPU_STAGE, sources=(("base_latency", "measured"),))
+    other = stage.replace(sources=(("base_latency", "guessed"),))
+    assert stage == other and hash(stage) == hash(other)
+    assert stage.sources != other.sources
+    assert stage != stage.replace(label="x")
+
+
+def test_records_of_different_classes_differ():
+    assert a.ResourcePool(8) != a.CpuContentionParams(8)
+    assert a.ResourcePool(8) == a.ResourcePool(8)
+    assert hash(a.ResourcePool(8)) == hash(a.ResourcePool(logical_cores=8))

@@ -74,7 +74,7 @@ INPUTS = {
         "seed": 0,
         "sweep": {"axis": "batch_size", "values": [2, 4]},
     }),
-    "langchain_batch_sweep": ("calibrate", _bundled("observations_langchain_batch")),
+    "langchain_batch_sweep": ("calibrate", _bundled("langchain_batch_sweep")),
 }
 
 # any value may be dropped or replaced by one of another type

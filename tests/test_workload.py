@@ -168,14 +168,18 @@ class TestProfiles:
         monkeypatch.setattr(profiles.yaml, "load",
                             lambda text, Loader: parses.append(1) or real(text, Loader))
         first = a.load_profile("langchain_freshqa")
-        after_first = len(parses)
+        assert len(parses) == 1  # profiles/langchain_freshqa.yaml alone
         n_files = len(list(profiles._profile_dir().glob("*.yaml")))
-        assert 0 < after_first <= n_files
         for _ in range(3):
             assert a.load_profile("langchain_freshqa") == first
             a.load_models("emerald_rapids_b200")
             a.list_profiles()
         assert len(parses) == n_files  # every file parsed exactly once
+
+    def test_every_bundled_profile_is_named_by_its_file_stem(self):
+        # a lookup reads profiles/<name>.yaml alone
+        for path in profiles._profile_dir().glob("*.yaml"):
+            assert yaml.safe_load(path.read_text())["name"] == path.stem
 
     def test_observations_are_the_callers_to_mutate(self):
         from agentsim.profiles import load_observations
