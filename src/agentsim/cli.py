@@ -55,6 +55,7 @@ from .metrics import (
 from .profiles import (
     _as,
     _field,
+    _find_bundled,
     dump_yaml,
     list_profiles,
     load_models,
@@ -185,7 +186,8 @@ def execute(config: ExperimentConfig) -> tuple[Trace, MetricsReport]:
     if not audit.ok:
         raise InternalConsistencyError(f"replay audit failed: {audit.detail}")
     labels = class_labels(tasks, config.policy.theta)
-    return trace, summarize(trace, config.models.energy, config.models.gpu, labels)
+    return trace, summarize(trace, config.models.energy, config.models.gpu, labels,
+                            audit.occupancy)
 
 
 def report_to_dict(report: MetricsReport, config_fp: str) -> dict:
@@ -453,6 +455,14 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+# kind of a bundled profile -> the document `profiles show` prints for it
+_SHOWN = {
+    "pipeline": lambda doc: pipeline_to_dict(pipeline_from_dict(doc)),
+    "models": lambda doc: models_to_dict(models_from_dict(doc)),
+    "observations": lambda doc: doc,
+}
+
+
 def cmd_profiles(args) -> int:
     if args.action == "list":
         for kind in ("pipeline", "models", "observations"):
@@ -462,20 +472,9 @@ def cmd_profiles(args) -> int:
     # show
     if not args.name:
         raise ConfigurationError("profiles show requires a profile name")
-    for kind, loader, to_dict in (
-        ("pipeline", load_profile, pipeline_to_dict),
-        ("models", load_models, lambda m: models_to_dict(m)),
-        ("observations", load_observations, lambda d: d),
-    ):
-        try:
-            obj = loader(args.name)
-        except AgentsimError:
-            continue
-        print(dump_yaml(to_dict(obj), sort_keys=False), end="")
-        return EXIT_OK
-    raise ConfigurationError(
-        f"unknown profile {args.name!r}; available: {', '.join(list_profiles())}"
-    )
+    doc = _find_bundled(args.name)
+    print(dump_yaml(_SHOWN[doc["kind"]](doc), sort_keys=False), end="")
+    return EXIT_OK
 
 
 @functools.lru_cache(maxsize=None)

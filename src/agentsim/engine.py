@@ -14,10 +14,11 @@ finish tags, clock at start plus work, as in the virtual time of fair
 queueing; an event evaluates at most the five class rates, advances the
 clocks and pops the finished stages. Occupancy is kept as integer counts per
 distinct contribution, so its sums do not depend on the order stages joined
-in. ``replay_check`` sweeps the sorted interval boundaries with the same
-occupancy and rate definition. Reruns are byte-identical; traces written
-before the virtual clocks may differ from today's in the last digits of
-some times and loads, within 1e-9 relative.
+in. A trace keeps only the stage records: ``sweep`` derives the occupancy
+step series from them in one pass over the sorted interval boundaries, and
+``replay_check`` audits work conservation on that same pass. Reruns are
+byte-identical; traces written before the virtual clocks may differ from
+today's in the last digits of some times and loads, within 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .schedulers import THREAD, Dispatcher, Policy
 from .workload import StageKind, TaskInstance
 
 TIME_EPS = 1e-12  # absolute epsilon for all virtual-time comparisons
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2  # version 1 also held the occupancy step series
 
 
 class ResourcePool(Frozen):
@@ -67,12 +68,10 @@ class StageRecord(NamedTuple):
 
 
 class Trace(NamedTuple):
-    """Complete record of one simulation run.
-
-    Besides per-(task, stage) intervals it stores the resource-occupancy
-    step functions (value holds from its timestamp until the next entry) and
-    the fingerprints needed to pair the trace with its config.
-    """
+    """Complete record of one simulation run: the per-(task, stage)
+    intervals and the fingerprints needed to pair the trace with its config.
+    The occupancy step functions are properties ``sweep`` derives from the
+    records on each read: not fields, so neither written nor compared."""
 
     workload_fp: str
     policy: str
@@ -81,13 +80,13 @@ class Trace(NamedTuple):
     logical_cores: int
     pool_eff: int | None
     records: list[StageRecord]
-    cpu_load_steps: list[tuple[float, float]]
-    gpu_res_steps: list[tuple[float, int]]
-    kv_token_steps: list[tuple[float, int]]
-    pool_n_steps: list[tuple[float, int]]
     makespan: float
-    schema_version: int = TRACE_SCHEMA_VERSION
     tool_version: str = __version__
+
+    cpu_load_steps = property(lambda self: sweep(self).cpu_load_steps)
+    gpu_res_steps = property(lambda self: sweep(self).gpu_res_steps)
+    kv_token_steps = property(lambda self: sweep(self).kv_token_steps)
+    pool_n_steps = property(lambda self: sweep(self).pool_n_steps)
 
     def task_latencies(self) -> dict[int, float]:
         """End-to-end latency per task (arrivals are at t=0)."""
@@ -96,21 +95,6 @@ class Trace(NamedTuple):
             ends[r.task_id] = max(ends.get(r.task_id, 0.0), r.end)
         return ends
 
-    def core_content(self) -> tuple:
-        """Trace body without identity metadata, for equivalence checks."""
-        return (
-            tuple(self.records),
-            tuple(self.cpu_load_steps),
-            tuple(self.gpu_res_steps),
-            tuple(self.kv_token_steps),
-            self.makespan,
-        )
-
-
-# (line tag, Trace field) of each step series, in the order the lines are
-# written and Occupancy.record appends to them
-STEP_SERIES = (("cpuload", "cpu_load_steps"), ("gpures", "gpu_res_steps"),
-               ("kvtokens", "kv_token_steps"), ("pooln", "pool_n_steps"))
 
 _json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -211,10 +195,9 @@ class Occupancy:
         load = self._loads[m] = sum([share * counts[share] for share in self._shares[m]], 0.0)
         return load
 
-    def record(self, steps: tuple[list, ...], t: float) -> float:
-        """Append (t, value) to each of the four step series (CPU load, GPU
-        residency, KV tokens, pool threads) whose value changed; return the
-        CPU load."""
+    def load(self) -> float:
+        """The CPU load: the process and thread sums, the thread one capped
+        at the pool width."""
         process, thread = self._loads
         if process is None:
             process = self._sum(0)
@@ -222,21 +205,7 @@ class Occupancy:
             thread = self._sum(1)
         if self.pool_eff is not None:
             thread = min(thread, float(self.pool_eff))
-        load = process + thread
-        n = self.per_class
-        cpu, gpu, kv, pool = steps
-        if not cpu or cpu[-1][1] != load:
-            cpu.append((t, load))
-        value = n[GPU_ASYNC] + n[GPU_BLOCKING]
-        if not gpu or gpu[-1][1] != value:
-            gpu.append((t, value))
-        value = self.kv_tokens
-        if not kv or kv[-1][1] != value:
-            kv.append((t, value))
-        value = n[CPU_THREAD]
-        if not pool or pool[-1][1] != value:
-            pool.append((t, value))
-        return load
+        return process + thread
 
     def rates(self, load: float, models: ContentionModels) -> list[float | None]:
         """Rate of each class that has a running stage, given the current CPU
@@ -294,8 +263,7 @@ def simulate(
             seed=seed,
             logical_cores=resources.logical_cores,
             pool_eff=None,
-            records=[], cpu_load_steps=[], gpu_res_steps=[],
-            kv_token_steps=[], pool_n_steps=[], makespan=0.0,
+            records=[], makespan=0.0,
         )
 
     dispatcher = Dispatcher(policy, tasks)
@@ -324,7 +292,6 @@ def simulate(
     heaps: list[list[tuple[float, int]]] = [[] for _ in CLASSES]  # (tag, task id)
     running: dict[int, tuple[int, float]] = {}  # task id -> (stage idx, start)
     records: list[StageRecord] = []
-    steps: tuple[list, ...] = ([], [], [], [])  # in STEP_SERIES order
     now = 0.0
     remaining_stages = sum(len(t.pipeline.stages) for t in tasks)
     max_events = 100 * remaining_stages + 1000
@@ -343,7 +310,7 @@ def simulate(
 
     for tid in dispatcher.initial_starts():
         start_stage(tid, 0)
-    load = occupancy.record(steps, now)
+    load = occupancy.load()
 
     events = 0
     while running:
@@ -393,7 +360,7 @@ def simulate(
         if released:
             for task_id in sorted(set(released)):
                 start_stage(task_id, 0)
-        load = occupancy.record(steps, now)
+        load = occupancy.load()
 
     records.sort()  # (task id, stage idx) is unique, so this orders by it
     n_done = len(records)
@@ -409,7 +376,6 @@ def simulate(
         logical_cores=resources.logical_cores,
         pool_eff=pool_eff,
         records=records,
-        **{name: series for (_, name), series in zip(STEP_SERIES, steps)},
         makespan=now,
     )
 
@@ -424,6 +390,7 @@ _TRACE_META = {
     "models_fp": str, "seed": int, "logical_cores": int,
     "pool_eff": lambda value: None if value == "none" else int(value), "makespan": float,
 }
+_V1_STEP_TAGS = frozenset(("cpuload", "gpures", "kvtokens", "pooln"))  # its step lines
 
 
 class _Reprs(dict):
@@ -440,11 +407,12 @@ class _Reprs(dict):
 def serialize_trace(trace: Trace) -> str:
     """Line-oriented text form with bit-exact floats (repr round-trip).
     Each distinct event time (a float, as ``simulate`` and ``parse_trace``
-    make them) is formatted once, and each section is joined on its own."""
+    make them) is formatted once."""
     reprs = _Reprs()
     sections = ["# agentsim trace"]
+    fields = {"schema_version": TRACE_SCHEMA_VERSION, **trace._asdict()}
     for key in _TRACE_META:
-        value = getattr(trace, key)
+        value = fields[key]
         sections.append(f"meta {key} {'none' if value is None else value}")
     if trace.records:
         sections.append("\n".join([
@@ -453,18 +421,16 @@ def serialize_trace(trace: Trace) -> str:
             for (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
                  start, end, label) in trace.records
         ]))
-    for tag, name in STEP_SERIES:
-        if steps := getattr(trace, name):
-            sections.append("\n".join([f"{tag} {reprs[t]} {v!r}" for t, v in steps]))
     return "\n".join(sections) + "\n"
 
 
 def parse_trace(text: str) -> Trace:
-    """The trace ``serialize_trace`` wrote as ``text``. A malformed line is a
+    """The trace ``serialize_trace`` wrote as ``text``, in this version's
+    format or in version 1, whose occupancy step lines are skipped. A
+    malformed line, or a schema version other than those, is a
     ConfigurationError naming its 1-based number."""
     meta: dict = {}
     records: list[StageRecord] = []
-    steps: dict[str, list] = {tag: [] for tag, _ in STEP_SERIES}
     for number, line in enumerate(text.splitlines(), 1):
         if not line or line.startswith("#"):
             continue
@@ -472,7 +438,11 @@ def parse_trace(text: str) -> Trace:
         try:
             if tag == "meta":
                 key, _, value = rest.partition(" ")
-                meta[key] = _TRACE_META[key](value)
+                meta[key] = value = _TRACE_META[key](value)
+                if key == "schema_version" and value not in (1, TRACE_SCHEMA_VERSION):
+                    raise ConfigurationError(
+                        f"trace line {number} has schema_version {value}; "
+                        f"this version reads 1 and {TRACE_SCHEMA_VERSION}")
             elif tag == "stage":
                 (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
                  start, end, label) = rest.split(" ", 10)
@@ -480,43 +450,41 @@ def parse_trace(text: str) -> Trace:
                     int(task_id), int(stage_idx), kind, mode, bool(int(host_blocking)),
                     float(cpu_share), int(kv_tokens), float(work), float(start), float(end),
                     label))
-            elif tag in steps:
-                t, v = rest.split(" ")
-                steps[tag].append((float(t), float(v) if tag == "cpuload" else int(v)))
-            else:
+            elif not (tag in _V1_STEP_TAGS and meta.get("schema_version") == 1):
                 raise ValueError(f"unknown tag {tag!r}")
         except (KeyError, ValueError) as exc:
             raise ConfigurationError(f"trace line {number} is malformed ({exc}): {line!r}")
     missing = [key for key in _TRACE_META if key not in meta]
     if missing:
         raise ConfigurationError(f"trace lacks meta line(s) {', '.join(missing)}")
-    return Trace(
-        **meta,
-        records=records,
-        **{name: steps[tag] for tag, name in STEP_SERIES},
-    )
+    del meta["schema_version"]
+    return Trace(**meta, records=records)
 
 
-# -- replay / audit ----------------------------------------------------------
+# -- occupancy sweep and audit ------------------------------------------------
 
 
-class ReplayReport(NamedTuple):
-    ok: bool
-    detail: str = ""
+class Sweep(NamedTuple):
+    """The four occupancy step series of a trace, each value holding from its
+    time until the next entry's, and the work each record received (in record
+    order) when the sweep evaluated rates."""
+
+    cpu_load_steps: list[tuple[float, float]]
+    gpu_res_steps: list[tuple[float, int]]
+    kv_token_steps: list[tuple[float, int]]
+    pool_n_steps: list[tuple[float, int]]
+    work_done: list[float] | None
 
 
-def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) -> ReplayReport:
-    """Work-conservation audit: integrating each stage's recomputed rate over
-    its recorded interval must recover the stage's work to within ``rel_tol``
-    relative error, and the recorded occupancy step functions must match the
-    interval set. Returns a failure naming the first offending stage in
-    (task, stage) order.
-
-    One sweep over the sorted interval boundaries rebuilds the occupancy and
-    keeps, per class, the prefix integral of the class rate; a stage's
-    integrated work is the difference of that integral between its end and
+def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
+    """The occupancy the records imply, from one pass over their sorted
+    interval boundaries, the only derivation of occupancy from records. With
+    ``models`` it also evaluates the class rates on each interval and keeps,
+    per class, the prefix integral of its rate since the class was last idle;
+    a record's work done is that integral's difference between its end and
     its start."""
-    models = _on_machine(models, trace.logical_cores)
+    if models is not None:
+        models = _on_machine(models, trace.logical_cores)
     records = trace.records
     n = len(records)
     keys = [
@@ -538,8 +506,8 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
     integral = [0.0] * N_CLASSES  # of each class's rate, since it was last idle
     at_start = [0.0] * n
     done = [0.0] * n
-    recomputed: tuple[list, ...] = ([], [], [], [])
-    rates: list[float | None] = [None] * N_CLASSES
+    cpu, gpu, kv, pool = series = ([], [], [], [])
+    rates: list[float | None] = [0.0] * N_CLASSES  # 0.0 throughout without models
     si = ei = 0
     prev = 0.0
     while ei < n_live:
@@ -563,9 +531,40 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
             if not per_class[cls]:
                 integral[cls] = 0.0
             ei += 1
-        rates = occupancy.rates(occupancy.record(recomputed, t), models)
+        load = occupancy.load()
+        if not cpu or cpu[-1][1] != load:
+            cpu.append((t, load))
+        value = per_class[GPU_ASYNC] + per_class[GPU_BLOCKING]
+        if not gpu or gpu[-1][1] != value:
+            gpu.append((t, value))
+        value = occupancy.kv_tokens
+        if not kv or kv[-1][1] != value:
+            kv.append((t, value))
+        value = per_class[CPU_THREAD]
+        if not pool or pool[-1][1] != value:
+            pool.append((t, value))
+        if models is not None:
+            rates = occupancy.rates(load, models)
         prev = t
+    return Sweep(*series, work_done=None if models is None else done)
 
+
+class ReplayReport(NamedTuple):
+    """The audit's verdict, and the sweep it made (the trace's occupancy)."""
+
+    ok: bool
+    detail: str = ""
+    occupancy: Sweep | None = None
+
+
+def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) -> ReplayReport:
+    """Work-conservation audit: integrating each stage's recomputed rate over
+    its recorded interval, in one ``sweep``, must recover the stage's work to
+    within ``rel_tol`` relative error. Returns a failure naming the first
+    offending stage in (task, stage) order."""
+    occupancy = sweep(trace, models)
+    done = occupancy.work_done
+    records = trace.records
     bad = [i for i, r in enumerate(records)
            if abs(done[i] - r.work) > rel_tol * max(r.work, 1e-30)]
     if bad:
@@ -575,13 +574,6 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
             False,
             f"work mismatch at task {rec.task_id} stage {rec.stage_idx}: "
             f"integrated {done[i]!r}, expected {rec.work!r}",
+            occupancy,
         )
-
-    for (tag, name), want in zip(STEP_SERIES, recomputed):
-        got = getattr(trace, name)
-        if got != want and (len(got) != len(want) or any(
-            abs(a - c) > TIME_EPS or abs(b - d) > 1e-9
-            for (a, b), (c, d) in zip(got, want)
-        )):
-            return ReplayReport(False, f"occupancy mismatch in {tag}")
-    return ReplayReport(True)
+    return ReplayReport(True, "", occupancy)

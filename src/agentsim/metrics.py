@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .contention import EnergyParams, GpuSaturationParams, kv_peak
-from .engine import Trace
+from .engine import Sweep, Trace, sweep
 from .errors import ConfigurationError
 from .profiles import _as
 from .workload import TaskClass
@@ -83,19 +83,20 @@ def _nearest_rank(ordered: list[float], p: float) -> float:
     return ordered[math.ceil(p * len(ordered)) - 1]
 
 
-def energy_integrals(trace: Trace) -> tuple[float, float, float]:
+def energy_integrals(trace: Trace, occupancy: Sweep | None = None) -> tuple[float, float, float]:
     """(busy core-seconds, CPU package-active seconds, GPU-active seconds):
-    the usage each dynamic-power constant multiplies. Each value of a step
-    series holds until the next step's time, the last one until the
-    makespan."""
+    the usage each dynamic-power constant multiplies, over ``occupancy`` or
+    ``sweep(trace)``. The last step holds until the makespan."""
+    if occupancy is None:
+        occupancy = sweep(trace)
     cores = float(trace.logical_cores)
     end = trace.makespan
     busy = active = gpu = 0.0
-    for (t1, load), (t2, _) in pairwise(chain(trace.cpu_load_steps, ((end, None),))):
+    for (t1, load), (t2, _) in pairwise(chain(occupancy.cpu_load_steps, ((end, None),))):
         if t2 > t1:
             busy += (cores if cores < load else load) * (t2 - t1)
             active += (1.0 if load > 0 else 0.0) * (t2 - t1)
-    for (t1, res), (t2, _) in pairwise(chain(trace.gpu_res_steps, ((end, None),))):
+    for (t1, res), (t2, _) in pairwise(chain(occupancy.gpu_res_steps, ((end, None),))):
         if t2 > t1:
             gpu += (1.0 if res >= 1 else 0.0) * (t2 - t1)
     return busy, active, gpu
@@ -117,9 +118,11 @@ def summarize(
     energy_params: EnergyParams,
     kv_params: GpuSaturationParams,
     class_labels: dict[int, TaskClass] | None = None,
+    occupancy: Sweep | None = None,
 ) -> MetricsReport:
     """Metrics for one run. Empty traces yield an all-zero report; a per-class
-    report covers latencies only, its energies and KV peak are 0."""
+    report covers latencies only, its energies and KV peak are 0. Those read
+    ``occupancy`` (the sweep ``replay_check`` returns) or ``sweep(trace)``."""
     latencies = trace.task_latencies()
     if not latencies:
         return MetricsReport(
@@ -127,7 +130,9 @@ def summarize(
             kv_peak=0, cpu_dyn_energy=0.0, gpu_dyn_energy=0.0, batch_size=0,
             workload_fp=trace.workload_fp, policy=trace.policy,
         )
-    busy_core_s, pkg_active_s, gpu_active_s = energy_integrals(trace)
+    if occupancy is None:
+        occupancy = sweep(trace)
+    busy_core_s, pkg_active_s, gpu_active_s = energy_integrals(trace, occupancy)
     cpu_energy = (energy_params.cpu_dyn_w_per_core * busy_core_s
                   + energy_params.cpu_pkg_dyn_w * pkg_active_s)
     gpu_energy = energy_params.gpu_dyn_w * gpu_active_s
@@ -142,7 +147,7 @@ def summarize(
 
     return _latency_report(
         list(latencies.values()), trace, makespan=trace.makespan,
-        kv_peak=kv_peak(trace.kv_token_steps, kv_params),
+        kv_peak=kv_peak(occupancy.kv_token_steps, kv_params),
         cpu_dyn_energy=cpu_energy, gpu_dyn_energy=gpu_energy, per_class=per_class,
     )
 

@@ -118,13 +118,14 @@ def list_profiles(kind: str | None = None) -> list[str]:
             if kind is None or doc.get("kind") == kind]
 
 
-def _find_bundled(name: str, kind: str) -> dict:
-    """The bundled ``kind`` document named ``name``: ``profiles/<name>.yaml``,
-    the only file parsed."""
+def _find_bundled(name: str, kind: str | None = None) -> dict:
+    """The bundled document named ``name``, of ``kind`` if one is given:
+    ``profiles/<name>.yaml``, the only file parsed unless there is none of
+    that name and kind."""
     path = _bundled_paths().get(name)
     if path is not None:
         doc = _bundled_doc(path)
-        if doc.get("kind") == kind:
+        if kind is None or doc.get("kind") == kind:
             return doc
     raise UnknownProfileError(name, list_profiles(kind))
 

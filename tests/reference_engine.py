@@ -3,10 +3,13 @@
 This is the engine and replay audit ``agentsim`` shipped before the
 virtual-clock rewrite, kept verbatim (together with the dispatcher that
 rescanned every gated task on each completion) so property tests can check
-that the production engine reproduces it to 1e-9 relative. One deliberate
-change: the ``cgam_overlap`` gate also waits until the batch before was
-released, as the production gate does, so batches start in order. Its cost
-is quadratic in the batch size; use it only on small inputs.
+that the production engine reproduces it to 1e-9 relative. Three deliberate
+changes: the ``cgam_overlap`` gate also waits until the batch before was
+released, as the production gate does, so batches start in order; the
+occupancy step series it records at every event are returned beside the
+trace, which no longer holds them; and the audit checks work conservation
+only, as the production audit does. Its cost is quadratic in the batch
+size; use it only on small inputs.
 """
 
 from __future__ import annotations
@@ -239,8 +242,10 @@ def simulate(
     resources: ResourcePool,
     models: ContentionModels,
     seed: int = 0,
-) -> Trace:
+) -> tuple[Trace, dict[str, list]]:
     """Run the closed-loop workload under the given policy to completion.
+    Returns the trace and the occupancy step series recorded at each event,
+    by the name of the ``Trace`` property that derives each.
 
     Pure function: the trace depends only on the arguments. Ties are broken
     by (time, task id, stage index) so simultaneous completions are
@@ -256,9 +261,9 @@ def simulate(
             seed=seed,
             logical_cores=resources.logical_cores,
             pool_eff=None,
-            records=[], cpu_load_steps=[], gpu_res_steps=[],
-            kv_token_steps=[], pool_n_steps=[], makespan=0.0,
-        )
+            records=[], makespan=0.0,
+        ), {"cpu_load_steps": [], "gpu_res_steps": [], "kv_token_steps": [],
+            "pool_n_steps": []}
 
     dispatcher = Dispatcher(policy, tasks)
     pool_eff = None
@@ -371,12 +376,9 @@ def simulate(
         logical_cores=resources.logical_cores,
         pool_eff=pool_eff,
         records=records,
-        cpu_load_steps=cpu_steps,
-        gpu_res_steps=gpu_steps,
-        kv_token_steps=kv_steps,
-        pool_n_steps=pool_steps,
         makespan=now,
-    )
+    ), {"cpu_load_steps": cpu_steps, "gpu_res_steps": gpu_steps,
+        "kv_token_steps": kv_steps, "pool_n_steps": pool_steps}
 
 
 
@@ -389,19 +391,6 @@ def _interval_occupancy(trace: Trace):
         active = [r for r in trace.records if r.start <= t < r.end]
         occupancy.append(_occupancy_from_records(active, trace.pool_eff))
     return times, occupancy
-
-
-def _steps_from_occupancy(times, occupancy):
-    out = {"cpuload": [], "gpures": [], "kvtokens": [], "pooln": []}
-    for t, (load, gpu_res, kv_tokens, n_pool) in zip(times, occupancy):
-        for name, value in (
-            ("cpuload", load), ("gpures", gpu_res),
-            ("kvtokens", kv_tokens), ("pooln", n_pool),
-        ):
-            series = out[name]
-            if not series or series[-1][1] != value:
-                series.append((t, value))
-    return out
 
 
 def _occupancy_from_records(active: list[StageRecord], pool_eff: int | None):
@@ -444,8 +433,7 @@ def _record_rate(
 def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) -> ReplayReport:
     """Work-conservation audit: integrating each stage's recomputed rate over
     its recorded interval must recover the stage's work to within ``rel_tol``
-    relative error, and the recorded occupancy step functions must match the
-    interval set. Returns a failure naming the first offending stage."""
+    relative error. Returns a failure naming the first offending stage."""
     models = models.replace(cpu=models.cpu.replace(logical_cores=trace.logical_cores))
     times, occupancy = _interval_occupancy(trace)
     for rec in sorted(trace.records, key=lambda r: (r.task_id, r.stage_idx)):
@@ -467,20 +455,4 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
                 f"work mismatch at task {rec.task_id} stage {rec.stage_idx}: "
                 f"integrated {done!r}, expected {rec.work!r}",
             )
-
-    recomputed = _steps_from_occupancy(times, occupancy)
-    recorded = {
-        "cpuload": trace.cpu_load_steps,
-        "gpures": trace.gpu_res_steps,
-        "kvtokens": trace.kv_token_steps,
-        "pooln": trace.pool_n_steps,
-    }
-    for name in recomputed:
-        got = [(t, float(v)) for t, v in recorded[name]]
-        want = [(t, float(v)) for t, v in recomputed[name]]
-        if len(got) != len(want) or any(
-            abs(a - c) > TIME_EPS or abs(b - d) > 1e-9
-            for (a, b), (c, d) in zip(got, want)
-        ):
-            return ReplayReport(False, f"occupancy mismatch in {name}")
     return ReplayReport(True)

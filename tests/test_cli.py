@@ -12,6 +12,7 @@ import pytest
 import agentsim
 from agentsim.cli import main, parse_config
 from agentsim.engine import parse_trace, serialize_trace
+from agentsim.profiles import _bundled_doc
 from agentsim.schedulers import POLICY_FIELDS, POLICY_PARAMS
 
 from conftest import POLICY_KEYS, POLICY_READS
@@ -512,6 +513,25 @@ class TestProfilesCmd:
 
     def test_show_unknown_exits_2(self, capsys):
         assert main(["profiles", "show", "nope"]) == 2
+        names = ", ".join(sorted(path.stem for path in PROFILES.glob("*.yaml")))
+        assert capsys.readouterr().err == (
+            f"configuration error: unknown profile 'nope'; available: {names}\n")
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in PROFILES.glob("*.yaml")))
+    def test_show_parses_only_the_named_file(self, monkeypatch, capsys, name):
+        # whatever the profile's kind, show reads profiles/<name>.yaml alone
+        parsed = []
+        load = yaml.load
+
+        def counted(stream, Loader):
+            parsed.append(stream)
+            return load(stream, Loader=Loader)
+
+        monkeypatch.setattr(yaml, "load", counted)
+        _bundled_doc.cache_clear()
+        assert main(["profiles", "show", name]) == 0
+        assert parsed == [(PROFILES / f"{name}.yaml").read_text()]
+        assert f"name: {name}" in capsys.readouterr().out
 
 
 class TestUnreadableFiles:

@@ -1,9 +1,11 @@
 """Property tests: the virtual-clock engine against the rescanning reference
-engine on random small pipelines, mixes, policies, models and core counts,
-the occupancy's cached CPU load against a fresh sum, and the trace parser on
-corrupted traces."""
+engine on random small pipelines, mixes, policies, models and core counts
+(the occupancy series the sweep derives from the records against those the
+reference records at each event), the occupancy's cached CPU load against a
+fresh sum, and the trace parser on corrupted traces."""
 
 import functools
+import itertools
 import math
 from collections import Counter
 
@@ -28,6 +30,7 @@ from agentsim.engine import (
     Trace,
     parse_trace,
     serialize_trace,
+    sweep,
 )
 from agentsim.errors import ConfigurationError
 from agentsim.schedulers import POLICY_NAMES, PROCESS, THREAD
@@ -123,7 +126,7 @@ def assert_same_step_function(got, want, tol=1e-9):
 def test_engine_matches_reference(tasks, policy, m):
     resources = a.ResourcePool(logical_cores=m.cpu.logical_cores)
     new = a.simulate(tasks, policy, resources, m)
-    old = ref.simulate(tasks, policy, resources, m)
+    old, old_steps = ref.simulate(tasks, policy, resources, m)
 
     assert [(r.task_id, r.stage_idx) for r in new.records] == \
         [(r.task_id, r.stage_idx) for r in old.records]
@@ -133,18 +136,17 @@ def test_engine_matches_reference(tasks, policy, m):
         assert_close(x.end, y.end)
     assert_close(new.makespan, old.makespan)
 
-    for name in ("cpu_load_steps", "gpu_res_steps", "kv_token_steps", "pool_n_steps"):
-        assert_same_step_function(getattr(new, name), getattr(old, name))
-
-    assert a.replay_check(new, m).ok
-    assert ref.replay_check(old, m).ok
-    # The reference sums the CPU load in task-id order, the engine per
+    # The reference sums the CPU load in task-id order, the sweep per
     # distinct share, so where the load moves by a rounding error one of them
-    # may record a step the other does not. Both audits compare step lists
-    # entry by entry and reject that; the step functions were shown equal
-    # within 1e-9 above, and the work check runs before the step comparison.
-    for verdict in (a.replay_check(old, m), ref.replay_check(new, m)):
-        assert verdict.ok or verdict.detail == "occupancy mismatch in cpuload"
+    # may take a step the other does not; the comparison drops such steps.
+    derived = sweep(new)
+    for name, steps in old_steps.items():
+        assert_same_step_function(getattr(derived, name), steps)
+        assert getattr(new, name) == getattr(derived, name)
+
+    # each audit passes on its own engine's trace and on the other's
+    for audit, trace in itertools.product((a.replay_check, ref.replay_check), (new, old)):
+        assert audit(trace, m).ok
 
     text = serialize_trace(new)
     assert serialize_trace(a.simulate(tasks, policy, resources, m)) == text
@@ -154,34 +156,35 @@ def test_engine_matches_reference(tasks, policy, m):
 
 def test_round_trip_keeps_the_sign_of_zero():
     """``0.0 == -0.0``, so only the text shows a lost sign. A hand-built
-    trace holds both zeros, in each order, as times and as values."""
+    trace holds both zeros, in each order, as stage starts and ends, and as
+    a CPU share and the makespan."""
     records = [
         StageRecord(0, 0, "cpu_tool", "process", False, 0.0, 0, 1.0, 0.0, 1.0, "a b"),
         StageRecord(1, 0, "external_api", "process", False, -0.0, 0, 1.0, -0.0, 1.0, ""),
         StageRecord(2, 0, "gpu_inference", "thread", True, 0.5, 7, 2.0, -0.0, 0.0, "x"),
+        StageRecord(3, 0, "external_api", "process", False, 0.0, 0, 1.0, 0.0, -0.0, "y"),
     ]
     trace = Trace(
         workload_fp="0" * 16, policy="maws", models_fp="1" * 16, seed=0, logical_cores=4,
-        pool_eff=2, records=records,
-        cpu_load_steps=[(-0.0, -0.0), (0.0, 0.0), (1.0, -0.0)],
-        gpu_res_steps=[(0.0, 1), (-0.0, 0)], kv_token_steps=[(-0.0, 7)],
-        pool_n_steps=[(0.0, 0), (-0.0, 1)], makespan=-0.0,
+        pool_eff=2, records=records, makespan=-0.0,
     )
     text = serialize_trace(trace)
     lines = text.splitlines()
-    assert "stage 1 0 external_api process 0 -0.0 0 1.0 -0.0 1.0 " in lines
-    assert "stage 2 0 gpu_inference thread 1 0.5 7 2.0 -0.0 0.0 x" in lines
-    assert ["cpuload -0.0 -0.0", "cpuload 0.0 0.0", "cpuload 1.0 -0.0",
-            "gpures 0.0 1", "gpures -0.0 0", "kvtokens -0.0 7",
-            "pooln 0.0 0", "pooln -0.0 1"] == lines[-8:]
+    assert lines[-4:] == [
+        "stage 0 0 cpu_tool process 0 0.0 0 1.0 0.0 1.0 a b",
+        "stage 1 0 external_api process 0 -0.0 0 1.0 -0.0 1.0 ",
+        "stage 2 0 gpu_inference thread 1 0.5 7 2.0 -0.0 0.0 x",
+        "stage 3 0 external_api process 0 0.0 0 1.0 0.0 -0.0 y",
+    ]
     assert "meta makespan -0.0" in lines
     parsed = parse_trace(text)
-    assert [math.copysign(1.0, r.start) for r in parsed.records] == [1.0, -1.0, -1.0]
+    assert [math.copysign(1.0, r.start) for r in parsed.records] == [1.0, -1.0, -1.0, 1.0]
+    assert [math.copysign(1.0, r.end) for r in parsed.records] == [1.0, 1.0, 1.0, -1.0]
     assert serialize_trace(parsed) == text
 
 
 SHARES = st.one_of(st.sampled_from((0.0, 0.02, 0.05, 0.3, 0.55, 1.0)), st.floats(0.0, 1.0))
-# (finish a running stage?, which one, class, mode, share, record afterwards?)
+# (finish a running stage?, which one, class, mode, share, read the load afterwards?)
 OCCUPANCY_OPS = st.lists(
     st.tuples(st.booleans(), st.integers(0, 63), st.sampled_from(CLASSES),
               st.sampled_from((PROCESS, THREAD)), SHARES, st.booleans()),
@@ -191,21 +194,20 @@ OCCUPANCY_OPS = st.lists(
 
 @given(ops=OCCUPANCY_OPS, pool_eff=st.sampled_from((None, 1, 3, 8)))
 def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff):
-    """After any sequence of starts and finishes, the load ``record`` returns
+    """After any sequence of starts and finishes, the load ``load`` returns
     equals, bit for bit, a fresh sum over the ascending distinct shares of
     each mode, with the thread pool's cap applied."""
     occupancy = Occupancy(pool_eff)
-    steps: tuple[list, ...] = ([], [], [], [])
     running = []  # (class, mode, share, kv tokens) of each running stage
-    for finish, which, cls, mode, share, record in ops:
+    for finish, which, cls, mode, share, read in ops:
         if finish and running:
             occupancy.change(*running.pop(which % len(running)), -1)
         else:
             running.append((cls, mode, share, which))
             occupancy.change(cls, mode, share, which, 1)
-        if not record:
-            continue  # several changes between two records
-        load = occupancy.record(steps, 0.0)
+        if not read:
+            continue  # several changes between two reads
+        load = occupancy.load()
         per_mode = []
         for m in (PROCESS, THREAD):
             counts = Counter(k[2] for k in running if k[1] == m)

@@ -69,6 +69,15 @@ class TestSummarize:
         report = summarize(trace, energy, GpuSaturationParams())
         assert report.cpu_dyn_energy == pytest.approx(2 * 10.0 + 7.0, rel=1e-12)
 
+    def test_the_audits_sweep_gives_the_bare_traces_report(self, models, resources):
+        mix = ((a.load_profile("swe_agent_apps"), 0.5), (a.load_profile("langchain_guardrail"), 0.5))
+        tasks = a.build_workload(a.WorkloadSpec(batch_size=32, mix=mix, seed=4))
+        trace = a.simulate(tasks, a.Policy("maws"), resources, models)
+        audit = a.replay_check(trace, models)
+        bare = summarize(trace, models.energy, models.gpu)
+        assert summarize(trace, models.energy, models.gpu, occupancy=audit.occupancy) == bare
+        assert energy_integrals(trace, audit.occupancy) == energy_integrals(trace)
+
     def test_negative_package_draw_rejected(self):
         with pytest.raises(ConfigurationError):
             EnergyParams(cpu_pkg_dyn_w=-1.0)

@@ -4,31 +4,36 @@
 ``agentsim.engine`` call. A refactor that renames one of them, or that makes
 the CLI call a copy captured at import, leaves the benchmark's per-layer
 metrics silently at zero; this test runs one small cell under the tracer and
-checks that every layer was seen.
+checks that every layer was seen. It then hands the cell to the benchmark's
+own analysis (``perfbench/run.py``'s ``analyse_traced_cell``), so dropping a
+name the benchmark reads off the program's objects fails here, not in a
+benchmark run.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import yaml
 
 import agentsim.cli
 import agentsim.engine
+import agentsim.schedulers
 
-TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_every_traced_layer_records_a_span(tmp_path):
-    tracing = _load_tracing()
+def test_every_traced_layer_records_a_span(tmp_path, monkeypatch):
+    tracing = _load(PERFBENCH / "tracing.py", "perfbench_tracing")
     config = tmp_path / "cell.yaml"
     config.write_text(yaml.safe_dump({
         "schema_version": 1,
@@ -45,3 +50,11 @@ def test_every_traced_layer_records_a_span(tmp_path):
     assert set(tracer.captured["cell"]) == set(tracing.TIMED)
     assert tracer.rate_calls["cell", "engine.simulate"] > 0
     assert tracer.rate_calls["cell", "engine.replay"] > 0
+
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # run.py imports it by this name
+    bench = _load(PERFBENCH / "run.py", "perfbench_run")
+    modules = {"cli": agentsim.cli, "engine": agentsim.engine,
+               "schedulers": agentsim.schedulers}
+    figures, issues = bench.analyse_traced_cell(modules, tracer, "cell")
+    assert issues == []
+    assert figures["engine.occupancy_steps"] > 0
