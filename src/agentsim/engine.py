@@ -390,7 +390,8 @@ _TRACE_META = {
     "models_fp": str, "seed": int, "logical_cores": int,
     "pool_eff": lambda value: None if value == "none" else int(value), "makespan": float,
 }
-_V1_STEP_TAGS = frozenset(("cpuload", "gpures", "kvtokens", "pooln"))  # its step lines
+# the tags of the occupancy step lines a version-1 trace also holds
+_V1_STEP_TAGS = frozenset(("cpuload", "gpures", "kvtokens", "pooln"))
 
 
 class _Reprs(dict):
