@@ -13,6 +13,7 @@ import argparse
 import copy
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -73,6 +74,7 @@ from .schedulers import POLICY_FIELDS, Policy
 from .workload import WorkloadSpec, build_workload, class_labels
 
 CONFIG_SCHEMA_VERSION = 1
+DEFAULT_OUT = "runs"  # the output directory of a config without ``out``
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,9 +139,9 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
     mix = tuple((_load_ref(ref, base_dir, "pipeline"), share) for ref, share in refs)
     workload = WorkloadSpec(
         batch_size=batch_size, mix=mix,
-        jitter_cv=_field(wdoc, "workload", "jitter_cv", float, 0.05),
         # a config must set its seed explicitly unless the command line does
         seed=seed_override if seed_override is not None else _field(doc, "", "seed", int),
+        **{key: _field(wdoc, "workload", key, float) for key in ("jitter_cv",) if key in wdoc},
     )
 
     policy = _parse_policy(_field(doc, "", "policy", dict))
@@ -153,7 +155,7 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
     if _field(rdoc, "resources", "gpu_count", int, 1) != 1:
         raise ConfigurationError("resources.gpu_count must be 1: exactly one GPU is modeled")
 
-    out_dir = Path(out_override or _field(doc, "", "out", str, "runs"))
+    out_dir = Path(out_override or _field(doc, "", "out", str, DEFAULT_OUT))
     config_fp = fingerprint(
         {
             "workload": {
@@ -186,8 +188,13 @@ def execute(config: ExperimentConfig) -> tuple[Trace, MetricsReport]:
     if not audit.ok:
         raise InternalConsistencyError(f"replay audit failed: {audit.detail}")
     labels = class_labels(tasks, config.policy.theta)
-    return trace, summarize(trace, config.models.energy, config.models.gpu, labels,
-                            audit.occupancy)
+    report = summarize(trace, config.models.energy, config.models.gpu, labels, audit.occupancy)
+    # the per-class p90 and mean, not in the row, are finite when the row is
+    for column, value in report.as_row().items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InfeasibleModelError(
+                f"report column {column} is {value!r}: the models drive it out of a float's range")
+    return trace, report
 
 
 def report_to_dict(report: MetricsReport, config_fp: str) -> dict:
@@ -264,7 +271,7 @@ def cmd_sweep(args) -> int:
         # an axis the policy does not read is refused before the first run,
         # so it leaves no partial file
         _parse_policy({**_field(doc, "", "policy", dict), axis: values[0]})
-    out_dir = Path(args.out or _field(doc, "", "out", str, "runs"))
+    out_dir = Path(args.out or _field(doc, "", "out", str, DEFAULT_OUT))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if axis == "lambda":

@@ -26,12 +26,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 from bisect import bisect_left, insort
 from typing import NamedTuple
 
 from . import __version__
 from .contention import ContentionModels, cpu_rate, gpu_rate, thread_pool_rate
-from .errors import ConfigurationError, InternalConsistencyError
+from .errors import ConfigurationError, InfeasibleModelError, InternalConsistencyError
 from .frozen import Frozen
 from .schedulers import THREAD, Dispatcher, Policy
 from .workload import StageKind, TaskInstance
@@ -137,6 +138,7 @@ def models_fingerprint(models: ContentionModels) -> str:
 # Every running stage of one class progresses at the same rate.
 EXTERNAL, CPU_PROCESS, CPU_THREAD, GPU_ASYNC, GPU_BLOCKING = CLASSES = range(5)
 N_CLASSES = 5
+CLASS_NAMES = ("external", "CPU process", "CPU thread", "GPU async", "GPU host-blocking")
 
 
 _EXTERNAL_KIND = StageKind.EXTERNAL_API.value
@@ -247,25 +249,17 @@ def simulate(
 ) -> Trace:
     """Run the closed-loop workload under the given policy to completion.
 
-    Pure function: the trace depends only on the arguments. Ties are broken
-    by (time, task id, stage index) so simultaneous completions are
-    processed in a fixed order. Class c's clock S_c is the work one of its
-    stages has received since the class was last idle; a stage is done when
-    S_c reaches its tag S_c(start) + work. A clock restarts at 0.0 whenever
-    its class empties, so a stage that runs alone ends at start + work.
+    Pure function: the trace depends only on the arguments, not on the order
+    in which one event's completions are applied, as occupancy is integer
+    counts, heaps order stages by finish tag, the dispatcher's countdowns
+    release a batch once, and the records are sorted at the end. Class c's
+    clock S_c is the work one of its stages has received since the class was
+    last idle; a stage is done when S_c reaches its tag S_c(start) + work. A
+    clock restarts at 0.0 whenever its class empties, so a stage that runs
+    alone ends at start + work. A class rate too small for a stage ever to
+    end (0.0, say) is an InfeasibleModelError.
     """
     models = _on_machine(models, resources.logical_cores)
-    if not tasks:
-        return Trace(
-            workload_fp=workload_fingerprint(tasks),
-            policy=policy.canonical(),
-            models_fp=models_fingerprint(models),
-            seed=seed,
-            logical_cores=resources.logical_cores,
-            pool_eff=None,
-            records=[], makespan=0.0,
-        )
-
     dispatcher = Dispatcher(policy, tasks)
     pool_eff = None
     if dispatcher.pool_size is not None:
@@ -289,8 +283,7 @@ def simulate(
     occupancy = Occupancy(pool_eff)
     change = occupancy.change
     clocks = [0.0] * N_CLASSES
-    heaps: list[list[tuple[float, int]]] = [[] for _ in CLASSES]  # (tag, task id)
-    running: dict[int, tuple[int, float]] = {}  # task id -> (stage idx, start)
+    heaps: list[list[tuple]] = [[] for _ in CLASSES]  # (tag, task id, stage idx, start)
     records: list[StageRecord] = []
     now = 0.0
     remaining_stages = sum(len(t.pipeline.stages) for t in tasks)
@@ -301,73 +294,64 @@ def simulate(
     on_stage_complete = dispatcher.on_stage_complete
     heappop, heappush = heapq.heappop, heapq.heappush
 
-    def start_stage(task_id: int, stage_idx: int):
-        table, work = facts[task_id]
-        cls, mode, cpu_share, kv_tokens, _, _, _ = table[stage_idx]
-        change(cls, mode, cpu_share, kv_tokens, 1)
-        heappush(heaps[cls], (clocks[cls] + work[stage_idx], task_id))
-        running[task_id] = (stage_idx, now)
-
-    for tid in dispatcher.initial_starts():
-        start_stage(tid, 0)
-    load = occupancy.load()
-
+    starts = [(task_id, 0) for task_id in dispatcher.initial_starts()]
     events = 0
-    while running:
+    while True:
+        for task_id, stage_idx in starts:
+            table, work = facts[task_id]
+            cls, mode, cpu_share, kv_tokens, _, _, _ = table[stage_idx]
+            change(cls, mode, cpu_share, kv_tokens, 1)
+            heappush(heaps[cls], (clocks[cls] + work[stage_idx], task_id, stage_idx, now))
+
+        rates = occupancy.rates(occupancy.load(), models)
+        dt = None  # the least time to a finish tag, as min() would take it
+        try:
+            for heap, clock, rate in zip(heaps, clocks, rates):
+                if heap:
+                    d = (heap[0][0] - clock) / rate
+                    if dt is None or d < dt:
+                        dt = d
+        except ZeroDivisionError:
+            dt = math.inf
+        if dt is None:
+            break  # no stage runs
+        if dt == math.inf:
+            slowest = min((c for c in CLASSES if heaps[c]), key=rates.__getitem__)
+            raise InfeasibleModelError(
+                f"the {CLASS_NAMES[slowest]} stages' rate is {rates[slowest]!r} at t={now!r}, "
+                "too small for them to finish: the models leave a float's range")
         events += 1
         if events > max_events:
             raise InternalConsistencyError("event budget exhausted; engine stuck")
 
-        rates = occupancy.rates(load, models)
-        dt = None  # the least time to a finish tag, as min() would take it
-        for heap, clock, rate in zip(heaps, clocks, rates):
-            if heap:
-                d = (heap[0][0] - clock) / rate
-                if dt is None or d < dt:
-                    dt = d
         limit = dt + TIME_EPS
-        finished: list[int] = []
+        finished: list[tuple] = []
         for c in CLASSES:
             heap = heaps[c]
             if heap:
                 clock, rate = clocks[c], rates[c]
                 while heap and (heap[0][0] - clock) / rate <= limit:
-                    finished.append(heappop(heap)[1])
+                    finished.append(heappop(heap))
                 clocks[c] = clock + rate * dt if heap else 0.0
         now += dt
 
-        # The occupancy's sums do not depend on the order of its changes, so
-        # a follow-up stage starts as soon as the stage before it is recorded.
-        released: list[int] = []
-        finished.sort()
-        for task_id in finished:
-            stage_idx, start = running[task_id]
+        starts = []
+        for _, task_id, stage_idx, start in finished:
             table, work = facts[task_id]
             cls, mode, cpu_share, kv_tokens, kind, host_blocking, label = table[stage_idx]
             change(cls, mode, cpu_share, kv_tokens, -1)
             append_record(new_record(StageRecord, (
                 task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens,
                 work[stage_idx], start, now, label)))
-            released += on_stage_complete(task_id, stage_idx)
-            stage_idx += 1
-            if stage_idx < len(table):
-                cls, mode, cpu_share, kv_tokens, _, _, _ = table[stage_idx]
-                change(cls, mode, cpu_share, kv_tokens, 1)
-                heappush(heaps[cls], (clocks[cls] + work[stage_idx], task_id))
-                running[task_id] = (stage_idx, now)
-            else:
-                del running[task_id]
-        if released:
-            for task_id in sorted(set(released)):
-                start_stage(task_id, 0)
-        load = occupancy.load()
+            if stage_idx + 1 < len(table):
+                starts.append((task_id, stage_idx + 1))
+            for released in on_stage_complete(task_id, stage_idx):
+                starts.append((released, 0))
 
     records.sort()  # (task id, stage idx) is unique, so this orders by it
-    n_done = len(records)
-    if n_done != remaining_stages:
+    if len(records) != remaining_stages:
         raise InternalConsistencyError(
-            f"run ended with {remaining_stages - n_done} unfinished stages"
-        )
+            f"run ended with {remaining_stages - len(records)} unfinished stages")
     return Trace(
         workload_fp=workload_fingerprint(tasks),
         policy=policy.canonical(),
@@ -568,13 +552,9 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
     records = trace.records
     bad = [i for i, r in enumerate(records)
            if abs(done[i] - r.work) > rel_tol * max(r.work, 1e-30)]
+    detail = ""
     if bad:
         i = min(bad, key=lambda i: (records[i].task_id, records[i].stage_idx))
-        rec = records[i]
-        return ReplayReport(
-            False,
-            f"work mismatch at task {rec.task_id} stage {rec.stage_idx}: "
-            f"integrated {done[i]!r}, expected {rec.work!r}",
-            occupancy,
-        )
-    return ReplayReport(True, "", occupancy)
+        detail = (f"work mismatch at task {records[i].task_id} stage {records[i].stage_idx}: "
+                  f"integrated {done[i]!r}, expected {records[i].work!r}")
+    return ReplayReport(not bad, detail, occupancy)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import functools
 import importlib.resources
-import math
+import sys
 from pathlib import Path
 
 import yaml
@@ -57,10 +57,11 @@ def dump_yaml(doc, sort_keys: bool = True) -> str:
 
 def _as(value, kind, path: str):
     """``value`` converted to int or float, or checked to be an instance of
-    any other ``kind`` (a type or a tuple of types); a number must be finite,
-    an int must not lose a fraction (``64.0`` is 64, ``2.9`` is refused), and
-    a bool is no number. Failing that, a ConfigurationError naming the field
-    path, e.g. ``workload.mix[0].proportion`` or ``models.gpu.b_half``."""
+    any other ``kind`` (a type or a tuple of types); a number must be finite
+    and within a float's range (``10**400`` is refused), an int must not lose
+    a fraction (``64.0`` is 64, ``2.9`` is refused), and a bool is no number.
+    Failing that, a ConfigurationError naming the field path, e.g.
+    ``workload.mix[0].proportion`` or ``models.gpu.b_half``."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
     value_as = None
     if isinstance(value, bool) and bool not in kinds:
@@ -73,9 +74,11 @@ def _as(value, kind, path: str):
                 pass
     elif isinstance(value, kind):
         value_as = value
-    if value_as is not None and (not isinstance(value_as, float) or math.isfinite(value_as)):
+    if value_as is not None and (not isinstance(value_as, (int, float))
+                                 or abs(value_as) <= sys.float_info.max):
         return value_as
-    names = " or ".join("finite float" if k is float else k.__name__ for k in kinds)
+    names = " or ".join({float: "finite float", int: "int within float range"}.get(k, k.__name__)
+                        for k in kinds)
     raise ConfigurationError(f"{path} must be {names}, got {value!r}")
 
 

@@ -32,8 +32,10 @@ def build_workload(spec: WorkloadSpec) -> list[TaskInstance]:
             else:
                 factors = rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma,
                                         size=len(pipeline.stages))
-                work = tuple(float(s.base_latency * f)
-                             for s, f in zip(pipeline.stages, factors))
+                # a product may overflow to inf, which build_workload refuses
+                with np.errstate(over="ignore"):
+                    work = tuple(float(s.base_latency * f)
+                                 for s, f in zip(pipeline.stages, factors))
             tasks.append(TaskInstance(id=task_id, pipeline=pipeline, stage_work=work))
             task_id += 1
     return tasks

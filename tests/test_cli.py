@@ -668,3 +668,75 @@ class TestIllTypedInputs:
         capsys.readouterr()
         assert main(["profiles", "show", "chemcrow"]) == 0
         assert "orchestrator" not in capsys.readouterr().out
+
+
+class TestRefusals:
+    """Refusals no other test reaches: each exits with its code and message,
+    without a traceback. A file named in ``argv`` is written from ``files``
+    (bytes as they are, anything else as YAML)."""
+
+    @pytest.mark.parametrize("files, argv, code, message", [
+        ({"s.yaml": {**BASE_CONFIG, "sweep": {"axis": "seed", "values": [1]}}},
+         ["sweep", "--config", "s.yaml", "--out", "out"], 2, "sweep axis must be one of"),
+        ({"s.yaml": {**BASE_CONFIG, "sweep": {"axis": "batch_size", "values": []}}},
+         ["sweep", "--config", "s.yaml", "--out", "out"], 2, "sweep values must be non-empty"),
+        ({"s.yaml": {**BASE_CONFIG, "sweep": {"axis": "lambda", "values": [1.1],
+                                              "curve": "curve.yaml"}},
+          "curve.yaml": {"schema_version": 1, "kind": "report", "points": {32: 1.0, 64: 2.0}}},
+         ["sweep", "--config", "s.yaml", "--out", "out"], 2, "is not a throughput_curve document"),
+        ({"obs.yaml": {"schema_version": 1, "kind": "observations", "name": "none"}},
+         ["calibrate", "--observations", "obs.yaml", "--out", "out"], 3,
+         "observations contain no cpu_observations, gpu_latency_pair, or energy_endpoints"),
+        ({}, ["profiles", "show"], 2, "profiles show requires a profile name"),
+        ({"c.yaml": [1, 2]}, ["run", "--config", "c.yaml", "--out", "out"], 2,
+         "c.yaml is not a mapping"),
+        ({"c.yaml": b"seed: \xff\n"}, ["run", "--config", "c.yaml", "--out", "out"], 2,
+         "cannot read config file"),
+    ], ids=["sweep_axis", "empty_sweep_values", "curve_kind", "calibrate_nothing_to_fit",
+            "show_without_name", "config_list", "config_not_utf8"])
+    def test_exits_with_its_code_and_message(self, tmp_path, capsys, files, argv, code,
+                                             message):
+        for name, content in files.items():
+            path = tmp_path / name
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(yaml.safe_dump(content))
+        argv = [str(tmp_path / arg) if arg in files or arg == "out" else arg for arg in argv]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+class TestExtremeNumbers:
+    """Numbers at the ends of a float's range: an int no float can hold
+    exits 2 naming its field; models that drive a class rate to 0.0 or a
+    report value to infinity exit 3 naming the class or column. No file is
+    written."""
+
+    @pytest.mark.parametrize("change, code, named", [
+        ({"resources": {"logical_cores": 10**400}}, 2, "resources.logical_cores"),
+        ({"policy": {"name": "multithreading", "pool_size": 10**400},
+          "resources": {"logical_cores": 10**400}}, 2, "policy.pool_size"),
+        ({"workload": {**BASE_CONFIG["workload"], "batch_size": 512},
+          "resources": {"logical_cores": 4},
+          "models": with_field(HOST, ("cpu", "oversub_kappa"), 1e308)},
+         3, "the CPU process stages' rate is 0.0"),
+        ({"workload": {**BASE_CONFIG["workload"], "batch_size": 512},
+          "resources": {"logical_cores": 4},
+          "models": {**HOST, "gpu": {**HOST["gpu"], "spill_rate_factor": 5e-324,
+                                     "kv_capacity": 1}}},
+         3, "the GPU host-blocking stages' rate is 0.0"),
+        ({"models": {**HOST, "energy": {"cpu_dyn_w_per_core": 1e308, "cpu_pkg_dyn_w": 1e308,
+                                        "gpu_dyn_w": 1e308}}},
+         3, "report column cpu_dyn_energy_j is inf"),
+    ], ids=["huge_logical_cores", "huge_pool_size", "kappa_1e308", "spill_5e-324",
+            "energy_1e308"])
+    def test_run_exits_without_writing(self, tmp_path, capsys, change, code, named):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "workload": {
+            **BASE_CONFIG["workload"], "batch_size": 4}, **change})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()

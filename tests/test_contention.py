@@ -8,10 +8,12 @@ from agentsim.contention import (
     calibrate_gpu,
     cpu_rate,
     fit_cpu_watts,
+    fit_dynamic_watts,
     gain_ratios,
     gpu_rate,
     kv_peak,
     select_bcap,
+    thread_pool_rate,
 )
 from agentsim.errors import ConfigurationError, InfeasibleModelError
 
@@ -219,3 +221,20 @@ class TestKvPeak:
     def test_unordered_is_error(self):
         with pytest.raises(ConfigurationError):
             kv_peak([(1.0, 5), (0.5, 3)], GpuSaturationParams())
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: cpu_rate(-1, params()), ConfigurationError, "active_cpu_load must be >= 0"),
+    (lambda: gpu_rate(0, GpuSaturationParams()), ConfigurationError,
+     "resident_batch must be >= 1"),
+    (lambda: gpu_rate(1, GpuSaturationParams(), kv_in_use=-1), ConfigurationError,
+     "kv_in_use must be >= 0"),
+    (lambda: thread_pool_rate(0, 4, params()), ConfigurationError, "n_active must be >= 1"),
+    (lambda: select_bcap({128: 1.5}, lam=1.0), ConfigurationError, "threshold must be > 1"),
+    (lambda: fit_dynamic_watts(0, 1.0, 1.0, 1.0), InfeasibleModelError,
+     "energy endpoints and integrals must be > 0"),
+], ids=["cpu_rate_negative_load", "gpu_rate_empty_batch", "gpu_rate_negative_kv",
+        "thread_pool_rate_no_stage", "select_bcap_threshold_one", "fit_dynamic_watts_zero"])
+def test_argument_outside_the_domain_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -91,6 +91,27 @@ class TestSimulateBasics:
         assert models.cpu.logical_cores != 4
         assert fps[0] == fps[1]
 
+    @pytest.mark.parametrize("policy, pool_eff", [
+        (a.Policy("sequential"), None),
+        (a.Policy("multithreading", pool_size=6), 4),
+        (a.Policy("multiprocessing"), None),
+        (a.Policy("cgam", b_cap=2, pool_size=3, exec_mode="thread"), 3),
+        (a.Policy("cgam_overlap", b_cap=2), None),
+        # the maws split gives a thread pool only to LLM-heavy tasks
+        (a.Policy("maws"), None),
+        (a.Policy("maws_cgam", b_cap=2), None),
+    ], ids=lambda value: getattr(value, "name", f"pool_eff={value}"))
+    def test_empty_workload_under_every_policy(self, models, policy, pool_eff):
+        # an empty run goes through the event loop and ends at once, with the
+        # pool width a one-task run records
+        resources = a.ResourcePool(logical_cores=4)
+        trace = a.simulate([], policy, resources, models)
+        assert trace.records == [] and trace.makespan == 0.0
+        assert trace.pool_eff == pool_eff
+        assert trace.pool_eff == a.simulate(tasks_from_works([[1.0]]), policy, resources,
+                                            models).pool_eff
+        assert a.replay_check(trace, models).ok
+
 
 class TestDeterminism:
     def test_identical_inputs_identical_bytes(self, models, resources):

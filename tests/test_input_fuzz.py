@@ -87,6 +87,7 @@ NUMBER_CHANGES = [
     ("zero", lambda v: 0), ("minus one", lambda v: -1),
     ("double", lambda v: v * 2), ("halve", lambda v: v * 0.5),
     ("nan", lambda v: math.nan), ("inf", lambda v: math.inf), ("-inf", lambda v: -math.inf),
+    ("huge", lambda v: 10**400),  # an int no float can hold
 ]
 
 NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)

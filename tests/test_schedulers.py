@@ -65,6 +65,17 @@ class TestMawsPartition:
 
 
 class TestDispatcher:
+    def test_completion_of_an_unknown_task_is_internal(self):
+        d = Dispatcher(a.Policy("multiprocessing"), tasks_of(CPU, 2))
+        with pytest.raises(InternalConsistencyError, match="dispatch for unknown task 7"):
+            d.on_stage_complete(7, 0)
+
+    def test_completion_out_of_order_is_internal(self):
+        d = Dispatcher(a.Policy("multiprocessing"), tasks_of(CPU, 2))
+        with pytest.raises(InternalConsistencyError,
+                           match="task 0 completed stage 1 out of order"):
+            d.on_stage_complete(0, 1)
+
     def test_multiprocessing_starts_everything(self):
         tasks = tasks_of(CPU, 5)
         d = Dispatcher(a.Policy("multiprocessing"), tasks)
