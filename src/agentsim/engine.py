@@ -27,6 +27,7 @@ import hashlib
 import heapq
 import json
 import math
+import sys
 from bisect import bisect_left, insort
 from typing import NamedTuple
 
@@ -47,8 +48,8 @@ class ResourcePool(Frozen):
     __slots__ = ("logical_cores",)
 
     def __init__(self, logical_cores: int = 96):
-        if logical_cores < 1:
-            raise ConfigurationError("logical_cores must be >= 1")
+        if not 1 <= logical_cores <= sys.float_info.max:
+            raise ConfigurationError("logical_cores must be >= 1 and within a float's range")
         self._init(logical_cores)
 
 
@@ -120,7 +121,11 @@ def workload_fingerprint(tasks: list[TaskInstance]) -> str:
             middle = encoded[id(pipeline)] = "," + _json(pipeline.name) + "," + _json(
                 [(s.kind.value, s.cpu_share, s.kv_tokens, s.host_blocking)
                  for s in pipeline.stages]) + ","
-        digest.update(f"{sep}[{t.id}{middle}{_json(t.stage_work)}]".encode())
+        try:  # the text _json gives a list of floats, without its encoder
+            work = "[" + ",".join(map(float.__repr__, t.stage_work)) + "]"
+        except TypeError:  # a work that is no float, such as an int
+            work = _json(t.stage_work)
+        digest.update(f"{sep}[{t.id}{middle}{work}]".encode())
         sep = ","
     digest.update(b"]")
     return digest.hexdigest()[:16]
@@ -378,35 +383,35 @@ _TRACE_META = {
 _V1_STEP_TAGS = frozenset(("cpuload", "gpures", "kvtokens", "pooln"))
 
 
-class _Reprs(dict):
-    """float -> its repr, formatted on first use. Zero is never stored, as
-    ``0.0`` and ``-0.0`` are one key but two texts."""
-
-    def __missing__(self, value: float) -> str:
-        text = repr(value)
-        if value:
-            self[value] = text
-        return text
-
-
 def serialize_trace(trace: Trace) -> str:
-    """Line-oriented text form with bit-exact floats (repr round-trip).
-    Each distinct event time (a float, as ``simulate`` and ``parse_trace``
-    make them) is formatted once."""
-    reprs = _Reprs()
-    sections = ["# agentsim trace"]
+    """Line-oriented text form with bit-exact floats (repr round-trip),
+    joined once from one list of lines. A stage whose start is the nonzero
+    float its predecessor ended at reuses that end's text, and the middle of
+    a line, from kind to kv tokens, is formatted once per distinct shape
+    with a nonzero float share (``0.0`` and ``-0.0``, or ``1`` and ``1.0``,
+    are equal but print differently)."""
     fields = {"schema_version": TRACE_SCHEMA_VERSION, **trace._asdict()}
+    lines = ["# agentsim trace"]
     for key in _TRACE_META:
         value = fields[key]
-        sections.append(f"meta {key} {'none' if value is None else value}")
-    if trace.records:
-        sections.append("\n".join([
-            f"stage {task_id} {stage_idx} {kind} {mode} {int(host_blocking)} "
-            f"{cpu_share!r} {kv_tokens} {work!r} {reprs[start]} {reprs[end]} {label}"
-            for (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
-                 start, end, label) in trace.records
-        ]))
-    return "\n".join(sections) + "\n"
+        lines.append(f"meta {key} {'none' if value is None else value}")
+    append = lines.append
+    middles: dict[tuple, str] = {}  # (kind, mode, host blocking, share, kv) -> its text
+    prev_end = prev_text = None  # the previous record's end if a nonzero float, its text
+    for (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
+         start, end, label) in trace.records:
+        shape = (kind, mode, host_blocking, cpu_share, kv_tokens)
+        cacheable = cpu_share and type(cpu_share) is float and type(kv_tokens) is int
+        middle = middles.get(shape) if cacheable else None
+        if middle is None:
+            middle = f" {kind} {mode} {int(host_blocking)} {cpu_share!r} {kv_tokens} "
+            if cacheable:
+                middles[shape] = middle
+        start_text = prev_text if start == prev_end and type(start) is float else repr(start)
+        prev_end, prev_text = end if end and type(end) is float else None, repr(end)
+        append(f"stage {task_id} {stage_idx}{middle}{work!r} {start_text} {prev_text} {label}")
+    append("")  # the final newline
+    return "\n".join(lines)
 
 
 def parse_trace(text: str) -> Trace:
@@ -472,10 +477,15 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
         models = _on_machine(models, trace.logical_cores)
     records = trace.records
     n = len(records)
-    keys = [
-        (stage_class(r.kind, r.mode, r.host_blocking), r.mode, r.cpu_share, r.kv_tokens)
-        for r in records
-    ]
+    shapes: dict[tuple, tuple] = {}  # (kind, mode, host blocking, share, kv) -> its key
+    keys = []
+    for r in records:
+        shape = r[2:7]
+        key = shapes.get(shape)
+        if key is None:
+            key = shapes[shape] = (stage_class(r.kind, r.mode, r.host_blocking), r.mode,
+                                   r.cpu_share, r.kv_tokens)
+        keys.append(key)
     starts = [r.start for r in records]
     ends = [r.end for r in records]
     # an interval that does not end after it starts is never active

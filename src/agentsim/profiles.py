@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import functools
 import importlib.resources
+import re
 import sys
 from pathlib import Path
 
@@ -27,10 +28,24 @@ from .workload import PipelineSpec, StageKind, StageSpec
 
 PROFILE_SCHEMA_VERSION = 1
 
+# PyYAML's YAML 1.1 rules read a float only with a dot (``1.0e-3``); this
+# also reads ``1e-3`` and ``1e5`` as floats, and makes a string of that form
+# written quoted
+_EXPONENT_FLOAT = re.compile(r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$")
+
+
+def _with_exponent_floats(base: type) -> type:
+    """A subclass of the loader or dumper class ``base`` that resolves
+    ``_EXPONENT_FLOAT`` scalars as floats."""
+    cls = type(base.__name__, (base,), {})
+    cls.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+0123456789"))
+    return cls
+
+
 try:
-    _LOADER, _DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
+    _LOADER, _DUMPER = map(_with_exponent_floats, (yaml.CSafeLoader, yaml.CSafeDumper))
 except AttributeError:  # PyYAML built without libyaml
-    _LOADER, _DUMPER = yaml.SafeLoader, yaml.SafeDumper
+    _LOADER, _DUMPER = map(_with_exponent_floats, (yaml.SafeLoader, yaml.SafeDumper))
 
 
 def read_yaml(path: str | Path, what: str) -> dict:
@@ -59,7 +74,8 @@ def _as(value, kind, path: str):
     """``value`` converted to int or float, or checked to be an instance of
     any other ``kind`` (a type or a tuple of types); a number must be finite
     and within a float's range (``10**400`` is refused), an int must not lose
-    a fraction (``64.0`` is 64, ``2.9`` is refused), and a bool is no number.
+    a fraction (``64.0`` is 64, ``2.9`` is refused), and neither a bool nor a
+    str (a quoted ``"8"``) is a number.
     Failing that, a ConfigurationError naming the field path, e.g.
     ``workload.mix[0].proportion`` or ``models.gpu.b_half``."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
@@ -67,10 +83,11 @@ def _as(value, kind, path: str):
     if isinstance(value, bool) and bool not in kinds:
         pass  # a bool is no number
     elif kind in (int, float):
-        if kind is float or not isinstance(value, float) or value.is_integer():
+        if isinstance(value, int) or isinstance(value, float) and (
+                kind is float or value.is_integer()):
             try:
                 value_as = kind(value)
-            except (TypeError, ValueError, OverflowError):
+            except OverflowError:  # an int too large for a float
                 pass
     elif isinstance(value, kind):
         value_as = value

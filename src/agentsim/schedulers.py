@@ -10,6 +10,7 @@ enforced by the engine.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from .errors import ConfigurationError, InternalConsistencyError
@@ -67,8 +68,10 @@ class Policy(Frozen):
                 raise ConfigurationError(
                     f"policy.{key} is not read by policy {name!r}, which reads "
                     f"{', '.join(reads)}")
-            if key in reads and kind is int and (value is None or value < 1):
-                raise ConfigurationError(f"policy {name!r} requires {key} >= 1")
+            if key in reads and kind is int and (
+                    value is None or not 1 <= value <= sys.float_info.max):
+                raise ConfigurationError(
+                    f"policy {name!r} requires {key} >= 1 and within a float's range")
         if not 0.0 < theta < 1.0:
             raise ConfigurationError("theta must be in (0, 1)")
         if exec_mode not in (PROCESS, THREAD):

@@ -97,8 +97,9 @@ class TaskInstance(Frozen):
     def __init__(self, id: int, pipeline: PipelineSpec, stage_work: tuple[float, ...]):
         if len(stage_work) != len(pipeline.stages):
             raise ConfigurationError("stage_work length must equal stage count")
-        if not all(0.0 < w < math.inf for w in stage_work):
-            raise ConfigurationError("all stage_work entries must be finite and > 0")
+        if not all(0.0 < w < math.inf and not isinstance(w, bool) for w in stage_work):
+            raise ConfigurationError(
+                "all stage_work entries must be finite and > 0; a bool is no number")
         self._init(id, pipeline, stage_work)
 
 

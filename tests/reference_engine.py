@@ -10,6 +10,10 @@ occupancy step series it records at every event are returned beside the
 trace, which no longer holds them; and the audit checks work conservation
 only, as the production audit does. Its cost is quadratic in the batch
 size; use it only on small inputs.
+
+It also keeps, verbatim, the trace serializer that formatted each distinct
+event time once through a ``_Reprs`` cache and joined the stage lines and
+then the sections; the production serializer must write the same text.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from dataclasses import dataclass, field
 
 from agentsim.contention import ContentionModels, cpu_rate, gpu_rate, thread_pool_rate
 from agentsim.engine import (
+    _TRACE_META,
     TIME_EPS,
+    TRACE_SCHEMA_VERSION,
     ReplayReport,
     ResourcePool,
     StageRecord,
@@ -456,3 +462,34 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
                 f"integrated {done!r}, expected {rec.work!r}",
             )
     return ReplayReport(True)
+
+
+class _Reprs(dict):
+    """float -> its repr, formatted on first use. Zero is never stored, as
+    ``0.0`` and ``-0.0`` are one key but two texts."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
+def serialize_trace(trace: Trace) -> str:
+    """Line-oriented text form with bit-exact floats (repr round-trip).
+    Each distinct event time (a float, as ``simulate`` and ``parse_trace``
+    make them) is formatted once."""
+    reprs = _Reprs()
+    sections = ["# agentsim trace"]
+    fields = {"schema_version": TRACE_SCHEMA_VERSION, **trace._asdict()}
+    for key in _TRACE_META:
+        value = fields[key]
+        sections.append(f"meta {key} {'none' if value is None else value}")
+    if trace.records:
+        sections.append("\n".join([
+            f"stage {task_id} {stage_idx} {kind} {mode} {int(host_blocking)} "
+            f"{cpu_share!r} {kv_tokens} {work!r} {reprs[start]} {reprs[end]} {label}"
+            for (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
+                 start, end, label) in trace.records
+        ]))
+    return "\n".join(sections) + "\n"

@@ -12,6 +12,7 @@ import pytest
 import agentsim
 from agentsim.cli import main, parse_config
 from agentsim.engine import parse_trace, serialize_trace
+from agentsim import profiles
 from agentsim.profiles import _bundled_doc
 from agentsim.schedulers import POLICY_FIELDS, POLICY_PARAMS
 
@@ -581,12 +582,14 @@ class TestIllTypedInputs:
         ({"workload": {**BASE_CONFIG["workload"], "jitter_cv": 1e200}}, "workload.jitter_cv"),
         (inline_freshqa(("stages", 1, "host_blocking"), True),
          "host_blocking only valid on gpu_inference"),
+        ({"workload": {**BASE_CONFIG["workload"], "batch_size": "8"}}, "workload.batch_size"),
+        ({"workload": {**BASE_CONFIG["workload"], "jitter_cv": "0"}}, "workload.jitter_cv"),
     ], ids=["batch_size", "mix_proportion", "seed", "logical_cores", "models_list",
             "infinite_batch_size", "negative_seed", "models_without_gpu", "nan_b_half",
             "infinite_base_latency", "numeric_label", "unknown_stage_kind",
             "fractional_batch_size", "bool_batch_size", "bool_jitter_cv",
             "label_with_newline", "label_ending_in_carriage_return", "overflowing_jitter_cv",
-            "host_blocking_cpu_tool"])
+            "host_blocking_cpu_tool", "quoted_batch_size", "quoted_jitter_cv"])
     def test_run_exits_2_naming_the_field(self, tmp_path, capsys, change, field):
         cfg = write_config(tmp_path, {**BASE_CONFIG, **change})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -603,6 +606,32 @@ class TestIllTypedInputs:
         for output in ("trace.txt", "report.yaml"):
             assert ((tmp_path / "float" / output).read_bytes()
                     == (tmp_path / "int" / output).read_bytes())
+
+    @pytest.mark.parametrize("loader", ["libyaml", "pure"])
+    def test_an_exponent_without_a_dot_is_a_float(self, tmp_path, monkeypatch, loader):
+        # YAML 1.1 reads 1e-3 as a string; the loader, libyaml or not, reads
+        # it as the float it spells, and a quoted '8' stays a string
+        if loader == "libyaml" and not yaml.__with_libyaml__:
+            pytest.skip("PyYAML built without libyaml")
+        base = yaml.CSafeLoader if loader == "libyaml" else yaml.SafeLoader
+        monkeypatch.setattr(profiles, "_LOADER", profiles._with_exponent_floats(base))
+        text = (PROFILES / "emerald_rapids_b200.yaml").read_text()
+        kappa = re.search(r"^  oversub_kappa: .*$", text, re.MULTILINE).group()
+        path = tmp_path / "host.yaml"
+        path.write_text(text.replace(kappa, "  oversub_kappa: 1e-3"))
+        assert profiles.load_models_file(path).cpu.oversub_kappa == 0.001
+        path.write_text("a: 1e-3\nb: 5e-324\nc: 1e5\nd: -2E+3\ne: '8'\nf: 1e\n")
+        assert profiles.read_yaml(path, "test") == {
+            "a": 0.001, "b": 5e-324, "c": 100000.0, "d": -2000.0, "e": "8", "f": "1e"}
+
+    @pytest.mark.parametrize("dumper", ["libyaml", "pure"])
+    def test_a_string_spelling_an_exponent_float_is_written_quoted(self, monkeypatch, dumper):
+        if dumper == "libyaml" and not yaml.__with_libyaml__:
+            pytest.skip("PyYAML built without libyaml")
+        base = yaml.CSafeDumper if dumper == "libyaml" else yaml.SafeDumper
+        monkeypatch.setattr(profiles, "_DUMPER", profiles._with_exponent_floats(base))
+        text = profiles.dump_yaml({"label": "1e5", "x": 1e-05})
+        assert text == "label: '1e5'\nx: 1.0e-05\n"
 
     def test_label_with_spaces_round_trips(self, tmp_path):
         cfg = write_config(tmp_path, {**BASE_CONFIG, **inline_freshqa(

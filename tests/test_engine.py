@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -355,3 +356,21 @@ class TestCostPerEvent:
         assert a.replay_check(trace, models).ok
         boundaries = {r.start for r in trace.records} | {r.end for r in trace.records}
         assert 0 < counter["n"] <= 5 * (len(boundaries) - 1)
+
+
+class TestSerializeMemory:
+    """``serialize_trace`` holds its text about twice at its peak: the
+    lines, then the text joined from them, and no other copy or cache."""
+
+    def test_peak_is_at_most_three_times_the_text(self, models, resources):
+        mix = ((a.load_profile("swe_agent_apps"), 0.5), (a.load_profile("langchain_guardrail"), 0.5))
+        tasks = a.build_workload(a.WorkloadSpec(batch_size=256, mix=mix, seed=0))
+        trace = a.simulate(tasks, a.Policy("maws"), resources, models)
+        tracemalloc.start()
+        try:
+            text = serialize_trace(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 100_000
+        assert peak <= 3 * len(text), peak / len(text)

@@ -183,6 +183,81 @@ def test_round_trip_keeps_the_sign_of_zero():
     assert serialize_trace(parsed) == text
 
 
+# event times and works: both zeros, ints where floats are expected, any float
+TIMES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, 2.5, 0, 1, 3)), st.floats(), st.integers(-3, 3))
+# a start may also be the previous record's end: that object, an equal one of
+# its type, an equal one of the other of int and float, or its negation
+# (equal only for a zero, whose sign it flips)
+STARTS = st.one_of(TIMES, st.sampled_from(("same", "twin", "retyped", "negated")))
+
+
+def equal_start(how: str, end):
+    if how == "same":
+        return end
+    if how == "negated":
+        return -end
+    if type(end) is float:
+        if how == "twin":
+            return float.fromhex(end.hex())  # another object
+        return int(end) if math.isfinite(end) and end.is_integer() else end
+    return int(str(end)) if how == "twin" else float(end)
+
+
+@st.composite
+def serializer_traces(draw):
+    records = []
+    end = None
+    for _ in range(draw(st.integers(0, 12))):
+        start = draw(STARTS)
+        if isinstance(start, str):
+            start = draw(TIMES) if end is None else equal_start(start, end)
+        end = draw(TIMES)
+        records.append(StageRecord(
+            draw(st.integers(0, 99)), draw(st.integers(0, 9)), draw(st.sampled_from(STAGE_KINDS)),
+            draw(st.sampled_from((PROCESS, THREAD))),
+            draw(st.one_of(st.booleans(), st.sampled_from((0, 1)))),
+            draw(st.one_of(st.sampled_from((0.0, -0.0, 0, 1, 1.0, 0.5)), st.floats(0.0, 1.0))),
+            draw(st.sampled_from((0, 7, 7.0))), draw(TIMES), start, end,
+            draw(st.text(alphabet="ab ", max_size=3))))
+    return Trace(
+        workload_fp="0" * 16, policy="maws", models_fp="1" * 16, seed=0, logical_cores=4,
+        pool_eff=draw(st.sampled_from((None, 2))), records=records, makespan=draw(TIMES))
+
+
+def plain_text(trace: Trace) -> str:
+    """The trace's text with every field of a stage line its own repr."""
+    return ref.serialize_trace(trace._replace(records=[])) + "".join(
+        f"stage {r.task_id} {r.stage_idx} {r.kind} {r.mode} {int(r.host_blocking)} "
+        f"{r.cpu_share!r} {r.kv_tokens} {r.work!r} {r.start!r} {r.end!r} {r.label}\n"
+        for r in trace.records)
+
+
+def times_mix_int_and_float(trace: Trace) -> bool:
+    """Whether an int start or end equals a float one. The reference's time
+    cache then writes one as the other's text (``1`` as ``1.0``); ``simulate``
+    and ``parse_trace`` make float times only."""
+    times = [t for r in trace.records for t in (r.start, r.end)]
+    ints = {t for t in times if type(t) is int}
+    return any(type(t) is float and t in ints for t in times)
+
+
+@given(trace=serializer_traces())
+def test_serializer_writes_the_text_of_the_reference_one(trace):
+    """The serializer writes the bytes of the one that cached every time's
+    repr, for any records: zeros of either sign, ints where floats are
+    expected, a start equal to the previous end (the same object, another
+    one, or one of the other type), and the trace parsed back. Each field
+    is written as its own repr, also where the reference's cache wrote an
+    equal time of the other type."""
+    text = serialize_trace(trace)
+    assert text == plain_text(trace)
+    if not times_mix_int_and_float(trace):
+        assert text == ref.serialize_trace(trace)
+    if all(type(r.kv_tokens) is int for r in trace.records):  # "7.0" is no kv count
+        parsed = parse_trace(text)
+        assert serialize_trace(parsed) == ref.serialize_trace(parsed) == plain_text(parsed)
+
+
 SHARES = st.one_of(st.sampled_from((0.0, 0.02, 0.05, 0.3, 0.55, 1.0)), st.floats(0.0, 1.0))
 # (finish a running stage?, which one, class, mode, share, read the load afterwards?)
 OCCUPANCY_OPS = st.lists(

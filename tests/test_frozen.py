@@ -151,3 +151,29 @@ def test_records_of_different_classes_differ():
     assert a.ResourcePool(8) != a.CpuContentionParams(8)
     assert a.ResourcePool(8) == a.ResourcePool(8)
     assert hash(a.ResourcePool(8)) == hash(a.ResourcePool(logical_cores=8))
+
+
+def test_the_api_refuses_an_int_no_float_can_hold():
+    """The Python API refuses what the CLI refuses: before, a two-task run
+    on ``ResourcePool(logical_cores=10**400)`` simulated, and ``summarize``
+    then raised OverflowError converting the core count to a float."""
+    pipe = a.load_profile("langchain_freshqa")
+    tasks = a.build_workload(a.WorkloadSpec(batch_size=2, mix=((pipe, 1.0),), seed=0))
+    models = a.load_models("emerald_rapids_b200")
+    for cores in (10**400, float("inf")):
+        with pytest.raises(ConfigurationError, match="logical_cores must be >= 1 and within"):
+            a.ResourcePool(logical_cores=cores)
+    trace = a.simulate(tasks, a.Policy("multiprocessing"), a.ResourcePool(10**300), models)
+    a.summarize(trace, models.energy, models.gpu)  # the largest counts still run
+    for name, key in (("cgam", "b_cap"), ("multithreading", "pool_size"),
+                      ("maws", "thread_pool_cores")):
+        with pytest.raises(ConfigurationError,
+                           match=f"policy '{name}' requires {key} >= 1 and within"):
+            a.Policy(name, **{key: 10**400})
+
+
+@pytest.mark.parametrize("work", [(True,), (1.0, False)], ids=["true", "false"])
+def test_a_bool_is_no_stage_work(work):
+    pipe = PIPE if len(work) == 1 else a.PipelineSpec("p2", PIPE.stages * 2)
+    with pytest.raises(ConfigurationError, match="a bool is no number"):
+        a.TaskInstance(id=0, pipeline=pipe, stage_work=work)

@@ -79,7 +79,6 @@ WORK = st.one_of(
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     st.integers(1, 2**70),
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(np.float64),
-    st.just(True),
 )
 
 
