@@ -2,7 +2,8 @@
 engine on random small pipelines, mixes, policies, models and core counts
 (the occupancy series the sweep derives from the records against those the
 reference records at each event), the occupancy's cached CPU load against a
-fresh sum, and the trace parser on corrupted traces."""
+fresh sum, the trace serializer against the one it replaced, and the trace
+parser on corrupted traces."""
 
 import functools
 import itertools
@@ -233,11 +234,11 @@ def plain_text(trace: Trace) -> str:
 
 
 def times_mix_int_and_float(trace: Trace) -> bool:
-    """Whether an int start or end equals a float one. The reference's time
-    cache then writes one as the other's text (``1`` as ``1.0``); ``simulate``
-    and ``parse_trace`` make float times only."""
+    """Whether a nonzero int start or end equals a float one. The reference's
+    time cache then writes one as the other's text (``1`` as ``1.0``);
+    ``simulate`` and ``parse_trace`` make float times only."""
     times = [t for r in trace.records for t in (r.start, r.end)]
-    ints = {t for t in times if type(t) is int}
+    ints = {t for t in times if type(t) is int and t}
     return any(type(t) is float and t in ints for t in times)
 
 
