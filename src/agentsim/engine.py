@@ -388,8 +388,8 @@ def serialize_trace(trace: Trace) -> str:
     joined once from one list of lines. A stage whose start is the nonzero
     float its predecessor ended at reuses that end's text, and the middle of
     a line, from kind to kv tokens, is formatted once per distinct shape
-    with a nonzero float share (``0.0`` and ``-0.0``, or ``1`` and ``1.0``,
-    are equal but print differently)."""
+    with a nonzero float share and an int kv count (``0.0`` and ``-0.0``, or
+    ``1`` and ``1.0``, are equal but print differently)."""
     fields = {"schema_version": TRACE_SCHEMA_VERSION, **trace._asdict()}
     lines = ["# agentsim trace"]
     for key in _TRACE_META:
