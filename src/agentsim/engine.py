@@ -11,14 +11,15 @@ share and GIL penalty), GPU inference through an async client
 
 ``simulate`` keeps per class a virtual service clock and a min-heap of
 finish tags, clock at start plus work, as in the virtual time of fair
-queueing; an event evaluates at most the five class rates, advances the
-clocks and pops the finished stages. Occupancy is kept as integer counts per
-distinct contribution, so its sums do not depend on the order stages joined
-in. A trace keeps only the stage records: ``sweep`` derives the occupancy
-step series from them in one pass over the sorted interval boundaries, and
-``replay_check`` audits work conservation on that same pass. Reruns are
-byte-identical; traces written before the virtual clocks may differ from
-today's in the last digits of some times and loads, within 1e-9 relative.
+queueing; an event evaluates at most the five class rates, visits only the
+classes the run has, advances their clocks and pops the finished stages.
+Occupancy is integer counts per (mode, CPU share) slot of the run, so its
+sums do not depend on the order stages joined in. A trace keeps only the
+stage records: ``sweep`` derives the occupancy step series from them in one
+pass over the sorted interval boundaries, and ``replay_check`` audits work
+conservation on that same pass. Reruns are byte-identical; traces written
+before the virtual clocks may differ from today's in the last digits of
+some times and loads, within 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import heapq
 import json
 import math
 import sys
-from bisect import bisect_left, insort
+from collections.abc import Iterable
+from operator import mul
 from typing import NamedTuple
 
 from . import __version__
@@ -38,7 +40,7 @@ from .frozen import Frozen
 from .schedulers import THREAD, Dispatcher, Policy
 from .workload import StageKind, TaskInstance
 
-TIME_EPS = 1e-12  # absolute epsilon for all virtual-time comparisons
+TIME_EPS = 1e-12  # simulate's tie rule: a stage this close to an event's end ends with it
 TRACE_SCHEMA_VERSION = 2  # version 1 also held the occupancy step series
 
 
@@ -48,8 +50,9 @@ class ResourcePool(Frozen):
     __slots__ = ("logical_cores",)
 
     def __init__(self, logical_cores: int = 96):
-        if not 1 <= logical_cores <= sys.float_info.max:
-            raise ConfigurationError("logical_cores must be >= 1 and within a float's range")
+        if type(logical_cores) is not int or not 1 <= logical_cores <= sys.float_info.max:
+            raise ConfigurationError(
+                "logical_cores must be >= 1 and within a float's range, as an int")
         self._init(logical_cores)
 
 
@@ -160,64 +163,55 @@ def stage_class(kind: str, mode: str, host_blocking: bool) -> int:
 
 
 class Occupancy:
-    """Resource occupancy of a running set, kept as integer counts per
-    distinct contribution, so its sums do not depend on the order stages
-    joined in. Thread-mode stages draw CPU through the shared pool, so their
-    aggregate share is capped at the pool width.
+    """Resource occupancy of a running set: per class its running stages, the
+    KV tokens of the GPU ones, and the stages in each slot. A slot is an integer
+    index per (mode, CPU share) pair of the run, which ``slot`` resolves once;
+    equal shares (``1`` and ``1.0``) share one. Each mode's slots are in
+    ascending order of share, so its CPU load, ``sum([share * count, ...],
+    0.0)`` over the slots that hold a stage, is the same float whichever order
+    stages joined in. Thread-mode stages draw CPU through the shared pool, so
+    their sum is capped at the pool width."""
 
-    Per mode (process, thread) the distinct CPU shares are kept in ascending
-    order, and a mode's load is re-summed only after it changed. The sum is
-    always ``sum([share * count, ...], 0.0)`` over ascending shares, so it is
-    the same float whichever sequence of changes led to the counts."""
-
-    def __init__(self, pool_eff: int | None):
+    def __init__(self, pool_eff: int | None, pairs: Iterable[tuple[str, float]]):
+        """``pairs``: the (mode, CPU share) of every stage that may run."""
         self.pool_eff = pool_eff
         self.per_class = [0] * N_CLASSES
         self.kv_tokens = 0
-        self._counts: tuple[dict, dict] = ({}, {})  # process, thread: share -> count
-        self._shares: tuple[list, list] = ([], [])  # their keys, ascending
-        self._loads: list[float | None] = [0.0, 0.0]  # None: changed since summed
+        # (is thread, share) in slot order: the process slots first
+        ordered = sorted(dict.fromkeys((mode == THREAD, share) for mode, share in pairs))
+        self._slots = {key: slot for slot, key in enumerate(ordered)}
+        self._process = [share for thread, share in ordered if not thread]
+        self._thread = [share for thread, share in ordered if thread]
+        self._counts = [0] * len(ordered)
+        # inf * 0 is nan, so an infinite or NaN share is summed only while it runs
+        self._dot = _dot if all(share * 0 == 0 for _, share in ordered) else _dot_running
 
-    def change(self, cls: int, mode: str, cpu_share: float, kv_tokens: int, delta: int):
+    def slot(self, mode: str, cpu_share: float) -> int:
+        """The slot of the stages of ``mode`` with ``cpu_share``."""
+        return self._slots[mode == THREAD, cpu_share]
+
+    def change(self, cls: int, slot: int, kv_tokens: int, delta: int):
         """Add (delta=+1) or remove (delta=-1) one running stage."""
         self.per_class[cls] += delta
+        self._counts[slot] += delta
         if cls >= GPU_ASYNC:
             self.kv_tokens += delta * kv_tokens
-        m = mode == THREAD
-        counts = self._counts[m]
-        count = counts.get(cpu_share, 0)
-        if not count:
-            insort(self._shares[m], cpu_share)
-        count += delta
-        if count:
-            counts[cpu_share] = count
-        else:
-            del counts[cpu_share]
-            shares = self._shares[m]
-            del shares[bisect_left(shares, cpu_share)]
-        self._loads[m] = None
-
-    def _sum(self, m: int) -> float:
-        counts = self._counts[m]
-        load = self._loads[m] = sum([share * counts[share] for share in self._shares[m]], 0.0)
-        return load
 
     def load(self) -> float:
         """The CPU load: the process and thread sums, the thread one capped
         at the pool width."""
-        process, thread = self._loads
-        if process is None:
-            process = self._sum(0)
-        if thread is None:
-            thread = self._sum(1)
-        if self.pool_eff is not None:
-            thread = min(thread, float(self.pool_eff))
-        return process + thread
+        counts, process = self._counts, self._process
+        load = self._dot(process, counts)
+        if self._thread:
+            thread = self._dot(self._thread, counts[len(process):])
+            load += thread if self.pool_eff is None else min(thread, float(self.pool_eff))
+        return load
 
-    def rates(self, load: float, models: ContentionModels) -> list[float | None]:
-        """Rate of each class that has a running stage, given the current CPU
-        load; entries of idle classes are not meaningful. Each contention
-        model is evaluated at most once."""
+    def rates(self, models: ContentionModels) -> tuple[float, list[float | None]]:
+        """The CPU load, and the rate of each class that has a running stage;
+        entries of idle classes are not meaningful. Each contention model is
+        evaluated at most once."""
+        load = self.load()
         n = self.per_class
         rates: list[float | None] = [None] * N_CLASSES
         if n[EXTERNAL]:
@@ -236,7 +230,15 @@ class Occupancy:
             rates[GPU_ASYNC] = gpu
             if n[GPU_BLOCKING]:
                 rates[GPU_BLOCKING] = gpu * cpu
-        return rates
+        return load, rates
+
+
+def _dot(shares: list[float], counts: list[int]) -> float:
+    return sum(map(mul, shares, counts), 0.0)
+
+
+def _dot_running(shares: list[float], counts: list[int]) -> float:
+    return sum([share * count for share, count in zip(shares, counts) if count], 0.0)
 
 
 def _on_machine(models: ContentionModels, logical_cores: int) -> ContentionModels:
@@ -271,21 +273,24 @@ def simulate(
         pool_eff = min(dispatcher.pool_size, resources.logical_cores)
 
     # The static facts of each stage, resolved once per (pipeline, mode):
-    # (class, mode, cpu share, kv tokens, kind, host blocking, label).
-    tables: dict[tuple[int, str], tuple[tuple, ...]] = {}
-    facts: dict[int, tuple[tuple, tuple[float, ...]]] = {}  # task id -> (table, work)
+    # (class, occupancy slot, kv tokens, kind, mode, host blocking, cpu share,
+    # label). A table holds the stages until the slots are known.
+    tables: dict[tuple[int, str], list] = {}  # (id of pipeline, mode) -> table
+    facts: dict[int, tuple[list[tuple], tuple[float, ...]]] = {}  # task id -> (table, work)
     for t in tasks:
-        mode = dispatcher.mode_of(t.id)
-        key = (id(t.pipeline), mode)
+        key = (id(t.pipeline), dispatcher.mode_of(t.id))
         if key not in tables:
-            tables[key] = tuple(
-                (stage_class(s.kind.value, mode, s.host_blocking), mode, s.cpu_share,
-                 s.kv_tokens, s.kind.value, s.host_blocking, s.label)
-                for s in t.pipeline.stages
-            )
+            tables[key] = list(t.pipeline.stages)
         facts[t.id] = (tables[key], t.stage_work)
+    occupancy = Occupancy(pool_eff, ((mode, s.cpu_share)
+                                     for (_, mode), table in tables.items() for s in table))
+    for (_, mode), table in tables.items():  # in place, as the facts hold the tables
+        for i, s in enumerate(table):
+            table[i] = (stage_class(s.kind.value, mode, s.host_blocking),
+                        occupancy.slot(mode, s.cpu_share), s.kv_tokens, s.kind.value, mode,
+                        s.host_blocking, s.cpu_share, s.label)
+    present = sorted({entry[0] for table in tables.values() for entry in table})  # run's classes
 
-    occupancy = Occupancy(pool_eff)
     change = occupancy.change
     clocks = [0.0] * N_CLASSES
     heaps: list[list[tuple]] = [[] for _ in CLASSES]  # (tag, task id, stage idx, start)
@@ -304,16 +309,17 @@ def simulate(
     while True:
         for task_id, stage_idx in starts:
             table, work = facts[task_id]
-            cls, mode, cpu_share, kv_tokens, _, _, _ = table[stage_idx]
-            change(cls, mode, cpu_share, kv_tokens, 1)
+            cls, slot, kv_tokens, _, _, _, _, _ = table[stage_idx]
+            change(cls, slot, kv_tokens, 1)
             heappush(heaps[cls], (clocks[cls] + work[stage_idx], task_id, stage_idx, now))
 
-        rates = occupancy.rates(occupancy.load(), models)
+        _, rates = occupancy.rates(models)
         dt = None  # the least time to a finish tag, as min() would take it
         try:
-            for heap, clock, rate in zip(heaps, clocks, rates):
+            for c in present:
+                heap = heaps[c]
                 if heap:
-                    d = (heap[0][0] - clock) / rate
+                    d = (heap[0][0] - clocks[c]) / rates[c]
                     if dt is None or d < dt:
                         dt = d
         except ZeroDivisionError:
@@ -321,7 +327,7 @@ def simulate(
         if dt is None:
             break  # no stage runs
         if dt == math.inf:
-            slowest = min((c for c in CLASSES if heaps[c]), key=rates.__getitem__)
+            slowest = min((c for c in present if heaps[c]), key=rates.__getitem__)
             raise InfeasibleModelError(
                 f"the {CLASS_NAMES[slowest]} stages' rate is {rates[slowest]!r} at t={now!r}, "
                 "too small for them to finish: the models leave a float's range")
@@ -330,28 +336,27 @@ def simulate(
             raise InternalConsistencyError("event budget exhausted; engine stuck")
 
         limit = dt + TIME_EPS
-        finished: list[tuple] = []
-        for c in CLASSES:
+        end = now + dt
+        starts = []  # what the popped stages let start, pushed once every clock moved
+        for c in present:
             heap = heaps[c]
             if heap:
                 clock, rate = clocks[c], rates[c]
                 while heap and (heap[0][0] - clock) / rate <= limit:
-                    finished.append(heappop(heap))
+                    _, task_id, stage_idx, start = heappop(heap)
+                    table, work = facts[task_id]
+                    _, slot, kv_tokens, kind, mode, host_blocking, cpu_share, label = \
+                        table[stage_idx]
+                    change(c, slot, kv_tokens, -1)
+                    append_record(new_record(StageRecord, (
+                        task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens,
+                        work[stage_idx], start, end, label)))
+                    if stage_idx + 1 < len(table):
+                        starts.append((task_id, stage_idx + 1))
+                    for released in on_stage_complete(task_id, stage_idx):
+                        starts.append((released, 0))
                 clocks[c] = clock + rate * dt if heap else 0.0
-        now += dt
-
-        starts = []
-        for _, task_id, stage_idx, start in finished:
-            table, work = facts[task_id]
-            cls, mode, cpu_share, kv_tokens, kind, host_blocking, label = table[stage_idx]
-            change(cls, mode, cpu_share, kv_tokens, -1)
-            append_record(new_record(StageRecord, (
-                task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens,
-                work[stage_idx], start, now, label)))
-            if stage_idx + 1 < len(table):
-                starts.append((task_id, stage_idx + 1))
-            for released in on_stage_complete(task_id, stage_idx):
-                starts.append((released, 0))
+        now = end
 
     records.sort()  # (task id, stage idx) is unique, so this orders by it
     if len(records) != remaining_stages:
@@ -477,15 +482,12 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
         models = _on_machine(models, trace.logical_cores)
     records = trace.records
     n = len(records)
-    shapes: dict[tuple, tuple] = {}  # (kind, mode, host blocking, share, kv) -> its key
-    keys = []
-    for r in records:
-        shape = r[2:7]
-        key = shapes.get(shape)
-        if key is None:
-            key = shapes[shape] = (stage_class(r.kind, r.mode, r.host_blocking), r.mode,
-                                   r.cpu_share, r.kv_tokens)
-        keys.append(key)
+    shapes: dict[tuple, int] = {}  # (kind, mode, host blocking, share, kv) -> its index
+    shape_of = [shapes.setdefault(r[2:7], len(shapes)) for r in records]
+    occupancy = Occupancy(trace.pool_eff, ((mode, share) for _, mode, _, share, _ in shapes))
+    keys = [(stage_class(kind, mode, host_blocking), occupancy.slot(mode, share), kv_tokens)
+            for kind, mode, host_blocking, share, kv_tokens in shapes]  # (class, slot, kv)
+    present = sorted({cls for cls, _, _ in keys})  # the classes the run has
     starts = [r.start for r in records]
     ends = [r.end for r in records]
     # an interval that does not end after it starts is never active
@@ -495,13 +497,13 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
     start_times = [starts[i] for i in by_start]
     end_times = [ends[i] for i in by_end]
     n_live = len(live)
-    occupancy = Occupancy(trace.pool_eff)
     change = occupancy.change
     per_class = occupancy.per_class
     integral = [0.0] * N_CLASSES  # of each class's rate, since it was last idle
     at_start = [0.0] * n
     done = [0.0] * n
     cpu, gpu, kv, pool = series = ([], [], [], [])
+    last_cpu = last_gpu = last_kv = last_pool = None  # each series' last value
     rates: list[float | None] = [0.0] * N_CLASSES  # 0.0 throughout without models
     si = ei = 0
     prev = 0.0
@@ -509,37 +511,35 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
         t = end_times[ei]
         if si < n_live and start_times[si] < t:
             t = start_times[si]
-        for c in CLASSES:
+        for c in present:
             if per_class[c]:
                 integral[c] += rates[c] * (t - prev)
         while si < n_live and start_times[si] == t:
             i = by_start[si]
-            cls, mode, cpu_share, kv_tokens = keys[i]
-            change(cls, mode, cpu_share, kv_tokens, 1)
+            cls, slot, kv_tokens = keys[shape_of[i]]
+            change(cls, slot, kv_tokens, 1)
             at_start[i] = integral[cls]
             si += 1
         while ei < n_live and end_times[ei] == t:
             i = by_end[ei]
-            cls, mode, cpu_share, kv_tokens = keys[i]
+            cls, slot, kv_tokens = keys[shape_of[i]]
             done[i] = integral[cls] - at_start[i]
-            change(cls, mode, cpu_share, kv_tokens, -1)
+            change(cls, slot, kv_tokens, -1)
             if not per_class[cls]:
                 integral[cls] = 0.0
             ei += 1
-        load = occupancy.load()
-        if not cpu or cpu[-1][1] != load:
-            cpu.append((t, load))
+        load, rates = (occupancy.load(), rates) if models is None else occupancy.rates(models)
+        if load != last_cpu:
+            cpu.append((t, last_cpu := load))
         value = per_class[GPU_ASYNC] + per_class[GPU_BLOCKING]
-        if not gpu or gpu[-1][1] != value:
-            gpu.append((t, value))
+        if value != last_gpu:
+            gpu.append((t, last_gpu := value))
         value = occupancy.kv_tokens
-        if not kv or kv[-1][1] != value:
-            kv.append((t, value))
+        if value != last_kv:
+            kv.append((t, last_kv := value))
         value = per_class[CPU_THREAD]
-        if not pool or pool[-1][1] != value:
-            pool.append((t, value))
-        if models is not None:
-            rates = occupancy.rates(load, models)
+        if value != last_pool:
+            pool.append((t, last_pool := value))
         prev = t
     return Sweep(*series, work_done=None if models is None else done)
 

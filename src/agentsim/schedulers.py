@@ -30,7 +30,7 @@ POLICY_FIELDS = {
 # The parameters each policy reads. Every policy reads theta, the CPU-heavy
 # threshold that also splits the per-class report; a micro-batching policy
 # reads pool_size only under exec: thread. Each integer parameter a policy
-# reads must be >= 1, so b_cap and pool_size, which default to None, must be set.
+# reads must be an int >= 1, so b_cap and pool_size, which default to None, must be set.
 POLICY_PARAMS = {
     "sequential": ("theta",),
     "multithreading": ("pool_size", "theta"),
@@ -68,10 +68,10 @@ class Policy(Frozen):
                 raise ConfigurationError(
                     f"policy.{key} is not read by policy {name!r}, which reads "
                     f"{', '.join(reads)}")
-            if key in reads and kind is int and (
-                    value is None or not 1 <= value <= sys.float_info.max):
+            if key in reads and kind is int and (  # None, a float or a bool is refused
+                    type(value) is not int or not 1 <= value <= sys.float_info.max):
                 raise ConfigurationError(
-                    f"policy {name!r} requires {key} >= 1 and within a float's range")
+                    f"policy {name!r} requires {key} >= 1 and within a float's range, as an int")
         if not 0.0 < theta < 1.0:
             raise ConfigurationError("theta must be in (0, 1)")
         if exec_mode not in (PROCESS, THREAD):

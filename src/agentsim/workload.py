@@ -50,8 +50,8 @@ class StageSpec(Frozen):
             raise ConfigurationError(f"stage {label!r}: base_latency must be finite and > 0")
         if not 0.0 <= cpu_share <= 1.0:
             raise ConfigurationError(f"stage {label!r}: cpu_share must be in [0, 1]")
-        if kv_tokens < 0:
-            raise ConfigurationError(f"stage {label!r}: kv_tokens must be >= 0")
+        if type(kv_tokens) is not int or kv_tokens < 0:  # a bool is no count
+            raise ConfigurationError(f"stage {label!r}: kv_tokens must be >= 0, as an int")
         for name, value in (("kv_tokens", kv_tokens), ("host_blocking", host_blocking)):
             if value and kind is not StageKind.GPU_INFERENCE:
                 raise ConfigurationError(

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -324,38 +325,60 @@ class TestKvSpill:
 
 class TestCostPerEvent:
     """At most five contention-model evaluations per event in ``simulate``
-    and per boundary interval in ``replay_check``, counted through the
-    engine module's names (no timing)."""
+    and per boundary interval in ``replay_check``, and each model at most
+    once, counted through the engine module's names (no timing), the names
+    the benchmark's ``contention.rate_calls`` counter wraps."""
 
     @pytest.fixture
     def counter(self, monkeypatch):
-        calls = {"n": 0}
+        calls = Counter()  # model name -> calls
         for name in ("cpu_rate", "gpu_rate", "thread_pool_rate"):
             original = getattr(engine, name)
 
-            def counted(*args, _original=original, **kwargs):
-                calls["n"] += 1
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(engine, name, counted)
         return calls
+
+    @staticmethod
+    def run(models, resources, policy, mix):
+        pipes = [a.load_profile(n) for n in mix]
+        tasks = a.build_workload(a.WorkloadSpec(
+            batch_size=256, mix=tuple((p, 1.0 / len(pipes)) for p in pipes), jitter_cv=0.05))
+        trace = a.simulate(tasks, a.Policy(policy), resources, models)
+        events = len({r.end for r in trace.records})
+        boundaries = len({r.start for r in trace.records} | {r.end for r in trace.records})
+        return trace, events, boundaries
 
     @pytest.mark.parametrize("policy, mix", [
         ("multiprocessing", ("langchain_freshqa",)),
         ("maws", ("swe_agent_apps", "langchain_guardrail")),
     ])
     def test_rate_calls_bounded(self, counter, models, resources, policy, mix):
-        pipes = [a.load_profile(n) for n in mix]
-        tasks = a.build_workload(a.WorkloadSpec(
-            batch_size=256, mix=tuple((p, 1.0 / len(pipes)) for p in pipes), jitter_cv=0.05))
-        trace = a.simulate(tasks, a.Policy(policy), resources, models)
-        events = len({r.end for r in trace.records})
-        assert 0 < counter["n"] <= 5 * events
+        trace, events, boundaries = self.run(models, resources, policy, mix)
+        assert 0 < sum(counter.values()) <= 5 * events
 
-        counter["n"] = 0
+        counter.clear()
         assert a.replay_check(trace, models).ok
-        boundaries = {r.start for r in trace.records} | {r.end for r in trace.records}
-        assert 0 < counter["n"] <= 5 * (len(boundaries) - 1)
+        assert 0 < sum(counter.values()) <= 5 * (boundaries - 1)
+
+    def test_each_model_at_most_once_per_event_on_all_five_classes(
+            self, counter, models, resources):
+        """A maws run of langchain_freshqa and langchain_guardrail has a stage
+        of every class; each model is called, and at most once per event in
+        ``simulate`` and per boundary in ``replay_check``."""
+        trace, events, boundaries = self.run(
+            models, resources, "maws", ("langchain_freshqa", "langchain_guardrail"))
+        classes = {engine.stage_class(r.kind, r.mode, r.host_blocking) for r in trace.records}
+        assert classes == set(engine.CLASSES)
+        names = ("cpu_rate", "gpu_rate", "thread_pool_rate")
+        assert all(0 < counter[name] <= events for name in names), (counter, events)
+
+        counter.clear()
+        assert a.replay_check(trace, models).ok
+        assert all(0 < counter[name] <= boundaries - 1 for name in names), (counter, boundaries)
 
 
 class TestSerializeMemory:

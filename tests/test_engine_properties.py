@@ -1,8 +1,8 @@
 """Property tests: the virtual-clock engine against the rescanning reference
 engine on random small pipelines, mixes, policies, models and core counts
 (the occupancy series the sweep derives from the records against those the
-reference records at each event), the occupancy's cached CPU load against a
-fresh sum, the trace serializer against the one it replaced, and the trace
+reference records at each event), the occupancy's per-slot CPU load against
+a fresh sum, the trace serializer against the one it replaced, and the trace
 parser on corrupted traces."""
 
 import functools
@@ -14,7 +14,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agentsim as a
@@ -26,6 +26,8 @@ from agentsim.contention import (
 )
 from agentsim.engine import (
     CLASSES,
+    CPU_PROCESS,
+    GPU_ASYNC,
     Occupancy,
     StageRecord,
     Trace,
@@ -40,24 +42,32 @@ STAGE_KINDS = ("cpu_tool", "gpu_inference", "external_api")
 
 
 @st.composite
-def stages(draw):
-    kind = draw(st.sampled_from(STAGE_KINDS))
+def stages(draw, kinds=STAGE_KINDS, clients=(False, True)):
+    kind = draw(st.sampled_from(kinds))
     gpu = kind == "gpu_inference"
     return a.StageSpec(
         kind=a.StageKind(kind),
         base_latency=draw(st.floats(1e-3, 5.0)),
         cpu_share=draw(st.sampled_from((0.0, 0.02, 0.05, 0.3, 0.55, 1.0))),
         kv_tokens=draw(st.integers(0, 4000)) if gpu else 0,
-        host_blocking=draw(st.booleans()) if gpu else False,
+        host_blocking=draw(st.sampled_from(clients)) if gpu else False,
         label=kind,
     )
 
 
 @st.composite
 def workloads(draw):
+    # Half the runs skip classes: their stages are of one or two kinds, and
+    # their GPU stages use one sort of client (only external calls, say, or
+    # only async GPU inference).
+    kinds, clients = draw(st.one_of(
+        st.just((STAGE_KINDS, (False, True))),
+        st.tuples(st.lists(st.sampled_from(STAGE_KINDS), min_size=1, max_size=2, unique=True),
+                  st.sampled_from(((False,), (True,))))))
     n_pipes = draw(st.integers(1, 3))
     pipes = [
-        a.PipelineSpec(name=f"p{i}", stages=tuple(draw(st.lists(stages(), min_size=1, max_size=4))))
+        a.PipelineSpec(name=f"p{i}", stages=tuple(
+            draw(st.lists(stages(kinds, clients), min_size=1, max_size=4))))
         for i in range(n_pipes)
     ]
     weights = draw(st.lists(st.integers(1, 4), min_size=n_pipes, max_size=n_pipes))
@@ -123,6 +133,7 @@ def assert_same_step_function(got, want, tol=1e-9):
         assert abs(v - w) <= tol, (got, want)
 
 
+@settings(max_examples=300)  # half of them skip classes
 @given(tasks=workloads(), policy=policies(), m=models())
 def test_engine_matches_reference(tasks, policy, m):
     resources = a.ResourcePool(logical_cores=m.cpu.logical_cores)
@@ -259,7 +270,11 @@ def test_serializer_writes_the_text_of_the_reference_one(trace):
         assert serialize_trace(parsed) == ref.serialize_trace(parsed) == plain_text(parsed)
 
 
-SHARES = st.one_of(st.sampled_from((0.0, 0.02, 0.05, 0.3, 0.55, 1.0)), st.floats(0.0, 1.0))
+# shares: 0.0, an int equal to a float one (1 and 1.0 share a slot), and an
+# infinite one, as parse_trace accepts (inf * 0 is nan, so a slot with no
+# stage must add nothing)
+SHARES = st.one_of(st.sampled_from((0.0, 0.02, 0.05, 0.3, 0.55, 1.0, 0, 1, math.inf)),
+                   st.floats(0.0, 1.0))
 # (finish a running stage?, which one, class, mode, share, read the load afterwards?)
 OCCUPANCY_OPS = st.lists(
     st.tuples(st.booleans(), st.integers(0, 63), st.sampled_from(CLASSES),
@@ -272,15 +287,17 @@ OCCUPANCY_OPS = st.lists(
 def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff):
     """After any sequence of starts and finishes, the load ``load`` returns
     equals, bit for bit, a fresh sum over the ascending distinct shares of
-    each mode, with the thread pool's cap applied."""
-    occupancy = Occupancy(pool_eff)
+    each mode with a running stage, with the thread pool's cap applied. The
+    run's slots are every drawn (mode, share), so some never hold a stage."""
+    occupancy = Occupancy(pool_eff, [(mode, share) for _, _, _, mode, share, _ in ops])
     running = []  # (class, mode, share, kv tokens) of each running stage
     for finish, which, cls, mode, share, read in ops:
         if finish and running:
-            occupancy.change(*running.pop(which % len(running)), -1)
+            (cls, mode, share, kv), delta = running.pop(which % len(running)), -1
         else:
-            running.append((cls, mode, share, which))
-            occupancy.change(cls, mode, share, which, 1)
+            kv, delta = which, 1
+            running.append((cls, mode, share, kv))
+        occupancy.change(cls, occupancy.slot(mode, share), kv, delta)
         if not read:
             continue  # several changes between two reads
         load = occupancy.load()
@@ -293,6 +310,20 @@ def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff):
             thread = min(thread, float(pool_eff))
         assert load.hex() == (process + thread).hex()
         assert occupancy.per_class == [sum(k[0] == c for k in running) for c in CLASSES]
+        assert occupancy.kv_tokens == sum(k[3] for k in running if k[0] >= GPU_ASYNC)
+
+
+@pytest.mark.parametrize("share", [math.inf, math.nan], ids=["inf", "nan"])
+def test_a_slot_that_holds_no_stage_adds_nothing(share):
+    """``parse_trace`` accepts an infinite or NaN share, and ``inf * 0`` is
+    nan: such a slot counts in the load only while a stage runs in it."""
+    occupancy = Occupancy(None, [(PROCESS, 0.5), (PROCESS, share), (THREAD, share)])
+    occupancy.change(CPU_PROCESS, occupancy.slot(PROCESS, 0.5), 0, 1)
+    assert occupancy.load() == 0.5
+    occupancy.change(CPU_PROCESS, occupancy.slot(PROCESS, share), 0, 1)
+    assert repr(occupancy.load()) == repr(share)  # 0.5 + inf, 0.5 + nan
+    occupancy.change(CPU_PROCESS, occupancy.slot(PROCESS, share), 0, -1)
+    assert occupancy.load() == 0.5
 
 
 @functools.cache

@@ -9,6 +9,7 @@ import re
 import pytest
 
 import agentsim as a
+from agentsim.engine import parse_trace, serialize_trace
 from agentsim.errors import ConfigurationError
 from agentsim.frozen import Frozen
 
@@ -170,6 +171,56 @@ def test_the_api_refuses_an_int_no_float_can_hold():
         with pytest.raises(ConfigurationError,
                            match=f"policy '{name}' requires {key} >= 1 and within"):
             a.Policy(name, **{key: 10**400})
+
+
+def trace_with(field: str, value):
+    """A two-task maws, cgam or multithreading run whose trace writes
+    ``value`` of the integer API field ``field``: a stage's kv tokens, the
+    core count, the pool width (``pool_eff``) or the policy's ``b_cap``."""
+    gpu = a.StageSpec(**{**GPU_STAGE, "base_latency": 3.0},
+                      kv_tokens=value if field == "kv_tokens" else 8)
+    pipe = a.PipelineSpec("p", (PIPE.stages[0], gpu))  # LLM-heavy, so maws uses its pool
+    policy = {"b_cap": lambda: a.Policy("cgam", b_cap=value),
+              "pool_size": lambda: a.Policy("multithreading", pool_size=value),
+              "thread_pool_cores": lambda: a.Policy("maws", thread_pool_cores=value),
+              }.get(field, lambda: a.Policy("maws"))()
+    tasks = a.build_workload(a.WorkloadSpec(batch_size=2, mix=((pipe, 1.0),), seed=0))
+    cores = value if field == "logical_cores" else 4
+    return a.simulate(tasks, policy, a.ResourcePool(cores), a.load_models("emerald_rapids_b200"))
+
+
+INT_FIELDS = ("kv_tokens", "logical_cores", "b_cap", "pool_size", "thread_pool_cores")
+
+
+@pytest.mark.parametrize("field", INT_FIELDS)
+@pytest.mark.parametrize("value", [1, 7, 2**53 + 1, 7.0, 2.5, True, False, "7", None],
+                         ids=["1", "7", "2**53+1", "7.0", "2.5", "True", "False", "str", "None"])
+def test_an_int_field_round_trips_bit_for_bit_or_is_refused(field, value):
+    """Each integer API field the trace writes round-trips through
+    ``serialize_trace`` and ``parse_trace`` as the int it was given, and
+    refuses anything else. Before, ``kv_tokens=7.0`` and
+    ``logical_cores=2.5`` simulated and ``parse_trace`` refused the trace
+    they wrote, ``ResourcePool(True)`` wrote ``meta logical_cores True``,
+    ``pool_size=2.5`` wrote ``meta pool_eff 2.5`` and ``b_cap=1.5`` raised a
+    bare TypeError in ``simulate``."""
+    if type(value) is not int:
+        with pytest.raises(ConfigurationError, match=r"(>= 0|range), as an int"):
+            trace_with(field, value)
+        return
+    trace = trace_with(field, value)
+    text = serialize_trace(trace)
+    parsed = parse_trace(text)
+    assert parsed == trace and serialize_trace(parsed) == text
+    expected = value
+    if field == "kv_tokens":
+        written = [r.kv_tokens for r in parsed.records if r.kind == "gpu_inference"]
+    elif field == "logical_cores":
+        written = [parsed.logical_cores]
+    elif field == "b_cap":
+        written = [int(parsed.policy.partition("b_cap=")[2])]
+    else:  # the pool width, at most the 4 cores
+        written, expected = [parsed.pool_eff], min(value, 4)
+    assert written and all(type(v) is int and v == expected for v in written), written
 
 
 @pytest.mark.parametrize("work", [(True,), (1.0, False)], ids=["true", "false"])
