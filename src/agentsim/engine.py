@@ -13,6 +13,9 @@ share and GIL penalty), GPU inference through an async client
 finish tags, clock at start plus work, as in the virtual time of fair
 queueing; an event evaluates at most the five class rates, visits only the
 classes the run has, advances their clocks and pops the finished stages.
+Each stage record goes straight to its (task id, stage index) slot of the
+record list, so the list is never sorted, and a completion that opens no
+micro-batch gate costs the dispatcher a few comparisons.
 Occupancy is integer counts per (mode, CPU share) slot of the run, so its
 sums do not depend on the order stages joined in. A trace keeps only the
 stage records: ``sweep`` derives the occupancy step series from them in one
@@ -26,11 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import math
 import sys
 from collections.abc import Iterable
-from operator import mul
+from operator import attrgetter, itemgetter, mul
 from typing import NamedTuple
 
 from . import __version__
@@ -72,6 +76,10 @@ class StageRecord(NamedTuple):
     label: str
 
 
+# fields of a StageRecord, read without its attribute lookup
+_TASK_ID, _WORK, _END = itemgetter(0), itemgetter(7), itemgetter(9)
+
+
 class Trace(NamedTuple):
     """Complete record of one simulation run: the per-(task, stage)
     intervals and the fingerprints needed to pair the trace with its config.
@@ -95,9 +103,11 @@ class Trace(NamedTuple):
 
     def task_latencies(self) -> dict[int, float]:
         """End-to-end latency per task (arrivals are at t=0)."""
-        ends: dict[int, float] = {}
-        for r in self.records:
-            ends[r.task_id] = max(ends.get(r.task_id, 0.0), r.end)
+        records = self.records
+        ends = dict.fromkeys(map(_TASK_ID, records), 0.0)  # a latency is at least 0.0
+        for task_id, end in zip(map(_TASK_ID, records), map(_END, records)):
+            if end > ends[task_id]:  # as max() would: the first of equal ends, never NaN
+                ends[task_id] = end
         return ends
 
 
@@ -183,8 +193,9 @@ class Occupancy:
         self._process = [share for thread, share in ordered if not thread]
         self._thread = [share for thread, share in ordered if thread]
         self._counts = [0] * len(ordered)
-        # inf * 0 is nan, so an infinite or NaN share is summed only while it runs
-        self._dot = _dot if all(share * 0 == 0 for _, share in ordered) else _dot_running
+        # inf * 0 is nan, so an infinite or NaN share adds to the load only while it runs
+        self._times = mul if all(share * 0 == 0 for _, share in ordered) else _times_running
+        self._rates: list[float | None] = [None] * N_CLASSES  # what rates() returns
 
     def slot(self, mode: str, cpu_share: float) -> int:
         """The slot of the stages of ``mode`` with ``cpu_share``."""
@@ -198,22 +209,25 @@ class Occupancy:
             self.kv_tokens += delta * kv_tokens
 
     def load(self) -> float:
-        """The CPU load: the process and thread sums, the thread one capped
-        at the pool width."""
-        counts, process = self._counts, self._process
-        load = self._dot(process, counts)
-        if self._thread:
-            thread = self._dot(self._thread, counts[len(process):])
-            load += thread if self.pool_eff is None else min(thread, float(self.pool_eff))
-        return load
+        """The CPU load, as ``rates`` computes it."""
+        return self.rates()[0]
 
-    def rates(self, models: ContentionModels) -> tuple[float, list[float | None]]:
-        """The CPU load, and the rate of each class that has a running stage;
-        entries of idle classes are not meaningful. Each contention model is
-        evaluated at most once."""
-        load = self.load()
+    def rates(self, models: ContentionModels | None = None
+              ) -> tuple[float, list[float | None]]:
+        """The CPU load, the process and thread sums with the thread one capped
+        at the pool width; and, with ``models``, the rate of each class that
+        has a running stage, in a list this occupancy reuses, so the next call
+        overwrites it. Entries of idle classes are not meaningful. Each
+        contention model is evaluated at most once."""
+        counts, process, times = self._counts, self._process, self._times
+        load = sum(map(times, process, counts), 0.0)
+        if self._thread:
+            thread = sum(map(times, self._thread, counts[len(process):]), 0.0)
+            load += thread if self.pool_eff is None else min(thread, float(self.pool_eff))
+        rates = self._rates
+        if models is None:
+            return load, rates
         n = self.per_class
-        rates: list[float | None] = [None] * N_CLASSES
         if n[EXTERNAL]:
             rates[EXTERNAL] = 1.0
         if n[CPU_PROCESS] or n[CPU_THREAD] or n[GPU_BLOCKING]:
@@ -233,12 +247,10 @@ class Occupancy:
         return load, rates
 
 
-def _dot(shares: list[float], counts: list[int]) -> float:
-    return sum(map(mul, shares, counts), 0.0)
-
-
-def _dot_running(shares: list[float], counts: list[int]) -> float:
-    return sum([share * count for share, count in zip(shares, counts) if count], 0.0)
+def _times_running(share: float, count: int) -> float:
+    """``share * count``, but 0.0 for an empty slot: adding 0.0 to a sum that
+    starts at 0.0 leaves it as it was."""
+    return share * count if count else 0.0
 
 
 def _on_machine(models: ContentionModels, logical_cores: int) -> ContentionModels:
@@ -259,12 +271,13 @@ def simulate(
     Pure function: the trace depends only on the arguments, not on the order
     in which one event's completions are applied, as occupancy is integer
     counts, heaps order stages by finish tag, the dispatcher's countdowns
-    release a batch once, and the records are sorted at the end. Class c's
-    clock S_c is the work one of its stages has received since the class was
-    last idle; a stage is done when S_c reaches its tag S_c(start) + work. A
-    clock restarts at 0.0 whenever its class empties, so a stage that runs
-    alone ends at start + work. A class rate too small for a stage ever to
-    end (0.0, say) is an InfeasibleModelError.
+    release a batch once, and each record has its own (task, stage) slot.
+    Class c's clock S_c is the work one of its stages has received since the
+    class was last idle; a stage is done when S_c reaches its tag
+    S_c(start) + work. A clock restarts at 0.0 whenever its class empties, so
+    a stage that runs alone ends at start + work. A class rate too small for
+    a stage ever to end (0.0, say) is an InfeasibleModelError. A task id used
+    twice is a ConfigurationError.
     """
     models = _on_machine(models, resources.logical_cores)
     dispatcher = Dispatcher(policy, tasks)
@@ -274,14 +287,21 @@ def simulate(
 
     # The static facts of each stage, resolved once per (pipeline, mode):
     # (class, occupancy slot, kv tokens, kind, mode, host blocking, cpu share,
-    # label). A table holds the stages until the slots are known.
+    # label). A table holds the stages until the slots are known. Each task's
+    # records fill a run of the record list, the runs in ascending task id
+    # (the dispatcher refused a repeated id), so the list comes out in (task,
+    # stage) order unsorted; ``first`` holds where each run begins.
     tables: dict[tuple[int, str], list] = {}  # (id of pipeline, mode) -> table
     facts: dict[int, tuple[list[tuple], tuple[float, ...]]] = {}  # task id -> (table, work)
-    for t in tasks:
+    first: dict[int, int] = {}  # task id -> index of its first record
+    n_records = 0
+    for t in sorted(tasks, key=attrgetter("id")):
         key = (id(t.pipeline), dispatcher.mode_of(t.id))
         if key not in tables:
             tables[key] = list(t.pipeline.stages)
         facts[t.id] = (tables[key], t.stage_work)
+        first[t.id] = n_records
+        n_records += len(t.stage_work)
     occupancy = Occupancy(pool_eff, ((mode, s.cpu_share)
                                      for (_, mode), table in tables.items() for s in table))
     for (_, mode), table in tables.items():  # in place, as the facts hold the tables
@@ -294,12 +314,10 @@ def simulate(
     change = occupancy.change
     clocks = [0.0] * N_CLASSES
     heaps: list[list[tuple]] = [[] for _ in CLASSES]  # (tag, task id, stage idx, start)
-    records: list[StageRecord] = []
+    records: list[StageRecord | None] = [None] * n_records
     now = 0.0
-    remaining_stages = sum(len(t.pipeline.stages) for t in tasks)
-    max_events = 100 * remaining_stages + 1000
+    max_events = 100 * n_records + 1000
 
-    append_record = records.append
     new_record = tuple.__new__  # StageRecord without its Python-level __new__
     on_stage_complete = dispatcher.on_stage_complete
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -348,9 +366,9 @@ def simulate(
                     _, slot, kv_tokens, kind, mode, host_blocking, cpu_share, label = \
                         table[stage_idx]
                     change(c, slot, kv_tokens, -1)
-                    append_record(new_record(StageRecord, (
+                    records[first[task_id] + stage_idx] = new_record(StageRecord, (
                         task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens,
-                        work[stage_idx], start, end, label)))
+                        work[stage_idx], start, end, label))
                     if stage_idx + 1 < len(table):
                         starts.append((task_id, stage_idx + 1))
                     for released in on_stage_complete(task_id, stage_idx):
@@ -358,10 +376,9 @@ def simulate(
                 clocks[c] = clock + rate * dt if heap else 0.0
         now = end
 
-    records.sort()  # (task id, stage idx) is unique, so this orders by it
-    if len(records) != remaining_stages:
-        raise InternalConsistencyError(
-            f"run ended with {remaining_stages - len(records)} unfinished stages")
+    unfinished = records.count(None)
+    if unfinished:
+        raise InternalConsistencyError(f"run ended with {unfinished} unfinished stages")
     return Trace(
         workload_fp=workload_fingerprint(tasks),
         policy=policy.canonical(),
@@ -560,11 +577,13 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
     occupancy = sweep(trace, models)
     done = occupancy.work_done
     records = trace.records
-    bad = [i for i, r in enumerate(records)
-           if abs(done[i] - r.work) > rel_tol * max(r.work, 1e-30)]
+    # the tolerance is rel_tol times max(work, 1e-30), which is work unless
+    # 1e-30 > work (a NaN work is kept, so its record never mismatches)
+    bad = [i for i, d, w in zip(itertools.count(), done, map(_WORK, records))
+           if abs(d - w) > rel_tol * (1e-30 if 1e-30 > w else w)]
     detail = ""
     if bad:
-        i = min(bad, key=lambda i: (records[i].task_id, records[i].stage_idx))
+        i = min(bad, key=lambda i: records[i][:2])
         detail = (f"work mismatch at task {records[i].task_id} stage {records[i].stage_idx}: "
                   f"integrated {done[i]!r}, expected {records[i].work!r}")
     return ReplayReport(not bad, detail, occupancy)

@@ -11,6 +11,7 @@ enforced by the engine.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import ConfigurationError, InternalConsistencyError
@@ -138,6 +139,21 @@ def maws_partition(
     return process_set, thread_set
 
 
+class _TaskState:
+    """One task's dispatch state: a slots instance, not a list, as CPython
+    keeps freed lists for reuse, so a run's per-task lists would stay
+    allocated after it and raise the heap peak of what follows."""
+
+    __slots__ = ("done", "n_stages", "prefix", "batch", "mode")
+
+    def __init__(self, n_stages: int, prefix: int):
+        self.done = 0  # stages completed
+        self.n_stages = n_stages
+        self.prefix = prefix  # CPU prefix length
+        self.batch: int | None = None  # micro-batch index, None if not gated
+        self.mode = PROCESS
+
+
 class Dispatcher:
     """Per-run dispatch state for one policy over one fixed task set.
 
@@ -147,37 +163,42 @@ class Dispatcher:
     ``pool_size`` the thread-pool width (None when no thread set exists).
 
     Each micro-batch counts down the stages left before all its tasks
-    finished their CPU prefix and the tasks left before it finished, so a
-    completion checks the gates of the two batches after its own in O(1)
-    instead of rescanning every gated task.
+    finished their CPU prefix and the tasks left before it finished. A gate
+    opens only when one of those counts reaches 0, so only such a completion
+    checks the gates of the two batches after its own; every other
+    completion returns the empty tuple without building or sorting a list.
     """
 
     def __init__(self, policy: Policy, tasks: list[TaskInstance]):
         self.policy = policy
-        self.tasks = {t.id: t for t in tasks}
-        self._n_stages = {t.id: len(t.pipeline.stages) for t in tasks}
-        self._done_stages = {t.id: 0 for t in tasks}
-        ids = [t.id for t in tasks]
+        prefix_of: dict[int, int] = {}  # id(pipeline) -> its CPU prefix length
+        self._state: dict[int, _TaskState] = {}
+        for t in tasks:
+            pipeline = t.pipeline
+            prefix = prefix_of.get(id(pipeline))
+            if prefix is None:
+                prefix = prefix_of[id(pipeline)] = pipeline.cpu_prefix_len()
+            self._state[t.id] = _TaskState(len(pipeline.stages), prefix)
+        if len(self._state) != len(tasks):
+            twice = next(tid for tid, n in Counter(t.id for t in tasks).items() if n > 1)
+            raise ConfigurationError(f"task id {twice} is used by more than one task")
+        ids = list(self._state)
 
         name = policy.name
-        self._modes = {tid: PROCESS for tid in ids}
+        threads: list[int] = []  # ids run on the thread pool
         self._pool: int | None = None
         gated: list[int] | None = None  # ids held for micro-batch release, FCFS
         b_cap = policy.b_cap
 
-        if name == "multithreading":
-            self._modes = {tid: THREAD for tid in ids}
+        if name == "multithreading" or (
+                name in ("cgam", "cgam_overlap") and policy.exec_mode == THREAD):
+            threads = ids
             self._pool = policy.pool_size
-        elif name in ("cgam", "cgam_overlap"):
-            if policy.exec_mode == THREAD:
-                self._modes = {tid: THREAD for tid in ids}
-                self._pool = policy.pool_size
+        if name in ("cgam", "cgam_overlap"):
             gated = ids
         elif name in ("maws", "maws_cgam"):
-            process_set, thread_set = maws_partition(tasks, policy.theta)
-            self._modes = {tid: PROCESS for tid in process_set}
-            self._modes.update({tid: THREAD for tid in thread_set})
-            self._pool = policy.thread_pool_cores if thread_set else None
+            process_set, threads = maws_partition(tasks, policy.theta)
+            self._pool = policy.thread_pool_cores if threads else None
             if name == "maws_cgam":
                 gated = process_set
         elif name == "sequential":
@@ -185,19 +206,21 @@ class Dispatcher:
             # the one before it finished
             gated, b_cap = sorted(ids), 1
 
-        plan = plan_microbatches(gated, b_cap) if gated is not None else None
-        self._batches = plan.batches if plan is not None else ()
-        self._batch_of = plan.batch_of() if plan is not None else {}
-        self._prefix_len = {tid: self.tasks[tid].pipeline.cpu_prefix_len()
-                            for tid in self._batch_of}
-        self._prefix_left = [sum(self._prefix_len[tid] for tid in b) for b in self._batches]
+        for tid in threads:
+            self._state[tid].mode = THREAD
+        self._batches = plan_microbatches(gated, b_cap).batches if gated is not None else ()
+        self._prefix_left = []
+        for k, batch in enumerate(self._batches):
+            for tid in batch:
+                self._state[tid].batch = k
+            self._prefix_left.append(sum(self._state[tid].prefix for tid in batch))
         self._tasks_left = [len(b) for b in self._batches]
         self._released = [False] * len(self._batches)
 
     # -- introspection used by the engine ---------------------------------
 
     def mode_of(self, task_id: int) -> str:
-        return self._modes[task_id]
+        return self._state[task_id].mode
 
     @property
     def pool_size(self) -> int | None:
@@ -207,34 +230,44 @@ class Dispatcher:
 
     def initial_starts(self) -> list[int]:
         released = [tid for k in range(len(self._batches)) for tid in self._release(k)]
-        free = [tid for tid in self.tasks if tid not in self._batch_of]
+        free = [tid for tid, state in self._state.items() if state.batch is None]
         return sorted(released + free)
 
-    def on_stage_complete(self, task_id: int, stage_idx: int) -> list[int]:
-        """Record a completion; return ids whose first stage is released now.
+    def on_stage_complete(self, task_id: int, stage_idx: int) -> tuple[int, ...]:
+        """Record a completion; return the ids, ascending, whose first stage
+        is released now.
 
         The engine itself continues a task's own pipeline; only the cross-task
         micro-batch gate emits ids here.
         """
-        if task_id not in self.tasks:
+        state = self._state.get(task_id)
+        if state is None:
             raise InternalConsistencyError(f"dispatch for unknown task {task_id}")
-        if stage_idx != self._done_stages[task_id]:
+        done, n_stages = state.done, state.n_stages
+        if stage_idx != done or done == n_stages:
+            if stage_idx >= n_stages:
+                raise InternalConsistencyError(
+                    f"task {task_id} completed stage {stage_idx}, but its last is "
+                    f"{n_stages - 1}")
             raise InternalConsistencyError(
                 f"task {task_id} completed stage {stage_idx} out of order"
             )
-        self._done_stages[task_id] += 1
-        finished = self._done_stages[task_id] == self._n_stages[task_id]
-
-        k = self._batch_of.get(task_id)
+        state.done = done = done + 1
+        k = state.batch
         if k is None:
-            return []
-        if stage_idx < self._prefix_len[task_id]:
+            return ()
+        opened = False  # did one of batch k's counts reach 0?
+        if stage_idx < state.prefix:
             self._prefix_left[k] -= 1
-        if finished:
+            opened = not self._prefix_left[k]
+        if done == n_stages:
             self._tasks_left[k] -= 1
+            opened = opened or not self._tasks_left[k]
+        if not opened:
+            return ()
         # batch k's prefix gates batch k+1 (overlap); its completion gates
         # batch k+1 (cgam) or k+2 (overlap)
-        return sorted(self._release(k + 1) + self._release(k + 2))
+        return tuple(sorted(self._release(k + 1) + self._release(k + 2)))
 
     def _may_release(self, k: int) -> bool:
         if k == 0:

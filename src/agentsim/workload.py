@@ -95,6 +95,8 @@ class TaskInstance(Frozen):
     __slots__ = ("id", "pipeline", "stage_work")
 
     def __init__(self, id: int, pipeline: PipelineSpec, stage_work: tuple[float, ...]):
+        if type(id) is not int:  # a trace writes the id as an int; a bool is no id
+            raise ConfigurationError(f"task id must be an int, not {id!r}")
         if len(stage_work) != len(pipeline.stages):
             raise ConfigurationError("stage_work length must equal stage count")
         if not all(0.0 < w < math.inf and not isinstance(w, bool) for w in stage_work):

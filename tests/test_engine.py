@@ -134,6 +134,19 @@ class TestDeterminism:
         assert serialize_trace(parse_trace(text)) == text
         assert a.replay_check(parse_trace(text), models).ok
 
+    def test_negative_and_sparse_ids_round_trip(self, models, resources):
+        pipe = a.load_profile("langchain_freshqa")
+        spec = a.WorkloadSpec(batch_size=5, mix=((pipe, 1.0),), jitter_cv=0.05, seed=2)
+        ids = [40, -7, 10**15, 0, -10**15]
+        tasks = [a.TaskInstance(id=i, pipeline=t.pipeline, stage_work=t.stage_work)
+                 for i, t in zip(ids, a.build_workload(spec))]
+        trace = a.simulate(tasks, a.Policy("cgam_overlap", b_cap=2), resources, models)
+        assert [r.task_id for r in trace.records[::len(pipe.stages)]] == sorted(ids)
+        text = serialize_trace(trace)
+        assert parse_trace(text) == trace
+        assert serialize_trace(parse_trace(text)) == text
+        assert a.replay_check(parse_trace(text), models).ok
+
 
 class TestTraceFormat:
     """A trace is written as schema version 2, stage records only; a version-1

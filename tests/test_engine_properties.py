@@ -2,8 +2,10 @@
 engine on random small pipelines, mixes, policies, models and core counts
 (the occupancy series the sweep derives from the records against those the
 reference records at each event), the occupancy's per-slot CPU load against
-a fresh sum, the trace serializer against the one it replaced, and the trace
-parser on corrupted traces."""
+a fresh sum, the trace serializer against the one it replaced, the trace
+parser on corrupted traces, the dispatcher against the rescanning one, the
+record order under any task ids, and task latencies and the audit's verdict
+against their ``max`` definitions."""
 
 import functools
 import itertools
@@ -36,7 +38,7 @@ from agentsim.engine import (
     sweep,
 )
 from agentsim.errors import ConfigurationError
-from agentsim.schedulers import POLICY_NAMES, PROCESS, THREAD
+from agentsim.schedulers import POLICY_NAMES, PROCESS, THREAD, Dispatcher
 
 STAGE_KINDS = ("cpu_tool", "gpu_inference", "external_api")
 
@@ -357,3 +359,108 @@ def test_a_corrupt_trace_line_is_a_configuration_error_naming_it(data):
     except ConfigurationError as exc:
         assert (str(exc).startswith(f"trace line {i + 1} ")
                 or line.startswith("meta") and "lacks meta" in str(exc)), str(exc)
+
+
+# any order of ids, negative and sparse ones among them
+def task_ids(n):
+    return st.lists(st.integers(-10**12, 10**12), min_size=n, max_size=n, unique=True)
+
+
+@st.composite
+def gated_policies(draw):
+    """A policy that holds tasks at a micro-batch gate, under either exec
+    mode where it has one."""
+    name = draw(st.sampled_from(("sequential", "cgam", "cgam_overlap", "maws_cgam")))
+    kwargs = {}
+    if name != "sequential":
+        kwargs["b_cap"] = draw(st.integers(1, 8))
+    if name in ("cgam", "cgam_overlap") and draw(st.booleans()):
+        kwargs.update(exec_mode="thread", pool_size=draw(st.integers(1, 8)))
+    if name == "maws_cgam":
+        kwargs["theta"] = draw(st.sampled_from((0.2, 0.5, 0.8)))
+    return a.Policy(name, **kwargs)
+
+
+@st.composite
+def gated_tasks(draw):
+    """Up to 24 tasks of up to three pipelines of one to four stages, so a
+    pipeline's CPU prefix may be empty (a GPU stage first), every stage (no
+    GPU stage) or in between."""
+    pipes = [a.PipelineSpec(name=f"p{i}", stages=tuple(draw(st.lists(stages(), min_size=1,
+                                                                     max_size=4))))
+             for i in range(draw(st.integers(1, 3)))]
+    tasks = []
+    for task_id in draw(task_ids(draw(st.integers(1, 24)))):
+        pipe = draw(st.sampled_from(pipes))
+        tasks.append(a.TaskInstance(id=task_id, pipeline=pipe,
+                                    stage_work=tuple(s.base_latency for s in pipe.stages)))
+    return tasks
+
+
+@given(tasks=gated_tasks(), policy=gated_policies(), data=st.data())
+def test_dispatcher_releases_what_the_rescanning_one_does(tasks, policy, data):
+    """Call by call, the dispatcher releases the ids the reference one does,
+    which rescans every gated task on each completion. The completions come
+    in a random order that keeps each task's pipeline order and completes
+    only stages that were started."""
+    new, old = Dispatcher(policy, tasks), ref.Dispatcher(policy, tasks)
+    started = new.initial_starts()
+    assert started == old.initial_starts()
+    n_stages = {t.id: len(t.stage_work) for t in tasks}
+    running = [(task_id, 0) for task_id in started]
+    completions = 0
+    while running:
+        task_id, stage_idx = running.pop(data.draw(st.integers(0, len(running) - 1)))
+        released = new.on_stage_complete(task_id, stage_idx)
+        assert type(released) is tuple
+        assert list(released) == old.on_stage_complete(task_id, stage_idx)
+        if stage_idx + 1 < n_stages[task_id]:
+            running.append((task_id, stage_idx + 1))
+        running += [(tid, 0) for tid in released]
+        completions += 1
+    assert completions == sum(n_stages.values())  # every task was released
+
+
+@settings(max_examples=50)
+@given(tasks=workloads(), policy=policies(), data=st.data())
+def test_records_come_out_in_task_and_stage_order(tasks, policy, data):
+    """Whatever the ids, and in whatever order the tasks are listed, the
+    records are in (task id, stage index) order, one per stage."""
+    tasks = [a.TaskInstance(id=i, pipeline=t.pipeline, stage_work=t.stage_work)
+             for i, t in zip(data.draw(task_ids(len(tasks))), tasks)]
+    trace = a.simulate(tasks, policy, a.ResourcePool(), a.load_models("emerald_rapids_b200"))
+    assert [(r.task_id, r.stage_idx) for r in trace.records] == \
+        sorted((t.id, i) for t in tasks for i in range(len(t.stage_work)))
+
+
+AUDIT_MODELS = ContentionModels(
+    name="audit", cpu=CpuContentionParams(logical_cores=4, oversub_kappa=0.3),
+    gpu=GpuSaturationParams(b_half=4.0, kv_capacity=1 << 60))
+
+
+@given(trace=serializer_traces(), rel_tol=st.sampled_from((1e-9, 0.5, 0.0, -1.0, math.nan)))
+def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
+    """Task latencies are ``max(0.0, ends...)`` per task as ``max`` takes it
+    (ties keep the first, a NaN end never wins), and the audit flags the
+    records whose error exceeds ``rel_tol * max(work, 1e-30)``, for any
+    records: zeros of either sign, NaN and infinite times and works, ints
+    where floats are expected, repeated (task, stage) pairs."""
+    want: dict = {}
+    for r in trace.records:
+        want[r.task_id] = max(want.get(r.task_id, 0.0), r.end)
+    got = trace.task_latencies()
+    assert [(k, repr(v), type(v)) for k, v in got.items()] == \
+        [(k, repr(v), type(v)) for k, v in want.items()]
+
+    trace = trace._replace(pool_eff=2)  # thread-mode stages need a pool width
+    done = sweep(trace, AUDIT_MODELS).work_done
+    records = trace.records
+    bad = [i for i, r in enumerate(records)
+           if abs(done[i] - r.work) > rel_tol * max(r.work, 1e-30)]
+    report = a.replay_check(trace, AUDIT_MODELS, rel_tol)
+    assert report.ok == (not bad)
+    if bad:
+        i = min(bad, key=lambda i: (records[i].task_id, records[i].stage_idx))
+        assert report.detail == (
+            f"work mismatch at task {records[i].task_id} stage {records[i].stage_idx}: "
+            f"integrated {done[i]!r}, expected {records[i].work!r}")

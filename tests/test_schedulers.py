@@ -76,6 +76,32 @@ class TestDispatcher:
                            match="task 0 completed stage 1 out of order"):
             d.on_stage_complete(0, 1)
 
+    def test_completion_past_the_last_stage_is_internal(self):
+        three = make_pipeline("three", [("cpu_tool", 1.0, 1.0)] * 3)
+        d = Dispatcher(a.Policy("cgam", b_cap=1), tasks_of(three, 2))
+        with pytest.raises(InternalConsistencyError,
+                           match="task 0 completed stage 3, but its last is 2"):
+            d.on_stage_complete(0, 3)
+        for stage_idx in range(3):
+            d.on_stage_complete(0, stage_idx)
+        with pytest.raises(InternalConsistencyError, match="stage 3, but its last is 2"):
+            d.on_stage_complete(0, 3)
+        assert d.on_stage_complete(1, 0) == ()  # batch 1's countdowns are intact
+
+    def test_a_completion_that_opens_no_gate_returns_the_shared_empty_tuple(self):
+        d = Dispatcher(a.Policy("cgam", b_cap=2), tasks_of(CPU, 4))
+        d.initial_starts()
+        assert d.on_stage_complete(0, 0) is ()
+        assert Dispatcher(a.Policy("multiprocessing"), tasks_of(CPU, 1)).on_stage_complete(
+            0, 0) is ()
+
+    @pytest.mark.parametrize("policy", [a.Policy("multiprocessing"), a.Policy("cgam", b_cap=2)],
+                             ids=["multiprocessing", "cgam"])
+    def test_a_repeated_task_id_is_a_configuration_error(self, policy, models, resources):
+        tasks = tasks_of(CPU, 3) + tasks_of(LLM, 2, start_id=1)
+        with pytest.raises(ConfigurationError, match="task id 1 is used by more than one task"):
+            a.simulate(tasks, policy, resources, models)
+
     def test_multiprocessing_starts_everything(self):
         tasks = tasks_of(CPU, 5)
         d = Dispatcher(a.Policy("multiprocessing"), tasks)
@@ -85,37 +111,37 @@ class TestDispatcher:
         tasks = tasks_of(CPU, 3)
         d = Dispatcher(a.Policy("sequential"), tasks)
         assert d.initial_starts() == [0]
-        assert d.on_stage_complete(0, 0) == []
-        assert d.on_stage_complete(0, 1) == [1]  # task 0 finished both stages
+        assert d.on_stage_complete(0, 0) == ()
+        assert d.on_stage_complete(0, 1) == (1,)  # task 0 finished both stages
 
     def test_cgam_gates_second_batch_until_first_fully_done(self):
         tasks = tasks_of(CPU, 4)
         d = Dispatcher(a.Policy("cgam", b_cap=2), tasks)
         assert d.initial_starts() == [0, 1]
-        assert d.on_stage_complete(0, 0) == []
-        assert d.on_stage_complete(1, 0) == []
-        assert d.on_stage_complete(0, 1) == []
-        assert d.on_stage_complete(1, 1) == [2, 3]
+        assert d.on_stage_complete(0, 0) == ()
+        assert d.on_stage_complete(1, 0) == ()
+        assert d.on_stage_complete(0, 1) == ()
+        assert d.on_stage_complete(1, 1) == (2, 3)
 
     def test_cgam_overlap_releases_next_batch_at_cpu_boundary(self):
         tasks = tasks_of(CPU, 4)
         d = Dispatcher(a.Policy("cgam_overlap", b_cap=2), tasks)
         assert d.initial_starts() == [0, 1]
-        assert d.on_stage_complete(0, 0) == []
+        assert d.on_stage_complete(0, 0) == ()
         # both tasks of batch 0 finished their CPU prefix: batch 1 CPU may start
-        assert d.on_stage_complete(1, 0) == [2, 3]
+        assert d.on_stage_complete(1, 0) == (2, 3)
 
     def test_cgam_overlap_keeps_at_most_two_batches_in_flight(self):
         tasks = tasks_of(CPU, 6)
         d = Dispatcher(a.Policy("cgam_overlap", b_cap=2), tasks)
         assert d.initial_starts() == [0, 1]
         d.on_stage_complete(0, 0)
-        assert d.on_stage_complete(1, 0) == [2, 3]
+        assert d.on_stage_complete(1, 0) == (2, 3)
         d.on_stage_complete(2, 0)
         # batch 1 finished its prefix but batch 0 is not fully done yet
-        assert d.on_stage_complete(3, 0) == []
+        assert d.on_stage_complete(3, 0) == ()
         d.on_stage_complete(0, 1)
-        assert d.on_stage_complete(1, 1) == [4, 5]
+        assert d.on_stage_complete(1, 1) == (4, 5)
 
     def test_cgam_overlap_releases_batches_in_order(self):
         tasks = tasks_of(GPU_FIRST, 4)
@@ -124,10 +150,10 @@ class TestDispatcher:
         assert d.initial_starts() == [0, 1]
         d.on_stage_complete(1, 0)
         # batch 3's prefix is empty too, but batch 2 was not released
-        assert d.on_stage_complete(1, 1) == []
+        assert d.on_stage_complete(1, 1) == ()
         d.on_stage_complete(0, 0)
         # releasing batch 2 opens batch 3's gate in the same step
-        assert d.on_stage_complete(0, 1) == [2, 3]
+        assert d.on_stage_complete(0, 1) == (2, 3)
 
     def test_unknown_task_is_internal_error(self):
         d = Dispatcher(a.Policy("multiprocessing"), tasks_of(CPU, 2))

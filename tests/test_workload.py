@@ -87,6 +87,11 @@ class TestBuildWorkload:
         with pytest.raises(ConfigurationError, match="stage_work entries must be finite"):
             a.TaskInstance(id=0, pipeline=Q, stage_work=(1.0, value))
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, False, "1", None])
+    def test_task_id_that_is_no_int_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="task id must be an int"):
+            a.TaskInstance(id=value, pipeline=Q, stage_work=(1.0, 1.0))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_proportion_rejected(self, value):
         with pytest.raises(ConfigurationError, match="mix proportions must be finite"):
