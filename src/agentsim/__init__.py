@@ -29,7 +29,6 @@ from .engine import (  # noqa: F401
 from .metrics import MetricsReport, SpeedupReport, compare, percentile, summarize  # noqa: F401
 from .profiles import list_profiles, load_models, load_profile  # noqa: F401
 from .schedulers import (  # noqa: F401
-    MicroBatchPlan,
     Policy,
     maws_partition,
     plan_microbatches,

@@ -535,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:  # an OSError: a path that cannot be written
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleModelError as exc:

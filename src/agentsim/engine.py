@@ -16,13 +16,14 @@ classes the run has, advances their clocks and pops the finished stages.
 Each stage record goes straight to its (task id, stage index) slot of the
 record list, so the list is never sorted, and a completion that opens no
 micro-batch gate costs the dispatcher a few comparisons.
-Occupancy is integer counts per (mode, CPU share) slot of the run, so its
-sums do not depend on the order stages joined in. A trace keeps only the
-stage records: ``sweep`` derives the occupancy step series from them in one
-pass over the sorted interval boundaries, and ``replay_check`` audits work
-conservation on that same pass. Reruns are byte-identical; traces written
-before the virtual clocks may differ from today's in the last digits of
-some times and loads, within 1e-9 relative.
+``Occupancy`` owns a run's stage shapes: it refuses a shape no stage can
+have, maps the others to their class and integer (mode, CPU share) slot, and
+keeps counts per slot, so its sums do not depend on the order stages joined
+in. A trace keeps only the stage records: ``sweep`` derives the occupancy
+step series from them in one pass over the sorted interval boundaries, and
+``replay_check`` audits work conservation on that same pass. Reruns are
+byte-identical; traces written before the virtual clocks may differ from
+today's in the last digits of some times, within 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from . import __version__
 from .contention import ContentionModels, cpu_rate, gpu_rate, thread_pool_rate
 from .errors import ConfigurationError, InfeasibleModelError, InternalConsistencyError
 from .frozen import Frozen
-from .schedulers import THREAD, Dispatcher, Policy
+from .schedulers import PROCESS, THREAD, Dispatcher, Policy
 from .workload import StageKind, TaskInstance
 
 TIME_EPS = 1e-12  # simulate's tie rule: a stage this close to an event's end ends with it
@@ -159,47 +160,64 @@ N_CLASSES = 5
 CLASS_NAMES = ("external", "CPU process", "CPU thread", "GPU async", "GPU host-blocking")
 
 
-_EXTERNAL_KIND = StageKind.EXTERNAL_API.value
-_CPU_KIND = StageKind.CPU_TOOL.value
+# (kind value, mode, host blocking) -> rate class, for each combination a
+# StageSpec can make: only a GPU inference stage has a host-blocking client
+_STAGE_CLASSES = {(kind.value, mode, host_blocking): cls for mode in (PROCESS, THREAD)
+                  for kind, host_blocking, cls in (
+                      (StageKind.EXTERNAL_API, False, EXTERNAL),
+                      (StageKind.CPU_TOOL, False, CPU_THREAD if mode == THREAD else CPU_PROCESS),
+                      (StageKind.GPU_INFERENCE, False, GPU_ASYNC),
+                      (StageKind.GPU_INFERENCE, True, GPU_BLOCKING))}
 
 
-def stage_class(kind: str, mode: str, host_blocking: bool) -> int:
-    """Rate class of a stage from its kind value, execution mode and client."""
-    if kind == _EXTERNAL_KIND:
-        return EXTERNAL
-    if kind == _CPU_KIND:
-        return CPU_THREAD if mode == THREAD else CPU_PROCESS
-    return GPU_BLOCKING if host_blocking else GPU_ASYNC
+def stage_class(kind: str, mode: str, host_blocking: bool) -> int | None:
+    """Rate class of a stage from its kind value, execution mode and client;
+    None for a combination no StageSpec makes."""
+    return _STAGE_CLASSES.get((kind, mode, host_blocking))
 
 
 class Occupancy:
-    """Resource occupancy of a running set: per class its running stages, the
-    KV tokens of the GPU ones, and the stages in each slot. A slot is an integer
-    index per (mode, CPU share) pair of the run, which ``slot`` resolves once;
-    equal shares (``1`` and ``1.0``) share one. Each mode's slots are in
-    ascending order of share, so its CPU load, ``sum([share * count, ...],
-    0.0)`` over the slots that hold a stage, is the same float whichever order
-    stages joined in. Thread-mode stages draw CPU through the shared pool, so
-    their sum is capped at the pool width."""
+    """Resource occupancy of a running set, and the one owner of a run's stage
+    shapes, each a (kind, mode, host blocking, CPU share, KV tokens) tuple:
+    ``key_of`` maps one to its (class, slot, KV tokens) and ``classes`` lists
+    the run's classes in ascending order. It counts the running stages per
+    class and per slot, one slot per (mode, share) pair (``1`` and ``1.0`` are
+    one), and the KV tokens of the GPU ones. A mode's slots ascend in share, so
+    its load, ``sum([share * count, ...], 0.0)``, does not depend on the order
+    stages joined in; the thread pool's is capped at the pool width."""
 
-    def __init__(self, pool_eff: int | None, pairs: Iterable[tuple[str, float]]):
-        """``pairs``: the (mode, CPU share) of every stage that may run."""
+    def __init__(self, pool_eff: int | None, shapes: Iterable[tuple]):
+        """``shapes``: the shape of every stage that may run. A shape no
+        StageSpec makes, a CPU share outside [0, 1], negative KV tokens, or a
+        thread-mode shape without a pool width >= 1 is a ConfigurationError."""
         self.pool_eff = pool_eff
         self.per_class = [0] * N_CLASSES
         self.kv_tokens = 0
+        shapes = dict.fromkeys(shapes)
+        for shape in shapes:
+            kind, mode, host_blocking, share, kv_tokens = shape
+            if stage_class(kind, mode, host_blocking) is None:
+                problem = "no stage has that kind, mode and host blocking"
+            elif not 0.0 <= share <= 1.0:
+                problem = "the CPU share is outside [0, 1]"
+            elif not kv_tokens >= 0:
+                problem = "the KV tokens are negative"
+            elif mode == THREAD and not (pool_eff is not None and pool_eff >= 1):
+                problem = f"a thread-mode stage needs a pool width >= 1, not {pool_eff!r}"
+            else:
+                continue
+            raise ConfigurationError(f"stage (kind, mode, host blocking, share, kv) {shape!r}: "
+                                     f"{problem}")
         # (is thread, share) in slot order: the process slots first
-        ordered = sorted(dict.fromkeys((mode == THREAD, share) for mode, share in pairs))
-        self._slots = {key: slot for slot, key in enumerate(ordered)}
+        ordered = sorted(dict.fromkeys((mode == THREAD, share) for _, mode, _, share, _ in shapes))
+        slot_of = {key: slot for slot, key in enumerate(ordered)}
+        self.key_of = {shape: (stage_class(*shape[:3]), slot_of[shape[1] == THREAD, shape[3]],
+                               shape[4]) for shape in shapes}
+        self.classes = sorted({cls for cls, _, _ in self.key_of.values()})
         self._process = [share for thread, share in ordered if not thread]
         self._thread = [share for thread, share in ordered if thread]
         self._counts = [0] * len(ordered)
-        # inf * 0 is nan, so an infinite or NaN share adds to the load only while it runs
-        self._times = mul if all(share * 0 == 0 for _, share in ordered) else _times_running
-        self._rates: list[float | None] = [None] * N_CLASSES  # what rates() returns
-
-    def slot(self, mode: str, cpu_share: float) -> int:
-        """The slot of the stages of ``mode`` with ``cpu_share``."""
-        return self._slots[mode == THREAD, cpu_share]
+        self._rates = [0.0] * N_CLASSES  # what rates() returns
 
     def change(self, cls: int, slot: int, kv_tokens: int, delta: int):
         """Add (delta=+1) or remove (delta=-1) one running stage."""
@@ -208,22 +226,18 @@ class Occupancy:
         if cls >= GPU_ASYNC:
             self.kv_tokens += delta * kv_tokens
 
-    def load(self) -> float:
-        """The CPU load, as ``rates`` computes it."""
-        return self.rates()[0]
-
-    def rates(self, models: ContentionModels | None = None
-              ) -> tuple[float, list[float | None]]:
+    def rates(self, models: ContentionModels | None = None) -> tuple[float, list[float]]:
         """The CPU load, the process and thread sums with the thread one capped
         at the pool width; and, with ``models``, the rate of each class that
         has a running stage, in a list this occupancy reuses, so the next call
-        overwrites it. Entries of idle classes are not meaningful. Each
-        contention model is evaluated at most once."""
-        counts, process, times = self._counts, self._process, self._times
-        load = sum(map(times, process, counts), 0.0)
+        overwrites it. Entries of idle classes are not meaningful; without
+        ``models`` they all stay 0.0. Each contention model is evaluated at
+        most once."""
+        counts, process = self._counts, self._process
+        load = sum(map(mul, process, counts), 0.0)
         if self._thread:
-            thread = sum(map(times, self._thread, counts[len(process):]), 0.0)
-            load += thread if self.pool_eff is None else min(thread, float(self.pool_eff))
+            load += min(sum(map(mul, self._thread, counts[len(process):]), 0.0),
+                        float(self.pool_eff))
         rates = self._rates
         if models is None:
             return load, rates
@@ -245,12 +259,6 @@ class Occupancy:
             if n[GPU_BLOCKING]:
                 rates[GPU_BLOCKING] = gpu * cpu
         return load, rates
-
-
-def _times_running(share: float, count: int) -> float:
-    """``share * count``, but 0.0 for an empty slot: adding 0.0 to a sum that
-    starts at 0.0 leaves it as it was."""
-    return share * count if count else 0.0
 
 
 def _on_machine(models: ContentionModels, logical_cores: int) -> ContentionModels:
@@ -285,31 +293,30 @@ def simulate(
     if dispatcher.pool_size is not None:
         pool_eff = min(dispatcher.pool_size, resources.logical_cores)
 
-    # The static facts of each stage, resolved once per (pipeline, mode):
-    # (class, occupancy slot, kv tokens, kind, mode, host blocking, cpu share,
-    # label). A table holds the stages until the slots are known. Each task's
-    # records fill a run of the record list, the runs in ascending task id
-    # (the dispatcher refused a repeated id), so the list comes out in (task,
-    # stage) order unsorted; ``first`` holds where each run begins.
+    # The static facts of each stage, resolved once per (pipeline, mode) from
+    # its (shape, label): (class, occupancy slot, *shape, label). Each task's
+    # records fill a run of the record list, the runs in ascending task id (the
+    # dispatcher refused a repeated id), so the list comes out in (task, stage)
+    # order unsorted; ``first`` holds where each run begins.
     tables: dict[tuple[int, str], list] = {}  # (id of pipeline, mode) -> table
     facts: dict[int, tuple[list[tuple], tuple[float, ...]]] = {}  # task id -> (table, work)
     first: dict[int, int] = {}  # task id -> index of its first record
     n_records = 0
     for t in sorted(tasks, key=attrgetter("id")):
-        key = (id(t.pipeline), dispatcher.mode_of(t.id))
-        if key not in tables:
-            tables[key] = list(t.pipeline.stages)
-        facts[t.id] = (tables[key], t.stage_work)
+        mode = dispatcher.mode_of(t.id)
+        table = tables.get((id(t.pipeline), mode))
+        if table is None:
+            table = tables[id(t.pipeline), mode] = [
+                ((s.kind.value, mode, s.host_blocking, s.cpu_share, s.kv_tokens), s.label)
+                for s in t.pipeline.stages]
+        facts[t.id] = (table, t.stage_work)
         first[t.id] = n_records
         n_records += len(t.stage_work)
-    occupancy = Occupancy(pool_eff, ((mode, s.cpu_share)
-                                     for (_, mode), table in tables.items() for s in table))
-    for (_, mode), table in tables.items():  # in place, as the facts hold the tables
-        for i, s in enumerate(table):
-            table[i] = (stage_class(s.kind.value, mode, s.host_blocking),
-                        occupancy.slot(mode, s.cpu_share), s.kv_tokens, s.kind.value, mode,
-                        s.host_blocking, s.cpu_share, s.label)
-    present = sorted({entry[0] for table in tables.values() for entry in table})  # run's classes
+    occupancy = Occupancy(pool_eff, (shape for table in tables.values() for shape, _ in table))
+    key_of, present = occupancy.key_of, occupancy.classes
+    for table in tables.values():  # in place, as the facts hold the tables
+        for i, (shape, label) in enumerate(table):
+            table[i] = (*key_of[shape][:2], *shape, label)
 
     change = occupancy.change
     clocks = [0.0] * N_CLASSES
@@ -327,7 +334,7 @@ def simulate(
     while True:
         for task_id, stage_idx in starts:
             table, work = facts[task_id]
-            cls, slot, kv_tokens, _, _, _, _, _ = table[stage_idx]
+            cls, slot, _, _, _, _, kv_tokens, _ = table[stage_idx]
             change(cls, slot, kv_tokens, 1)
             heappush(heaps[cls], (clocks[cls] + work[stage_idx], task_id, stage_idx, now))
 
@@ -363,7 +370,7 @@ def simulate(
                 while heap and (heap[0][0] - clock) / rate <= limit:
                     _, task_id, stage_idx, start = heappop(heap)
                     table, work = facts[task_id]
-                    _, slot, kv_tokens, kind, mode, host_blocking, cpu_share, label = \
+                    _, slot, kind, mode, host_blocking, cpu_share, kv_tokens, label = \
                         table[stage_idx]
                     change(c, slot, kv_tokens, -1)
                     records[first[task_id] + stage_idx] = new_record(StageRecord, (
@@ -501,10 +508,9 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
     n = len(records)
     shapes: dict[tuple, int] = {}  # (kind, mode, host blocking, share, kv) -> its index
     shape_of = [shapes.setdefault(r[2:7], len(shapes)) for r in records]
-    occupancy = Occupancy(trace.pool_eff, ((mode, share) for _, mode, _, share, _ in shapes))
-    keys = [(stage_class(kind, mode, host_blocking), occupancy.slot(mode, share), kv_tokens)
-            for kind, mode, host_blocking, share, kv_tokens in shapes]  # (class, slot, kv)
-    present = sorted({cls for cls, _, _ in keys})  # the classes the run has
+    occupancy = Occupancy(trace.pool_eff, shapes)
+    keys = list(map(occupancy.key_of.__getitem__, shapes))  # (class, slot, kv) per shape index
+    present = occupancy.classes
     starts = [r.start for r in records]
     ends = [r.end for r in records]
     # an interval that does not end after it starts is never active
@@ -521,7 +527,7 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
     done = [0.0] * n
     cpu, gpu, kv, pool = series = ([], [], [], [])
     last_cpu = last_gpu = last_kv = last_pool = None  # each series' last value
-    rates: list[float | None] = [0.0] * N_CLASSES  # 0.0 throughout without models
+    rates = [0.0] * N_CLASSES  # read only once a stage runs, after the first boundary
     si = ei = 0
     prev = 0.0
     while ei < n_live:
@@ -545,7 +551,7 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
             if not per_class[cls]:
                 integral[cls] = 0.0
             ei += 1
-        load, rates = (occupancy.load(), rates) if models is None else occupancy.rates(models)
+        load, rates = occupancy.rates(models)
         if load != last_cpu:
             cpu.append((t, last_cpu := load))
         value = per_class[GPU_ASYNC] + per_class[GPU_BLOCKING]
@@ -577,10 +583,10 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
     occupancy = sweep(trace, models)
     done = occupancy.work_done
     records = trace.records
-    # the tolerance is rel_tol times max(work, 1e-30), which is work unless
-    # 1e-30 > work (a NaN work is kept, so its record never mismatches)
+    # a record matches if its error is within rel_tol times max(work, 1e-30),
+    # which is work unless 1e-30 > work: a NaN work or error never matches
     bad = [i for i, d, w in zip(itertools.count(), done, map(_WORK, records))
-           if abs(d - w) > rel_tol * (1e-30 if 1e-30 > w else w)]
+           if not abs(d - w) <= rel_tol * (1e-30 if 1e-30 > w else w)]
     detail = ""
     if bad:
         i = min(bad, key=lambda i: records[i][:2])

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: ConfigurationError -> 2,
-InfeasibleModelError -> 3, InternalConsistencyError -> 4.
+Exit-code mapping used by the CLI: ConfigurationError (and an OSError, such
+as an output path that cannot be written) -> 2, InfeasibleModelError -> 3,
+InternalConsistencyError -> 4.
 """
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from typing import NamedTuple
 
 from .errors import ConfigurationError, InternalConsistencyError
 from .frozen import Frozen
@@ -103,24 +102,13 @@ class Policy(Frozen):
 _DEFAULTS = dict(zip(Policy.__slots__[1:], Policy.__init__.__defaults__))
 
 
-class MicroBatchPlan(NamedTuple):
-    """FCFS partition of a task-id list into contiguous chunks of at most
-    b_cap; all but the last chunk are exactly b_cap wide."""
-
-    batches: tuple[tuple[int, ...], ...]
-
-    def batch_of(self) -> dict[int, int]:
-        return {tid: k for k, batch in enumerate(self.batches) for tid in batch}
-
-
-def plan_microbatches(task_ids: list[int], b_cap: int) -> MicroBatchPlan:
-    """Chunk task ids in arrival order into ceil(n / b_cap) micro-batches."""
+def plan_microbatches(task_ids: list[int], b_cap: int) -> tuple[tuple[int, ...], ...]:
+    """Chunk task ids in arrival order into ceil(n / b_cap) micro-batches: an
+    FCFS partition into contiguous chunks, all but the last exactly b_cap
+    wide."""
     if b_cap < 1:
         raise ConfigurationError("b_cap must be >= 1")
-    batches = tuple(
-        tuple(task_ids[i : i + b_cap]) for i in range(0, len(task_ids), b_cap)
-    )
-    return MicroBatchPlan(batches=batches)
+    return tuple(tuple(task_ids[i:i + b_cap]) for i in range(0, len(task_ids), b_cap))
 
 
 def maws_partition(
@@ -208,7 +196,7 @@ class Dispatcher:
 
         for tid in threads:
             self._state[tid].mode = THREAD
-        self._batches = plan_microbatches(gated, b_cap).batches if gated is not None else ()
+        self._batches = plan_microbatches(gated, b_cap) if gated is not None else ()
         self._prefix_left = []
         for k, batch in enumerate(self._batches):
             for tid in batch:

@@ -38,7 +38,6 @@ from agentsim.errors import InternalConsistencyError
 from agentsim.schedulers import (
     PROCESS,
     THREAD,
-    MicroBatchPlan,
     Policy,
     maws_partition,
     plan_microbatches,
@@ -81,7 +80,7 @@ class Dispatcher:
         name = policy.name
         self._modes = {tid: PROCESS for tid in ids}
         self._pool: int | None = None
-        self._plan: MicroBatchPlan | None = None
+        self._batches: tuple[tuple[int, ...], ...] | None = None
         self._gated: list[int] = []  # ids gated on micro-batch release, FCFS
         self._released: set[int] = set()  # indices of released micro-batches
 
@@ -92,8 +91,8 @@ class Dispatcher:
             if policy.exec_mode == THREAD:
                 self._modes = {tid: THREAD for tid in ids}
                 self._pool = policy.pool_size
-            self._plan = plan_microbatches(ids, policy.b_cap)
-            self._batch_of = self._plan.batch_of()
+            self._batches = plan_microbatches(ids, policy.b_cap)
+            self._batch_of = self._batch_index()
             self._gated = list(ids)
         elif name in ("maws", "maws_cgam"):
             process_set, thread_set = maws_partition(tasks, policy.theta)
@@ -101,11 +100,14 @@ class Dispatcher:
             self._modes.update({tid: THREAD for tid in thread_set})
             self._pool = policy.thread_pool_cores if thread_set else None
             if name == "maws_cgam":
-                self._plan = plan_microbatches(process_set, policy.b_cap)
-                self._batch_of = self._plan.batch_of()
+                self._batches = plan_microbatches(process_set, policy.b_cap)
+                self._batch_of = self._batch_index()
                 self._gated = list(process_set)
         elif name == "sequential":
             self._queue = sorted(ids)
+
+    def _batch_index(self) -> dict[int, int]:
+        return {tid: k for k, batch in enumerate(self._batches) for tid in batch}
 
     # -- introspection used by the engine ---------------------------------
 
@@ -122,7 +124,7 @@ class Dispatcher:
         name = self.policy.name
         if name == "sequential":
             return self._queue[:1]
-        if self._plan is not None:
+        if self._batches is not None:
             released = self._release_batches()
             free = [tid for tid in self.tasks if tid not in self._batch_of]
             return sorted(released + free)
@@ -150,15 +152,15 @@ class Dispatcher:
                 self._queue.remove(task_id)
                 return self._queue[:1]
             return []
-        if self._plan is not None:
+        if self._batches is not None:
             return self._release_batches()
         return []
 
     def _batch_fully_done(self, k: int) -> bool:
-        return all(tid in self._finished for tid in self._plan.batches[k])
+        return all(tid in self._finished for tid in self._batches[k])
 
     def _batch_prefix_done(self, k: int) -> bool:
-        for tid in self._plan.batches[k]:
+        for tid in self._batches[k]:
             prefix = self.tasks[tid].pipeline.cpu_prefix_len()
             if self._done_stages[tid] < prefix:
                 return False

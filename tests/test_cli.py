@@ -554,6 +554,37 @@ class TestUnreadableFiles:
         assert "Traceback" not in err
 
 
+class TestUnwritableOutput:
+    """Every subcommand that writes files exits 2, with a one-line message
+    and no traceback, when its output path cannot be written: here a path
+    under a regular file."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "calibrate", "compare"])
+    def test_exits_2_without_traceback(self, tmp_path, capsys, command):
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / "afile" / "sub")
+        config = write_config(tmp_path, BASE_CONFIG)
+        if command == "compare":
+            doc = {**BASE_CONFIG, "out": str(tmp_path / "solo")}
+            assert main(["run", "--config", str(write_config(tmp_path, doc, "solo.yaml"))]) == 0
+            report = str(tmp_path / "solo" / "report.yaml")
+            argv = ["compare", report, report, "--out", str(Path(out) / "speedup.csv")]
+        elif command == "sweep":
+            doc = {**BASE_CONFIG, "sweep": {"axis": "batch_size", "values": [1, 2]}}
+            argv = ["sweep", "--config", str(write_config(tmp_path, doc, "sweep.yaml")),
+                    "--out", out]
+        elif command == "calibrate":
+            argv = ["calibrate", "--observations", "langchain_batch_sweep", "--name", "fit",
+                    "--out", out]
+        else:
+            argv = ["run", "--config", str(config), "--out", out]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "afile" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestIllTypedInputs:
     """Ill-typed fields, and inputs of the wrong kind, are configuration
     errors naming the field: exit 2, no traceback."""

@@ -4,19 +4,20 @@ engine on random small pipelines, mixes, policies, models and core counts
 reference records at each event), the occupancy's per-slot CPU load against
 a fresh sum, the trace serializer against the one it replaced, the trace
 parser on corrupted traces, the dispatcher against the rescanning one, the
-record order under any task ids, and task latencies and the audit's verdict
-against their ``max`` definitions."""
+record order under any task ids, task latencies and the audit's verdict
+against their ``max`` definitions, and the audit of a hand-edited trace."""
 
 import functools
 import itertools
 import math
+import re
 from collections import Counter
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import agentsim as a
@@ -28,13 +29,13 @@ from agentsim.contention import (
 )
 from agentsim.engine import (
     CLASSES,
-    CPU_PROCESS,
     GPU_ASYNC,
     Occupancy,
     StageRecord,
     Trace,
     parse_trace,
     serialize_trace,
+    stage_class,
     sweep,
 )
 from agentsim.errors import ConfigurationError
@@ -272,60 +273,77 @@ def test_serializer_writes_the_text_of_the_reference_one(trace):
         assert serialize_trace(parsed) == ref.serialize_trace(parsed) == plain_text(parsed)
 
 
-# shares: 0.0, an int equal to a float one (1 and 1.0 share a slot), and an
-# infinite one, as parse_trace accepts (inf * 0 is nan, so a slot with no
-# stage must add nothing)
-SHARES = st.one_of(st.sampled_from((0.0, 0.02, 0.05, 0.3, 0.55, 1.0, 0, 1, math.inf)),
-                   st.floats(0.0, 1.0))
-# (finish a running stage?, which one, class, mode, share, read the load afterwards?)
+# shares: 0.0, and an int equal to a float one (1 and 1.0 share a slot)
+SHARES = st.one_of(st.sampled_from((0.0, 0.02, 0.05, 0.3, 0.55, 1.0, 0, 1)), st.floats(0.0, 1.0))
+# the (kind, host blocking) pairs a StageSpec can make
+KIND_CLIENTS = [(kind, False) for kind in STAGE_KINDS] + [("gpu_inference", True)]
+# (finish a running stage?, which one, (kind, host blocking), mode, share,
+# read the load afterwards?)
 OCCUPANCY_OPS = st.lists(
-    st.tuples(st.booleans(), st.integers(0, 63), st.sampled_from(CLASSES),
+    st.tuples(st.booleans(), st.integers(0, 63), st.sampled_from(KIND_CLIENTS),
               st.sampled_from((PROCESS, THREAD)), SHARES, st.booleans()),
     min_size=1, max_size=40,
 )
 
 
-@given(ops=OCCUPANCY_OPS, pool_eff=st.sampled_from((None, 1, 3, 8)))
+@given(ops=OCCUPANCY_OPS, pool_eff=st.sampled_from((1, 3, 8)))
 def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff):
-    """After any sequence of starts and finishes, the load ``load`` returns
+    """After any sequence of starts and finishes, the load ``rates`` returns
     equals, bit for bit, a fresh sum over the ascending distinct shares of
     each mode with a running stage, with the thread pool's cap applied. The
-    run's slots are every drawn (mode, share), so some never hold a stage."""
-    occupancy = Occupancy(pool_eff, [(mode, share) for _, _, _, mode, share, _ in ops])
-    running = []  # (class, mode, share, kv tokens) of each running stage
-    for finish, which, cls, mode, share, read in ops:
+    run's shapes are every drawn one, so some slots never hold a stage."""
+    shapes = [(kind, mode, host_blocking, share, which)  # the kv tokens are ``which``
+              for _, which, (kind, host_blocking), mode, share, _ in ops]
+    occupancy = Occupancy(pool_eff, shapes)
+    assert occupancy.classes == sorted({stage_class(*shape[:3]) for shape in shapes})
+    running = []  # the shape of each running stage
+    for (finish, which, _, _, _, read), shape in zip(ops, shapes):
         if finish and running:
-            (cls, mode, share, kv), delta = running.pop(which % len(running)), -1
+            shape, delta = running.pop(which % len(running)), -1
         else:
-            kv, delta = which, 1
-            running.append((cls, mode, share, kv))
-        occupancy.change(cls, occupancy.slot(mode, share), kv, delta)
+            running.append(shape)
+            delta = 1
+        occupancy.change(*occupancy.key_of[shape], delta)
         if not read:
             continue  # several changes between two reads
-        load = occupancy.load()
+        load, _ = occupancy.rates()
         per_mode = []
         for m in (PROCESS, THREAD):
-            counts = Counter(k[2] for k in running if k[1] == m)
+            counts = Counter(share for _, mode, _, share, _ in running if mode == m)
             per_mode.append(sum([s * n for s, n in sorted(counts.items())], 0.0))
         process, thread = per_mode
-        if pool_eff is not None:
-            thread = min(thread, float(pool_eff))
-        assert load.hex() == (process + thread).hex()
-        assert occupancy.per_class == [sum(k[0] == c for k in running) for c in CLASSES]
-        assert occupancy.kv_tokens == sum(k[3] for k in running if k[0] >= GPU_ASYNC)
+        assert load.hex() == (process + min(thread, float(pool_eff))).hex()
+        classes = [stage_class(*shape[:3]) for shape in running]
+        assert occupancy.per_class == [classes.count(c) for c in CLASSES]
+        assert occupancy.kv_tokens == sum(shape[4] for shape, c in zip(running, classes)
+                                          if c >= GPU_ASYNC)
 
 
-@pytest.mark.parametrize("share", [math.inf, math.nan], ids=["inf", "nan"])
-def test_a_slot_that_holds_no_stage_adds_nothing(share):
-    """``parse_trace`` accepts an infinite or NaN share, and ``inf * 0`` is
-    nan: such a slot counts in the load only while a stage runs in it."""
-    occupancy = Occupancy(None, [(PROCESS, 0.5), (PROCESS, share), (THREAD, share)])
-    occupancy.change(CPU_PROCESS, occupancy.slot(PROCESS, 0.5), 0, 1)
-    assert occupancy.load() == 0.5
-    occupancy.change(CPU_PROCESS, occupancy.slot(PROCESS, share), 0, 1)
-    assert repr(occupancy.load()) == repr(share)  # 0.5 + inf, 0.5 + nan
-    occupancy.change(CPU_PROCESS, occupancy.slot(PROCESS, share), 0, -1)
-    assert occupancy.load() == 0.5
+@pytest.mark.parametrize("shape, pool_eff", [
+    (("cpu_tool", PROCESS, True, 1.0, 0), 8),  # a host-blocking client on a CPU tool
+    (("external_api", THREAD, True, 0.0, 0), 8),
+    (("gpu", PROCESS, False, 0.05, 0), None),  # an unknown kind
+    (("cpu_tool", "fork", False, 1.0, 0), 8),  # an unknown mode
+    (("cpu_tool", PROCESS, False, math.nan, 0), None),
+    (("cpu_tool", PROCESS, False, math.inf, 0), None),
+    (("cpu_tool", PROCESS, False, -math.inf, 0), None),
+    (("cpu_tool", PROCESS, False, -0.5, 0), None),
+    (("cpu_tool", PROCESS, False, 1.5, 0), None),
+    (("gpu_inference", PROCESS, False, 0.05, -1), None),
+    (("gpu_inference", PROCESS, True, 0.05, math.nan), None),
+    (("cpu_tool", THREAD, False, 1.0, 0), None),  # a thread-mode stage without a pool
+    (("external_api", THREAD, False, 0.0, 0), 0),
+    (("gpu_inference", THREAD, False, 0.05, 0), -1),
+], ids=lambda value: repr(value))
+def test_a_shape_no_stage_can_have_is_refused(shape, pool_eff):
+    """A shape no StageSpec makes, a share outside [0, 1] (NaN and the
+    infinities among them), negative or NaN KV tokens, or a thread-mode
+    shape without a pool width >= 1 is a ConfigurationError naming the
+    shape, even beside shapes the occupancy accepts."""
+    valid = ("cpu_tool", PROCESS, False, 0.5, 0)
+    with pytest.raises(ConfigurationError, match=re.escape(repr(shape))):
+        Occupancy(pool_eff, [valid, shape])
+    Occupancy(pool_eff, [valid])
 
 
 @functools.cache
@@ -442,9 +460,11 @@ AUDIT_MODELS = ContentionModels(
 def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
     """Task latencies are ``max(0.0, ends...)`` per task as ``max`` takes it
     (ties keep the first, a NaN end never wins), and the audit flags the
-    records whose error exceeds ``rel_tol * max(work, 1e-30)``, for any
-    records: zeros of either sign, NaN and infinite times and works, ints
-    where floats are expected, repeated (task, stage) pairs."""
+    records whose error is not within ``rel_tol * max(work, 1e-30)``, so a
+    NaN work, error or tolerance is flagged, for any records: zeros of
+    either sign, NaN and infinite times and works, ints where floats are
+    expected, repeated (task, stage) pairs. A trace whose shapes no stage
+    can have is refused."""
     want: dict = {}
     for r in trace.records:
         want[r.task_id] = max(want.get(r.task_id, 0.0), r.end)
@@ -453,10 +473,14 @@ def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
         [(k, repr(v), type(v)) for k, v in want.items()]
 
     trace = trace._replace(pool_eff=2)  # thread-mode stages need a pool width
+    if refuses(trace):  # a host-blocking client on a stage that is no GPU one
+        with pytest.raises(ConfigurationError):
+            a.replay_check(trace, AUDIT_MODELS, rel_tol)
+        return
     done = sweep(trace, AUDIT_MODELS).work_done
     records = trace.records
     bad = [i for i, r in enumerate(records)
-           if abs(done[i] - r.work) > rel_tol * max(r.work, 1e-30)]
+           if not abs(done[i] - r.work) <= rel_tol * max(r.work, 1e-30)]
     report = a.replay_check(trace, AUDIT_MODELS, rel_tol)
     assert report.ok == (not bad)
     if bad:
@@ -464,3 +488,71 @@ def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
         assert report.detail == (
             f"work mismatch at task {records[i].task_id} stage {records[i].stage_idx}: "
             f"integrated {done[i]!r}, expected {records[i].work!r}")
+
+
+def refuses(trace: Trace) -> bool:
+    """Whether a record's (kind, mode, host blocking) is one no StageSpec
+    makes, its share is outside [0, 1], its KV tokens are negative, or it is
+    a thread-mode record of a trace without a pool width >= 1."""
+    pool_ok = trace.pool_eff is not None and trace.pool_eff >= 1
+    return any(r.kind not in STAGE_KINDS or r.mode not in (PROCESS, THREAD)
+               or r.host_blocking and r.kind != "gpu_inference"
+               or not 0.0 <= r.cpu_share <= 1.0 or r.kv_tokens < 0
+               or r.mode == THREAD and not pool_ok for r in trace.records)
+
+
+# one edit of a trace: its meta pool_eff, or a field of one stage line, as text
+TRACE_EDITS = st.one_of(
+    st.tuples(st.just("pool_eff"), st.sampled_from(("none", "-1", "0", "1", "3", "96"))),
+    st.tuples(st.just("kind"), st.sampled_from(STAGE_KINDS + ("gpu", "cpu_tools"))),
+    st.tuples(st.just("mode"), st.sampled_from((PROCESS, THREAD, "fork"))),
+    st.tuples(st.just("host_blocking"), st.sampled_from(("0", "1"))),
+    st.tuples(st.just("cpu_share"), st.one_of(st.floats(), st.floats(0.0, 1.0)).map(repr)),
+    st.tuples(st.just("kv_tokens"), st.integers(-3, 10**9).map(str)),
+    st.tuples(st.just("work"), st.floats().map(repr)),
+)
+
+
+def edited_trace(field: str, value: str, which: int) -> Trace:
+    """The real trace with ``meta pool_eff``, or the ``field`` of one of its
+    stage lines, chosen by ``which``, set to ``value``."""
+    lines = list(real_trace_lines())
+    if field == "pool_eff":
+        i = next(i for i, line in enumerate(lines) if line.startswith("meta pool_eff "))
+        lines[i] = f"meta pool_eff {value}"
+    else:
+        stage_lines = [i for i, line in enumerate(lines) if line.startswith("stage ")]
+        i = stage_lines[which % len(stage_lines)]
+        parts = lines[i].split(" ")
+        parts[1 + StageRecord._fields.index(field)] = value  # after the "stage" tag
+        lines[i] = " ".join(parts)
+    return parse_trace("\n".join(lines) + "\n")
+
+
+# the trace's thread-mode stages without a pool width, then shapes no stage
+# can have (stage line 0 is a cpu_tool one), and a NaN work
+@example(edit=("pool_eff", "none"), which=0)
+@example(edit=("kind", "gpu"), which=0)
+@example(edit=("mode", "fork"), which=0)
+@example(edit=("cpu_share", "nan"), which=0)
+@example(edit=("cpu_share", "-0.5"), which=0)
+@example(edit=("host_blocking", "1"), which=0)
+@example(edit=("work", "nan"), which=0)
+@given(edit=TRACE_EDITS, which=st.integers(0, 10**6))
+def test_an_edited_trace_is_audited_or_refused(edit, which):
+    """One field of a real maws trace edited by hand: its ``meta pool_eff``
+    or one stage's kind, mode, client, share, KV tokens or work. The audit
+    then either returns its report, which passes on the unedited trace and
+    fails on a NaN work, or, for a shape no stage can have, raises a
+    ConfigurationError: never another error, and never a pass."""
+    trace = edited_trace(*edit, which)
+    models = a.load_models("emerald_rapids_b200")
+    if refuses(trace):
+        with pytest.raises(ConfigurationError):
+            a.replay_check(trace, models)
+        return
+    report = a.replay_check(trace, models)
+    if serialize_trace(trace).splitlines() == list(real_trace_lines()):
+        assert report.ok
+    if any(math.isnan(r.work) for r in trace.records):
+        assert not report.ok

@@ -21,27 +21,27 @@ def tasks_of(pipeline, n, start_id=0):
 
 class TestPlanMicrobatches:
     def test_even_split(self):
-        plan = plan_microbatches(list(range(128)), 64)
-        assert [len(b) for b in plan.batches] == [64, 64]
+        batches = plan_microbatches(list(range(128)), 64)
+        assert [len(b) for b in batches] == [64, 64]
 
     def test_ceiling_partition(self):
-        plan = plan_microbatches(list(range(130)), 64)
-        assert [len(b) for b in plan.batches] == [64, 64, 2]
+        batches = plan_microbatches(list(range(130)), 64)
+        assert [len(b) for b in batches] == [64, 64, 2]
 
     def test_degenerate_single_batch(self):
-        plan = plan_microbatches(list(range(10)), 64)
-        assert [len(b) for b in plan.batches] == [10]
+        batches = plan_microbatches(list(range(10)), 64)
+        assert [len(b) for b in batches] == [10]
 
     def test_empty_plan_is_not_an_error(self):
-        assert plan_microbatches([], 8).batches == ()
+        assert plan_microbatches([], 8) == ()
 
     def test_partition_properties(self):
         ids = list(range(57))
-        plan = plan_microbatches(ids, 8)
-        flattened = [tid for b in plan.batches for tid in b]
+        batches = plan_microbatches(ids, 8)
+        flattened = [tid for b in batches for tid in b]
         assert flattened == ids  # FCFS, a true partition
-        assert all(len(b) == 8 for b in plan.batches[:-1])
-        assert all(len(b) <= 8 for b in plan.batches)
+        assert all(len(b) == 8 for b in batches[:-1])
+        assert all(len(b) <= 8 for b in batches)
 
     def test_bad_cap(self):
         with pytest.raises(ConfigurationError):
