@@ -43,7 +43,7 @@ from .contention import ContentionModels, cpu_rate, gpu_rate, thread_pool_rate
 from .errors import ConfigurationError, InfeasibleModelError, InternalConsistencyError
 from .frozen import Frozen
 from .schedulers import PROCESS, THREAD, Dispatcher, Policy
-from .workload import StageKind, TaskInstance
+from .workload import StageKind, TaskInstance, shape_problem
 
 TIME_EPS = 1e-12  # simulate's tie rule: a stage this close to an event's end ends with it
 TRACE_SCHEMA_VERSION = 2  # version 1 also held the occupancy step series
@@ -187,8 +187,8 @@ class Occupancy:
     stages joined in; the thread pool's is capped at the pool width."""
 
     def __init__(self, pool_eff: int | None, shapes: Iterable[tuple]):
-        """``shapes``: the shape of every stage that may run. A shape no
-        StageSpec makes, a CPU share outside [0, 1], negative KV tokens, or a
+        """``shapes``: the shape of every stage that may run. A shape no StageSpec
+        makes (``workload.shape_problem``, an unknown kind or mode) or a
         thread-mode shape without a pool width >= 1 is a ConfigurationError."""
         self.pool_eff = pool_eff
         self.per_class = [0] * N_CLASSES
@@ -196,18 +196,14 @@ class Occupancy:
         shapes = dict.fromkeys(shapes)
         for shape in shapes:
             kind, mode, host_blocking, share, kv_tokens = shape
-            if stage_class(kind, mode, host_blocking) is None:
-                problem = "no stage has that kind, mode and host blocking"
-            elif not 0.0 <= share <= 1.0:
-                problem = "the CPU share is outside [0, 1]"
-            elif not kv_tokens >= 0:
-                problem = "the KV tokens are negative"
-            elif mode == THREAD and not (pool_eff is not None and pool_eff >= 1):
+            problem = shape_problem(kind, share, kv_tokens, host_blocking)
+            if problem is None and stage_class(kind, mode, host_blocking) is None:
+                problem = "no stage has that kind and mode"
+            if problem is None and mode == THREAD and (pool_eff is None or not pool_eff >= 1):
                 problem = f"a thread-mode stage needs a pool width >= 1, not {pool_eff!r}"
-            else:
-                continue
-            raise ConfigurationError(f"stage (kind, mode, host blocking, share, kv) {shape!r}: "
-                                     f"{problem}")
+            if problem is not None:
+                raise ConfigurationError(
+                    f"stage (kind, mode, host blocking, share, kv) {shape!r}: {problem}")
         # (is thread, share) in slot order: the process slots first
         ordered = sorted(dict.fromkeys((mode == THREAD, share) for _, mode, _, share, _ in shapes))
         slot_of = {key: slot for slot, key in enumerate(ordered)}

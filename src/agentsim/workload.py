@@ -27,6 +27,19 @@ class TaskClass(enum.Enum):
     LLM_HEAVY = "llm_heavy"
 
 
+def shape_problem(kind: str, cpu_share: float, kv_tokens: int, host_blocking: bool) -> str | None:
+    """Why no stage of the kind with value ``kind`` can have this share, KV
+    tokens and client, or None: a share outside [0, 1], KV tokens that are no
+    int >= 0, or KV tokens or host blocking off a GPU inference stage."""
+    if not 0.0 <= cpu_share <= 1.0:
+        return "cpu_share must be in [0, 1]"
+    if type(kv_tokens) is not int or kv_tokens < 0:  # a bool is no count
+        return "kv_tokens must be >= 0, as an int"
+    for name, value in (("kv_tokens", kv_tokens), ("host_blocking", host_blocking)):
+        if value and kind != StageKind.GPU_INFERENCE.value:
+            return f"{name} only valid on gpu_inference stages"
+
+
 class StageSpec(Frozen):
     """One pipeline stage.
 
@@ -48,14 +61,9 @@ class StageSpec(Frozen):
                  sources: tuple[tuple[str, str], ...] = ()):
         if not 0.0 < base_latency < math.inf:
             raise ConfigurationError(f"stage {label!r}: base_latency must be finite and > 0")
-        if not 0.0 <= cpu_share <= 1.0:
-            raise ConfigurationError(f"stage {label!r}: cpu_share must be in [0, 1]")
-        if type(kv_tokens) is not int or kv_tokens < 0:  # a bool is no count
-            raise ConfigurationError(f"stage {label!r}: kv_tokens must be >= 0, as an int")
-        for name, value in (("kv_tokens", kv_tokens), ("host_blocking", host_blocking)):
-            if value and kind is not StageKind.GPU_INFERENCE:
-                raise ConfigurationError(
-                    f"stage {label!r}: {name} only valid on gpu_inference stages")
+        problem = shape_problem(kind.value, cpu_share, kv_tokens, host_blocking)
+        if problem is not None:
+            raise ConfigurationError(f"stage {label!r}: {problem}")
         self._init(kind, base_latency, cpu_share, kv_tokens, label, host_blocking, sources)
 
     def _key(self) -> tuple:

@@ -292,7 +292,8 @@ def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff):
     equals, bit for bit, a fresh sum over the ascending distinct shares of
     each mode with a running stage, with the thread pool's cap applied. The
     run's shapes are every drawn one, so some slots never hold a stage."""
-    shapes = [(kind, mode, host_blocking, share, which)  # the kv tokens are ``which``
+    # a GPU stage's kv tokens are ``which``
+    shapes = [(kind, mode, host_blocking, share, which if kind == "gpu_inference" else 0)
               for _, which, (kind, host_blocking), mode, share, _ in ops]
     occupancy = Occupancy(pool_eff, shapes)
     assert occupancy.classes == sorted({stage_class(*shape[:3]) for shape in shapes})
@@ -331,13 +332,17 @@ def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff):
     (("cpu_tool", PROCESS, False, 1.5, 0), None),
     (("gpu_inference", PROCESS, False, 0.05, -1), None),
     (("gpu_inference", PROCESS, True, 0.05, math.nan), None),
+    (("gpu_inference", PROCESS, False, 0.05, 7.0), None),  # a kv count that is no int
+    (("cpu_tool", PROCESS, False, 1.0, 7), None),  # KV tokens on a stage that is no GPU one
+    (("external_api", PROCESS, False, 0.0, 1), None),
     (("cpu_tool", THREAD, False, 1.0, 0), None),  # a thread-mode stage without a pool
     (("external_api", THREAD, False, 0.0, 0), 0),
     (("gpu_inference", THREAD, False, 0.05, 0), -1),
 ], ids=lambda value: repr(value))
 def test_a_shape_no_stage_can_have_is_refused(shape, pool_eff):
     """A shape no StageSpec makes, a share outside [0, 1] (NaN and the
-    infinities among them), negative or NaN KV tokens, or a thread-mode
+    infinities among them), KV tokens that are negative, no int, or on a
+    stage that is no GPU one, or a thread-mode
     shape without a pool width >= 1 is a ConfigurationError naming the
     shape, even beside shapes the occupancy accepts."""
     valid = ("cpu_tool", PROCESS, False, 0.5, 0)
@@ -463,8 +468,9 @@ def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
     records whose error is not within ``rel_tol * max(work, 1e-30)``, so a
     NaN work, error or tolerance is flagged, for any records: zeros of
     either sign, NaN and infinite times and works, ints where floats are
-    expected, repeated (task, stage) pairs. A trace whose shapes no stage
-    can have is refused."""
+    expected, repeated (task, stage) pairs. The audit runs on the records
+    with the client and KV tokens cleared on stages that are no GPU ones,
+    so every shape is one a stage can have."""
     want: dict = {}
     for r in trace.records:
         want[r.task_id] = max(want.get(r.task_id, 0.0), r.end)
@@ -472,11 +478,11 @@ def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
     assert [(k, repr(v), type(v)) for k, v in got.items()] == \
         [(k, repr(v), type(v)) for k, v in want.items()]
 
-    trace = trace._replace(pool_eff=2)  # thread-mode stages need a pool width
-    if refuses(trace):  # a host-blocking client on a stage that is no GPU one
-        with pytest.raises(ConfigurationError):
-            a.replay_check(trace, AUDIT_MODELS, rel_tol)
-        return
+    # thread-mode stages need a pool width; a client and KV tokens, a GPU stage
+    gpu = "gpu_inference"
+    trace = trace._replace(pool_eff=2, records=[
+        r._replace(host_blocking=r.host_blocking and r.kind == gpu,
+                   kv_tokens=int(r.kv_tokens) if r.kind == gpu else 0) for r in trace.records])
     done = sweep(trace, AUDIT_MODELS).work_done
     records = trace.records
     bad = [i for i, r in enumerate(records)
@@ -492,11 +498,12 @@ def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
 
 def refuses(trace: Trace) -> bool:
     """Whether a record's (kind, mode, host blocking) is one no StageSpec
-    makes, its share is outside [0, 1], its KV tokens are negative, or it is
-    a thread-mode record of a trace without a pool width >= 1."""
+    makes, its share is outside [0, 1], its KV tokens are negative or on a
+    stage that is no GPU one, or it is a thread-mode record of a trace
+    without a pool width >= 1."""
     pool_ok = trace.pool_eff is not None and trace.pool_eff >= 1
     return any(r.kind not in STAGE_KINDS or r.mode not in (PROCESS, THREAD)
-               or r.host_blocking and r.kind != "gpu_inference"
+               or (r.host_blocking or r.kv_tokens) and r.kind != "gpu_inference"
                or not 0.0 <= r.cpu_share <= 1.0 or r.kv_tokens < 0
                or r.mode == THREAD and not pool_ok for r in trace.records)
 
@@ -537,6 +544,7 @@ def edited_trace(field: str, value: str, which: int) -> Trace:
 @example(edit=("cpu_share", "nan"), which=0)
 @example(edit=("cpu_share", "-0.5"), which=0)
 @example(edit=("host_blocking", "1"), which=0)
+@example(edit=("kv_tokens", "7"), which=0)
 @example(edit=("work", "nan"), which=0)
 @given(edit=TRACE_EDITS, which=st.integers(0, 10**6))
 def test_an_edited_trace_is_audited_or_refused(edit, which):
