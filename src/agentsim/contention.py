@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigurationError, InfeasibleModelError
-from .frozen import Frozen
+from .frozen import Frozen, whole_problem
 
 
 class CpuContentionParams(Frozen):
@@ -25,8 +25,8 @@ class CpuContentionParams(Frozen):
 
     def __init__(self, logical_cores: int = 96, oversub_kappa: float = 0.0,
                  gil_serial_fraction: float = 0.0):
-        if logical_cores < 1:
-            raise ConfigurationError("logical_cores must be >= 1")
+        if problem := whole_problem("logical_cores", logical_cores, 1):
+            raise ConfigurationError(problem)
         if oversub_kappa < 0:
             raise ConfigurationError("oversub_kappa must be >= 0")
         if not 0.0 <= gil_serial_fraction <= 1.0:
@@ -47,8 +47,8 @@ class GpuSaturationParams(Frozen):
             raise ConfigurationError("kv_capacity must be > 0")
         if not 0.0 < spill_rate_factor <= 1.0:
             raise ConfigurationError("spill_rate_factor must be in (0, 1]")
-        if kv_bytes_per_token < 0:
-            raise ConfigurationError("kv_bytes_per_token must be >= 0")
+        if problem := whole_problem("kv_bytes_per_token", kv_bytes_per_token, 0):
+            raise ConfigurationError(problem)
         self._init(b_half, kv_bytes_per_token, kv_capacity, spill_rate_factor)
 
 

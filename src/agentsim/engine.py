@@ -33,7 +33,6 @@ import heapq
 import itertools
 import json
 import math
-import sys
 from collections.abc import Iterable
 from operator import attrgetter, itemgetter, mul
 from typing import NamedTuple
@@ -41,7 +40,7 @@ from typing import NamedTuple
 from . import __version__
 from .contention import ContentionModels, cpu_rate, gpu_rate, thread_pool_rate
 from .errors import ConfigurationError, InfeasibleModelError, InternalConsistencyError
-from .frozen import Frozen
+from .frozen import Frozen, whole_problem
 from .schedulers import PROCESS, THREAD, Dispatcher, Policy
 from .workload import StageKind, TaskInstance, shape_problem
 
@@ -55,9 +54,8 @@ class ResourcePool(Frozen):
     __slots__ = ("logical_cores",)
 
     def __init__(self, logical_cores: int = 96):
-        if type(logical_cores) is not int or not 1 <= logical_cores <= sys.float_info.max:
-            raise ConfigurationError(
-                "logical_cores must be >= 1 and within a float's range, as an int")
+        if problem := whole_problem("logical_cores", logical_cores, 1):
+            raise ConfigurationError(problem)
         self._init(logical_cores)
 
 
@@ -281,8 +279,10 @@ def simulate(
     S_c(start) + work. A clock restarts at 0.0 whenever its class empties, so
     a stage that runs alone ends at start + work. A class rate too small for
     a stage ever to end (0.0, say) is an InfeasibleModelError. A task id used
-    twice is a ConfigurationError.
+    twice, or a seed no trace can carry, is a ConfigurationError.
     """
+    if problem := whole_problem("seed", seed, 0):
+        raise ConfigurationError(problem)
     models = _on_machine(models, resources.logical_cores)
     dispatcher = Dispatcher(policy, tasks)
     pool_eff = None

@@ -7,7 +7,16 @@ matters for the contention parameters the engine reads at every event, and
 the class is built by plain class creation, with no code generated at import.
 """
 
+import sys
+
 _set_field = object.__setattr__
+
+
+def whole_problem(name: str, value, low: int) -> str | None:
+    """Why field ``name`` cannot hold ``value``, or None: a trace writes it as
+    an int and a report may convert it to a float. A bool is no number."""
+    if type(value) is not int or not low <= value <= sys.float_info.max:
+        return f"{name} must be >= {low} and within a float's range, as an int"
 
 
 class Frozen:

@@ -24,7 +24,7 @@ import yaml
 
 from .contention import ContentionModels
 from .errors import ConfigurationError, UnknownProfileError
-from .workload import PipelineSpec, StageKind, StageSpec
+from .workload import PipelineSpec, StageKind, StageSpec, is_one_line
 
 PROFILE_SCHEMA_VERSION = 1
 
@@ -178,7 +178,7 @@ def pipeline_from_dict(doc: dict) -> PipelineSpec:
             raise ConfigurationError(f"{where}.kind must be one of {_STAGE_KINDS}, got {kind!r}")
         sources = _as(s.get("sources") or {}, dict, f"{where}.sources")
         label = _field(s, where, "label", str, "")
-        if "".join(label.splitlines()) != label:  # the trace is one line per stage
+        if not is_one_line(label):
             raise ConfigurationError(f"{where}.label must not hold a line break, got {label!r}")
         stages.append(
             StageSpec(

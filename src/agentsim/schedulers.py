@@ -10,11 +10,10 @@ enforced by the engine.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 
 from .errors import ConfigurationError, InternalConsistencyError
-from .frozen import Frozen
+from .frozen import Frozen, whole_problem
 from .workload import TaskClass, TaskInstance, class_labels
 
 PROCESS = "process"
@@ -68,8 +67,7 @@ class Policy(Frozen):
                 raise ConfigurationError(
                     f"policy.{key} is not read by policy {name!r}, which reads "
                     f"{', '.join(reads)}")
-            if key in reads and kind is int and (  # None, a float or a bool is refused
-                    type(value) is not int or not 1 <= value <= sys.float_info.max):
+            if key in reads and kind is int and whole_problem(key, value, 1):  # refuses None too
                 raise ConfigurationError(
                     f"policy {name!r} requires {key} >= 1 and within a float's range, as an int")
         if not 0.0 < theta < 1.0:
@@ -150,15 +148,13 @@ class Dispatcher:
     start now. ``mode_of`` reports process vs thread execution per task, and
     ``pool_size`` the thread-pool width (None when no thread set exists).
 
-    Each micro-batch counts down the stages left before all its tasks
-    finished their CPU prefix and the tasks left before it finished. A gate
-    opens only when one of those counts reaches 0, so only such a completion
-    checks the gates of the two batches after its own; every other
-    completion returns the empty tuple without building or sorting a list.
+    The released micro-batches are the first ``_next`` of the batch list.
+    Each batch counts down the stages left in its tasks' CPU prefixes and its
+    unfinished tasks; only a completion that takes one of those to 0 can
+    open a gate, and any other returns the empty tuple.
     """
 
     def __init__(self, policy: Policy, tasks: list[TaskInstance]):
-        self.policy = policy
         prefix_of: dict[int, int] = {}  # id(pipeline) -> its CPU prefix length
         self._state: dict[int, _TaskState] = {}
         for t in tasks:
@@ -174,19 +170,19 @@ class Dispatcher:
 
         name = policy.name
         threads: list[int] = []  # ids run on the thread pool
-        self._pool: int | None = None
+        self.pool_size: int | None = None
         gated: list[int] | None = None  # ids held for micro-batch release, FCFS
         b_cap = policy.b_cap
 
         if name == "multithreading" or (
                 name in ("cgam", "cgam_overlap") and policy.exec_mode == THREAD):
             threads = ids
-            self._pool = policy.pool_size
+            self.pool_size = policy.pool_size
         if name in ("cgam", "cgam_overlap"):
             gated = ids
         elif name in ("maws", "maws_cgam"):
             process_set, threads = maws_partition(tasks, policy.theta)
-            self._pool = policy.thread_pool_cores if threads else None
+            self.pool_size = policy.thread_pool_cores if threads else None
             if name == "maws_cgam":
                 gated = process_set
         elif name == "sequential":
@@ -203,23 +199,19 @@ class Dispatcher:
                 self._state[tid].batch = k
             self._prefix_left.append(sum(self._state[tid].prefix for tid in batch))
         self._tasks_left = [len(b) for b in self._batches]
-        self._released = [False] * len(self._batches)
+        self._next = 0  # batches released so far
+        self._overlap = name == "cgam_overlap"
 
     # -- introspection used by the engine ---------------------------------
 
     def mode_of(self, task_id: int) -> str:
         return self._state[task_id].mode
 
-    @property
-    def pool_size(self) -> int | None:
-        return self._pool
-
     # -- dispatch ----------------------------------------------------------
 
     def initial_starts(self) -> list[int]:
-        released = [tid for k in range(len(self._batches)) for tid in self._release(k)]
         free = [tid for tid, state in self._state.items() if state.batch is None]
-        return sorted(released + free)
+        return sorted(self._advance() + free)
 
     def on_stage_complete(self, task_id: int, stage_idx: int) -> tuple[int, ...]:
         """Record a completion; return the ids, ascending, whose first stage
@@ -251,27 +243,19 @@ class Dispatcher:
         if done == n_stages:
             self._tasks_left[k] -= 1
             opened = opened or not self._tasks_left[k]
-        if not opened:
-            return ()
-        # batch k's prefix gates batch k+1 (overlap); its completion gates
-        # batch k+1 (cgam) or k+2 (overlap)
-        return tuple(sorted(self._release(k + 1) + self._release(k + 2)))
+        return tuple(sorted(self._advance())) if opened else ()
 
-    def _may_release(self, k: int) -> bool:
-        if k == 0:
-            return True
-        if self.policy.name == "cgam_overlap":
-            # CPU prefix of batch k may start once batch k-1 was released and
-            # finished its CPU portion (an empty prefix is finished at once);
-            # at most two batches in flight, so k-2 must be done.
-            return (self._released[k - 1] and self._prefix_left[k - 1] == 0
-                    and (k < 2 or self._tasks_left[k - 2] == 0))
-        return self._tasks_left[k - 1] == 0
-
-    def _release(self, k: int) -> list[int]:
-        """The ids of batch k if it is still gated and may start now."""
-        if k >= len(self._batches) or self._released[k] or not self._may_release(k):
-            return []
-        self._released[k] = True
-        # under cgam_overlap a release can open the next batch's gate
-        return list(self._batches[k]) + self._release(k + 1)
+    def _advance(self) -> list[int]:
+        """Release the batches from ``_next`` on whose gates are open; their ids."""
+        batches, k = self._batches, self._next
+        released: list[int] = []
+        # batch k waits until batch k-1 has finished or, overlapping CPU and
+        # GPU phases, until batch k-1 has finished its CPU prefix (an empty
+        # one at once) and batch k-2 has finished
+        while k < len(batches) and (k == 0 or (
+                not self._prefix_left[k - 1] and (k == 1 or not self._tasks_left[k - 2])
+                if self._overlap else not self._tasks_left[k - 1])):
+            released += batches[k]
+            k += 1
+        self._next = k
+        return released

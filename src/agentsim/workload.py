@@ -12,7 +12,7 @@ import enum
 import math
 
 from .errors import ConfigurationError
-from .frozen import Frozen
+from .frozen import Frozen, whole_problem
 from .rng import lognormal
 
 
@@ -29,15 +29,20 @@ class TaskClass(enum.Enum):
 
 def shape_problem(kind: str, cpu_share: float, kv_tokens: int, host_blocking: bool) -> str | None:
     """Why no stage of the kind with value ``kind`` can have this share, KV
-    tokens and client, or None: a share outside [0, 1], KV tokens that are no
-    int >= 0, or KV tokens or host blocking off a GPU inference stage."""
+    tokens and client, or None: a share outside [0, 1], KV tokens that
+    ``whole_problem`` refuses, or KV tokens or host blocking off GPU inference."""
     if not 0.0 <= cpu_share <= 1.0:
         return "cpu_share must be in [0, 1]"
-    if type(kv_tokens) is not int or kv_tokens < 0:  # a bool is no count
-        return "kv_tokens must be >= 0, as an int"
+    if problem := whole_problem("kv_tokens", kv_tokens, 0):
+        return problem
     for name, value in (("kv_tokens", kv_tokens), ("host_blocking", host_blocking)):
         if value and kind != StageKind.GPU_INFERENCE.value:
             return f"{name} only valid on gpu_inference stages"
+
+
+def is_one_line(label) -> bool:
+    """Whether ``label`` is a str a trace can end a stage's line with."""
+    return type(label) is str and "".join(label.splitlines()) == label
 
 
 class StageSpec(Frozen):
@@ -61,6 +66,8 @@ class StageSpec(Frozen):
                  sources: tuple[tuple[str, str], ...] = ()):
         if not 0.0 < base_latency < math.inf:
             raise ConfigurationError(f"stage {label!r}: base_latency must be finite and > 0")
+        if not is_one_line(label):
+            raise ConfigurationError(f"stage {label!r}: label must be a str without a line break")
         problem = shape_problem(kind.value, cpu_share, kv_tokens, host_blocking)
         if problem is not None:
             raise ConfigurationError(f"stage {label!r}: {problem}")
@@ -126,8 +133,8 @@ class WorkloadSpec(Frozen):
 
     def __init__(self, batch_size: int, mix: tuple[tuple[PipelineSpec, float], ...],
                  jitter_cv: float = 0.05, seed: int = 0):
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
+        if problem := whole_problem("batch_size", batch_size, 1):
+            raise ConfigurationError(problem)
         if not mix:
             raise ConfigurationError("workload mix must not be empty")
         if not all(0.0 < p < math.inf for _, p in mix):
@@ -140,8 +147,8 @@ class WorkloadSpec(Frozen):
         if jitter_cv * jitter_cv == math.inf:  # build_workload squares it
             raise ConfigurationError(
                 f"workload.jitter_cv {jitter_cv!r} is too large: its square overflows")
-        if seed < 0:
-            raise ConfigurationError("seed must be >= 0")
+        if problem := whole_problem("seed", seed, 0):
+            raise ConfigurationError(problem)
         self._init(batch_size, mix, jitter_cv, seed)
 
 

@@ -22,12 +22,17 @@ GPU_STAGE = dict(kind=a.StageKind.GPU_INFERENCE, base_latency=1.0, cpu_share=0.1
 CASES = [
     (a.CpuContentionParams, {}, [
         ("logical_cores", 0, "logical_cores must be >= 1"),
+        ("logical_cores", 2.5, "logical_cores must be >= 1"),
+        ("logical_cores", True, "logical_cores must be >= 1"),
+        ("logical_cores", 10**400, "logical_cores must be >= 1"),
         ("oversub_kappa", -0.5, "oversub_kappa must be >= 0"),
         ("gil_serial_fraction", 1.5, "gil_serial_fraction must be in [0, 1]"),
     ]),
     (a.GpuSaturationParams, {}, [
         ("b_half", 0.0, "b_half must be > 0"),
         ("kv_bytes_per_token", -1, "kv_bytes_per_token must be >= 0"),
+        ("kv_bytes_per_token", 2.5, "kv_bytes_per_token must be >= 0"),
+        ("kv_bytes_per_token", True, "kv_bytes_per_token must be >= 0"),
         ("kv_capacity", 0, "kv_capacity must be > 0"),
         ("spill_rate_factor", 0.0, "spill_rate_factor must be in (0, 1]"),
     ]),
@@ -45,6 +50,10 @@ CASES = [
         ("base_latency", float("inf"), "stage 's': base_latency must be finite and > 0"),
         ("cpu_share", 1.5, "stage 's': cpu_share must be in [0, 1]"),
         ("kv_tokens", -1, "stage 's': kv_tokens must be >= 0"),
+        ("kv_tokens", 10**400, "stage 's': kv_tokens must be >= 0"),
+        ("label", "fetch\nparse", "stage 'fetch\\nparse': label must be a str without a line "),
+        ("label", "fetch\x85parse", "stage 'fetch\\x85parse': label must be a str without a "),
+        ("label", 7, "stage 7: label must be a str without a line break"),
         ("kind", a.StageKind.CPU_TOOL, None),  # valid: no kv_tokens, not blocking
     ]),
     (a.StageSpec, {**GPU_STAGE, "label": "s", "kv_tokens": 8}, [
@@ -63,12 +72,17 @@ CASES = [
     ]),
     (a.WorkloadSpec, {"batch_size": 2, "mix": ((PIPE, 1.0),)}, [
         ("batch_size", 0, "batch_size must be >= 1"),
+        ("batch_size", 2.5, "batch_size must be >= 1"),
+        ("batch_size", 10**400, "batch_size must be >= 1"),
+        ("batch_size", True, "batch_size must be >= 1"),
         ("mix", (), "workload mix must not be empty"),
         ("mix", ((PIPE, 0.0),), "mix proportions must be finite and positive"),
         ("mix", ((PIPE, 0.5),), "mix proportions must sum to 1 (got 0.5)"),
         ("jitter_cv", -0.1, "workload.jitter_cv must be finite and >= 0"),
         ("jitter_cv", 1e200, "workload.jitter_cv 1e+200 is too large: its square overflows"),
         ("seed", -1, "seed must be >= 0"),
+        ("seed", 1.5, "seed must be >= 0"),
+        ("seed", True, "seed must be >= 0"),
     ]),
     (a.ResourcePool, {}, [
         ("logical_cores", 0, "logical_cores must be >= 1"),
@@ -89,8 +103,15 @@ RECORDS = {cls: cls(**args) for cls, args, _ in CASES}
 RECORDS[a.ContentionModels] = a.ContentionModels(name="m", cpu=a.CpuContentionParams(8))
 
 
-@pytest.mark.parametrize("cls, args, field, value, message", REFUSALS,
-                         ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def short_id(value):
+    """A test id: a class by its name, an int of many digits by their count."""
+    if isinstance(value, type):
+        return value.__name__
+    if type(value) is int and len(str(value)) > 20:
+        return f"int_of_{len(str(value))}_digits"
+
+
+@pytest.mark.parametrize("cls, args, field, value, message", REFUSALS, ids=short_id)
 def test_a_refused_value_is_refused_at_construction_and_through_replace(
         cls, args, field, value, message):
     record = cls(**args)
@@ -166,6 +187,9 @@ def test_the_api_refuses_an_int_no_float_can_hold():
             a.ResourcePool(logical_cores=cores)
     trace = a.simulate(tasks, a.Policy("multiprocessing"), a.ResourcePool(10**300), models)
     a.summarize(trace, models.energy, models.gpu)  # the largest counts still run
+    for seed in (10**400, -1):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0 and within"):
+            a.simulate(tasks, a.Policy("multiprocessing"), a.ResourcePool(), models, seed=seed)
     for name, key in (("cgam", "b_cap"), ("multithreading", "pool_size"),
                       ("maws", "thread_pool_cores")):
         with pytest.raises(ConfigurationError,
@@ -176,7 +200,8 @@ def test_the_api_refuses_an_int_no_float_can_hold():
 def trace_with(field: str, value):
     """A two-task maws, cgam or multithreading run whose trace writes
     ``value`` of the integer API field ``field``: a stage's kv tokens, the
-    core count, the pool width (``pool_eff``) or the policy's ``b_cap``."""
+    core count, the pool width (``pool_eff``), the policy's ``b_cap`` or the
+    seed ``simulate`` is given."""
     gpu = a.StageSpec(**{**GPU_STAGE, "base_latency": 3.0},
                       kv_tokens=value if field == "kv_tokens" else 8)
     pipe = a.PipelineSpec("p", (PIPE.stages[0], gpu))  # LLM-heavy, so maws uses its pool
@@ -186,10 +211,11 @@ def trace_with(field: str, value):
               }.get(field, lambda: a.Policy("maws"))()
     tasks = a.build_workload(a.WorkloadSpec(batch_size=2, mix=((pipe, 1.0),), seed=0))
     cores = value if field == "logical_cores" else 4
-    return a.simulate(tasks, policy, a.ResourcePool(cores), a.load_models("emerald_rapids_b200"))
+    return a.simulate(tasks, policy, a.ResourcePool(cores), a.load_models("emerald_rapids_b200"),
+                      seed=value if field == "seed" else 0)
 
 
-INT_FIELDS = ("kv_tokens", "logical_cores", "b_cap", "pool_size", "thread_pool_cores")
+INT_FIELDS = ("kv_tokens", "logical_cores", "b_cap", "pool_size", "thread_pool_cores", "seed")
 
 
 @pytest.mark.parametrize("field", INT_FIELDS)
@@ -201,8 +227,9 @@ def test_an_int_field_round_trips_bit_for_bit_or_is_refused(field, value):
     refuses anything else. Before, ``kv_tokens=7.0`` and
     ``logical_cores=2.5`` simulated and ``parse_trace`` refused the trace
     they wrote, ``ResourcePool(True)`` wrote ``meta logical_cores True``,
-    ``pool_size=2.5`` wrote ``meta pool_eff 2.5`` and ``b_cap=1.5`` raised a
-    bare TypeError in ``simulate``."""
+    ``pool_size=2.5`` wrote ``meta pool_eff 2.5``, ``b_cap=1.5`` raised a
+    bare TypeError in ``simulate``, and ``seed=True`` and ``seed=1.5`` wrote
+    ``meta seed True`` and ``meta seed 1.5``."""
     if type(value) is not int:
         with pytest.raises(ConfigurationError, match=r"(>= 0|range), as an int"):
             trace_with(field, value)
@@ -218,6 +245,8 @@ def test_an_int_field_round_trips_bit_for_bit_or_is_refused(field, value):
         written = [parsed.logical_cores]
     elif field == "b_cap":
         written = [int(parsed.policy.partition("b_cap=")[2])]
+    elif field == "seed":
+        written = [parsed.seed]
     else:  # the pool width, at most the 4 cores
         written, expected = [parsed.pool_eff], min(value, 4)
     assert written and all(type(v) is int and v == expected for v in written), written

@@ -1,0 +1,18 @@
+"""The README's examples run as written."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+
+
+def test_the_library_example_runs(tmp_path):
+    # in a fresh interpreter that finds the package only through PYTHONPATH=src
+    text = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
