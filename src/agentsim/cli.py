@@ -24,11 +24,11 @@ from .contention import (
     ThroughputCurve,
     calibrate_cpu,
     calibrate_gpu,
-    calibrate_gpu_busy_ratio,
     fit_cpu_watts,
     fit_dynamic_watts,
     gain_ratios,
     select_bcap,
+    solve_b_half,
 )
 from .engine import (
     ResourcePool,
@@ -55,6 +55,7 @@ from .metrics import (
 )
 from .profiles import (
     _as,
+    _check_schema,
     _field,
     _find_bundled,
     dump_yaml,
@@ -319,8 +320,7 @@ def cmd_sweep(args) -> int:
 
 def load_curve_file(path: str | Path) -> ThroughputCurve:
     doc = read_yaml(path, "throughput curve")
-    if doc.get("kind") != "throughput_curve":
-        raise ConfigurationError(f"{path} is not a throughput_curve document")
+    _check_schema(doc, "throughput_curve")
     points = sorted((_as(k, int, f"points.{k}"), _as(v, float, f"points.{k}"))
                     for k, v in _field(doc, "", "points", dict).items())
     return ThroughputCurve(points=dict(points))
@@ -337,34 +337,29 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
     cpu_j_small, cpu_j_large, gpu_j_small, gpu_j_large = (
         _field(e, where, k, (int, float))
         for k in ("cpu_j_small", "cpu_j_large", "gpu_j_small", "gpu_j_large"))
-    sources: dict[str, str] = {}
     cores = _field(e, where, "cores", int, base.cpu.logical_cores)
-    b_half_energy, busy_ratio = calibrate_gpu_busy_ratio(
-        b_small, float(gpu_j_small), b_large, float(gpu_j_large))
+    b_half_energy, busy_ratio = solve_b_half(
+        b_small, float(gpu_j_small), b_large, float(gpu_j_large), "busy-time")
     # At or below the hardware thread count the oversubscription term is
     # unidentifiable from energy endpoints; pin it at 0.
     kappa = 0.0 if cores >= b_large else base.cpu.oversub_kappa
     cpu = base.cpu.replace(logical_cores=cores, oversub_kappa=kappa)
     gpu = base.gpu.replace(b_half=b_half_energy)
-    sources["b_half"] = (
-        f"exact fit to busy-time ratio {busy_ratio!r} between batch {b_small} "
-        f"and batch {b_large} energy runs"
-    )
+    sources = {"b_half": f"exact fit to busy-time ratio {busy_ratio!r} between batch "
+                         f"{b_small} and batch {b_large} energy runs"}
     probe_models = ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=base.energy)
     resources = ResourcePool(logical_cores=cores)
-    integrals = {}
+    integrals = []
     for b in (b_small, b_large):
-        tasks = build_workload(
-            WorkloadSpec(batch_size=b, mix=((pipeline, 1.0),), jitter_cv=0.0, seed=0)
-        )
+        tasks = build_workload(WorkloadSpec(b, ((pipeline, 1.0),), jitter_cv=0.0, seed=0))
         trace = simulate(tasks, Policy("multiprocessing"), resources, probe_models)
-        integrals[b] = energy_integrals(trace)
-    (busy_s, active_s, gpu_s), (busy_l, active_l, gpu_l) = (
-        integrals[b_small], integrals[b_large]
-    )
-    cpu_w, cpu_pkg_w = fit_cpu_watts(
-        float(cpu_j_small), float(cpu_j_large), busy_s, busy_l, active_s, active_l,
-    )
+        audit = replay_check(trace, probe_models)
+        if not audit.ok:
+            raise InternalConsistencyError(f"replay audit failed: {audit.detail}")
+        integrals.append(energy_integrals(trace, audit.occupancy))
+    (busy_s, active_s, gpu_s), (busy_l, active_l, gpu_l) = integrals
+    cpu_w, cpu_pkg_w = fit_cpu_watts(float(cpu_j_small), float(cpu_j_large),
+                                     busy_s, busy_l, active_s, active_l)
     gpu_w = fit_dynamic_watts(float(gpu_j_small), float(gpu_j_large), gpu_s, gpu_l)
     energy = base.energy.replace(cpu_dyn_w_per_core=cpu_w, cpu_pkg_dyn_w=cpu_pkg_w,
                                  gpu_dyn_w=gpu_w)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigurationError, InfeasibleModelError
-from .frozen import Frozen, whole_problem
+from .frozen import Frozen, is_real, whole_problem
 
 
 class CpuContentionParams(Frozen):
@@ -27,11 +27,11 @@ class CpuContentionParams(Frozen):
                  gil_serial_fraction: float = 0.0):
         if problem := whole_problem("logical_cores", logical_cores, 1):
             raise ConfigurationError(problem)
-        if oversub_kappa < 0:
+        if not (is_real(oversub_kappa) and oversub_kappa >= 0):
             raise ConfigurationError("oversub_kappa must be >= 0")
-        if not 0.0 <= gil_serial_fraction <= 1.0:
+        if not (is_real(gil_serial_fraction) and 0.0 <= gil_serial_fraction <= 1.0):
             raise ConfigurationError("gil_serial_fraction must be in [0, 1]")
-        self._init(logical_cores, oversub_kappa, gil_serial_fraction)
+        self._init(logical_cores, float(oversub_kappa), float(gil_serial_fraction))
 
 
 class GpuSaturationParams(Frozen):
@@ -41,15 +41,14 @@ class GpuSaturationParams(Frozen):
 
     def __init__(self, b_half: float = 64.0, kv_bytes_per_token: int = 131072,
                  kv_capacity: int = 34359738368, spill_rate_factor: float = 0.25):
-        if b_half <= 0:
+        if not (is_real(b_half) and b_half > 0):
             raise ConfigurationError("b_half must be > 0")
-        if kv_capacity <= 0:
-            raise ConfigurationError("kv_capacity must be > 0")
-        if not 0.0 < spill_rate_factor <= 1.0:
+        if not (is_real(spill_rate_factor) and 0.0 < spill_rate_factor <= 1.0):
             raise ConfigurationError("spill_rate_factor must be in (0, 1]")
-        if problem := whole_problem("kv_bytes_per_token", kv_bytes_per_token, 0):
+        if problem := (whole_problem("kv_bytes_per_token", kv_bytes_per_token, 0)
+                       or whole_problem("kv_capacity", kv_capacity, 1)):
             raise ConfigurationError(problem)
-        self._init(b_half, kv_bytes_per_token, kv_capacity, spill_rate_factor)
+        self._init(float(b_half), kv_bytes_per_token, kv_capacity, float(spill_rate_factor))
 
 
 class EnergyParams(Frozen):
@@ -68,9 +67,9 @@ class EnergyParams(Frozen):
                  gpu_dyn_w: float = 0.0):
         values = (cpu_dyn_w_per_core, cpu_pkg_dyn_w, gpu_dyn_w)
         for name, value in zip(self.__slots__, values):
-            if value < 0:
+            if not (is_real(value) and value >= 0):
                 raise ConfigurationError(f"{name} must be >= 0")
-        self._init(*values)
+        self._init(*map(float, values))
 
 
 class ContentionModels(Frozen):
@@ -82,6 +81,8 @@ class ContentionModels(Frozen):
                  cpu: CpuContentionParams = CpuContentionParams(),
                  gpu: GpuSaturationParams = GpuSaturationParams(),
                  energy: EnergyParams = EnergyParams()):
+        if type(name) is not str:
+            raise ConfigurationError(f"models name must be a str, not {name!r}")
         self._init(name, cpu, gpu, energy)
 
 
@@ -91,10 +92,12 @@ class ThroughputCurve(Frozen):
     __slots__ = ("points",)
 
     def __init__(self, points: dict[int, float]):
-        keys = list(points)
-        if keys != sorted(keys):
+        for key in points:
+            if problem := whole_problem("throughput curve keys", key, 1):
+                raise ConfigurationError(problem)
+        if list(points) != sorted(points):
             raise ConfigurationError("throughput curve keys must be increasing")
-        if any(v <= 0 for v in points.values()):
+        if not all(is_real(v) and v > 0 for v in points.values()):
             raise ConfigurationError("throughput values must be > 0")
         self._init(points)
 
@@ -209,12 +212,12 @@ def calibrate_cpu(
     return CpuContentionParams(logical_cores=int(cores_seen), oversub_kappa=max(0.0, kappa))
 
 
-def _solve_b_half(batch_a: int, a: float, batch_b: int, b: float,
-                  what: str) -> tuple[float, float]:
-    """(b_half, b/a) for a ``what`` measure that grows as batch + b_half,
-    measured as ``a`` at ``batch_a`` and ``b`` at ``batch_b``. A ratio at or
-    below 1 (a super-linear curve) or at or above batch_b/batch_a (no
-    batching benefit) is outside the model."""
+def solve_b_half(batch_a: int, a: float, batch_b: int, b: float,
+                 what: str) -> tuple[float, float]:
+    """(b_half, b/a) for a ``what`` measure (a latency, or a GPU busy time)
+    that grows as batch + b_half, measured as ``a`` at ``batch_a`` and ``b``
+    at ``batch_b``. A ratio at or below 1 (a super-linear curve) or at or
+    above batch_b/batch_a (no batching benefit) is outside the model."""
     if min(batch_a, a, batch_b, b) <= 0:
         raise ConfigurationError(f"batch sizes and {what} measures must be > 0")
     if not (batch_a < batch_b):
@@ -234,17 +237,8 @@ def calibrate_gpu(
     """Solve the half-saturation constant and per-request work from one
     latency pair measured at two residencies. Returns (b_half,
     work_at_residency_one)."""
-    b_half, _ = _solve_b_half(batch_a, latency_a, batch_b, latency_b, "latency")
+    b_half, _ = solve_b_half(batch_a, latency_a, batch_b, latency_b, "latency")
     return b_half, latency_a * (1.0 + b_half) / (batch_a + b_half)
-
-
-def calibrate_gpu_busy_ratio(
-    batch_a: int, busy_a: float, batch_b: int, busy_b: float
-) -> tuple[float, float]:
-    """Solve b_half so that busy(batch_b)/busy(batch_a) equals the measured
-    ratio busy_b/busy_a, where busy(b) = (b + b_half)/(1 + b_half) per unit
-    of work. Returns (b_half, measured ratio)."""
-    return _solve_b_half(batch_a, busy_a, batch_b, busy_b, "busy-time")
 
 
 def kv_peak(

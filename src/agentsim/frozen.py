@@ -10,12 +10,20 @@ the class is built by plain class creation, with no code generated at import.
 import sys
 
 _set_field = object.__setattr__
+FLOAT_MAX = sys.float_info.max
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a number a record can hold: an int or a float, not
+    a bool, within a float's range, so NaN, an infinity and ``10**400`` are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and (
+        abs(value) <= FLOAT_MAX)
 
 
 def whole_problem(name: str, value, low: int) -> str | None:
     """Why field ``name`` cannot hold ``value``, or None: a trace writes it as
     an int and a report may convert it to a float. A bool is no number."""
-    if type(value) is not int or not low <= value <= sys.float_info.max:
+    if type(value) is not int or not low <= value <= FLOAT_MAX:
         return f"{name} must be >= {low} and within a float's range, as an int"
 
 

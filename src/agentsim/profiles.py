@@ -17,13 +17,13 @@ import copy
 import functools
 import importlib.resources
 import re
-import sys
 from pathlib import Path
 
 import yaml
 
 from .contention import ContentionModels
 from .errors import ConfigurationError, UnknownProfileError
+from .frozen import is_real
 from .workload import PipelineSpec, StageKind, StageSpec, is_one_line
 
 PROFILE_SCHEMA_VERSION = 1
@@ -72,28 +72,16 @@ def dump_yaml(doc, sort_keys: bool = True) -> str:
 
 def _as(value, kind, path: str):
     """``value`` converted to int or float, or checked to be an instance of
-    any other ``kind`` (a type or a tuple of types); a number must be finite
-    and within a float's range (``10**400`` is refused), an int must not lose
-    a fraction (``64.0`` is 64, ``2.9`` is refused), and neither a bool nor a
-    str (a quoted ``"8"``) is a number.
-    Failing that, a ConfigurationError naming the field path, e.g.
-    ``workload.mix[0].proportion`` or ``models.gpu.b_half``."""
+    any other ``kind`` (a type or a tuple of types). A number must pass
+    ``frozen.is_real`` (a str such as ``"8"`` is none) and an int be whole
+    (``64.0`` is 64, ``2.9`` is refused). Failing that, a ConfigurationError
+    naming the field path, e.g. ``workload.mix[0].proportion``."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    value_as = None
-    if isinstance(value, bool) and bool not in kinds:
-        pass  # a bool is no number
-    elif kind in (int, float):
-        if isinstance(value, int) or isinstance(value, float) and (
-                kind is float or value.is_integer()):
-            try:
-                value_as = kind(value)
-            except OverflowError:  # an int too large for a float
-                pass
+    if int in kinds or float in kinds:  # a number, and a whole one for an int
+        if is_real(value) and (float in kinds or value % 1 == 0):
+            return kind(value) if kind in (int, float) else value
     elif isinstance(value, kind):
-        value_as = value
-    if value_as is not None and (not isinstance(value_as, (int, float))
-                                 or abs(value_as) <= sys.float_info.max):
-        return value_as
+        return value
     names = " or ".join({float: "finite float", int: "int within float range"}.get(k, k.__name__)
                         for k in kinds)
     raise ConfigurationError(f"{path} must be {names}, got {value!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import ConfigurationError, InternalConsistencyError
-from .frozen import Frozen, whole_problem
+from .frozen import Frozen, is_real, whole_problem
 from .workload import TaskClass, TaskInstance, class_labels
 
 PROCESS = "process"
@@ -70,7 +70,7 @@ class Policy(Frozen):
             if key in reads and kind is int and whole_problem(key, value, 1):  # refuses None too
                 raise ConfigurationError(
                     f"policy {name!r} requires {key} >= 1 and within a float's range, as an int")
-        if not 0.0 < theta < 1.0:
+        if not (is_real(theta) and 0.0 < theta < 1.0):
             raise ConfigurationError("theta must be in (0, 1)")
         if exec_mode not in (PROCESS, THREAD):
             raise ConfigurationError("exec_mode must be 'process' or 'thread'")

@@ -12,7 +12,7 @@ import enum
 import math
 
 from .errors import ConfigurationError
-from .frozen import Frozen, whole_problem
+from .frozen import FLOAT_MAX, Frozen, is_real, whole_problem
 from .rng import lognormal
 
 
@@ -30,11 +30,14 @@ class TaskClass(enum.Enum):
 def shape_problem(kind: str, cpu_share: float, kv_tokens: int, host_blocking: bool) -> str | None:
     """Why no stage of the kind with value ``kind`` can have this share, KV
     tokens and client, or None: a share outside [0, 1], KV tokens that
-    ``whole_problem`` refuses, or KV tokens or host blocking off GPU inference."""
-    if not 0.0 <= cpu_share <= 1.0:
+    ``whole_problem`` refuses, a host blocking other than False or True (0
+    and 1 are those), or KV tokens or host blocking off GPU inference."""
+    if not (is_real(cpu_share) and 0.0 <= cpu_share <= 1.0):
         return "cpu_share must be in [0, 1]"
     if problem := whole_problem("kv_tokens", kv_tokens, 0):
         return problem
+    if host_blocking not in (False, True):
+        return f"host_blocking must be False or True, not {host_blocking!r}"
     for name, value in (("kv_tokens", kv_tokens), ("host_blocking", host_blocking)):
         if value and kind != StageKind.GPU_INFERENCE.value:
             return f"{name} only valid on gpu_inference stages"
@@ -64,14 +67,16 @@ class StageSpec(Frozen):
     def __init__(self, kind: StageKind, base_latency: float, cpu_share: float,
                  kv_tokens: int = 0, label: str = "", host_blocking: bool = False,
                  sources: tuple[tuple[str, str], ...] = ()):
-        if not 0.0 < base_latency < math.inf:
+        if not (is_real(base_latency) and base_latency > 0):
             raise ConfigurationError(f"stage {label!r}: base_latency must be finite and > 0")
         if not is_one_line(label):
             raise ConfigurationError(f"stage {label!r}: label must be a str without a line break")
         problem = shape_problem(kind.value, cpu_share, kv_tokens, host_blocking)
         if problem is not None:
             raise ConfigurationError(f"stage {label!r}: {problem}")
-        self._init(kind, base_latency, cpu_share, kv_tokens, label, host_blocking, sources)
+        # held as the config reader reads them, so a stage reads back equal
+        self._init(kind, float(base_latency), float(cpu_share), kv_tokens, label,
+                   bool(host_blocking), sources)
 
     def _key(self) -> tuple:
         return super()._key()[:-1]  # every field but sources
@@ -83,8 +88,8 @@ class PipelineSpec(Frozen):
     __slots__ = ("name", "stages")
 
     def __init__(self, name: str, stages: tuple[StageSpec, ...]):
-        if not stages:
-            raise ConfigurationError(f"pipeline {name!r} needs at least one stage")
+        if not stages or type(name) is not str:
+            raise ConfigurationError(f"pipeline {name!r} needs at least one stage and a str name")
         self._init(name, stages)
 
     @property
@@ -114,7 +119,8 @@ class TaskInstance(Frozen):
             raise ConfigurationError(f"task id must be an int, not {id!r}")
         if len(stage_work) != len(pipeline.stages):
             raise ConfigurationError("stage_work length must equal stage count")
-        if not all(0.0 < w < math.inf and not isinstance(w, bool) for w in stage_work):
+        # is_real's rule and a range, inline: a call per work costs twice as much
+        if not all(0.0 < w <= FLOAT_MAX and not isinstance(w, bool) for w in stage_work):
             raise ConfigurationError(
                 "all stage_work entries must be finite and > 0; a bool is no number")
         self._init(id, pipeline, stage_work)
@@ -137,12 +143,12 @@ class WorkloadSpec(Frozen):
             raise ConfigurationError(problem)
         if not mix:
             raise ConfigurationError("workload mix must not be empty")
-        if not all(0.0 < p < math.inf for _, p in mix):
+        if not all(is_real(p) and p > 0 for _, p in mix):
             raise ConfigurationError("mix proportions must be finite and positive")
         total = sum(p for _, p in mix)
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(f"mix proportions must sum to 1 (got {total})")
-        if not 0.0 <= jitter_cv < math.inf:
+        if not (is_real(jitter_cv) and jitter_cv >= 0):
             raise ConfigurationError("workload.jitter_cv must be finite and >= 0")
         if jitter_cv * jitter_cv == math.inf:  # build_workload squares it
             raise ConfigurationError(
@@ -201,7 +207,7 @@ def classify_task(pipeline: PipelineSpec, theta: float = 0.5) -> TaskClass:
     Scale-invariant: multiplying all stage latencies by a constant does not
     change the class.
     """
-    if not 0.0 < theta < 1.0:
+    if not (is_real(theta) and 0.0 < theta < 1.0):
         raise ConfigurationError("theta must be in (0, 1)")
     cpu = sum(s.base_latency for s in pipeline.stages if s.kind is StageKind.CPU_TOOL)
     ratio = cpu / pipeline.total_base_latency

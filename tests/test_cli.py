@@ -743,7 +743,14 @@ class TestRefusals:
         ({"s.yaml": {**BASE_CONFIG, "sweep": {"axis": "lambda", "values": [1.1],
                                               "curve": "curve.yaml"}},
           "curve.yaml": {"schema_version": 1, "kind": "report", "points": {32: 1.0, 64: 2.0}}},
-         ["sweep", "--config", "s.yaml", "--out", "out"], 2, "is not a throughput_curve document"),
+         ["sweep", "--config", "s.yaml", "--out", "out"], 2,
+         "expected a 'throughput_curve' document, got 'report'"),
+        ({"s.yaml": {**BASE_CONFIG, "sweep": {"axis": "lambda", "values": [1.1],
+                                              "curve": "curve.yaml"}},
+          "curve.yaml": {"schema_version": 7, "kind": "throughput_curve",
+                         "points": {32: 1.0, 64: 2.0}}},
+         ["sweep", "--config", "s.yaml", "--out", "out"], 2,
+         "unsupported schema_version 7 (expected 1)"),
         ({"obs.yaml": {"schema_version": 1, "kind": "observations", "name": "none"}},
          ["calibrate", "--observations", "obs.yaml", "--out", "out"], 3,
          "observations contain no cpu_observations, gpu_latency_pair, or energy_endpoints"),
@@ -752,7 +759,8 @@ class TestRefusals:
          "c.yaml is not a mapping"),
         ({"c.yaml": b"seed: \xff\n"}, ["run", "--config", "c.yaml", "--out", "out"], 2,
          "cannot read config file"),
-    ], ids=["sweep_axis", "empty_sweep_values", "curve_kind", "calibrate_nothing_to_fit",
+    ], ids=["sweep_axis", "empty_sweep_values", "curve_kind", "curve_schema_version",
+            "calibrate_nothing_to_fit",
             "show_without_name", "config_list", "config_not_utf8"])
     def test_exits_with_its_code_and_message(self, tmp_path, capsys, files, argv, code,
                                              message):

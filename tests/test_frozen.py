@@ -33,7 +33,7 @@ CASES = [
         ("kv_bytes_per_token", -1, "kv_bytes_per_token must be >= 0"),
         ("kv_bytes_per_token", 2.5, "kv_bytes_per_token must be >= 0"),
         ("kv_bytes_per_token", True, "kv_bytes_per_token must be >= 0"),
-        ("kv_capacity", 0, "kv_capacity must be > 0"),
+        ("kv_capacity", 0, "kv_capacity must be >= 1"),
         ("spill_rate_factor", 0.0, "spill_rate_factor must be in (0, 1]"),
     ]),
     (a.EnergyParams, {}, [
@@ -54,6 +54,8 @@ CASES = [
         ("label", "fetch\nparse", "stage 'fetch\\nparse': label must be a str without a line "),
         ("label", "fetch\x85parse", "stage 'fetch\\x85parse': label must be a str without a "),
         ("label", 7, "stage 7: label must be a str without a line break"),
+        ("host_blocking", 2, "stage 's': host_blocking must be False or True, not 2"),
+        ("host_blocking", "no", "stage 's': host_blocking must be False or True, not 'no'"),
         ("kind", a.StageKind.CPU_TOOL, None),  # valid: no kv_tokens, not blocking
     ]),
     (a.StageSpec, {**GPU_STAGE, "label": "s", "kv_tokens": 8}, [
@@ -65,6 +67,7 @@ CASES = [
     ]),
     (a.PipelineSpec, {"name": "p", "stages": PIPE.stages}, [
         ("stages", (), "pipeline 'p' needs at least one stage"),
+        ("name", 7, "pipeline 7 needs at least one stage and a str name"),
     ]),
     (a.TaskInstance, {"id": 0, "pipeline": PIPE, "stage_work": (1.0,)}, [
         ("stage_work", (1.0, 2.0), "stage_work length must equal stage count"),
@@ -102,6 +105,24 @@ REFUSALS = [(cls, args, field, value, message)
 RECORDS = {cls: cls(**args) for cls, args, _ in CASES}
 RECORDS[a.ContentionModels] = a.ContentionModels(name="m", cpu=a.CpuContentionParams(8))
 
+WORKLOAD = {"batch_size": 2, "mix": ((PIPE, 1.0),)}
+# class, valid arguments, field and what sets that field to a value: the
+# number fields that are no integer, and kv_capacity and a curve's keys
+NUMBER_FIELDS = [(cls, args, name, lambda v, name=name: {name: v}) for cls, args, names in [
+    (a.CpuContentionParams, {}, ("oversub_kappa", "gil_serial_fraction")),
+    (a.GpuSaturationParams, {}, ("b_half", "spill_rate_factor", "kv_capacity")),
+    (a.EnergyParams, {}, ("cpu_dyn_w_per_core", "cpu_pkg_dyn_w", "gpu_dyn_w")),
+    (a.StageSpec, GPU_STAGE, ("base_latency", "cpu_share")),
+    (a.WorkloadSpec, WORKLOAD, ("jitter_cv",)),
+    (a.Policy, {"name": "sequential"}, ("theta",)),
+] for name in names] + [
+    (a.ThroughputCurve, {"points": {1: 2.0}}, "value", lambda v: {"points": {1: v}}),
+    (a.ThroughputCurve, {"points": {1: 2.0}}, "key", lambda v: {"points": {v: 2.0}}),
+    (a.WorkloadSpec, WORKLOAD, "proportion", lambda v: {"mix": ((PIPE, v),)}),
+]
+NOT_REAL = [float("nan"), float("inf"), -float("inf"), True, False, 10**400, "1"]
+NOT_REAL_IDS = ["nan", "inf", "-inf", "True", "False", "10**400", "str"]
+
 
 def short_id(value):
     """A test id: a class by its name, an int of many digits by their count."""
@@ -119,6 +140,38 @@ def test_a_refused_value_is_refused_at_construction_and_through_replace(
         cls(**{**args, field: value})
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         record.replace(**{field: value})
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
+@pytest.mark.parametrize("cls, args, field, set_to", NUMBER_FIELDS, ids=lambda v: (
+    v.__name__ if isinstance(v, type) else v if isinstance(v, str) else ""))
+def test_no_number_field_holds_nan_an_infinity_a_bool_or_a_str(cls, args, field, set_to, value):
+    """``frozen.is_real`` is the rule of every real-valued field: before,
+    ``b_half=nan`` left ``simulate`` stuck, ``gpu_dyn_w=nan`` gave a NaN
+    energy, and ``b_half=True`` wrote a models document its reader refused."""
+    record = cls(**args)
+    with pytest.raises(ConfigurationError):
+        cls(**{**args, **set_to(value)})
+    with pytest.raises(ConfigurationError):
+        record.replace(**set_to(value))
+
+
+@pytest.mark.parametrize("theta", NOT_REAL, ids=NOT_REAL_IDS)
+def test_classify_task_refuses_a_theta_that_is_no_number(theta):
+    with pytest.raises(ConfigurationError, match="theta must be in"):
+        a.classify_task(PIPE, theta)
+
+
+def test_a_real_field_holds_a_float_as_the_reader_reads_it():
+    """An int is held as the float the config reader would make of it, so
+    ``2**53 + 1`` reads back equal and an int share or latency is written
+    to a trace as the float ``parse_trace`` reads."""
+    stage = a.StageSpec(a.StageKind.GPU_INFERENCE, 3, 0, host_blocking=1)
+    assert (stage.base_latency, stage.cpu_share, stage.host_blocking) == (3.0, 0.0, True)
+    assert [type(v) for v in (stage.base_latency, stage.cpu_share)] == [float, float]
+    assert a.GpuSaturationParams(b_half=2**53 + 1).b_half == float(2**53)
+    assert repr(a.EnergyParams(1, 2, 3)) == (
+        "EnergyParams(cpu_dyn_w_per_core=1.0, cpu_pkg_dyn_w=2.0, gpu_dyn_w=3.0)")
 
 
 @pytest.mark.parametrize("cls, args, cases", CASES,
