@@ -15,7 +15,6 @@ from .contention import (  # noqa: F401
     cpu_rate,
     gain_ratios,
     gpu_rate,
-    kv_peak,
     select_bcap,
 )
 from .engine import (  # noqa: F401

@@ -296,9 +296,9 @@ def cmd_sweep(args) -> int:
         except AgentsimError as exc:
             partial = out_dir / "sweep_partial.csv"
             partial.write_text(report_csv(rows, extra_columns=[axis]))
-            raise ConfigurationError(
-                f"sweep aborted at {axis}={value}: {exc}; partial results in {partial}"
-            )
+            # the cell's own class, so the sweep exits as its run would
+            error = ConfigurationError if isinstance(exc, ConfigurationError) else type(exc)
+            raise error(f"sweep aborted at {axis}={value}: {exc}; partial results in {partial}")
         row = report_to_dict(report, config.config_fp)
         row[axis] = value
         rows.append(row)

@@ -83,6 +83,11 @@ class ContentionModels(Frozen):
                  energy: EnergyParams = EnergyParams()):
         if type(name) is not str:
             raise ConfigurationError(f"models name must be a str, not {name!r}")
+        for field, value, kind in (("cpu", cpu, CpuContentionParams),
+                                   ("gpu", gpu, GpuSaturationParams),
+                                   ("energy", energy, EnergyParams)):
+            if not isinstance(value, kind):
+                raise ConfigurationError(f"models {field}: {value!r} is no {kind.__name__}")
         self._init(name, cpu, gpu, energy)
 
 
@@ -239,18 +244,6 @@ def calibrate_gpu(
     work_at_residency_one)."""
     b_half, _ = solve_b_half(batch_a, latency_a, batch_b, latency_b, "latency")
     return b_half, latency_a * (1.0 + b_half) / (batch_a + b_half)
-
-
-def kv_peak(
-    residency_timeline: list[tuple[float, int]], params: GpuSaturationParams
-) -> int:
-    """Peak KV bytes over a time-ordered (time, resident_tokens) step series."""
-    times = [t for t, _ in residency_timeline]
-    if times != sorted(times):
-        raise ConfigurationError("residency timeline must be time-ordered")
-    if not residency_timeline:
-        return 0
-    return max(tokens for _, tokens in residency_timeline) * params.kv_bytes_per_token
 
 
 def fit_dynamic_watts(

@@ -20,8 +20,10 @@ micro-batch gate costs the dispatcher a few comparisons.
 have, maps the others to their class and integer (mode, CPU share) slot, and
 keeps counts per slot, so its sums do not depend on the order stages joined
 in. A trace keeps only the stage records: ``sweep`` derives the occupancy
-step series from them in one pass over the sorted interval boundaries, and
-``replay_check`` audits work conservation on that same pass. Reruns are
+from them in one pass over the sorted interval boundaries, adding up on the
+way the usage totals the report reads. ``replay_check`` audits work
+conservation on that same pass, which lists no step series, so a run never
+holds them; only a sweep without models lists them. Reruns are
 byte-identical; traces written before the virtual clocks may differ from
 today's in the last digits of some times, within 1e-9 relative.
 """
@@ -406,37 +408,46 @@ _TRACE_META = {
 }
 # the tags of the occupancy step lines a version-1 trace also holds
 _V1_STEP_TAGS = frozenset(("cpuload", "gpures", "kvtokens", "pooln"))
+_CHUNK_LINES = 128  # stage lines serialize_trace holds apart before joining them
 
 
 def serialize_trace(trace: Trace) -> str:
     """Line-oriented text form with bit-exact floats (repr round-trip),
-    joined once from one list of lines. A stage whose start is the nonzero
-    float its predecessor ended at reuses that end's text, and the middle of
-    a line, from kind to kv tokens, is formatted once per distinct shape
-    with a nonzero float share and an int kv count (``0.0`` and ``-0.0``, or
-    ``1`` and ``1.0``, are equal but print differently)."""
+    joined once from its chunks (``_trace_chunks``), so the text is held
+    about twice at the peak: its chunks, then itself."""
+    return "".join(_trace_chunks(trace))
+
+
+def _trace_chunks(trace: Trace):
+    """The text of the header, then of each run of ``_CHUNK_LINES`` stage
+    lines, each joined once. A stage whose start is the nonzero float its
+    predecessor ended at reuses that end's text, and the middle of a line,
+    from kind to kv tokens, is formatted once per distinct shape with a
+    nonzero float share and an int kv count (``0.0`` and ``-0.0``, or ``1``
+    and ``1.0``, are equal but print differently)."""
     fields = {"schema_version": TRACE_SCHEMA_VERSION, **trace._asdict()}
-    lines = ["# agentsim trace"]
-    for key in _TRACE_META:
-        value = fields[key]
-        lines.append(f"meta {key} {'none' if value is None else value}")
-    append = lines.append
+    yield "# agentsim trace\n" + "".join([
+        f"meta {key} {'none' if fields[key] is None else fields[key]}\n" for key in _TRACE_META])
     middles: dict[tuple, str] = {}  # (kind, mode, host blocking, share, kv) -> its text
     prev_end = prev_text = None  # the previous record's end if a nonzero float, its text
-    for (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
-         start, end, label) in trace.records:
-        shape = (kind, mode, host_blocking, cpu_share, kv_tokens)
-        cacheable = cpu_share and type(cpu_share) is float and type(kv_tokens) is int
-        middle = middles.get(shape) if cacheable else None
-        if middle is None:
-            middle = f" {kind} {mode} {int(host_blocking)} {cpu_share!r} {kv_tokens} "
-            if cacheable:
-                middles[shape] = middle
-        start_text = prev_text if start == prev_end and type(start) is float else repr(start)
-        prev_end, prev_text = end if end and type(end) is float else None, repr(end)
-        append(f"stage {task_id} {stage_idx}{middle}{work!r} {start_text} {prev_text} {label}")
-    append("")  # the final newline
-    return "\n".join(lines)
+    records = trace.records
+    for first in range(0, len(records), _CHUNK_LINES):
+        lines = []
+        append = lines.append
+        for (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
+             start, end, label) in records[first:first + _CHUNK_LINES]:
+            shape = (kind, mode, host_blocking, cpu_share, kv_tokens)
+            cacheable = cpu_share and type(cpu_share) is float and type(kv_tokens) is int
+            middle = middles.get(shape) if cacheable else None
+            if middle is None:
+                middle = f" {kind} {mode} {int(host_blocking)} {cpu_share!r} {kv_tokens} "
+                if cacheable:
+                    middles[shape] = middle
+            start_text = prev_text if start == prev_end and type(start) is float else repr(start)
+            prev_end, prev_text = end if end and type(end) is float else None, repr(end)
+            append(f"stage {task_id} {stage_idx}{middle}{work!r} {start_text} {prev_text} "
+                   f"{label}\n")
+        yield "".join(lines)
 
 
 def parse_trace(text: str) -> Trace:
@@ -480,25 +491,36 @@ def parse_trace(text: str) -> Trace:
 
 
 class Sweep(NamedTuple):
-    """The four occupancy step series of a trace, each value holding from its
-    time until the next entry's, and the work each record received (in record
-    order) when the sweep evaluated rates."""
+    """What one pass over a trace's sorted interval boundaries derives from
+    its records. Always the usage totals the report reads, each step holding
+    until the next change and the last one until the makespan: busy
+    core-seconds (the CPU load capped at the core count), CPU package-active
+    seconds (a load above 0), GPU-active seconds (a request resident), and
+    the peak of the resident KV tokens. With models, also the work each
+    record received, in record order, and no series; without, the four
+    occupancy step series, each value holding from its time until the next
+    entry's, and no work."""
 
-    cpu_load_steps: list[tuple[float, float]]
-    gpu_res_steps: list[tuple[float, int]]
-    kv_token_steps: list[tuple[float, int]]
-    pool_n_steps: list[tuple[float, int]]
+    busy_core_s: float
+    pkg_active_s: float
+    gpu_active_s: float
+    kv_peak_tokens: int
     work_done: list[float] | None
+    cpu_load_steps: list[tuple[float, float]] | None
+    gpu_res_steps: list[tuple[float, int]] | None
+    kv_token_steps: list[tuple[float, int]] | None
+    pool_n_steps: list[tuple[float, int]] | None
 
 
 def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
     """The occupancy the records imply, from one pass over their sorted
     interval boundaries, the only derivation of occupancy from records. With
-    ``models`` it also evaluates the class rates on each interval and keeps,
-    per class, the prefix integral of its rate since the class was last idle;
-    a record's work done is that integral's difference between its end and
-    its start."""
-    if models is not None:
+    ``models`` it is the audit's pass: it evaluates the class rates on each
+    interval and keeps, per class, the prefix integral of its rate since the
+    class was last idle, and a record's work done is that integral's
+    difference between its end and its start; it lists no step series."""
+    listing = models is None
+    if not listing:
         models = _on_machine(models, trace.logical_cores)
     records = trace.records
     n = len(records)
@@ -521,8 +543,14 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
     integral = [0.0] * N_CLASSES  # of each class's rate, since it was last idle
     at_start = [0.0] * n
     done = [0.0] * n
-    cpu, gpu, kv, pool = series = ([], [], [], [])
-    last_cpu = last_gpu = last_kv = last_pool = None  # each series' last value
+    cpu, gpu, kv, pool = series = ([], [], [], []) if listing else (None,) * 4
+    last_cpu = last_gpu = last_kv = last_pool = None  # each step's value
+    cpu_t = gpu_t = math.inf  # each step's start; no step has begun
+    # the busy cores are the load capped at the core count, an int compared as
+    # it is: a count no float can hold is never converted, as no load exceeds it
+    cores = trace.logical_cores
+    busy = active = gpu_s = 0.0
+    kv_peak = 0
     rates = [0.0] * N_CLASSES  # read only once a stage runs, after the first boundary
     si = ei = 0
     prev = 0.0
@@ -548,23 +576,47 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
                 integral[cls] = 0.0
             ei += 1
         load, rates = occupancy.rates(models)
+        # a step's usage is added where the next one begins
         if load != last_cpu:
-            cpu.append((t, last_cpu := load))
+            if t > cpu_t:
+                dt = t - cpu_t
+                busy += (cores if cores < last_cpu else last_cpu) * dt
+                active += (1.0 if last_cpu > 0 else 0.0) * dt
+            cpu_t = t
+            if listing:
+                cpu.append((t, load))
+            last_cpu = load
         value = per_class[GPU_ASYNC] + per_class[GPU_BLOCKING]
         if value != last_gpu:
-            gpu.append((t, last_gpu := value))
+            if t > gpu_t:
+                gpu_s += (1.0 if last_gpu >= 1 else 0.0) * (t - gpu_t)
+            gpu_t = t
+            if listing:
+                gpu.append((t, value))
+            last_gpu = value
         value = occupancy.kv_tokens
-        if value != last_kv:
+        if value > kv_peak:
+            kv_peak = value
+        if listing and value != last_kv:
             kv.append((t, last_kv := value))
-        value = per_class[CPU_THREAD]
-        if value != last_pool:
-            pool.append((t, last_pool := value))
+        if listing:
+            value = per_class[CPU_THREAD]
+            if value != last_pool:
+                pool.append((t, last_pool := value))
         prev = t
-    return Sweep(*series, work_done=None if models is None else done)
+    end = trace.makespan  # the last steps hold until the makespan
+    if end > cpu_t:
+        dt = end - cpu_t
+        busy += (cores if cores < last_cpu else last_cpu) * dt
+        active += (1.0 if last_cpu > 0 else 0.0) * dt
+    if end > gpu_t:
+        gpu_s += (1.0 if last_gpu >= 1 else 0.0) * (end - gpu_t)
+    return Sweep(busy, active, gpu_s, kv_peak, None if listing else done, *series)
 
 
 class ReplayReport(NamedTuple):
-    """The audit's verdict, and the sweep it made (the trace's occupancy)."""
+    """The audit's verdict, and the sweep it made: the trace's usage totals
+    and work done, without step series."""
 
     ok: bool
     detail: str = ""

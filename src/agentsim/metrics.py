@@ -8,16 +8,18 @@ exact piecewise-constant occupancy: CPU energy is a per-core draw over busy
 cores (capped at the machine's logical core count) plus a package draw over
 the time any host work is runnable, and GPU energy is a board draw over the
 time at least one request is resident. Idle draws are excluded throughout.
+The usage each draw multiplies, and the KV peak, are totals that
+``engine.sweep`` adds up in its one pass over a trace; on the run path that
+pass is the audit's.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, pairwise
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .contention import EnergyParams, GpuSaturationParams, kv_peak
+from .contention import EnergyParams, GpuSaturationParams
 from .engine import Sweep, Trace, sweep
 from .errors import ConfigurationError
 from .profiles import _as
@@ -85,21 +87,11 @@ def _nearest_rank(ordered: list[float], p: float) -> float:
 
 def energy_integrals(trace: Trace, occupancy: Sweep | None = None) -> tuple[float, float, float]:
     """(busy core-seconds, CPU package-active seconds, GPU-active seconds):
-    the usage each dynamic-power constant multiplies, over ``occupancy`` or
-    ``sweep(trace)``. The last step holds until the makespan."""
+    the usage each dynamic-power constant multiplies, the totals of
+    ``occupancy`` or ``sweep(trace)``. The last step holds until the makespan."""
     if occupancy is None:
         occupancy = sweep(trace)
-    cores = float(trace.logical_cores)
-    end = trace.makespan
-    busy = active = gpu = 0.0
-    for (t1, load), (t2, _) in pairwise(chain(occupancy.cpu_load_steps, ((end, None),))):
-        if t2 > t1:
-            busy += (cores if cores < load else load) * (t2 - t1)
-            active += (1.0 if load > 0 else 0.0) * (t2 - t1)
-    for (t1, res), (t2, _) in pairwise(chain(occupancy.gpu_res_steps, ((end, None),))):
-        if t2 > t1:
-            gpu += (1.0 if res >= 1 else 0.0) * (t2 - t1)
-    return busy, active, gpu
+    return occupancy.busy_core_s, occupancy.pkg_active_s, occupancy.gpu_active_s
 
 
 def _latency_report(latencies: list[float], trace: Trace, **rest) -> MetricsReport:
@@ -121,8 +113,9 @@ def summarize(
     occupancy: Sweep | None = None,
 ) -> MetricsReport:
     """Metrics for one run. Empty traces yield an all-zero report; a per-class
-    report covers latencies only, its energies and KV peak are 0. Those read
-    ``occupancy`` (the sweep ``replay_check`` returns) or ``sweep(trace)``."""
+    report covers latencies only, its energies and KV peak are 0. Those are
+    the usage totals of ``occupancy`` (the sweep ``replay_check`` returns) or
+    of ``sweep(trace)``, times the energy constants and the KV bytes per token."""
     latencies = trace.task_latencies()
     if not latencies:
         return MetricsReport(
@@ -132,10 +125,9 @@ def summarize(
         )
     if occupancy is None:
         occupancy = sweep(trace)
-    busy_core_s, pkg_active_s, gpu_active_s = energy_integrals(trace, occupancy)
-    cpu_energy = (energy_params.cpu_dyn_w_per_core * busy_core_s
-                  + energy_params.cpu_pkg_dyn_w * pkg_active_s)
-    gpu_energy = energy_params.gpu_dyn_w * gpu_active_s
+    cpu_energy = (energy_params.cpu_dyn_w_per_core * occupancy.busy_core_s
+                  + energy_params.cpu_pkg_dyn_w * occupancy.pkg_active_s)
+    gpu_energy = energy_params.gpu_dyn_w * occupancy.gpu_active_s
 
     per_class: dict[str, MetricsReport] = {}
     if class_labels is not None and len(set(class_labels.values())) > 1:
@@ -147,7 +139,7 @@ def summarize(
 
     return _latency_report(
         list(latencies.values()), trace, makespan=trace.makespan,
-        kv_peak=kv_peak(occupancy.kv_token_steps, kv_params),
+        kv_peak=occupancy.kv_peak_tokens * kv_params.kv_bytes_per_token,
         cpu_dyn_energy=cpu_energy, gpu_dyn_energy=gpu_energy, per_class=per_class,
     )
 

@@ -44,8 +44,10 @@ def shape_problem(kind: str, cpu_share: float, kv_tokens: int, host_blocking: bo
 
 
 def is_one_line(label) -> bool:
-    """Whether ``label`` is a str a trace can end a stage's line with."""
-    return type(label) is str and "".join(label.splitlines()) == label
+    """Whether ``label`` is a str a trace can end a stage's line with: one
+    line, in text UTF-8 can encode (a lone surrogate cannot be)."""
+    return type(label) is str and "".join(label.splitlines()) == label and (
+        label.encode(errors="ignore").decode() == label)  # what UTF-8 cannot hold is dropped
 
 
 class StageSpec(Frozen):
@@ -70,7 +72,8 @@ class StageSpec(Frozen):
         if not (is_real(base_latency) and base_latency > 0):
             raise ConfigurationError(f"stage {label!r}: base_latency must be finite and > 0")
         if not is_one_line(label):
-            raise ConfigurationError(f"stage {label!r}: label must be a str without a line break")
+            raise ConfigurationError(
+                f"stage {label!r}: label must be a str without a line break or a lone surrogate")
         problem = shape_problem(kind.value, cpu_share, kv_tokens, host_blocking)
         if problem is not None:
             raise ConfigurationError(f"stage {label!r}: {problem}")
@@ -119,8 +122,10 @@ class TaskInstance(Frozen):
             raise ConfigurationError(f"task id must be an int, not {id!r}")
         if len(stage_work) != len(pipeline.stages):
             raise ConfigurationError("stage_work length must equal stage count")
-        # is_real's rule and a range, inline: a call per work costs twice as much
-        if not all(0.0 < w <= FLOAT_MAX and not isinstance(w, bool) for w in stage_work):
+        # is_real's rule and a range: inline for floats, as a call per work
+        # costs twice as much, and through is_real for any other work
+        if not all(type(w) is float and 0.0 < w <= FLOAT_MAX for w in stage_work) and not all(
+                is_real(w) and w > 0 for w in stage_work):
             raise ConfigurationError(
                 "all stage_work entries must be finite and > 0; a bool is no number")
         self._init(id, pipeline, stage_work)

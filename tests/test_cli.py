@@ -236,6 +236,19 @@ class TestSweep:
         assert partial.exists()
         assert len(partial.read_text().splitlines()) == 2  # header + b_cap=2 row
 
+    def test_failed_member_run_keeps_its_exit_code(self, tmp_path, capsys):
+        # an infeasible cell exits 3 under sweep, as under run
+        doc = {**BASE_CONFIG, "out": str(tmp_path / "sweep_out"),
+               "resources": {"logical_cores": 4},
+               "models": with_field(HOST, ("cpu", "oversub_kappa"), 1e308),
+               "sweep": {"axis": "batch_size", "values": [4, 16]}}
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc))]) == 3
+        err = capsys.readouterr().err
+        assert "model infeasible: sweep aborted at batch_size=16" in err
+        assert "the CPU process stages' rate" in err and "partial results" in err
+        partial = tmp_path / "sweep_out" / "sweep_partial.csv"
+        assert len(partial.read_text().splitlines()) == 2  # header + batch_size=4 row
+
     def test_batch_sweep_curve_saturates_at_128(self, tmp_path):
         # the emitted throughput curve feeds the cap selection: on the
         # bundled calibration the gain ratio crosses the 1.1 threshold

@@ -11,7 +11,6 @@ from agentsim.contention import (
     fit_dynamic_watts,
     gain_ratios,
     gpu_rate,
-    kv_peak,
     select_bcap,
     thread_pool_rate,
 )
@@ -201,26 +200,6 @@ class TestFitCpuWatts:
     def test_proportional_integrals_are_unidentifiable(self):
         with pytest.raises(InfeasibleModelError):
             fit_cpu_watts(10.0, 20.0, 1.0, 2.0, 3.0, 6.0)
-
-
-class TestKvPeak:
-    def test_flat_residency(self):
-        p = GpuSaturationParams(kv_bytes_per_token=1024)
-        timeline = [(0.0, 128 * 1000)]
-        assert kv_peak(timeline, p) == 128000 * 1024
-
-    def test_two_plateaus_halved(self):
-        p = GpuSaturationParams(kv_bytes_per_token=1024)
-        full = kv_peak([(0.0, 128 * 1000)], p)
-        capped = kv_peak([(0.0, 64 * 1000), (5.0, 0), (6.0, 64 * 1000)], p)
-        assert capped * 2 == full
-
-    def test_empty_timeline(self):
-        assert kv_peak([], GpuSaturationParams()) == 0
-
-    def test_unordered_is_error(self):
-        with pytest.raises(ConfigurationError):
-            kv_peak([(1.0, 5), (0.5, 3)], GpuSaturationParams())
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -395,10 +395,11 @@ class TestCostPerEvent:
 
 
 class TestSerializeMemory:
-    """``serialize_trace`` holds its text about twice at its peak: the
-    lines, then the text joined from them, and no other copy or cache."""
+    """``serialize_trace`` holds its text about twice at its peak: its
+    chunks, then the text joined from them, and no other copy, cache or
+    list of all its lines."""
 
-    def test_peak_is_at_most_three_times_the_text(self, models, resources):
+    def test_peak_is_at_most_2_2_times_the_text(self, models, resources):
         mix = ((a.load_profile("swe_agent_apps"), 0.5), (a.load_profile("langchain_guardrail"), 0.5))
         tasks = a.build_workload(a.WorkloadSpec(batch_size=256, mix=mix, seed=0))
         trace = a.simulate(tasks, a.Policy("maws"), resources, models)
@@ -409,4 +410,4 @@ class TestSerializeMemory:
         finally:
             tracemalloc.stop()
         assert len(text) > 100_000
-        assert peak <= 3 * len(text), peak / len(text)
+        assert peak <= 2.2 * len(text), peak / len(text)

@@ -5,13 +5,15 @@ reference records at each event), the occupancy's per-slot CPU load against
 a fresh sum, the trace serializer against the one it replaced, the trace
 parser on corrupted traces, the dispatcher against the rescanning one, the
 record order under any task ids, task latencies and the audit's verdict
-against their ``max`` definitions, and the audit of a hand-edited trace."""
+against their ``max`` definitions, the sweep's usage totals against a fold
+over its step series, and the audit of a hand-edited trace."""
 
 import functools
 import itertools
 import math
 import re
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
@@ -461,6 +463,15 @@ AUDIT_MODELS = ContentionModels(
     gpu=GpuSaturationParams(b_half=4.0, kv_capacity=1 << 60))
 
 
+def auditable(trace: Trace) -> Trace:
+    """``trace`` with a pool width, and with the client and KV tokens cleared
+    on stages that are no GPU ones, so every shape is one a stage can have."""
+    gpu = "gpu_inference"
+    return trace._replace(pool_eff=2, records=[
+        r._replace(host_blocking=r.host_blocking and r.kind == gpu,
+                   kv_tokens=int(r.kv_tokens) if r.kind == gpu else 0) for r in trace.records])
+
+
 @given(trace=serializer_traces(), rel_tol=st.sampled_from((1e-9, 0.5, 0.0, -1.0, math.nan)))
 def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
     """Task latencies are ``max(0.0, ends...)`` per task as ``max`` takes it
@@ -478,11 +489,7 @@ def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
     assert [(k, repr(v), type(v)) for k, v in got.items()] == \
         [(k, repr(v), type(v)) for k, v in want.items()]
 
-    # thread-mode stages need a pool width; a client and KV tokens, a GPU stage
-    gpu = "gpu_inference"
-    trace = trace._replace(pool_eff=2, records=[
-        r._replace(host_blocking=r.host_blocking and r.kind == gpu,
-                   kv_tokens=int(r.kv_tokens) if r.kind == gpu else 0) for r in trace.records])
+    trace = auditable(trace)
     done = sweep(trace, AUDIT_MODELS).work_done
     records = trace.records
     bad = [i for i, r in enumerate(records)
@@ -494,6 +501,76 @@ def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
         assert report.detail == (
             f"work mismatch at task {records[i].task_id} stage {records[i].stage_idx}: "
             f"integrated {done[i]!r}, expected {records[i].work!r}")
+
+
+TOTALS = attrgetter("busy_core_s", "pkg_active_s", "gpu_active_s", "kv_peak_tokens")
+
+
+def folded_totals(trace: Trace, listed) -> tuple:
+    """The totals of ``TOTALS`` as a fold over the step series of ``listed``,
+    a sweep without models, as the report read them before the sweep added
+    them up: each step holds until the next entry's time, the last one until
+    the makespan, and the KV peak is the largest token count listed."""
+    cores = float(trace.logical_cores)
+    end = trace.makespan
+    busy = active = gpu = 0.0
+    for (t1, load), (t2, _) in itertools.pairwise(
+            itertools.chain(listed.cpu_load_steps, ((end, None),))):
+        if t2 > t1:
+            busy += (cores if cores < load else load) * (t2 - t1)
+            active += (1.0 if load > 0 else 0.0) * (t2 - t1)
+    for (t1, res), (t2, _) in itertools.pairwise(
+            itertools.chain(listed.gpu_res_steps, ((end, None),))):
+        if t2 > t1:
+            gpu += (1.0 if res >= 1 else 0.0) * (t2 - t1)
+    return busy, active, gpu, max((tokens for _, tokens in listed.kv_token_steps), default=0)
+
+
+def bits(values) -> list:
+    """Each value with its type, a float as its hex text, so -0.0 is not 0.0."""
+    return [(type(v), v.hex() if type(v) is float else v) for v in values]
+
+
+SERIES = ("cpu_load_steps", "gpu_res_steps", "kv_token_steps", "pool_n_steps")
+
+
+def two_stage_trace(makespan: float) -> Trace:
+    """A CPU stage then a GPU one of one task, with the makespan given."""
+    return Trace("0" * 16, "maws", "1" * 16, 0, 4, None, [
+        StageRecord(0, 0, "cpu_tool", PROCESS, False, 1.0, 0, 1.0, 0.0, 1.0, ""),
+        StageRecord(0, 1, "gpu_inference", PROCESS, False, 0.1, 7, 1.0, 1.0, 2.0, "")],
+        makespan)
+
+
+# the last steps, all idle, hold until the makespan: for an infinite one
+# their usage is 0.0 * inf, a NaN
+@example(trace=two_stage_trace(math.inf))
+@example(trace=two_stage_trace(3.0))
+@given(trace=serializer_traces())
+def test_the_sweeps_totals_are_the_fold_over_its_series(trace):
+    """For any records (zeros of either sign, ints where floats are expected,
+    NaN and infinite times) the totals a sweep adds up are, bit for bit,
+    those the fold over its series gives, with or without models; the sweep
+    with models, the audit's, lists no series."""
+    trace = auditable(trace)
+    listed = sweep(trace)
+    want = bits(folded_totals(trace, listed))
+    assert bits(TOTALS(listed)) == want
+    audited = sweep(trace, AUDIT_MODELS)
+    assert bits(TOTALS(audited)) == want
+    assert [getattr(audited, name) for name in SERIES] == [None] * 4
+
+
+@settings(max_examples=100)
+@given(tasks=workloads(), policy=policies(), m=models())
+def test_the_audits_totals_are_the_fold_over_the_series(tasks, policy, m):
+    """On a simulated run the audit's report carries the sweep's totals, the
+    fold over the series ``sweep(trace)`` lists bit for bit, and no series."""
+    trace = a.simulate(tasks, policy, a.ResourcePool(logical_cores=m.cpu.logical_cores), m)
+    report = a.replay_check(trace, m)
+    assert report.ok
+    assert bits(TOTALS(report.occupancy)) == bits(folded_totals(trace, sweep(trace)))
+    assert [getattr(report.occupancy, name) for name in SERIES] == [None] * 4
 
 
 def refuses(trace: Trace) -> bool:

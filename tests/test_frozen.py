@@ -41,6 +41,11 @@ CASES = [
         ("cpu_pkg_dyn_w", -1.0, "cpu_pkg_dyn_w must be >= 0"),
         ("gpu_dyn_w", -1.0, "gpu_dyn_w must be >= 0"),
     ]),
+    (a.ContentionModels, {"name": "m"}, [
+        ("cpu", 5, "models cpu: 5 is no CpuContentionParams"),
+        ("gpu", a.EnergyParams(), "is no GpuSaturationParams"),
+        ("energy", None, "models energy: None is no EnergyParams"),
+    ]),
     (a.ThroughputCurve, {"points": {1: 2.0, 2: 3.0}}, [
         ("points", {2: 3.0, 1: 2.0}, "throughput curve keys must be increasing"),
         ("points", {1: 2.0, 2: 0.0}, "throughput values must be > 0"),
@@ -54,6 +59,7 @@ CASES = [
         ("label", "fetch\nparse", "stage 'fetch\\nparse': label must be a str without a line "),
         ("label", "fetch\x85parse", "stage 'fetch\\x85parse': label must be a str without a "),
         ("label", 7, "stage 7: label must be a str without a line break"),
+        ("label", "a\ud800", "stage 'a\\ud800': label must be a str without a line break"),
         ("host_blocking", 2, "stage 's': host_blocking must be False or True, not 2"),
         ("host_blocking", "no", "stage 's': host_blocking must be False or True, not 'no'"),
         ("kind", a.StageKind.CPU_TOOL, None),  # valid: no kv_tokens, not blocking
@@ -72,6 +78,8 @@ CASES = [
     (a.TaskInstance, {"id": 0, "pipeline": PIPE, "stage_work": (1.0,)}, [
         ("stage_work", (1.0, 2.0), "stage_work length must equal stage count"),
         ("stage_work", (0.0,), "all stage_work entries must be finite and > 0"),
+        ("stage_work", ("1",), "all stage_work entries must be finite and > 0"),
+        ("stage_work", (None,), "all stage_work entries must be finite and > 0"),
     ]),
     (a.WorkloadSpec, {"batch_size": 2, "mix": ((PIPE, 1.0),)}, [
         ("batch_size", 0, "batch_size must be >= 1"),
