@@ -2,7 +2,11 @@
 comparison, and bundled-profile management.
 
 Subcommands: run, sweep, calibrate, compare, profiles. Configuration is a
-single YAML document with an explicit schema_version. Exit codes: 0 success,
+single YAML document with an explicit schema_version; a key nothing reads
+is refused. A sweep resolves its config once and replaces one record per
+cell. Every run, calibration probes too, passes one audit gate, and every
+profile reference one naming rule (``_load_ref``): a ``.yaml`` name is a
+file, any other a bundled profile. Exit codes: 0 success,
 2 configuration error, 3 model/calibration infeasibility, 4 internal
 invariant violation.
 """
@@ -10,7 +14,6 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import json
 import math
@@ -32,6 +35,7 @@ from .contention import (
 )
 from .engine import (
     ResourcePool,
+    Sweep,
     Trace,
     fingerprint,
     models_fingerprint,
@@ -50,7 +54,6 @@ from .metrics import (
     REPORT_COLUMNS,
     MetricsReport,
     compare,
-    energy_integrals,
     summarize,
 )
 from .profiles import (
@@ -58,15 +61,14 @@ from .profiles import (
     _check_schema,
     _field,
     _find_bundled,
+    _known,
     dump_yaml,
     list_profiles,
     load_models,
-    load_models_file,
-    load_observations,
-    load_pipeline_file,
     load_profile,
     models_from_dict,
     models_to_dict,
+    observations_from_dict,
     pipeline_from_dict,
     pipeline_to_dict,
     read_yaml,
@@ -91,30 +93,39 @@ class ExperimentConfig(NamedTuple):
     resources: ResourcePool
     models: ContentionModels
     out_dir: Path
-    config_fp: str
+
+
+def config_fingerprint(config: ExperimentConfig) -> str:
+    """The ``config_fp`` a report carries: the digest of the workload, the
+    policy's canonical form, the core count and every model constant."""
+    w = config.workload
+    return fingerprint({
+        "workload": {"batch_size": w.batch_size, "mix": [(p.name, prop) for p, prop in w.mix],
+                     "jitter_cv": w.jitter_cv, "seed": w.seed},
+        "policy": config.policy.canonical(),
+        # the 1 is the GPU count, kept so earlier runs' fingerprints match
+        "resources": [config.resources.logical_cores, 1],
+        "models_fp": models_fingerprint(config.models),
+    })
 
 
 def _load_ref(ref: str | dict, base_dir: Path, kind: str):
-    """The ``kind`` ("pipeline" or "models") profile a config names: a
-    bundled name, a ``.yaml`` path next to the config, or an inline
-    mapping."""
+    """The ``kind`` ("pipeline", "models" or "observations") document that
+    ``ref`` names: an inline mapping, a ``.yaml`` path relative to
+    ``base_dir``, or else a bundled name (no bundled name ends in .yaml)."""
     # looked up per call, so a loader swapped in by name (the benchmark's
     # tracer) is the one called
-    from_dict, from_file, bundled = {
-        "pipeline": (pipeline_from_dict, load_pipeline_file, load_profile),
-        "models": (models_from_dict, load_models_file, load_models),
+    from_dict, bundled = {
+        "pipeline": (pipeline_from_dict, load_profile),
+        "models": (models_from_dict, load_models),
+        "observations": (observations_from_dict,
+                         lambda name: observations_from_dict(_find_bundled(name, kind))),
     }[kind]
     if isinstance(ref, dict):
         return from_dict(ref)
-    path = base_dir / ref
-    return from_file(path) if ref.endswith(".yaml") and path.exists() else bundled(ref)
-
-
-def _parse_policy(pdoc: dict) -> Policy:
-    return Policy(name=_field(pdoc, "policy", "name", str), **{
-        arg: _field(pdoc, "policy", key, kind)
-        for key, (arg, kind) in POLICY_FIELDS.items() if key in pdoc
-    })
+    if ref.endswith(".yaml"):
+        return from_dict(read_yaml(base_dir / ref, kind))
+    return bundled(ref)
 
 
 def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
@@ -124,13 +135,17 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
         raise ConfigurationError(
             f"config schema_version {version!r} not supported (expected {CONFIG_SCHEMA_VERSION})"
         )
+    # a sweep config also holds ``sweep``, which its reader takes out
+    _known(doc, "", ("schema_version", "seed", "workload", "policy", "models", "resources", "out"))
     wdoc = _field(doc, "", "workload", dict)
+    _known(wdoc, "workload", ("profile", "mix", "batch_size", "jitter_cv"))
     batch_size = _field(wdoc, "workload", "batch_size", int)
     if "mix" in wdoc:
         refs = []
         for i, entry in enumerate(_field(wdoc, "workload", "mix", list)):
             where = f"workload.mix[{i}]"
             entry = _as(entry, dict, where)
+            _known(entry, where, ("pipeline", "proportion"))
             refs.append((_field(entry, where, "pipeline", (str, dict)),
                          _field(entry, where, "proportion", float)))
     elif "profile" in wdoc:
@@ -145,51 +160,48 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
         **{key: _field(wdoc, "workload", key, float) for key in ("jitter_cv",) if key in wdoc},
     )
 
-    policy = _parse_policy(_field(doc, "", "policy", dict))
+    pdoc = _field(doc, "", "policy", dict)
+    _known(pdoc, "policy", ("name", *POLICY_FIELDS))
+    policy = Policy(name=_field(pdoc, "policy", "name", str), **{
+        arg: _field(pdoc, "policy", key, kind)
+        for key, (arg, kind) in POLICY_FIELDS.items() if key in pdoc
+    })
 
     models = _load_ref(_field(doc, "", "models", (str, dict)), base_dir, "models")
 
     # resources default to the machine the models profile was calibrated on
     rdoc = _field(doc, "", "resources", dict, {})
+    _known(rdoc, "resources", ("logical_cores", "gpu_count"))
     resources = ResourcePool(logical_cores=_field(
         rdoc, "resources", "logical_cores", int, models.cpu.logical_cores))
     if _field(rdoc, "resources", "gpu_count", int, 1) != 1:
         raise ConfigurationError("resources.gpu_count must be 1: exactly one GPU is modeled")
 
-    out_dir = Path(out_override or _field(doc, "", "out", str, DEFAULT_OUT))
-    config_fp = fingerprint(
-        {
-            "workload": {
-                "batch_size": batch_size,
-                "mix": [(p.name, prop) for p, prop in mix],
-                "jitter_cv": workload.jitter_cv,
-                "seed": workload.seed,
-            },
-            "policy": policy.canonical(),
-            # the 1 is the GPU count, kept so earlier runs' fingerprints match
-            "resources": [resources.logical_cores, 1],
-            "models_fp": models_fingerprint(models),
-        }
-    )
-    return ExperimentConfig(
-        workload=workload, policy=policy, resources=resources, models=models,
-        out_dir=out_dir, config_fp=config_fp,
-    )
+    return ExperimentConfig(workload, policy, resources, models,
+                            Path(out_override or _field(doc, "", "out", str, DEFAULT_OUT)))
 
 
 def load_config_file(path: str, out: str | None = None, seed: int | None = None) -> ExperimentConfig:
     return parse_config(read_yaml(path, "config"), Path(path).parent, out, seed)
 
 
-def execute(config: ExperimentConfig) -> tuple[Trace, MetricsReport]:
-    tasks = build_workload(config.workload)
-    trace = simulate(tasks, config.policy, config.resources, config.models,
-                     seed=config.workload.seed)
-    audit = replay_check(trace, config.models)
+def _audited_run(tasks, policy: Policy, resources: ResourcePool, models: ContentionModels,
+                 seed: int) -> tuple[Trace, Sweep]:
+    """The trace of one run and the audit's sweep over it, with the usage
+    totals the report reads; a failed audit is an InternalConsistencyError."""
+    trace = simulate(tasks, policy, resources, models, seed=seed)
+    audit = replay_check(trace, models)
     if not audit.ok:
         raise InternalConsistencyError(f"replay audit failed: {audit.detail}")
+    return trace, audit.occupancy
+
+
+def execute(config: ExperimentConfig) -> tuple[Trace, MetricsReport]:
+    tasks = build_workload(config.workload)
+    trace, occupancy = _audited_run(tasks, config.policy, config.resources, config.models,
+                                    config.workload.seed)
     labels = class_labels(tasks, config.policy.theta)
-    report = summarize(trace, config.models.energy, config.models.gpu, labels, audit.occupancy)
+    report = summarize(trace, config.models.energy, config.models.gpu, labels, occupancy)
     # the per-class p90 and mean, not in the row, are finite when the row is
     for column, value in report.as_row().items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -212,9 +224,7 @@ def report_to_dict(report: MetricsReport, config_fp: str) -> dict:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def report_csv(rows: list[dict], extra_columns: list[str] | None = None) -> str:
@@ -244,10 +254,10 @@ def cmd_run(args) -> int:
     trace, report = execute(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     (config.out_dir / "trace.txt").write_text(serialize_trace(trace))
-    doc = report_to_dict(report, config.config_fp)
+    doc = report_to_dict(report, config_fingerprint(config))
     (config.out_dir / "report.yaml").write_text(dump_yaml(doc))
     written = _write_rows([doc], config.out_dir, "report", args.format)
-    print(f"# run {config.config_fp} policy={report.policy} B={report.batch_size}")
+    print(f"# run {doc['config_fp']} policy={report.policy} B={report.batch_size}")
     for key in METRIC_COLUMNS:
         print(f"{key} {doc[key]!r}")
     print(f"wrote {config.out_dir}/trace.txt {config.out_dir}/report.yaml {written}")
@@ -264,42 +274,51 @@ def cmd_sweep(args) -> int:
     axis = _field(sdoc, "sweep", "axis", str)
     if axis not in _SWEEP_AXES:
         raise ConfigurationError(f"sweep axis must be one of {tuple(_SWEEP_AXES)}")
+    _known(sdoc, "sweep", ("axis", "values", "curve") if axis == "lambda" else ("axis", "values"))
     values = [_as(value, _SWEEP_AXES[axis], f"sweep.values[{i}]")
               for i, value in enumerate(_field(sdoc, "sweep", "values", list))]
     if not values:
         raise ConfigurationError("sweep values must be non-empty")
-    if axis in POLICY_FIELDS:
-        # an axis the policy does not read is refused before the first run,
-        # so it leaves no partial file
-        _parse_policy({**_field(doc, "", "policy", dict), axis: values[0]})
-    out_dir = Path(args.out or _field(doc, "", "out", str, DEFAULT_OUT))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if axis == "lambda":
-        curve_file = _field(sdoc, "sweep", "curve", str)
-        curve = load_curve_file(path.parent / curve_file)
-        ratios = gain_ratios(curve)
-        lines = ["lambda,b_cap"]
-        for lam in values:
-            lines.append(f"{_csv_cell(lam)},{select_bcap(ratios, lam)}")
+        out_dir = Path(args.out or _field(doc, "", "out", str, DEFAULT_OUT))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        ratios = gain_ratios(load_curve_file(path.parent / _field(sdoc, "sweep", "curve", str)))
+        lines = ["lambda,b_cap",
+                 *(f"{_csv_cell(lam)},{select_bcap(ratios, lam)}" for lam in values)]
         (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
         print(f"wrote {out_dir}/sweep.csv")
         return EXIT_OK
 
+    # the config is resolved once; each cell replaces one record of it,
+    # which validates the value as a new record would
+    config = parse_config({key: value for key, value in doc.items() if key != "sweep"},
+                          path.parent, args.out, args.seed)
+
+    def cell(value) -> ExperimentConfig:
+        if axis == "batch_size":
+            return config._replace(workload=config.workload.replace(batch_size=value))
+        return config._replace(policy=config.policy.replace(**{POLICY_FIELDS[axis][0]: value}))
+
+    if axis in POLICY_FIELDS:
+        # an axis the policy does not read is refused before the first run,
+        # so it leaves no partial file
+        cell(values[0])
+    out_dir = config.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+
     rows = []
     for value in values:
-        vdoc = copy.deepcopy(doc)
-        _field(vdoc, "", "workload" if axis == "batch_size" else "policy", dict)[axis] = value
         try:
-            config = parse_config(vdoc, path.parent, args.out, args.seed)
-            _, report = execute(config)
+            cell_config = cell(value)
+            _, report = execute(cell_config)
         except AgentsimError as exc:
             partial = out_dir / "sweep_partial.csv"
             partial.write_text(report_csv(rows, extra_columns=[axis]))
             # the cell's own class, so the sweep exits as its run would
             error = ConfigurationError if isinstance(exc, ConfigurationError) else type(exc)
             raise error(f"sweep aborted at {axis}={value}: {exc}; partial results in {partial}")
-        row = report_to_dict(report, config.config_fp)
+        row = report_to_dict(report, config_fingerprint(cell_config))
         row[axis] = value
         rows.append(row)
 
@@ -349,25 +368,22 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
                          f"{b_small} and batch {b_large} energy runs"}
     probe_models = ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=base.energy)
     resources = ResourcePool(logical_cores=cores)
-    integrals = []
+    probes = []  # the audit's sweep of each endpoint run: its usage totals
     for b in (b_small, b_large):
         tasks = build_workload(WorkloadSpec(b, ((pipeline, 1.0),), jitter_cv=0.0, seed=0))
-        trace = simulate(tasks, Policy("multiprocessing"), resources, probe_models)
-        audit = replay_check(trace, probe_models)
-        if not audit.ok:
-            raise InternalConsistencyError(f"replay audit failed: {audit.detail}")
-        integrals.append(energy_integrals(trace, audit.occupancy))
-    (busy_s, active_s, gpu_s), (busy_l, active_l, gpu_l) = integrals
-    cpu_w, cpu_pkg_w = fit_cpu_watts(float(cpu_j_small), float(cpu_j_large),
-                                     busy_s, busy_l, active_s, active_l)
-    gpu_w = fit_dynamic_watts(float(gpu_j_small), float(gpu_j_large), gpu_s, gpu_l)
+        probes.append(_audited_run(tasks, Policy("multiprocessing"), resources, probe_models, 0)[1])
+    small, large = probes
+    cpu_w, cpu_pkg_w = fit_cpu_watts(float(cpu_j_small), float(cpu_j_large), small.busy_core_s,
+                                     large.busy_core_s, small.pkg_active_s, large.pkg_active_s)
+    gpu_w = fit_dynamic_watts(float(gpu_j_small), float(gpu_j_large), small.gpu_active_s,
+                              large.gpu_active_s)
     energy = base.energy.replace(cpu_dyn_w_per_core=cpu_w, cpu_pkg_dyn_w=cpu_pkg_w,
                                  gpu_dyn_w=gpu_w)
     sources["cpu_dyn_w_per_core"] = (
         f"exact solve, with cpu_pkg_dyn_w, to endpoints {cpu_j_small} J @ "
         f"batch {b_small} and {cpu_j_large} J @ batch {b_large} over busy "
-        f"core-s {busy_s!r} / {busy_l!r} and package-active s {active_s!r} / "
-        f"{active_l!r}"
+        f"core-s {small.busy_core_s!r} / {large.busy_core_s!r} and package-active s "
+        f"{small.pkg_active_s!r} / {large.pkg_active_s!r}"
     )
     sources["cpu_pkg_dyn_w"] = "solved together with cpu_dyn_w_per_core"
     sources["gpu_dyn_w"] = (
@@ -378,9 +394,9 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
 
 
 def cmd_calibrate(args) -> int:
-    doc = load_observations(args.observations)
+    doc = _load_ref(args.observations, Path(), "observations")
     name = args.name or f"{_field(doc, 'observations', 'name', str)}_fit"
-    base = load_models(args.base) if args.base else ContentionModels(name=name)
+    base = _load_ref(args.base, Path(), "models") if args.base else ContentionModels(name=name)
     written: list[Path] = []
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -489,26 +505,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"agentsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one experiment config")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--format", choices=("csv", "json-lines"), default="csv")
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run one experiment per axis value")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--format", choices=("csv", "json-lines"), default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
+    for command, func, text in (("run", cmd_run, "execute one experiment config"),
+                                ("sweep", cmd_sweep, "run one experiment per axis value")):
+        p_config = sub.add_parser(command, help=text)
+        p_config.add_argument("--config", required=True)
+        p_config.add_argument("--out", default=None, help="output directory")
+        p_config.add_argument("--seed", type=int, default=None)
+        p_config.add_argument("--format", choices=("csv", "json-lines"), default="csv")
+        p_config.set_defaults(func=func)
 
     p_cal = sub.add_parser("calibrate", help="fit model constants from observations")
     p_cal.add_argument("--observations", required=True,
-                       help="bundled observations name or YAML path")
+                       help="bundled observations name or .yaml path")
     p_cal.add_argument("--name", default=None, help="name for the fitted profile")
     p_cal.add_argument("--base", default=None,
-                       help="bundled models profile supplying unfitted constants")
+                       help="bundled models name or .yaml path supplying unfitted constants")
     p_cal.add_argument("--out", default=None, help="output directory")
     p_cal.set_defaults(func=cmd_calibrate)
 

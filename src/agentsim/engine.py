@@ -12,7 +12,8 @@ share and GIL penalty), GPU inference through an async client
 ``simulate`` keeps per class a virtual service clock and a min-heap of
 finish tags, clock at start plus work, as in the virtual time of fair
 queueing; an event evaluates at most the five class rates, visits only the
-classes the run has, advances their clocks and pops the finished stages.
+classes the run has, advances their clocks and pops the finished stages:
+those due within a relative 1e-12 of the event, so no time unit is special.
 Each stage record goes straight to its (task id, stage index) slot of the
 record list, so the list is never sorted, and a completion that opens no
 micro-batch gate costs the dispatcher a few comparisons.
@@ -46,7 +47,6 @@ from .frozen import Frozen, whole_problem
 from .schedulers import PROCESS, THREAD, Dispatcher, Policy
 from .workload import StageKind, TaskInstance, shape_problem
 
-TIME_EPS = 1e-12  # simulate's tie rule: a stage this close to an event's end ends with it
 TRACE_SCHEMA_VERSION = 2  # version 1 also held the occupancy step series
 
 
@@ -135,10 +135,8 @@ def workload_fingerprint(tasks: list[TaskInstance]) -> str:
             middle = encoded[id(pipeline)] = "," + _json(pipeline.name) + "," + _json(
                 [(s.kind.value, s.cpu_share, s.kv_tokens, s.host_blocking)
                  for s in pipeline.stages]) + ","
-        try:  # the text _json gives a list of floats, without its encoder
-            work = "[" + ",".join(map(float.__repr__, t.stage_work)) + "]"
-        except TypeError:  # a work that is no float, such as an int
-            work = _json(t.stage_work)
+        # the text _json gives a list of floats, without its encoder
+        work = "[" + ",".join(map(float.__repr__, t.stage_work)) + "]"
         digest.update(f"{sep}[{t.id}{middle}{work}]".encode())
         sep = ","
     digest.update(b"]")
@@ -279,7 +277,10 @@ def simulate(
     Class c's clock S_c is the work one of its stages has received since the
     class was last idle; a stage is done when S_c reaches its tag
     S_c(start) + work. A clock restarts at 0.0 whenever its class empties, so
-    a stage that runs alone ends at start + work. A class rate too small for
+    a stage that runs alone ends at start + work. An event at time dt from
+    the last also ends every stage due within dt·(1 + 1e-12): a relative
+    margin, so scaling every work by a power of two scales every time by
+    it exactly, within the normal float range. A class rate too small for
     a stage ever to end (0.0, say) is an InfeasibleModelError. A task id used
     twice, or a seed no trace can carry, is a ConfigurationError.
     """
@@ -358,7 +359,7 @@ def simulate(
         if events > max_events:
             raise InternalConsistencyError("event budget exhausted; engine stuck")
 
-        limit = dt + TIME_EPS
+        limit = dt * (1.0 + 1e-12)  # the tie rule: relative, so free of the time unit
         end = now + dt
         starts = []  # what the popped stages let start, pushed once every clock moved
         for c in present:

@@ -85,15 +85,6 @@ def _nearest_rank(ordered: list[float], p: float) -> float:
     return ordered[math.ceil(p * len(ordered)) - 1]
 
 
-def energy_integrals(trace: Trace, occupancy: Sweep | None = None) -> tuple[float, float, float]:
-    """(busy core-seconds, CPU package-active seconds, GPU-active seconds):
-    the usage each dynamic-power constant multiplies, the totals of
-    ``occupancy`` or ``sweep(trace)``. The last step holds until the makespan."""
-    if occupancy is None:
-        occupancy = sweep(trace)
-    return occupancy.busy_core_s, occupancy.pkg_active_s, occupancy.gpu_active_s
-
-
 def _latency_report(latencies: list[float], trace: Trace, **rest) -> MetricsReport:
     """A report whose latency fields cover ``latencies``, from ``trace``."""
     ordered = sorted(latencies)

@@ -98,6 +98,14 @@ def _field(doc: dict, where: str, key: str, kind, default=None):
     return _as(doc[key], kind, f"{where}.{key}" if where else key)
 
 
+def _known(doc: dict, where: str, keys) -> None:
+    """Refuse a key of mapping ``doc`` (at path ``where``) not in ``keys``: nothing reads it."""
+    for key in doc:
+        if key not in keys:
+            raise ConfigurationError(f"unknown field {key!r} in {where or 'config'}; "
+                                     f"expected one of {', '.join(keys)}")
+
+
 def _profile_dir() -> Path:
     return Path(importlib.resources.files("agentsim") / "profiles")
 
@@ -116,13 +124,9 @@ def _bundled_doc(path: Path) -> dict:
     return read_yaml(path, "bundled profile")
 
 
-def _bundled_docs():
-    return (_bundled_doc(path) for path in _bundled_paths().values())
-
-
 def list_profiles(kind: str | None = None) -> list[str]:
     """Names of bundled profiles, optionally filtered by kind."""
-    return [doc["name"] for doc in _bundled_docs()
+    return [doc["name"] for doc in map(_bundled_doc, _bundled_paths().values())
             if kind is None or doc.get("kind") == kind]
 
 
@@ -207,10 +211,6 @@ def load_profile(name: str) -> PipelineSpec:
     return pipeline_from_dict(_find_bundled(name, "pipeline"))
 
 
-def load_pipeline_file(path: str | Path) -> PipelineSpec:
-    return pipeline_from_dict(read_yaml(path, "pipeline"))
-
-
 def models_from_dict(doc: dict) -> ContentionModels:
     """The models of a ``models`` document. Each section's fields are read
     as the types of their defaults, and an omitted field takes its default;
@@ -242,15 +242,7 @@ def load_models(name: str) -> ContentionModels:
     return models_from_dict(_find_bundled(name, "models"))
 
 
-def load_models_file(path: str | Path) -> ContentionModels:
-    return models_from_dict(read_yaml(path, "models"))
-
-
-def load_observations(name_or_path: str) -> dict:
-    """Load a calibration observations document (bundled name or file path)."""
-    if Path(name_or_path).exists():
-        doc = read_yaml(name_or_path, "observations")
-    else:
-        doc = copy.deepcopy(_find_bundled(name_or_path, "observations"))
+def observations_from_dict(doc: dict) -> dict:
+    """A copy of an ``observations`` document, the caller's to mutate."""
     _check_schema(doc, "observations")
-    return doc
+    return copy.deepcopy(doc)

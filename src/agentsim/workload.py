@@ -123,11 +123,13 @@ class TaskInstance(Frozen):
         if len(stage_work) != len(pipeline.stages):
             raise ConfigurationError("stage_work length must equal stage count")
         # is_real's rule and a range: inline for floats, as a call per work
-        # costs twice as much, and through is_real for any other work
-        if not all(type(w) is float and 0.0 < w <= FLOAT_MAX for w in stage_work) and not all(
-                is_real(w) and w > 0 for w in stage_work):
-            raise ConfigurationError(
-                "all stage_work entries must be finite and > 0; a bool is no number")
+        # costs twice as much, and through is_real for any other work, which
+        # is held as its float, as a trace writes and reads it back
+        if not all(type(w) is float and 0.0 < w <= FLOAT_MAX for w in stage_work):
+            if not all(is_real(w) and w > 0 for w in stage_work):
+                raise ConfigurationError(
+                    "all stage_work entries must be finite and > 0; a bool is no number")
+            stage_work = tuple(map(float, stage_work))
         self._init(id, pipeline, stage_work)
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from agentsim.contention import ContentionModels, cpu_rate, gpu_rate, thread_pool_rate
 from agentsim.engine import (
     _TRACE_META,
-    TIME_EPS,
     TRACE_SCHEMA_VERSION,
     ReplayReport,
     ResourcePool,
@@ -43,6 +42,9 @@ from agentsim.schedulers import (
     plan_microbatches,
 )
 from agentsim.workload import StageKind, TaskInstance
+
+# the engine's old absolute tie rule: a stage this close to an event ends with it
+TIME_EPS = 1e-12
 
 
 class EventKind(enum.Enum):

@@ -197,15 +197,51 @@ class TestSweep:
         curve = yaml.safe_load((out / "throughput_curve.yaml").read_text())
         assert set(curve["points"]) == {1, 2, 4, 8}
 
-    def test_single_value_sweep_matches_run(self, tmp_path):
-        cfg = self.sweep_doc(tmp_path, "batch_size", [8])
+    @pytest.mark.parametrize("axis, values, workload, policy", [
+        ("batch_size", [2, 8], {"profile": "langchain_freshqa"}, {"name": "multiprocessing"}),
+        ("b_cap", [2, 4], {"profile": "langchain_freshqa"}, {"name": "cgam", "b_cap": 3}),
+        ("theta", [0.3, 0.8], {"mix": SWE_GUARDRAIL}, {"name": "maws"}),
+    ], ids=["batch_size", "b_cap", "theta"])
+    def test_each_sweep_row_is_the_run_of_its_cell(self, tmp_path, axis, values, workload,
+                                                   policy):
+        # a row is the axis value, then the cells of the run's report row,
+        # config_fp included, though the sweep resolves the config once
+        doc = {**BASE_CONFIG, "workload": {**workload, "batch_size": 8, "jitter_cv": 0.05},
+               "policy": policy, "out": str(tmp_path / "sweep_out")}
+        cfg = write_config(tmp_path, {**doc, "sweep": {"axis": axis, "values": values}})
         assert main(["sweep", "--config", str(cfg)]) == 0
-        sweep_rows = (tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()
-        run_cfg = write_config(tmp_path, {**BASE_CONFIG, "out": str(tmp_path / "r")})
-        assert main(["run", "--config", str(run_cfg)]) == 0
-        run_row = (tmp_path / "r" / "report.csv").read_text().splitlines()[1]
-        # sweep row carries the axis column first, then the same report cells
-        assert sweep_rows[1].split(",", 1)[1] == run_row
+        _, *rows = (tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()
+        for value, row in zip(values, rows, strict=True):
+            cell = copy.deepcopy(doc)
+            cell["workload" if axis == "batch_size" else "policy"][axis] = value
+            run_cfg = write_config(tmp_path, cell, "cell.yaml")
+            assert main(["run", "--config", str(run_cfg), "--out", str(tmp_path / "r")]) == 0
+            run_row = (tmp_path / "r" / "report.csv").read_text().splitlines()[1]
+            assert row == f"{value},{run_row}"
+
+    def test_a_sweep_loads_each_profile_once(self, tmp_path, monkeypatch):
+        # looked up by name through the cli module, as the benchmark's tracer
+        # swaps them
+        from agentsim import cli
+
+        loaded = []
+        for name in ("load_profile", "load_models"):
+            load = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda ref, load=load: loaded.append(ref) or load(ref))
+        doc = {**BASE_CONFIG, "workload": {"mix": SWE_GUARDRAIL, "batch_size": 4},
+               "out": str(tmp_path / "sweep_out"),
+               "sweep": {"axis": "batch_size", "values": [1, 2, 3, 4]}}
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert sorted(loaded) == ["emerald_rapids_b200", "langchain_guardrail", "swe_agent_apps"]
+
+    def test_an_invalid_base_config_fails_before_the_first_cell(self, tmp_path, capsys):
+        doc = {**BASE_CONFIG, "resources": {"logical_cores": "many"},
+               "out": str(tmp_path / "sweep_out"),
+               "sweep": {"axis": "batch_size", "values": [1, 2]}}
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert "resources.logical_cores" in err and "sweep aborted" not in err
+        assert not (tmp_path / "sweep_out" / "sweep_partial.csv").exists()
 
     def test_bcap_sweep_requires_microbatch_policy(self, tmp_path, capsys):
         # refused before the first run: no partial file is written
@@ -453,6 +489,16 @@ class TestCalibrate:
         assert "'cpu_j_large'" in err and "energy_endpoints" in err
         assert list(out.iterdir()) == []
 
+    def test_base_names_a_bundled_profile_or_a_yaml_path(self, tmp_path, monkeypatch):
+        # a path relative to the working directory gives what the name gives
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "host.yaml").write_text(yaml.safe_dump(HOST))
+        for base, out in (("emerald_rapids_b200", "named"), ("host.yaml", "path")):
+            assert main(["calibrate", "--observations", "langchain_batch_sweep",
+                         "--base", base, "--name", "fit", "--out", out]) == 0
+        for name in ("fit.yaml", "fit_energy.yaml"):
+            assert (tmp_path / "path" / name).read_text() == (tmp_path / "named" / name).read_text()
+
     def test_energy_watts_reproduce_endpoints_on_replay(self, tmp_path):
         # fitted CPU and GPU watts must replay the measured endpoints within 10%
         assert main([
@@ -460,10 +506,10 @@ class TestCalibrate:
             "--name", "efit", "--out", str(tmp_path),
         ]) == 0
         import agentsim as a
-        from agentsim.profiles import load_models_file
         from conftest import run_uniform
 
-        fitted = load_models_file(tmp_path / "efit_energy.yaml")
+        fitted = profiles.models_from_dict(
+            profiles.read_yaml(tmp_path / "efit_energy.yaml", "models"))
         pipe = a.load_profile("langchain_freshqa_energyhost")
         _, small = run_uniform(pipe, 1, a.Policy("multiprocessing"), fitted, cores=128)
         _, large = run_uniform(pipe, 128, a.Policy("multiprocessing"), fitted, cores=128)
@@ -663,7 +709,8 @@ class TestIllTypedInputs:
         kappa = re.search(r"^  oversub_kappa: .*$", text, re.MULTILINE).group()
         path = tmp_path / "host.yaml"
         path.write_text(text.replace(kappa, "  oversub_kappa: 1e-3"))
-        assert profiles.load_models_file(path).cpu.oversub_kappa == 0.001
+        models = profiles.models_from_dict(profiles.read_yaml(path, "models"))
+        assert models.cpu.oversub_kappa == 0.001
         path.write_text("a: 1e-3\nb: 5e-324\nc: 1e5\nd: -2E+3\ne: '8'\nf: 1e\n")
         assert profiles.read_yaml(path, "test") == {
             "a": 0.001, "b": 5e-324, "c": 100000.0, "d": -2000.0, "e": "8", "f": "1e"}
@@ -743,6 +790,43 @@ class TestIllTypedInputs:
         assert "orchestrator" not in capsys.readouterr().out
 
 
+class TestUnknownKeys:
+    """A key that nothing reads exits 2, naming it and the keys accepted
+    there: a misspelt key would otherwise run on the default it meant to
+    change."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"workload": {**BASE_CONFIG["workload"], "jiter_cv": 0.3}},
+         "unknown field 'jiter_cv' in workload; expected one of profile, mix, batch_size, "
+         "jitter_cv"),
+        ({"policy": {"name": "multiprocessing", "thetta": 0.9}},
+         "unknown field 'thetta' in policy; expected one of name, b_cap, pool_size, theta, "
+         "thread_pool_cores, exec"),
+        ({"resourcs": {"logical_cores": 8}}, "unknown field 'resourcs' in config"),
+        ({"resources": {"logical_cores": 8, "gpus": 1}}, "unknown field 'gpus' in resources"),
+        ({"workload": {"mix": [{**SWE_GUARDRAIL[0], "share": 0.5}, SWE_GUARDRAIL[1]],
+                       "batch_size": 8}}, "unknown field 'share' in workload.mix[0]"),
+        ({"sweep": {"axis": "batch_size", "values": [1]}}, "unknown field 'sweep' in config"),
+    ], ids=["workload", "policy", "top_level", "resources", "mix_entry", "sweep_in_a_run"])
+    def test_run_exits_2_naming_the_key(self, tmp_path, capsys, change, message):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, **change})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sweep, message", [
+        ({"axis": "batch_size", "values": [1], "value": [2]}, "unknown field 'value' in sweep"),
+        ({"axis": "batch_size", "values": [1], "curve": "c.yaml"},
+         "unknown field 'curve' in sweep; expected one of axis, values"),
+    ], ids=["misspelt", "curve_off_the_lambda_axis"])
+    def test_sweep_exits_2_naming_the_key(self, tmp_path, capsys, sweep, message):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "sweep": sweep})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRefusals:
     """Refusals no other test reaches: each exits with its code and message,
     without a traceback. A file named in ``argv`` is written from ``files``
@@ -768,13 +852,17 @@ class TestRefusals:
          ["calibrate", "--observations", "obs.yaml", "--out", "out"], 3,
          "observations contain no cpu_observations, gpu_latency_pair, or energy_endpoints"),
         ({}, ["profiles", "show"], 2, "profiles show requires a profile name"),
+        ({"obs.yml": OBSERVATIONS}, ["calibrate", "--observations", "obs.yml", "--out", "out"],
+         2, "unknown profile"),
+        ({"c.yaml": {**BASE_CONFIG, "models": "host.yaml"}},
+         ["run", "--config", "c.yaml", "--out", "out"], 2, "models file not found"),
         ({"c.yaml": [1, 2]}, ["run", "--config", "c.yaml", "--out", "out"], 2,
          "c.yaml is not a mapping"),
         ({"c.yaml": b"seed: \xff\n"}, ["run", "--config", "c.yaml", "--out", "out"], 2,
          "cannot read config file"),
     ], ids=["sweep_axis", "empty_sweep_values", "curve_kind", "curve_schema_version",
-            "calibrate_nothing_to_fit",
-            "show_without_name", "config_list", "config_not_utf8"])
+            "calibrate_nothing_to_fit", "show_without_name", "observations_path_not_yaml",
+            "missing_models_file", "config_list", "config_not_utf8"])
     def test_exits_with_its_code_and_message(self, tmp_path, capsys, files, argv, code,
                                              message):
         for name, content in files.items():

@@ -188,6 +188,17 @@ class TestTraceFormat:
         with pytest.raises(ConfigurationError, match=f"schema_version {version};"):
             parse_trace(text)
 
+    @pytest.mark.parametrize("kind", ["int", "numpy.float64"])
+    def test_a_work_that_is_no_float_round_trips_as_its_float(self, kind):
+        # a task holds its works as floats, so the trace text reads back to
+        # the same trace and the same text
+        work = 3 if kind == "int" else pytest.importorskip("numpy").float64(0.2)
+        task = a.TaskInstance(0, make_pipeline("p", [("cpu_tool", 1.0, 1.0)]), (work,))
+        assert type(task.stage_work[0]) is float and task.stage_work == (float(work),)
+        text = serialize_trace(simulate_mp([task], 96, bare_models()))
+        assert serialize_trace(parse_trace(text)) == text
+        assert parse_trace(text).records[0].work == float(work)
+
     def test_a_step_line_in_a_version_2_trace_is_malformed(self, models):
         trace = simulate_mp(tasks_from_works([[1.0]]), 96, bare_models())
         with pytest.raises(ConfigurationError, match="unknown tag 'cpuload'"):
@@ -228,6 +239,18 @@ class TestReplayCheck:
         report = a.replay_check(trace, models)
         assert not report.ok
         assert f"task {bad.task_id}" in report.detail
+
+    def test_a_stage_far_below_a_second_audits_clean(self, models, resources):
+        # a guardrail check of 1e-8 s: under an absolute tie margin of 1e-12 s
+        # task 48's check ended with an event it was not due at, and the
+        # audit found its work short
+        guardrail = a.load_profile("langchain_guardrail")
+        check = guardrail.stages[0].replace(base_latency=1e-8)
+        pipe = guardrail.replace(stages=(check, *guardrail.stages[1:]))
+        tasks = a.build_workload(a.WorkloadSpec(batch_size=256, mix=((pipe, 1.0),), seed=0))
+        trace = a.simulate(tasks, a.Policy("multiprocessing"), resources, models)
+        report = a.replay_check(trace, models)
+        assert report.ok, report.detail
 
     def test_monotonicity_extra_task_never_shrinks_makespan(self, models):
         rng = random.Random(42)

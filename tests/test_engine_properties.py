@@ -6,7 +6,8 @@ a fresh sum, the trace serializer against the one it replaced, the trace
 parser on corrupted traces, the dispatcher against the rescanning one, the
 record order under any task ids, task latencies and the audit's verdict
 against their ``max`` definitions, the sweep's usage totals against a fold
-over its step series, and the audit of a hand-edited trace."""
+over its step series, the audit of a hand-edited trace, and a run whose works
+are all scaled by a power of two against the run it scales."""
 
 import functools
 import itertools
@@ -169,6 +170,25 @@ def test_engine_matches_reference(tasks, policy, m):
     assert serialize_trace(a.simulate(tasks, policy, resources, m)) == text
     assert parse_trace(text) == new
     assert serialize_trace(parse_trace(text)) == text
+
+
+@given(tasks=workloads(), policy=policies(), m=models(), k=st.integers(-60, 60))
+def test_scaling_every_work_by_a_power_of_two_scales_every_time_by_it(tasks, policy, m, k):
+    # A metamorphic relation (T. Y. Chen et al., "Metamorphic Testing: A
+    # Review of Challenges and Opportunities", ACM Computing Surveys 51(1),
+    # 2018): no rate depends on time, and multiplying by 2**k is exact in
+    # binary floating point, so the scaled run must be the same run in
+    # another time unit, down to the last bit.
+    resources = a.ResourcePool(logical_cores=m.cpu.logical_cores)
+    scaled = [a.TaskInstance(t.id, t.pipeline, tuple(math.ldexp(w, k) for w in t.stage_work))
+              for t in tasks]
+    base, trace = (a.simulate(ts, policy, resources, m) for ts in (tasks, scaled))
+    assert trace.makespan == math.ldexp(base.makespan, k)
+    assert trace._replace(workload_fp="", records=[], makespan=0.0) == \
+        base._replace(workload_fp="", records=[], makespan=0.0)
+    assert trace.records == [r._replace(work=math.ldexp(r.work, k), start=math.ldexp(r.start, k),
+                                        end=math.ldexp(r.end, k)) for r in base.records]
+    assert a.replay_check(trace, m).ok
 
 
 def test_round_trip_keeps_the_sign_of_zero():

@@ -3,8 +3,9 @@ import yaml
 
 import agentsim as a
 from agentsim.contention import EnergyParams, GpuSaturationParams
+from agentsim.engine import sweep
 from agentsim.errors import ConfigurationError
-from agentsim.metrics import compare, energy_integrals, percentile, summarize
+from agentsim.metrics import compare, percentile, summarize
 
 from conftest import make_pipeline, run_uniform
 
@@ -64,7 +65,8 @@ class TestSummarize:
                                                 jitter_cv=0.0))
         trace = a.simulate(tasks, a.Policy("multiprocessing"),
                            a.ResourcePool(logical_cores=4), a.ContentionModels())
-        assert energy_integrals(trace)[:2] == (2.0, 1.0)
+        occupancy = sweep(trace)
+        assert (occupancy.busy_core_s, occupancy.pkg_active_s) == (2.0, 1.0)
         energy = EnergyParams(cpu_dyn_w_per_core=10.0, cpu_pkg_dyn_w=7.0)
         report = summarize(trace, energy, GpuSaturationParams())
         assert report.cpu_dyn_energy == pytest.approx(2 * 10.0 + 7.0, rel=1e-12)
@@ -76,7 +78,8 @@ class TestSummarize:
         audit = a.replay_check(trace, models)
         bare = summarize(trace, models.energy, models.gpu)
         assert summarize(trace, models.energy, models.gpu, occupancy=audit.occupancy) == bare
-        assert energy_integrals(trace, audit.occupancy) == energy_integrals(trace)
+        # the usage totals: busy core-s, package-active s, GPU-active s, KV peak
+        assert audit.occupancy[:4] == sweep(trace)[:4]
 
     def test_negative_package_draw_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -187,11 +188,11 @@ class TestProfiles:
             assert yaml.safe_load(path.read_text())["name"] == path.stem
 
     def test_observations_are_the_callers_to_mutate(self):
-        from agentsim.profiles import load_observations
+        from agentsim.cli import _load_ref
 
-        doc = load_observations("langchain_batch_sweep")
+        doc = _load_ref("langchain_batch_sweep", Path(), "observations")
         doc["energy_endpoints"]["cpu_j_large"] = -1.0
-        fresh = load_observations("langchain_batch_sweep")
+        fresh = _load_ref("langchain_batch_sweep", Path(), "observations")
         assert fresh["energy_endpoints"]["cpu_j_large"] != -1.0
 
     @pytest.mark.parametrize("name", a.list_profiles("pipeline"))
