@@ -77,6 +77,7 @@ from .schedulers import POLICY_FIELDS, Policy
 from .workload import WorkloadSpec, build_workload, class_labels
 
 CONFIG_SCHEMA_VERSION = 1
+_CONFIG_KEYS = ("schema_version", "seed", "workload", "policy", "models", "resources", "out")
 DEFAULT_OUT = "runs"  # the output directory of a config without ``out``
 
 EXIT_OK = 0
@@ -130,22 +131,19 @@ def _load_ref(ref: str | dict, base_dir: Path, kind: str):
 
 def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
                  seed_override: int | None = None) -> ExperimentConfig:
-    version = doc.get("schema_version")
+    # a sweep config also holds ``sweep``, which its reader takes out
+    version = _known(doc, "", _CONFIG_KEYS).get("schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigurationError(
             f"config schema_version {version!r} not supported (expected {CONFIG_SCHEMA_VERSION})"
         )
-    # a sweep config also holds ``sweep``, which its reader takes out
-    _known(doc, "", ("schema_version", "seed", "workload", "policy", "models", "resources", "out"))
-    wdoc = _field(doc, "", "workload", dict)
-    _known(wdoc, "workload", ("profile", "mix", "batch_size", "jitter_cv"))
+    wdoc = _field(doc, "", "workload", dict, keys=("profile", "mix", "batch_size", "jitter_cv"))
     batch_size = _field(wdoc, "workload", "batch_size", int)
     if "mix" in wdoc:
         refs = []
         for i, entry in enumerate(_field(wdoc, "workload", "mix", list)):
             where = f"workload.mix[{i}]"
-            entry = _as(entry, dict, where)
-            _known(entry, where, ("pipeline", "proportion"))
+            entry = _as(entry, dict, where, ("pipeline", "proportion"))
             refs.append((_field(entry, where, "pipeline", (str, dict)),
                          _field(entry, where, "proportion", float)))
     elif "profile" in wdoc:
@@ -160,8 +158,7 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
         **{key: _field(wdoc, "workload", key, float) for key in ("jitter_cv",) if key in wdoc},
     )
 
-    pdoc = _field(doc, "", "policy", dict)
-    _known(pdoc, "policy", ("name", *POLICY_FIELDS))
+    pdoc = _field(doc, "", "policy", dict, keys=("name", *POLICY_FIELDS))
     policy = Policy(name=_field(pdoc, "policy", "name", str), **{
         arg: _field(pdoc, "policy", key, kind)
         for key, (arg, kind) in POLICY_FIELDS.items() if key in pdoc
@@ -170,12 +167,9 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
     models = _load_ref(_field(doc, "", "models", (str, dict)), base_dir, "models")
 
     # resources default to the machine the models profile was calibrated on
-    rdoc = _field(doc, "", "resources", dict, {})
-    _known(rdoc, "resources", ("logical_cores", "gpu_count"))
+    rdoc = _field(doc, "", "resources", dict, {}, keys=("logical_cores",))
     resources = ResourcePool(logical_cores=_field(
         rdoc, "resources", "logical_cores", int, models.cpu.logical_cores))
-    if _field(rdoc, "resources", "gpu_count", int, 1) != 1:
-        raise ConfigurationError("resources.gpu_count must be 1: exactly one GPU is modeled")
 
     return ExperimentConfig(workload, policy, resources, models,
                             Path(out_override or _field(doc, "", "out", str, DEFAULT_OUT)))
@@ -269,8 +263,8 @@ _SWEEP_AXES = {"batch_size": int, "b_cap": int, "lambda": float, "theta": float}
 
 def cmd_sweep(args) -> int:
     path = Path(args.config)
-    doc = read_yaml(path, "sweep config")
-    sdoc = _field(doc, "", "sweep", dict)
+    doc = _known(read_yaml(path, "sweep config"), "", (*_CONFIG_KEYS, "sweep"))
+    sdoc = _field(doc, "", "sweep", dict, keys=("axis", "values", "curve"))
     axis = _field(sdoc, "sweep", "axis", str)
     if axis not in _SWEEP_AXES:
         raise ConfigurationError(f"sweep axis must be one of {tuple(_SWEEP_AXES)}")
@@ -339,18 +333,19 @@ def cmd_sweep(args) -> int:
 
 def load_curve_file(path: str | Path) -> ThroughputCurve:
     doc = read_yaml(path, "throughput curve")
-    _check_schema(doc, "throughput_curve")
+    _check_schema(doc, "throughput_curve",
+                  ("schema_version", "kind", "tool_version", "config_fp", "points"))
     points = sorted((_as(k, int, f"points.{k}"), _as(v, float, f"points.{k}"))
                     for k, v in _field(doc, "", "points", dict).items())
     return ThroughputCurve(points=dict(points))
 
 
-def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels):
-    """Fit the energy-host profile: its own saturation constant from the GPU
-    busy-time ratio, then the dynamic-power constants from a replay of the
-    endpoint runs. Latency and energy hosts are never mixed."""
+def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels, base_dir: Path):
+    """Fit the energy-host profile, never mixed with a latency host's: its own saturation
+    constant from the GPU busy-time ratio, then the dynamic-power constants from a replay
+    of the endpoint runs of ``e``'s pipeline, which ``_load_ref`` resolves from ``base_dir``."""
     where = "observations.energy_endpoints"
-    pipeline = load_profile(_field(e, where, "pipeline", str))
+    pipeline = _load_ref(_field(e, where, "pipeline", (str, dict)), base_dir, "pipeline")
     b_small, b_large = (_field(e, where, k, int) for k in ("batch_small", "batch_large"))
     # kept as written, so the provenance strings quote the document
     cpu_j_small, cpu_j_large, gpu_j_small, gpu_j_large = (
@@ -406,11 +401,11 @@ def cmd_calibrate(args) -> int:
     gpu = base.gpu
     if doc.get("cpu_observations"):
         obs = []
+        kinds = {"load": float, "cores": int, "base_s": float, "observed_s": float}
         for i, o in enumerate(_field(doc, "observations", "cpu_observations", list)):
             where = f"observations.cpu_observations[{i}]"
-            o = _as(o, dict, where)
-            obs.append(tuple(_field(o, where, key, kind) for key, kind in (
-                ("load", float), ("cores", int), ("base_s", float), ("observed_s", float))))
+            o = _as(o, dict, where, (*kinds, "source"))
+            obs.append(tuple(_field(o, where, k, kinds[k]) for k in kinds))
         fit = calibrate_cpu(obs)
         cpu = cpu.replace(logical_cores=fit.logical_cores, oversub_kappa=fit.oversub_kappa)
         sources["oversub_kappa"] = (
@@ -418,9 +413,9 @@ def cmd_calibrate(args) -> int:
         )
     if doc.get("gpu_latency_pair"):
         where = "observations.gpu_latency_pair"
-        pair = _field(doc, "observations", "gpu_latency_pair", dict)
-        batch_a, latency_a, batch_b, latency_b = (_field(pair, where, key, kind) for key, kind in (
-            ("batch_a", int), ("latency_a", float), ("batch_b", int), ("latency_b", float)))
+        kinds = {"batch_a": int, "latency_a": float, "batch_b": int, "latency_b": float}
+        pair = _field(doc, "observations", "gpu_latency_pair", dict, keys=(*kinds, "source"))
+        batch_a, latency_a, batch_b, latency_b = (_field(pair, where, k, kinds[k]) for k in kinds)
         b_half, work = calibrate_gpu(batch_a, latency_a, batch_b, latency_b)
         gpu = gpu.replace(b_half=b_half)
         sources["b_half"] = (
@@ -439,8 +434,11 @@ def cmd_calibrate(args) -> int:
     if sources:  # a latency fit
         fits.append((ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=base.energy), sources))
     if doc.get("energy_endpoints"):
-        fits.append(_calibrate_energy_profile(
-            _field(doc, "observations", "energy_endpoints", dict), f"{name}_energy", base))
+        e = _field(doc, "observations", "energy_endpoints", dict, keys=(
+            "batch_small", "batch_large", "cpu_j_small", "cpu_j_large", "gpu_j_small",
+            "gpu_j_large", "pipeline", "cores", "source"))
+        fits.append(_calibrate_energy_profile(e, f"{name}_energy", base,
+                                              Path(args.observations).parent))
 
     for models, model_sources in fits:
         out = out_dir / f"{models.name}.yaml"

@@ -8,6 +8,7 @@ be evaluated concurrently and are trivially replayable.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 from .errors import ConfigurationError, InfeasibleModelError
 from .frozen import Frozen, is_real, whole_problem
@@ -92,11 +93,12 @@ class ContentionModels(Frozen):
 
 
 class ThroughputCurve(Frozen):
-    """Measured throughput (requests/s) per batch size, batch sizes ascending."""
+    """Measured throughput (requests/s) per batch size, ascending; a read-only copy."""
 
     __slots__ = ("points",)
 
     def __init__(self, points: dict[int, float]):
+        points = MappingProxyType(dict(points))
         for key in points:
             if problem := whole_problem("throughput curve keys", key, 1):
                 raise ConfigurationError(problem)
@@ -105,6 +107,12 @@ class ThroughputCurve(Frozen):
         if not all(is_real(v) and v > 0 for v in points.values()):
             raise ConfigurationError("throughput values must be > 0")
         self._init(points)
+
+    def _key(self) -> tuple:  # a mapping proxy has no hash; its items do
+        return tuple(self.points.items())
+
+    def __reduce__(self):  # nor can it be pickled; a copy of its dict can
+        return type(self), (dict(self.points),)
 
 
 def cpu_rate(active_cpu_load: float, params: CpuContentionParams) -> float:

@@ -632,10 +632,9 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
     occupancy = sweep(trace, models)
     done = occupancy.work_done
     records = trace.records
-    # a record matches if its error is within rel_tol times max(work, 1e-30),
-    # which is work unless 1e-30 > work: a NaN work or error never matches
+    # a record matches if its error is within rel_tol times its work, never if NaN
     bad = [i for i, d, w in zip(itertools.count(), done, map(_WORK, records))
-           if not abs(d - w) <= rel_tol * (1e-30 if 1e-30 > w else w)]
+           if not abs(d - w) <= rel_tol * w]
     detail = ""
     if bad:
         i = min(bad, key=lambda i: records[i][:2])

@@ -70,40 +70,42 @@ def dump_yaml(doc, sort_keys: bool = True) -> str:
     return yaml.dump(doc, Dumper=_DUMPER, sort_keys=sort_keys, default_flow_style=False)
 
 
-def _as(value, kind, path: str):
+def _as(value, kind, path: str, keys=None):
     """``value`` converted to int or float, or checked to be an instance of
-    any other ``kind`` (a type or a tuple of types). A number must pass
-    ``frozen.is_real`` (a str such as ``"8"`` is none) and an int be whole
-    (``64.0`` is 64, ``2.9`` is refused). Failing that, a ConfigurationError
-    naming the field path, e.g. ``workload.mix[0].proportion``."""
+    any other ``kind`` (a type or a tuple of types; a mapping to hold only
+    ``keys`` if given). A number must pass ``frozen.is_real`` (a str such as
+    ``"8"`` is none) and an int be whole (``64.0`` is 64, ``2.9`` is
+    refused). Failing that, a ConfigurationError naming the field path,
+    e.g. ``workload.mix[0].proportion``."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if int in kinds or float in kinds:  # a number, and a whole one for an int
         if is_real(value) and (float in kinds or value % 1 == 0):
             return kind(value) if kind in (int, float) else value
     elif isinstance(value, kind):
-        return value
+        return value if keys is None else _known(value, path, keys)
     names = " or ".join({float: "finite float", int: "int within float range"}.get(k, k.__name__)
                         for k in kinds)
     raise ConfigurationError(f"{path} must be {names}, got {value!r}")
 
 
-def _field(doc: dict, where: str, key: str, kind, default=None):
-    """Field ``key`` of mapping ``doc`` (found at path ``where``) as a
-    ``kind``, or ``default`` when absent; absent without a default is a
+def _field(doc: dict, where: str, key: str, kind, default=None, keys=None):
+    """Field ``key`` of mapping ``doc`` (found at path ``where``) as ``_as``
+    reads it, or ``default`` when absent; absent without a default is a
     ConfigurationError."""
     if key not in doc:
         if default is None:
             raise ConfigurationError(f"missing field {key!r} in {where or 'config'}")
         return default
-    return _as(doc[key], kind, f"{where}.{key}" if where else key)
+    return _as(doc[key], kind, f"{where}.{key}" if where else key, keys)
 
 
-def _known(doc: dict, where: str, keys) -> None:
-    """Refuse a key of mapping ``doc`` (at path ``where``) not in ``keys``: nothing reads it."""
+def _known(doc: dict, where: str, keys) -> dict:
+    """Mapping ``doc`` (at path ``where``) if each key is in ``keys``; nothing reads any other."""
     for key in doc:
         if key not in keys:
             raise ConfigurationError(f"unknown field {key!r} in {where or 'config'}; "
                                      f"expected one of {', '.join(keys)}")
+    return doc
 
 
 def _profile_dir() -> Path:
@@ -142,7 +144,10 @@ def _find_bundled(name: str, kind: str | None = None) -> dict:
     raise UnknownProfileError(name, list_profiles(kind))
 
 
-def _check_schema(doc: dict, expected_kind: str) -> None:
+def _check_schema(doc: dict, expected_kind: str, keys) -> None:
+    """Refuse a document of another kind, a key not in ``keys`` or a version but 1."""
+    if doc.get("kind", expected_kind) == expected_kind:  # else the kind is refused below
+        _known(doc, expected_kind, keys)
     version = doc.get("schema_version")
     if version != PROFILE_SCHEMA_VERSION:
         raise ConfigurationError(
@@ -158,13 +163,11 @@ _STAGE_KINDS = tuple(kind.value for kind in StageKind)
 
 
 def pipeline_from_dict(doc: dict) -> PipelineSpec:
-    # the descriptive tags some profiles carry (orchestrator, path, flow)
-    # feed nothing in the model and are ignored
-    _check_schema(doc, "pipeline")
+    _check_schema(doc, "pipeline", ("schema_version", "kind", "name", "stages"))
     stages = []
     for i, s in enumerate(_field(doc, "pipeline", "stages", list)):
         where = f"pipeline.stages[{i}]"
-        s = _as(s, dict, where)
+        s = _as(s, dict, where, StageSpec.__slots__)
         kind = _field(s, where, "kind", str)
         if kind not in _STAGE_KINDS:
             raise ConfigurationError(f"{where}.kind must be one of {_STAGE_KINDS}, got {kind!r}")
@@ -215,12 +218,13 @@ def models_from_dict(doc: dict) -> ContentionModels:
     """The models of a ``models`` document. Each section's fields are read
     as the types of their defaults, and an omitted field takes its default;
     the cpu and gpu sections are required."""
-    _check_schema(doc, "models")
+    _check_schema(doc, "models", ("schema_version", "kind", *ContentionModels.__slots__, "sources"))
     params = {}
     _, *sections = ContentionModels().as_dict().items()  # each section's defaults
     for section, default in sections:
         where = f"models.{section}"
-        fields = _field(doc, "models", section, dict, {} if section == "energy" else None)
+        fields = _field(doc, "models", section, dict, {} if section == "energy" else None,
+                        keys=default.__slots__)
         params[section] = type(default)(**{
             name: _field(fields, where, name, type(value), value)
             for name, value in default.as_dict().items()
@@ -244,5 +248,6 @@ def load_models(name: str) -> ContentionModels:
 
 def observations_from_dict(doc: dict) -> dict:
     """A copy of an ``observations`` document, the caller's to mutate."""
-    _check_schema(doc, "observations")
+    _check_schema(doc, "observations", ("schema_version", "kind", "name", "cpu_observations",
+                                        "gpu_latency_pair", "energy_endpoints"))
     return copy.deepcopy(doc)

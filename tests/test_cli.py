@@ -489,6 +489,24 @@ class TestCalibrate:
         assert "'cpu_j_large'" in err and "energy_endpoints" in err
         assert list(out.iterdir()) == []
 
+    def test_energy_pipeline_is_resolved_beside_the_observations(self, tmp_path, monkeypatch):
+        # a .yaml pipeline is a file in the observations' directory, not the
+        # working directory, and an inline one is read as in a config; both
+        # write the energy profile the bundled name writes
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "obs").mkdir()
+        energyhost = yaml.safe_load((PROFILES / "langchain_freshqa_energyhost.yaml").read_text())
+        (tmp_path / "obs" / "pipe.yaml").write_text(yaml.safe_dump(energyhost))
+        for out, pipeline in (("named", "langchain_freshqa_energyhost"), ("path", "pipe.yaml"),
+                              ("inline", energyhost)):
+            obs = with_field(OBSERVATIONS, ("energy_endpoints", "pipeline"), pipeline)
+            (tmp_path / "obs" / f"{out}.yaml").write_text(yaml.safe_dump(obs))
+            assert main(["calibrate", "--observations", f"obs/{out}.yaml", "--name", "fit",
+                         "--out", out]) == 0
+        for out in ("path", "inline"):
+            assert ((tmp_path / out / "fit_energy.yaml").read_bytes()
+                    == (tmp_path / "named" / "fit_energy.yaml").read_bytes())
+
     def test_base_names_a_bundled_profile_or_a_yaml_path(self, tmp_path, monkeypatch):
         # a path relative to the working directory gives what the name gives
         monkeypatch.chdir(tmp_path)
@@ -765,29 +783,31 @@ class TestIllTypedInputs:
         assert err.startswith("configuration error:") and "not a report row" in err
         assert "Traceback" not in err
 
-    def test_more_than_one_gpu_exits_2(self, tmp_path, capsys):
-        doc = {**BASE_CONFIG, "resources": {"logical_cores": 96, "gpu_count": 2}}
+    @pytest.mark.parametrize("gpus", [1, 2])
+    def test_a_gpu_count_exits_2(self, tmp_path, capsys, gpus):
+        # one GPU is modeled and nothing reads a count, not even 1
+        doc = {**BASE_CONFIG, "resources": {"logical_cores": 96, "gpu_count": gpus}}
         assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
-        assert "one GPU" in capsys.readouterr().err
+        assert "unknown field 'gpu_count' in resources" in capsys.readouterr().err
 
-    def test_pipeline_tags_are_ignored(self, tmp_path, capsys):
-        # a pipeline file's descriptive tags may hold any value: the run
-        # equals the one on the bundled profile byte for byte
+    @pytest.mark.parametrize("tag, value", [
+        ("orchestrator", "host"), ("path", "static"), ("flow", "single_step")])
+    def test_pipeline_tags_exit_2(self, tmp_path, capsys, tag, value):
+        # the paper's descriptive tags feed nothing in the model, so a
+        # pipeline file holding one, even with its bundled value, is refused
         pipe = yaml.safe_load(
             (Path(__file__).parents[1] / "src" / "agentsim" / "profiles"
              / "langchain_freshqa.yaml").read_text())
-        pipe.update(orchestrator="bogus", path="nowhere", flow="sideways")
-        (tmp_path / "pipe.yaml").write_text(yaml.safe_dump(pipe))
+        (tmp_path / "pipe.yaml").write_text(yaml.safe_dump({**pipe, tag: value}))
         tagged = {**BASE_CONFIG, "workload": {**BASE_CONFIG["workload"], "profile": "pipe.yaml"}}
-        for name, doc in (("bundled", BASE_CONFIG), ("tagged", tagged)):
-            cfg = write_config(tmp_path, doc, f"{name}.yaml")
-            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
-        for output in ("trace.txt", "report.yaml"):
-            assert ((tmp_path / "tagged" / output).read_bytes()
-                    == (tmp_path / "bundled" / output).read_bytes())
-        capsys.readouterr()
+        cfg = write_config(tmp_path, tagged, "tagged.yaml")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: unknown field {tag!r} in pipeline; "
+            "expected one of schema_version, kind, name, stages\n")
+        assert not (tmp_path / "out").exists()
         assert main(["profiles", "show", "chemcrow"]) == 0
-        assert "orchestrator" not in capsys.readouterr().out
+        assert tag + ":" not in capsys.readouterr().out
 
 
 class TestUnknownKeys:
@@ -813,6 +833,20 @@ class TestUnknownKeys:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_a_misspelt_models_constant_exits_2(self, tmp_path, capsys):
+        # before, a models file spelling oversub_kapa ran on kappa 0: this
+        # run gave a P50 of 6.74 s instead of 9.93 s, and exited 0
+        host = copy.deepcopy(HOST)
+        host["cpu"]["oversub_kapa"] = host["cpu"].pop("oversub_kappa")
+        write_config(tmp_path, host, "host.yaml")
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "models": "host.yaml", "workload": {
+            **BASE_CONFIG["workload"], "batch_size": 128}})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: unknown field 'oversub_kapa' in models.cpu; "
+            "expected one of logical_cores, oversub_kappa, gil_serial_fraction\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sweep, message", [
@@ -858,11 +892,15 @@ class TestRefusals:
          ["run", "--config", "c.yaml", "--out", "out"], 2, "models file not found"),
         ({"c.yaml": [1, 2]}, ["run", "--config", "c.yaml", "--out", "out"], 2,
          "c.yaml is not a mapping"),
+        ({"c.yaml": {**BASE_CONFIG, "workload": {**BASE_CONFIG["workload"],
+                                                 "profile": "host.yaml"}}, "host.yaml": HOST},
+         ["run", "--config", "c.yaml", "--out", "out"], 2,
+         "expected a 'pipeline' document, got 'models'"),
         ({"c.yaml": b"seed: \xff\n"}, ["run", "--config", "c.yaml", "--out", "out"], 2,
          "cannot read config file"),
     ], ids=["sweep_axis", "empty_sweep_values", "curve_kind", "curve_schema_version",
             "calibrate_nothing_to_fit", "show_without_name", "observations_path_not_yaml",
-            "missing_models_file", "config_list", "config_not_utf8"])
+            "missing_models_file", "config_list", "models_as_a_pipeline", "config_not_utf8"])
     def test_exits_with_its_code_and_message(self, tmp_path, capsys, files, argv, code,
                                              message):
         for name, content in files.items():
@@ -875,6 +913,21 @@ class TestRefusals:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+class TestAudit:
+    def test_work_the_audit_cannot_recover_exits_4(self, tmp_path, capsys):
+        # jitter this wide gives task 2 stage 2 a work of 3.63e-163 that the
+        # addition to its start time absorbs: the audit integrates 0.0 for it.
+        # Under a tolerance floored at 1e-30 it passed and the run exited 0
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "workload": {
+            **BASE_CONFIG["workload"], "jitter_cv": 1e154}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: replay audit failed: work mismatch at task 2 "
+                              "stage 2: integrated 0.0, expected ") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestExtremeNumbers:

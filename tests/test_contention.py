@@ -95,6 +95,18 @@ class TestGainRatios:
         with pytest.raises(ConfigurationError):
             gain_ratios(ThroughputCurve({16: 10.0, 48: 12.0}))
 
+    def test_a_curve_is_a_hashable_read_only_copy(self):
+        # before, a curve held the caller's dict: it had no hash, and a
+        # change to the dict after validation changed the curve
+        points = {1: 1.0, 2: 1.5}
+        curve = ThroughputCurve(points)
+        assert hash(curve) == hash(ThroughputCurve({1: 1.0, 2: 1.5}))
+        assert curve != ThroughputCurve({1: 1.0, 2: 1.6})
+        points[4] = 0.0
+        assert dict(curve.points) == {1: 1.0, 2: 1.5}
+        with pytest.raises(TypeError):
+            curve.points[4] = 2.0
+
     def test_scale_invariance(self):
         base = {16: 50.0, 32: 80.0, 64: 100.0, 128: 110.0}
         r1 = gain_ratios(ThroughputCurve(base))

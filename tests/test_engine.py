@@ -213,10 +213,12 @@ class TestModelsFingerprint:
         assert models_fingerprint(pkg) != models_fingerprint(base)
         assert models_from_dict(models_to_dict(pkg)) == pkg
 
-    def test_idle_keys_are_ignored_and_omitted_constants_take_defaults(self, models):
+    def test_idle_keys_are_refused_and_omitted_constants_take_defaults(self, models):
         doc = models_to_dict(models)
-        doc["energy"].update(cpu_idle_w=113.0, gpu_idle_w=115.0)
-        assert models_from_dict(doc) == models
+        for key in ("cpu_idle_w", "gpu_idle_w"):
+            idle = {**doc, "energy": {**doc["energy"], key: 113.0}}
+            with pytest.raises(ConfigurationError, match=f"unknown field '{key}' in models.energy"):
+                models_from_dict(idle)
         for section in ("cpu", "gpu"):
             doc[section] = {}
         del doc["energy"]

@@ -496,8 +496,8 @@ def auditable(trace: Trace) -> Trace:
 def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
     """Task latencies are ``max(0.0, ends...)`` per task as ``max`` takes it
     (ties keep the first, a NaN end never wins), and the audit flags the
-    records whose error is not within ``rel_tol * max(work, 1e-30)``, so a
-    NaN work, error or tolerance is flagged, for any records: zeros of
+    records whose error is not within ``rel_tol * work``, so a NaN work,
+    error or tolerance is flagged, for any records: zeros of
     either sign, NaN and infinite times and works, ints where floats are
     expected, repeated (task, stage) pairs. The audit runs on the records
     with the client and KV tokens cleared on stages that are no GPU ones,
@@ -513,7 +513,7 @@ def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
     done = sweep(trace, AUDIT_MODELS).work_done
     records = trace.records
     bad = [i for i, r in enumerate(records)
-           if not abs(done[i] - r.work) <= rel_tol * max(r.work, 1e-30)]
+           if not abs(done[i] - r.work) <= rel_tol * r.work]
     report = a.replay_check(trace, AUDIT_MODELS, rel_tol)
     assert report.ok == (not bad)
     if bad:

@@ -125,24 +125,82 @@ def mutated_inputs(draw):
     return command, doc
 
 
+def _main(command: str, doc: dict, tmp: Path) -> tuple[int, str]:
+    """The exit code and stderr of ``command`` on ``doc``, written to a file
+    in ``tmp``; its outputs go to ``tmp / "out"``."""
+    path, out = tmp / "input.yaml", tmp / "out"
+    path.write_text(yaml.safe_dump(doc))
+    if command == "calibrate":
+        argv = ["calibrate", "--observations", str(path),
+                "--base", "emerald_rapids_b200", "--out", str(out)]
+    else:
+        argv = [command, "--config", str(path), "--out", str(out)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
 @settings(max_examples=350, derandomize=True)
 @given(mutated_inputs())
 def test_one_mutated_field_keeps_the_exit_code_contract(case):
     command, doc = case
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "input.yaml", Path(tmp) / "out"
-        path.write_text(yaml.safe_dump(doc))
-        if command == "calibrate":
-            argv = ["calibrate", "--observations", str(path),
-                    "--base", "emerald_rapids_b200", "--out", str(out)]
-        else:
-            argv = [command, "--config", str(path), "--out", str(out)]
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main(argv)
-        assert code in (0, 2, 3), stderr.getvalue()
-        assert "Traceback" not in stderr.getvalue()
+        code, stderr = _main(command, doc, Path(tmp))
+        assert code in (0, 2, 3), stderr
+        assert "Traceback" not in stderr
         if code == 0:
-            for written in out.rglob("*"):
+            for written in (Path(tmp) / "out").rglob("*"):
                 if written.is_file() and written.name != "trace.txt":
                     assert not NON_FINITE.search(written.read_text()), written.name
+
+
+def _keys(node, where, prefix=()):
+    """``(steps, path)`` for every mapping key below ``node``: the steps
+    that reach the key, and the path the reader names its mapping by,
+    rooted at the kind of the document it is in (``config`` for a run or
+    sweep config), a list item by its index. The keys of a ``sources``
+    mapping are free text, so their path is None."""
+    if isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _keys(child, f"{where}[{i}]", prefix + (i,))
+    elif isinstance(node, dict):
+        if "schema_version" in node:  # a document of its own, inline or not
+            where = node.get("kind", "config")
+        for key, child in node.items():
+            steps = prefix + (key,)
+            yield steps, where
+            if key == "sources":
+                yield from ((steps + (k,), None) for k in child)
+            else:
+                yield from _keys(child, key if where == "config" else f"{where}.{key}", steps)
+
+
+def _renamed(doc, steps, new):
+    """A copy of ``doc`` whose key at ``steps`` is renamed ``new``."""
+    doc = copy.deepcopy(doc)
+    *parents, key = steps
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[new] = node.pop(key)
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_a_renamed_key_exits_2_naming_its_path(name, tmp_path):
+    """Renaming any key of an input document, such as ``oversub_kappa`` to
+    ``oversub_kappax``, exits 2 naming the new key, the path of its mapping
+    and the keys accepted there: nothing reads the new key, so it would
+    otherwise run on the default the old one meant to change. A key of a
+    ``sources`` mapping is provenance text, and renaming it changes nothing."""
+    command, doc = INPUTS[name]
+    for steps, where in _keys(doc, "config"):
+        new = f"{steps[-1]}x"
+        code, stderr = _main(command, _renamed(doc, steps, new), tmp_path)
+        if where is None:
+            assert code == 0, (steps, stderr)
+        else:
+            assert code == 2 and stderr.startswith(
+                f"configuration error: unknown field {new!r} in {where}; expected one of "), (
+                steps, stderr)

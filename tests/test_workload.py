@@ -202,6 +202,19 @@ class TestProfiles:
         assert p1 == p2
         assert pipeline_to_dict(p1) == pipeline_to_dict(p2)
 
+    @pytest.mark.parametrize("name", a.list_profiles("models"))
+    def test_every_bundled_models_profile_round_trips(self, name):
+        models = a.load_models(name)
+        assert profiles.models_from_dict(profiles.models_to_dict(models)) == models
+
+    @pytest.mark.parametrize("name", a.list_profiles("observations"))
+    def test_every_bundled_observations_profile_calibrates(self, name, tmp_path, capsys):
+        # calibrate reads each section's fields, so each key is one it reads
+        from agentsim.cli import main
+
+        assert main(["calibrate", "--observations", name, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("name", a.list_profiles("pipeline"))
     def test_every_numeric_field_has_provenance(self, name):
         p = a.load_profile(name)
