@@ -1,5 +1,5 @@
-"""Golden behaviour test: `agentsim run` and `agentsim compare` outputs stay
-byte-identical.
+"""Golden behaviour test: `agentsim run`, `sweep`, `calibrate` and `compare`
+outputs stay byte-identical.
 
 Each config below runs through the CLI, and the sha256 digests of its
 `trace.txt`, `report.csv` and `report.yaml` must equal those checked in at
@@ -7,7 +7,9 @@ Each config below runs through the CLI, and the sha256 digests of its
 policies, mixes, the thread-pool paths, both bundled models profiles and
 batch sizes 1, 7, 64 and 256. Each report pair in COMPARES is also compared, and
 the digests of the command's stdout (with the output path cut from its
-`wrote` line) and of its `--out` CSV are checked the same way.
+`wrote` line) and of its `--out` CSV are checked the same way. Each sweep in
+SWEEPS (every axis, and one in json-lines) and each calibration in
+CALIBRATIONS pins the digest of every file it writes.
 
 A change that is meant to alter outputs regenerates the file with
 
@@ -32,6 +34,7 @@ import yaml
 from agentsim.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+CURVE = Path(__file__).parent / "data" / "throughput_curve.yaml"
 OUTPUTS = ("trace.txt", "report.csv", "report.yaml")
 
 HOST = "emerald_rapids_b200"
@@ -106,6 +109,34 @@ CONFIGS = {
     "mix_sequential_b7": _config(THREE_WAY, 7, {"name": "sequential"}),
 }
 
+# digest key -> (sweep config, --format) of one `agentsim sweep`
+SWEEPS = {
+    # the curve it writes is CURVE
+    "sweep_batch_size_freshqa_multiprocessing": ({
+        **_config("langchain_freshqa", 8, {"name": "multiprocessing"}),
+        "sweep": {"axis": "batch_size", "values": [8, 16, 32, 64, 128, 256]}}, "csv"),
+    "sweep_batch_size_toolformer_cgam_jsonl": ({
+        **_config("toolformer_mawps", 2, {"name": "cgam", "b_cap": 2}, seed=4),
+        "sweep": {"axis": "batch_size", "values": [2, 4, 8]}}, "json-lines"),
+    "sweep_b_cap_freshqa_cgam_overlap_b64": ({
+        **_config("langchain_freshqa", 64, {"name": "cgam_overlap", "b_cap": 8}, seed=1),
+        "sweep": {"axis": "b_cap", "values": [4, 16, 64]}}, "csv"),
+    "sweep_theta_mix_maws_cgam_b64": ({
+        **_config(SWE_GUARDRAIL, 64, {"name": "maws_cgam", "b_cap": 16}, cores=32),
+        "sweep": {"axis": "theta", "values": [0.2, 0.4, 0.8]}}, "csv"),
+    "sweep_lambda_freshqa": ({
+        **_config("langchain_freshqa", 8, {"name": "multiprocessing"}),
+        "sweep": {"axis": "lambda", "values": [1.01, 1.1, 1.95, 3.0],
+                  "curve": str(CURVE)}},
+        "csv"),
+}
+
+# digest key -> the argv of one `agentsim calibrate`, without --out
+CALIBRATIONS = {
+    "calibrate_langchain_batch_sweep_emerald_rapids_b200": [
+        "calibrate", "--observations", "langchain_batch_sweep", "--base", HOST],
+}
+
 # digest key -> (baseline config, candidate config) of one `agentsim compare`
 COMPARES = {
     "compare_freshqa_multiprocessing_b64_cgam_b64": (
@@ -129,6 +160,30 @@ def run_digests(name: str, work_dir: Path) -> dict[str, str]:
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in OUTPUTS}
 
 
+def _file_digests(out: Path) -> dict[str, str]:
+    """sha256 of every file a command wrote to ``out``."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def sweep_digests(key: str, work_dir: Path) -> dict[str, str]:
+    """sha256 of each file `agentsim sweep` writes for ``key``."""
+    doc, fmt = SWEEPS[key]
+    config = work_dir / f"{key}.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    out = work_dir / key
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--config", str(config), "--out", str(out), "--format", fmt]) == 0
+    return _file_digests(out)
+
+
+def calibrate_digests(key: str, work_dir: Path) -> dict[str, str]:
+    """sha256 of each profile `agentsim calibrate` writes for ``key``."""
+    out = work_dir / key
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*CALIBRATIONS[key], "--out", str(out)]) == 0
+    return _file_digests(out)
+
+
 def compare_digests(key: str, work_dir: Path) -> dict[str, str]:
     """sha256 of the stdout and the CSV of `agentsim compare` on pair ``key``."""
     baseline, candidate = (run(name, work_dir) / "report.yaml" for name in COMPARES[key])
@@ -145,7 +200,8 @@ def compare_digests(key: str, work_dir: Path) -> dict[str, str]:
 
 
 def test_config_set_is_the_checked_in_set():
-    assert sorted(json.loads(DIGESTS.read_text())) == sorted([*CONFIGS, *COMPARES])
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(
+        [*CONFIGS, *COMPARES, *SWEEPS, *CALIBRATIONS])
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -158,6 +214,24 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
 def test_compare_outputs_match_golden_digests(key, tmp_path):
     want = json.loads(DIGESTS.read_text())[key]
     assert compare_digests(key, tmp_path) == want
+
+
+@pytest.mark.parametrize("key", sorted(SWEEPS))
+def test_sweep_outputs_match_golden_digests(key, tmp_path):
+    want = json.loads(DIGESTS.read_text())[key]
+    assert sweep_digests(key, tmp_path) == want
+
+
+@pytest.mark.parametrize("key", sorted(CALIBRATIONS))
+def test_calibrate_outputs_match_golden_digests(key, tmp_path):
+    want = json.loads(DIGESTS.read_text())[key]
+    assert calibrate_digests(key, tmp_path) == want
+
+
+def test_the_curve_data_is_the_batch_size_sweeps_curve(tmp_path):
+    sweep_digests("sweep_batch_size_freshqa_multiprocessing", tmp_path)
+    written = tmp_path / "sweep_batch_size_freshqa_multiprocessing" / "throughput_curve.yaml"
+    assert yaml.safe_load(written.read_text()) == yaml.safe_load(CURVE.read_text())
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
@@ -174,8 +248,10 @@ def test_both_yaml_dumpers_write_the_report_bytes(name, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, open(DIGESTS, "w") as fh:
         digests = {name: run_digests(name, Path(tmp)) for name in sorted(CONFIGS)}
-        digests.update((key, compare_digests(key, Path(tmp))) for key in sorted(COMPARES))
+        for table, digest in ((COMPARES, compare_digests), (SWEEPS, sweep_digests),
+                              (CALIBRATIONS, calibrate_digests)):
+            digests.update((key, digest(key, Path(tmp))) for key in sorted(table))
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {DIGESTS} ({len(CONFIGS)} run configs, {len(COMPARES)} compares)",
-          file=sys.stderr)
+    print(f"wrote {DIGESTS} ({len(CONFIGS)} run configs, {len(COMPARES)} compares, "
+          f"{len(SWEEPS)} sweeps, {len(CALIBRATIONS)} calibrations)", file=sys.stderr)
