@@ -79,6 +79,9 @@ from .workload import WorkloadSpec, build_workload, class_labels
 CONFIG_SCHEMA_VERSION = 1
 _CONFIG_KEYS = ("schema_version", "seed", "workload", "policy", "models", "resources", "out")
 DEFAULT_OUT = "runs"  # the output directory of a config without ``out``
+_ROW_COLUMNS = [*REPORT_COLUMNS, "config_fp", "tool_version"]  # a report row's csv columns
+# the keys of a throughput curve, which the batch_size axis writes and the lambda axis reads
+_CURVE_KEYS = ("schema_version", "kind", "tool_version", "config_fp", "points")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -221,22 +224,20 @@ def _csv_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def report_csv(rows: list[dict], extra_columns: list[str] | None = None) -> str:
-    columns = (extra_columns or []) + REPORT_COLUMNS + ["config_fp", "tool_version"]
+def report_csv(rows: list[dict], columns: list[str]) -> str:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_csv_cell(row.get(c, "")) for c in columns))
     return "\n".join(lines) + "\n"
 
 
-def _write_rows(rows: list[dict], out_dir: Path, stem: str, fmt: str,
-                extra_columns: list[str] | None = None) -> Path:
+def _write_rows(rows: list[dict], out_dir: Path, stem: str, fmt: str, columns: list[str]) -> Path:
     if fmt == "json-lines":
         path = out_dir / f"{stem}.jsonl"
         path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
     else:
         path = out_dir / f"{stem}.csv"
-        path.write_text(report_csv(rows, extra_columns=extra_columns))
+        path.write_text(report_csv(rows, columns))
     return path
 
 
@@ -250,7 +251,7 @@ def cmd_run(args) -> int:
     (config.out_dir / "trace.txt").write_text(serialize_trace(trace))
     doc = report_to_dict(report, config_fingerprint(config))
     (config.out_dir / "report.yaml").write_text(dump_yaml(doc))
-    written = _write_rows([doc], config.out_dir, "report", args.format)
+    written = _write_rows([doc], config.out_dir, "report", args.format, _ROW_COLUMNS)
     print(f"# run {doc['config_fp']} policy={report.policy} B={report.batch_size}")
     for key in METRIC_COLUMNS:
         print(f"{key} {doc[key]!r}")
@@ -274,18 +275,8 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigurationError("sweep values must be non-empty")
 
-    if axis == "lambda":
-        out_dir = Path(args.out or _field(doc, "", "out", str, DEFAULT_OUT))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        ratios = gain_ratios(load_curve_file(path.parent / _field(sdoc, "sweep", "curve", str)))
-        lines = ["lambda,b_cap",
-                 *(f"{_csv_cell(lam)},{select_bcap(ratios, lam)}" for lam in values)]
-        (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
-        print(f"wrote {out_dir}/sweep.csv")
-        return EXIT_OK
-
-    # the config is resolved once; each cell replaces one record of it,
-    # which validates the value as a new record would
+    # the run config is resolved once, on every axis; each cell replaces one
+    # record of it, which validates the value as a new record would
     config = parse_config({key: value for key, value in doc.items() if key != "sweep"},
                           path.parent, args.out, args.seed)
 
@@ -294,38 +285,39 @@ def cmd_sweep(args) -> int:
             return config._replace(workload=config.workload.replace(batch_size=value))
         return config._replace(policy=config.policy.replace(**{POLICY_FIELDS[axis][0]: value}))
 
-    if axis in POLICY_FIELDS:
-        # an axis the policy does not read is refused before the first run,
-        # so it leaves no partial file
-        cell(values[0])
     out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if axis == "lambda":  # no run: a row is the b_cap the curve's gain ratios select
+        ratios = gain_ratios(load_curve_file(path.parent / _field(sdoc, "sweep", "curve", str)))
+        rows = [{"lambda": lam, "b_cap": select_bcap(ratios, lam)} for lam in values]
+        columns = ["lambda", "b_cap"]
+        out_dir.mkdir(parents=True, exist_ok=True)
+    else:
+        if axis in POLICY_FIELDS:
+            # an axis the policy does not read is refused before the first
+            # run, so it leaves no partial file
+            cell(values[0])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        rows, columns = [], [axis, *_ROW_COLUMNS]
+        for value in values:
+            try:
+                cell_config = cell(value)
+                _, report = execute(cell_config)
+            except AgentsimError as exc:
+                partial = out_dir / "sweep_partial.csv"
+                partial.write_text(report_csv(rows, columns))
+                # the cell's own class, so the sweep exits as its run would
+                error = ConfigurationError if isinstance(exc, ConfigurationError) else type(exc)
+                raise error(f"sweep aborted at {axis}={value}: {exc}; partial results in {partial}")
+            row = report_to_dict(report, config_fingerprint(cell_config))
+            row[axis] = value
+            rows.append(row)
 
-    rows = []
-    for value in values:
-        try:
-            cell_config = cell(value)
-            _, report = execute(cell_config)
-        except AgentsimError as exc:
-            partial = out_dir / "sweep_partial.csv"
-            partial.write_text(report_csv(rows, extra_columns=[axis]))
-            # the cell's own class, so the sweep exits as its run would
-            error = ConfigurationError if isinstance(exc, ConfigurationError) else type(exc)
-            raise error(f"sweep aborted at {axis}={value}: {exc}; partial results in {partial}")
-        row = report_to_dict(report, config_fingerprint(cell_config))
-        row[axis] = value
-        rows.append(row)
-
-    written = _write_rows(rows, out_dir, "sweep", args.format, extra_columns=[axis])
+    written = _write_rows(rows, out_dir, "sweep", args.format, columns)
     print(f"wrote {written} ({len(rows)} rows)")
     if axis == "batch_size":
-        curve_doc = {
-            "schema_version": 1,
-            "kind": "throughput_curve",
-            "tool_version": __version__,
-            "config_fp": rows[-1]["config_fp"],
-            "points": dict(sorted((row[axis], row["throughput_rps"]) for row in rows)),
-        }
+        points = dict(sorted((row[axis], row["throughput_rps"]) for row in rows))
+        curve_doc = dict(zip(_CURVE_KEYS, (1, "throughput_curve", __version__,
+                                           rows[-1]["config_fp"], points)))
         (out_dir / "throughput_curve.yaml").write_text(dump_yaml(curve_doc))
         print(f"wrote {out_dir}/throughput_curve.yaml")
     return EXIT_OK
@@ -333,10 +325,10 @@ def cmd_sweep(args) -> int:
 
 def load_curve_file(path: str | Path) -> ThroughputCurve:
     doc = read_yaml(path, "throughput curve")
-    _check_schema(doc, "throughput_curve",
-                  ("schema_version", "kind", "tool_version", "config_fp", "points"))
-    points = sorted((_as(k, int, f"points.{k}"), _as(v, float, f"points.{k}"))
-                    for k, v in _field(doc, "", "points", dict).items())
+    _check_schema(doc, "throughput_curve", _CURVE_KEYS)
+    where = "throughput_curve.points"
+    points = sorted((_as(k, int, f"{where}.{k}"), _as(v, float, f"{where}.{k}"))
+                    for k, v in _field(doc, "throughput_curve", "points", dict).items())
     return ThroughputCurve(points=dict(points))
 
 

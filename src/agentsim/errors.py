@@ -14,17 +14,6 @@ class ConfigurationError(AgentsimError):
     """Invalid user input: bad config file, bad spec values, unknown names."""
 
 
-class UnknownProfileError(ConfigurationError):
-    """Profile lookup failed; carries the list of available names."""
-
-    def __init__(self, name: str, available: list[str]):
-        self.name = name
-        self.available = sorted(available)
-        super().__init__(
-            f"unknown profile {name!r}; available: {', '.join(self.available)}"
-        )
-
-
 class InfeasibleModelError(AgentsimError):
     """Calibration data outside the model's representable range."""
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import yaml
 
 from .contention import ContentionModels
-from .errors import ConfigurationError, UnknownProfileError
+from .errors import ConfigurationError
 from .frozen import is_real
 from .workload import PipelineSpec, StageKind, StageSpec, is_one_line
 
@@ -141,7 +141,8 @@ def _find_bundled(name: str, kind: str | None = None) -> dict:
         doc = _bundled_doc(path)
         if kind is None or doc.get("kind") == kind:
             return doc
-    raise UnknownProfileError(name, list_profiles(kind))
+    raise ConfigurationError(
+        f"unknown profile {name!r}; available: {', '.join(sorted(list_profiles(kind)))}")
 
 
 def _check_schema(doc: dict, expected_kind: str, keys) -> None:

@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import re
 import subprocess
@@ -36,6 +37,10 @@ PROFILES = Path(__file__).parents[1] / "src" / "agentsim" / "profiles"
 HOST = yaml.safe_load((PROFILES / "emerald_rapids_b200.yaml").read_text())
 FRESHQA = yaml.safe_load((PROFILES / "langchain_freshqa.yaml").read_text())
 OBSERVATIONS = yaml.safe_load((PROFILES / "langchain_batch_sweep.yaml").read_text())
+# the curve the langchain_freshqa batch_size sweep writes; its gain ratios
+# select b_cap 128, 64, 32 and 8 at lambda 1.01, 1.1, 1.95 and 3.0
+CURVE = Path(__file__).parent / "data" / "throughput_curve.yaml"
+LAMBDA_SWEEP = {"axis": "lambda", "values": [1.01, 1.1, 1.95, 3.0], "curve": str(CURVE)}
 
 
 def with_field(doc, path, value):
@@ -346,6 +351,37 @@ class TestSweep:
         assert got[1.1] == 64
         assert got[1.05] == 128
         assert got[1.6] == 32
+
+    def test_lambda_sweep_writes_its_rows_in_either_format(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "sweep": LAMBDA_SWEEP}, "lam.yaml")
+        for fmt in ("csv", "json-lines"):
+            out = tmp_path / fmt
+            assert main(["sweep", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+        csv_rows = (tmp_path / "csv" / "sweep.csv").read_text().splitlines()
+        assert csv_rows[0] == "lambda,b_cap"
+        pairs = [(float(lam), int(b_cap)) for lam, b_cap in (r.split(",") for r in csv_rows[1:])]
+        assert pairs == [(1.01, 128), (1.1, 64), (1.95, 32), (3.0, 8)]
+        lines = (tmp_path / "json-lines" / "sweep.jsonl").read_text().splitlines()
+        assert [(row["lambda"], row["b_cap"]) for row in map(json.loads, lines)] == pairs
+        assert [p.name for p in (tmp_path / "json-lines").iterdir()] == ["sweep.jsonl"]
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"wrote {tmp_path / 'json-lines' / 'sweep.jsonl'} (4 rows)")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"workload": {"profile": "nonexistent_profile", "batch_size": 8}},
+         "unknown profile 'nonexistent_profile'"),
+        ({"policy": {"name": "bogus"}}, "unknown policy 'bogus'"),
+        ({"models": "nope"}, "unknown profile 'nope'"),
+        ({"seed": None}, "missing field 'seed' in config"),
+    ], ids=["profile", "policy", "models", "seed"])
+    def test_lambda_sweep_reads_its_run_config(self, tmp_path, capsys, change, message):
+        # the lambda axis runs nothing, but its run config is read as every
+        # other axis reads it
+        doc = {key: value for key, value in {**BASE_CONFIG, **change}.items() if value is not None}
+        cfg = write_config(tmp_path, {**doc, "sweep": LAMBDA_SWEEP})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def policy_doc(name: str) -> dict:
@@ -882,6 +918,23 @@ class TestRefusals:
                          "points": {32: 1.0, 64: 2.0}}},
          ["sweep", "--config", "s.yaml", "--out", "out"], 2,
          "unsupported schema_version 7 (expected 1)"),
+        ({"s.yaml": {"schema_version": 7, "seed": 0, "policy": {"name": "bogus"},
+                     "workload": {"profile": "nonexistent_profile", "jiter_cv": 3},
+                     "models": "nope", "sweep": LAMBDA_SWEEP}},
+         ["sweep", "--config", "s.yaml", "--out", "out"], 2,
+         "config schema_version 7 not supported (expected 1)"),
+        ({"s.yaml": {"out": "lam", "sweep": LAMBDA_SWEEP}},
+         ["sweep", "--config", "s.yaml", "--out", "out"], 2,
+         "config schema_version None not supported (expected 1)"),
+        ({"s.yaml": {**BASE_CONFIG, "sweep": {**LAMBDA_SWEEP, "curve": "curve.yaml"}},
+          "curve.yaml": {"schema_version": 1, "kind": "throughput_curve"}},
+         ["sweep", "--config", "s.yaml", "--out", "out"], 2,
+         "missing field 'points' in throughput_curve"),
+        ({"s.yaml": {**BASE_CONFIG, "sweep": {**LAMBDA_SWEEP, "curve": "curve.yaml"}},
+          "curve.yaml": {"schema_version": 1, "kind": "throughput_curve",
+                         "points": {32: "fast", 64: 2.0}}},
+         ["sweep", "--config", "s.yaml", "--out", "out"], 2,
+         "throughput_curve.points.32 must be finite float, got 'fast'"),
         ({"obs.yaml": {"schema_version": 1, "kind": "observations", "name": "none"}},
          ["calibrate", "--observations", "obs.yaml", "--out", "out"], 3,
          "observations contain no cpu_observations, gpu_latency_pair, or energy_endpoints"),
@@ -899,6 +952,8 @@ class TestRefusals:
         ({"c.yaml": b"seed: \xff\n"}, ["run", "--config", "c.yaml", "--out", "out"], 2,
          "cannot read config file"),
     ], ids=["sweep_axis", "empty_sweep_values", "curve_kind", "curve_schema_version",
+            "lambda_config_invalid", "lambda_config_without_run_config", "curve_without_points",
+            "curve_point_not_a_number",
             "calibrate_nothing_to_fit", "show_without_name", "observations_path_not_yaml",
             "missing_models_file", "config_list", "models_as_a_pipeline", "config_not_utf8"])
     def test_exits_with_its_code_and_message(self, tmp_path, capsys, files, argv, code,
@@ -913,6 +968,8 @@ class TestRefusals:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        # a configuration error is found before any file is written
+        assert code != 2 or not (tmp_path / "out").exists()
 
 
 class TestAudit:

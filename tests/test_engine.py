@@ -199,6 +199,15 @@ class TestTraceFormat:
         assert serialize_trace(parse_trace(text)) == text
         assert parse_trace(text).records[0].work == float(work)
 
+    @pytest.mark.parametrize("key", list(engine._TRACE_META))
+    def test_a_trace_without_a_meta_line_names_its_key(self, key):
+        trace = simulate_mp(tasks_from_works([[1.0]]), 96, bare_models())
+        lines = serialize_trace(trace).splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith(f"meta {key} "))
+        assert len(text.splitlines()) == len(lines) - 1
+        with pytest.raises(ConfigurationError, match=rf"^trace lacks meta line\(s\) {key}$"):
+            parse_trace(text)
+
     def test_a_step_line_in_a_version_2_trace_is_malformed(self, models):
         trace = simulate_mp(tasks_from_works([[1.0]]), 96, bare_models())
         with pytest.raises(ConfigurationError, match="unknown tag 'cpuload'"):

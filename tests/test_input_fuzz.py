@@ -1,11 +1,11 @@
 """Mutation fuzzer for the exit-code contract.
 
 Each example takes one input document (a run config with its pipeline and
-models documents inlined, a sweep config, or the bundled calibration
-observations), changes one field at a random path and runs the CLI on it in
-process. Whatever the change, the exit is 0, 2 or 3, no exception escapes,
-stderr holds no traceback, and a command that exits 0 writes no NaN or
-infinity into a report or profile.
+models documents inlined, a sweep config on the batch_size or the lambda
+axis, or the bundled calibration observations), changes one field at a
+random path and runs the CLI on it in process. Whatever the change, the
+exit is 0, 2 or 3, no exception escapes, stderr holds no traceback, and a
+command that exits 0 writes no NaN or infinity into a report or profile.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from agentsim.cli import main
 
 PROFILES = Path(__file__).parents[1] / "src" / "agentsim" / "profiles"
+CURVE = Path(__file__).parent / "data" / "throughput_curve.yaml"
 
 
 def _bundled(name: str) -> dict:
@@ -73,6 +74,14 @@ INPUTS = {
         "models": "emerald_rapids_b200",
         "seed": 0,
         "sweep": {"axis": "batch_size", "values": [2, 4]},
+    }),
+    "freshqa_lambda_sweep": ("sweep", {
+        "schema_version": 1,
+        "workload": {"profile": "langchain_freshqa", "batch_size": 8, "jitter_cv": 0.05},
+        "policy": {"name": "cgam", "b_cap": 4},
+        "models": "emerald_rapids_b200",
+        "seed": 0,
+        "sweep": {"axis": "lambda", "values": [1.1, 1.95], "curve": str(CURVE)},
     }),
     "langchain_batch_sweep": ("calibrate", _bundled("langchain_batch_sweep")),
 }

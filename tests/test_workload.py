@@ -7,7 +7,7 @@ import yaml
 
 import agentsim as a
 from agentsim import profiles
-from agentsim.errors import ConfigurationError, UnknownProfileError
+from agentsim.errors import ConfigurationError
 from agentsim.profiles import pipeline_from_dict, pipeline_to_dict
 from agentsim.workload import largest_remainder_counts
 
@@ -162,7 +162,7 @@ class TestProfiles:
         assert a.classify_task(p) is a.TaskClass.LLM_HEAVY
 
     def test_unknown_profile_lists_available(self):
-        with pytest.raises(UnknownProfileError) as err:
+        with pytest.raises(ConfigurationError) as err:
             a.load_profile("nope")
         assert "langchain_freshqa" in str(err.value)
         assert "haystack_nq" in str(err.value)
