@@ -2,14 +2,16 @@
 outputs stay byte-identical.
 
 Each config below runs through the CLI, and the sha256 digests of its
-`trace.txt`, `report.csv` and `report.yaml` must equal those checked in at
-`golden_digests.json`. The set covers every bundled pipeline, all seven
+stdout, `trace.txt`, `report.csv` and `report.yaml` must equal those checked
+in at `golden_digests.json`; a command's stdout is digested with the output
+paths cut from its `wrote` lines. The set covers every bundled pipeline, all seven
 policies, mixes, the thread-pool paths, both bundled models profiles and
 batch sizes 1, 7, 64 and 256. Each report pair in COMPARES is also compared, and
-the digests of the command's stdout (with the output path cut from its
-`wrote` line) and of its `--out` CSV are checked the same way. Each sweep in
-SWEEPS (every axis, and one in json-lines) and each calibration in
-CALIBRATIONS pins the digest of every file it writes.
+the digests of the command's stdout and of its `--out` CSV are checked the
+same way. Each sweep in SWEEPS (every axis, one in json-lines and one whose
+second cell is infeasible) pins its exit code, its stdout and the digest of
+every file it writes; each calibration in CALIBRATIONS pins every file it
+writes.
 
 A change that is meant to alter outputs regenerates the file with
 
@@ -43,6 +45,11 @@ SWE_GUARDRAIL = [
     {"pipeline": "swe_agent_apps", "proportion": 0.5},
     {"pipeline": "langchain_guardrail", "proportion": 0.5},
 ]
+# the bundled host with an oversubscription constant that drives a CPU
+# process stage's rate out of a float's range past 4 processes on 4 cores
+OVERFLOWING_HOST = yaml.safe_load(
+    (Path(__file__).parents[1] / "src" / "agentsim" / "profiles" / f"{HOST}.yaml").read_text())
+OVERFLOWING_HOST["cpu"]["oversub_kappa"] = 1e308
 THREE_WAY = [
     {"pipeline": "langchain_freshqa", "proportion": 0.5},
     {"pipeline": "chemcrow", "proportion": 0.25},
@@ -129,6 +136,11 @@ SWEEPS = {
         "sweep": {"axis": "lambda", "values": [1.01, 1.1, 1.95, 3.0],
                   "curve": str(CURVE)}},
         "csv"),
+    # exits 3 at batch_size=16 and writes the batch_size=4 row to sweep_partial.csv
+    "sweep_batch_size_infeasible_second_cell": ({
+        **_config("langchain_freshqa", 4, {"name": "multiprocessing"},
+                  models=OVERFLOWING_HOST, jitter=0.0, cores=4),
+        "sweep": {"axis": "batch_size", "values": [4, 16]}}, "csv"),
 }
 
 # digest key -> the argv of one `agentsim calibrate`, without --out
@@ -145,19 +157,38 @@ COMPARES = {
 }
 
 
-def run(name: str, work_dir: Path) -> Path:
-    """The output directory of one `agentsim run` on config ``name``."""
+def _main(argv: list[str]) -> tuple[int, str]:
+    """The exit code and the stdout of one `agentsim` command."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+def _stdout_digest(text: str) -> str:
+    """sha256 of a command's stdout, with the output paths cut from its
+    `wrote` lines."""
+    lines = ["wrote" if line.startswith("wrote ") else line for line in text.splitlines()]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def run(name: str, work_dir: Path) -> tuple[Path, str]:
+    """The output directory and the stdout of one `agentsim run` on config
+    ``name``."""
     config = work_dir / f"{name}.yaml"
     config.write_text(yaml.safe_dump(CONFIGS[name]))
     out = work_dir / name
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-    return out
+    code, stdout = _main(["run", "--config", str(config), "--out", str(out)])
+    assert code == 0
+    return out, stdout
 
 
 def run_digests(name: str, work_dir: Path) -> dict[str, str]:
-    """sha256 of each output file of one `agentsim run` on config ``name``."""
-    out = run(name, work_dir)
-    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in OUTPUTS}
+    """sha256 of the stdout and of each output file of one `agentsim run` on
+    config ``name``."""
+    out, stdout = run(name, work_dir)
+    return {"stdout": _stdout_digest(stdout),
+            **{f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in OUTPUTS}}
 
 
 def _file_digests(out: Path) -> dict[str, str]:
@@ -166,35 +197,31 @@ def _file_digests(out: Path) -> dict[str, str]:
 
 
 def sweep_digests(key: str, work_dir: Path) -> dict[str, str]:
-    """sha256 of each file `agentsim sweep` writes for ``key``."""
+    """The exit code of `agentsim sweep` for ``key``, and sha256 of its stdout
+    and of each file it writes."""
     doc, fmt = SWEEPS[key]
     config = work_dir / f"{key}.yaml"
     config.write_text(yaml.safe_dump(doc))
     out = work_dir / key
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["sweep", "--config", str(config), "--out", str(out), "--format", fmt]) == 0
-    return _file_digests(out)
+    code, stdout = _main(["sweep", "--config", str(config), "--out", str(out), "--format", fmt])
+    return {"exit_code": str(code), "stdout": _stdout_digest(stdout), **_file_digests(out)}
 
 
 def calibrate_digests(key: str, work_dir: Path) -> dict[str, str]:
     """sha256 of each profile `agentsim calibrate` writes for ``key``."""
     out = work_dir / key
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main([*CALIBRATIONS[key], "--out", str(out)]) == 0
+    assert _main([*CALIBRATIONS[key], "--out", str(out)])[0] == 0
     return _file_digests(out)
 
 
 def compare_digests(key: str, work_dir: Path) -> dict[str, str]:
     """sha256 of the stdout and the CSV of `agentsim compare` on pair ``key``."""
-    baseline, candidate = (run(name, work_dir) / "report.yaml" for name in COMPARES[key])
+    baseline, candidate = (run(name, work_dir)[0] / "report.yaml" for name in COMPARES[key])
     csv = work_dir / f"{key}.csv"
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        assert main(["compare", str(baseline), str(candidate), "--out", str(csv)]) == 0
-    lines = ["wrote" if line.startswith("wrote ") else line
-             for line in stdout.getvalue().splitlines()]
+    code, stdout = _main(["compare", str(baseline), str(candidate), "--out", str(csv)])
+    assert code == 0
     return {
-        "stdout": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+        "stdout": _stdout_digest(stdout),
         "compare.csv": hashlib.sha256(csv.read_bytes()).hexdigest(),
     }
 
@@ -239,7 +266,7 @@ def test_the_curve_data_is_the_batch_size_sweeps_curve(tmp_path):
 def test_both_yaml_dumpers_write_the_report_bytes(name, tmp_path):
     # the report is written with libyaml when present; the pure-Python
     # fallback must give the same bytes
-    text = (run(name, tmp_path) / "report.yaml").read_text()
+    text = (run(name, tmp_path)[0] / "report.yaml").read_text()
     doc = yaml.load(text, Loader=yaml.SafeLoader)
     for dumper in (yaml.CSafeDumper, yaml.SafeDumper):
         assert yaml.dump(doc, Dumper=dumper, sort_keys=True, default_flow_style=False) == text
