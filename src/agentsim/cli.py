@@ -4,9 +4,9 @@ comparison, and bundled-profile management.
 Subcommands: run, sweep, calibrate, compare, profiles. Configuration is a
 single YAML document with an explicit schema_version; a key nothing reads
 is refused. A sweep resolves its config once and replaces one record per
-cell. Every run, calibration probes too, passes one audit gate, and every
-profile reference one naming rule (``_load_ref``): a ``.yaml`` name is a
-file, any other a bundled profile. Exit codes: 0 success,
+cell. Every run, calibration probes too, goes through one runner
+(``execute``), and every profile reference one naming rule (``_load_ref``):
+a ``.yaml`` name is a file, any other a bundled profile. Exit codes: 0 success,
 2 configuration error, 3 model/calibration infeasibility, 4 internal
 invariant violation.
 """
@@ -49,13 +49,7 @@ from .errors import (
     InfeasibleModelError,
     InternalConsistencyError,
 )
-from .metrics import (
-    METRIC_COLUMNS,
-    REPORT_COLUMNS,
-    MetricsReport,
-    compare,
-    summarize,
-)
+from .metrics import METRIC_COLUMNS, REPORT_COLUMNS, compare, summarize
 from .profiles import (
     _as,
     _check_schema,
@@ -96,7 +90,7 @@ class ExperimentConfig(NamedTuple):
     policy: Policy
     resources: ResourcePool
     models: ContentionModels
-    out_dir: Path
+    out_dir: Path = Path(DEFAULT_OUT)
 
 
 def config_fingerprint(config: ExperimentConfig) -> str:
@@ -182,42 +176,31 @@ def load_config_file(path: str, out: str | None = None, seed: int | None = None)
     return parse_config(read_yaml(path, "config"), Path(path).parent, out, seed)
 
 
-def _audited_run(tasks, policy: Policy, resources: ResourcePool, models: ContentionModels,
-                 seed: int) -> tuple[Trace, Sweep]:
-    """The trace of one run and the audit's sweep over it, with the usage
-    totals the report reads; a failed audit is an InternalConsistencyError."""
-    trace = simulate(tasks, policy, resources, models, seed=seed)
-    audit = replay_check(trace, models)
+def execute(config: ExperimentConfig) -> tuple[Trace, Sweep, dict]:
+    """The one runner: the trace of one run, the audit's sweep over it (the
+    usage totals) and its report row, the mapping ``report.yaml`` holds and
+    ``sweep`` writes. A failed audit is an InternalConsistencyError, a row
+    cell out of a float's range an InfeasibleModelError."""
+    tasks = build_workload(config.workload)
+    trace = simulate(tasks, config.policy, config.resources, config.models,
+                     seed=config.workload.seed)
+    audit = replay_check(trace, config.models)
     if not audit.ok:
         raise InternalConsistencyError(f"replay audit failed: {audit.detail}")
-    return trace, audit.occupancy
-
-
-def execute(config: ExperimentConfig) -> tuple[Trace, MetricsReport]:
-    tasks = build_workload(config.workload)
-    trace, occupancy = _audited_run(tasks, config.policy, config.resources, config.models,
-                                    config.workload.seed)
     labels = class_labels(tasks, config.policy.theta)
-    report = summarize(trace, config.models.energy, config.models.gpu, labels, occupancy)
+    report = summarize(trace, config.models.energy, config.models.gpu, labels, audit.occupancy)
+    row = report.as_row()
     # the per-class p90 and mean, not in the row, are finite when the row is
-    for column, value in report.as_row().items():
+    for column, value in row.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise InfeasibleModelError(
                 f"report column {column} is {value!r}: the models drive it out of a float's range")
-    return trace, report
-
-
-def report_to_dict(report: MetricsReport, config_fp: str) -> dict:
-    doc = {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "tool_version": __version__,
-        "config_fp": config_fp,
-        **report.as_row(),
-    }
+    doc = {"schema_version": CONFIG_SCHEMA_VERSION, "tool_version": __version__,
+           "config_fp": config_fingerprint(config), **row}
     for cls, sub in sorted(report.per_class.items()):
         doc[f"{cls}_p90_s"] = sub.p90
         doc[f"{cls}_mean_s"] = sub.mean
-    return doc
+    return trace, audit.occupancy, doc
 
 
 def _csv_cell(value) -> str:
@@ -246,15 +229,16 @@ def _write_rows(rows: list[dict], out_dir: Path, stem: str, fmt: str, columns: l
 
 def cmd_run(args) -> int:
     config = load_config_file(args.config, args.out, args.seed)
-    trace, report = execute(config)
+    # not the audit's sweep: its work per record would outlive the run while
+    # the trace text is built
+    trace, row = execute(config)[::2]
     config.out_dir.mkdir(parents=True, exist_ok=True)
     (config.out_dir / "trace.txt").write_text(serialize_trace(trace))
-    doc = report_to_dict(report, config_fingerprint(config))
-    (config.out_dir / "report.yaml").write_text(dump_yaml(doc))
-    written = _write_rows([doc], config.out_dir, "report", args.format, _ROW_COLUMNS)
-    print(f"# run {doc['config_fp']} policy={report.policy} B={report.batch_size}")
+    (config.out_dir / "report.yaml").write_text(dump_yaml(row))
+    written = _write_rows([row], config.out_dir, "report", args.format, _ROW_COLUMNS)
+    print(f"# run {row['config_fp']} policy={row['policy']} B={row['batch_size']}")
     for key in METRIC_COLUMNS:
-        print(f"{key} {doc[key]!r}")
+        print(f"{key} {row[key]!r}")
     print(f"wrote {config.out_dir}/trace.txt {config.out_dir}/report.yaml {written}")
     return EXIT_OK
 
@@ -297,20 +281,17 @@ def cmd_sweep(args) -> int:
             # run, so it leaves no partial file
             cell(values[0])
         out_dir.mkdir(parents=True, exist_ok=True)
-        rows, columns = [], [axis, *_ROW_COLUMNS]
+        # the axis first, and each column once: a row already holds batch_size
+        rows, columns = [], list(dict.fromkeys([axis, *_ROW_COLUMNS]))
         for value in values:
             try:
-                cell_config = cell(value)
-                _, report = execute(cell_config)
+                rows.append({**execute(cell(value))[2], axis: value})
             except AgentsimError as exc:
                 partial = out_dir / "sweep_partial.csv"
                 partial.write_text(report_csv(rows, columns))
                 # the cell's own class, so the sweep exits as its run would
                 error = ConfigurationError if isinstance(exc, ConfigurationError) else type(exc)
                 raise error(f"sweep aborted at {axis}={value}: {exc}; partial results in {partial}")
-            row = report_to_dict(report, config_fingerprint(cell_config))
-            row[axis] = value
-            rows.append(row)
 
     written = _write_rows(rows, out_dir, "sweep", args.format, columns)
     print(f"wrote {written} ({len(rows)} rows)")
@@ -353,13 +334,15 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels, base_d
     gpu = base.gpu.replace(b_half=b_half_energy)
     sources = {"b_half": f"exact fit to busy-time ratio {busy_ratio!r} between batch "
                          f"{b_small} and batch {b_large} energy runs"}
-    probe_models = ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=base.energy)
-    resources = ResourcePool(logical_cores=cores)
-    probes = []  # the audit's sweep of each endpoint run: its usage totals
-    for b in (b_small, b_large):
-        tasks = build_workload(WorkloadSpec(b, ((pipeline, 1.0),), jitter_cv=0.0, seed=0))
-        probes.append(_audited_run(tasks, Policy("multiprocessing"), resources, probe_models, 0)[1])
-    small, large = probes
+    # the probes are read for their usage totals alone, so their models keep
+    # the zero energy constants: the base's could drive an unread energy
+    # column out of a float's range
+    probe_models = ContentionModels(name=name, cpu=cpu, gpu=gpu)
+    small, large = (  # the audit's sweep of each endpoint run
+        execute(ExperimentConfig(WorkloadSpec(b, ((pipeline, 1.0),), jitter_cv=0.0, seed=0),
+                                 Policy("multiprocessing"), ResourcePool(logical_cores=cores),
+                                 probe_models))[1]
+        for b in (b_small, b_large))
     cpu_w, cpu_pkg_w = fit_cpu_watts(float(cpu_j_small), float(cpu_j_large), small.busy_core_s,
                                      large.busy_core_s, small.pkg_active_s, large.pkg_active_s)
     gpu_w = fit_dynamic_watts(float(gpu_j_small), float(gpu_j_large), small.gpu_active_s,

@@ -209,20 +209,25 @@ class TestSweep:
     ], ids=["batch_size", "b_cap", "theta"])
     def test_each_sweep_row_is_the_run_of_its_cell(self, tmp_path, axis, values, workload,
                                                    policy):
-        # a row is the axis value, then the cells of the run's report row,
-        # config_fp included, though the sweep resolves the config once
+        # a row, keyed by the header, is the run's report row, config_fp
+        # included though the sweep resolves the config once, plus the axis
+        # value; the axis column comes first and each column appears once
         doc = {**BASE_CONFIG, "workload": {**workload, "batch_size": 8, "jitter_cv": 0.05},
                "policy": policy, "out": str(tmp_path / "sweep_out")}
         cfg = write_config(tmp_path, {**doc, "sweep": {"axis": axis, "values": values}})
         assert main(["sweep", "--config", str(cfg)]) == 0
-        _, *rows = (tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()
+        header, *rows = (tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()
+        header = header.split(",")
+        assert header[0] == axis and len(set(header)) == len(header)
         for value, row in zip(values, rows, strict=True):
             cell = copy.deepcopy(doc)
             cell["workload" if axis == "batch_size" else "policy"][axis] = value
             run_cfg = write_config(tmp_path, cell, "cell.yaml")
             assert main(["run", "--config", str(run_cfg), "--out", str(tmp_path / "r")]) == 0
-            run_row = (tmp_path / "r" / "report.csv").read_text().splitlines()[1]
-            assert row == f"{value},{run_row}"
+            run_header, run_row = (tmp_path / "r" / "report.csv").read_text().splitlines()
+            assert dict(zip(header, row.split(","), strict=True)) == {
+                **dict(zip(run_header.split(","), run_row.split(","), strict=True)),
+                axis: str(value)}
 
     def test_a_sweep_loads_each_profile_once(self, tmp_path, monkeypatch):
         # looked up by name through the cli module, as the benchmark's tracer
@@ -552,6 +557,20 @@ class TestCalibrate:
                          "--base", base, "--name", "fit", "--out", out]) == 0
         for name in ("fit.yaml", "fit_energy.yaml"):
             assert (tmp_path / "path" / name).read_text() == (tmp_path / "named" / name).read_text()
+
+    def test_the_base_energy_constants_do_not_reach_the_probes(self, tmp_path, monkeypatch):
+        # the energy fit replaces all three constants and its endpoint probes
+        # read usage totals alone, so a base whose energy constants drive the
+        # energy columns out of a float's range fits what the bundled base fits
+        monkeypatch.chdir(tmp_path)
+        hot = copy.deepcopy(HOST)
+        hot["energy"] = dict.fromkeys(hot["energy"], 1e308)
+        (tmp_path / "hot.yaml").write_text(yaml.safe_dump(hot))
+        for base, out in (("emerald_rapids_b200", "named"), ("hot.yaml", "hot")):
+            assert main(["calibrate", "--observations", "langchain_batch_sweep",
+                         "--base", base, "--out", out]) == 0
+        name = "langchain_batch_sweep_fit_energy.yaml"
+        assert (tmp_path / "hot" / name).read_bytes() == (tmp_path / "named" / name).read_bytes()
 
     def test_energy_watts_reproduce_endpoints_on_replay(self, tmp_path):
         # fitted CPU and GPU watts must replay the measured endpoints within 10%

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import agentsim as a
 from agentsim.errors import ConfigurationError, InternalConsistencyError
@@ -9,6 +11,8 @@ from conftest import make_pipeline
 CPU = make_pipeline("cpu_heavy", [("cpu_tool", 2.0, 1.0), ("gpu_inference", 0.5, 0.05)])
 LLM = make_pipeline("llm_heavy", [("cpu_tool", 0.001, 1.0), ("gpu_inference", 2.0, 0.05)])
 GPU_FIRST = make_pipeline("gpu_first", [("gpu_inference", 1.0, 0.05), ("cpu_tool", 1.0, 1.0)])
+
+BUNDLED = [a.load_profile(name) for name in a.list_profiles("pipeline")]
 
 
 def tasks_of(pipeline, n, start_id=0):
@@ -192,12 +196,39 @@ class TestPolicyValidation:
         assert a.Policy("multiprocessing").canonical() == "multiprocessing"
 
 
+@st.composite
+def capped_runs(draw):
+    """A workload of at most 64 tasks on a mix of bundled pipelines, a core
+    count, a theta, a thread-pool core count and a micro-batch cap of at
+    least the batch size."""
+    pipes = draw(st.lists(st.sampled_from(BUNDLED), min_size=1, max_size=3,
+                          unique_by=lambda p: p.name))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(pipes), max_size=len(pipes)))
+    batch_size = draw(st.integers(1, 64))
+    tasks = a.build_workload(a.WorkloadSpec(
+        batch_size=batch_size, mix=tuple((p, w / sum(weights)) for p, w in zip(pipes, weights)),
+        jitter_cv=draw(st.sampled_from((0.0, 0.05, 0.3))), seed=draw(st.integers(0, 999)),
+    ))
+    return (tasks, a.ResourcePool(logical_cores=draw(st.sampled_from((1, 4, 16, 96, 128)))),
+            draw(st.sampled_from((0.2, 0.5, 0.8))), draw(st.sampled_from((1, 8, 32))),
+            draw(st.integers(batch_size, 2 * batch_size)))
+
+
 class TestPolicyEquivalences:
-    def test_cgam_with_large_cap_equals_multiprocessing(self, models, resources):
-        tasks = tasks_of(CPU, 6)
-        t1 = a.simulate(tasks, a.Policy("cgam", b_cap=64), resources, models)
-        t2 = a.simulate(tasks, a.Policy("multiprocessing"), resources, models)
-        assert (t1.records, t1.makespan) == (t2.records, t2.makespan)
+    @given(capped_runs())
+    def test_cgam_with_large_cap_equals_multiprocessing(self, models, run):
+        # a cap of at least B makes one micro-batch, released at t=0, so a
+        # capped policy gives its uncapped one's records
+        tasks, resources, theta, pool_cores, b_cap = run
+        for capped, uncapped in (
+            (a.Policy("cgam", b_cap=b_cap, theta=theta), a.Policy("multiprocessing", theta=theta)),
+            (a.Policy("cgam_overlap", b_cap=b_cap, theta=theta),
+             a.Policy("multiprocessing", theta=theta)),
+            (a.Policy("maws_cgam", b_cap=b_cap, theta=theta, thread_pool_cores=pool_cores),
+             a.Policy("maws", theta=theta, thread_pool_cores=pool_cores)),
+        ):
+            t1, t2 = (a.simulate(tasks, policy, resources, models) for policy in (capped, uncapped))
+            assert (t1.records, t1.makespan) == (t2.records, t2.makespan)
 
     def test_maws_all_cpu_heavy_equals_multiprocessing(self, models, resources):
         tasks = tasks_of(CPU, 6)
