@@ -8,7 +8,10 @@ paths cut from its `wrote` lines. The set covers every bundled pipeline, all sev
 policies, mixes, the thread-pool paths, both bundled models profiles and
 batch sizes 1, 7, 64 and 256. Each report pair in COMPARES is also compared, and
 the digests of the command's stdout and of its `--out` CSV are checked the
-same way. Each sweep in SWEEPS (every axis, one in json-lines and one whose
+same way. Each run in JSON_LINES_RUNS, a CONFIGS entry run with `--format
+json-lines`, pins its stdout and every file it writes, and each command in
+PROFILE_COMMANDS (`profiles list`, and `profiles show` of every bundled
+profile) pins its stdout. Each sweep in SWEEPS (every axis, one in json-lines and one whose
 second cell is infeasible) pins its exit code, its stdout and the digest of
 every file it writes; each calibration in CALIBRATIONS pins every file it
 writes.
@@ -34,6 +37,7 @@ import pytest
 import yaml
 
 from agentsim.cli import main
+from agentsim.profiles import list_profiles
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 CURVE = Path(__file__).parent / "data" / "throughput_curve.yaml"
@@ -149,6 +153,15 @@ CALIBRATIONS = {
         "calibrate", "--observations", "langchain_batch_sweep", "--base", HOST],
 }
 
+# digest key -> the CONFIGS entry it runs with `--format json-lines`
+JSON_LINES_RUNS = {"mix_maws_b64_jsonl": "mix_maws_b64"}
+
+# digest key -> the argv of one `agentsim profiles` command
+PROFILE_COMMANDS = {
+    "profiles_list": ["profiles", "list"],
+    **{f"profiles_show_{name}": ["profiles", "show", name] for name in list_profiles()},
+}
+
 # digest key -> (baseline config, candidate config) of one `agentsim compare`
 COMPARES = {
     "compare_freshqa_multiprocessing_b64_cgam_b64": (
@@ -172,13 +185,13 @@ def _stdout_digest(text: str) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def run(name: str, work_dir: Path) -> tuple[Path, str]:
+def run(name: str, work_dir: Path, fmt: str = "csv") -> tuple[Path, str]:
     """The output directory and the stdout of one `agentsim run` on config
-    ``name``."""
+    ``name`` with `--format` ``fmt``."""
     config = work_dir / f"{name}.yaml"
     config.write_text(yaml.safe_dump(CONFIGS[name]))
-    out = work_dir / name
-    code, stdout = _main(["run", "--config", str(config), "--out", str(out)])
+    out = work_dir / f"{name}_{fmt}"
+    code, stdout = _main(["run", "--config", str(config), "--out", str(out), "--format", fmt])
     assert code == 0
     return out, stdout
 
@@ -194,6 +207,20 @@ def run_digests(name: str, work_dir: Path) -> dict[str, str]:
 def _file_digests(out: Path) -> dict[str, str]:
     """sha256 of every file a command wrote to ``out``."""
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def json_lines_digests(key: str, work_dir: Path) -> dict[str, str]:
+    """sha256 of the stdout and of each output file of `agentsim run
+    --format json-lines` on the config ``key`` names."""
+    out, stdout = run(JSON_LINES_RUNS[key], work_dir, "json-lines")
+    return {"stdout": _stdout_digest(stdout), **_file_digests(out)}
+
+
+def profile_digests(key: str, work_dir: Path) -> dict[str, str]:
+    """sha256 of the stdout of the `agentsim profiles` command ``key``."""
+    code, stdout = _main(PROFILE_COMMANDS[key])
+    assert code == 0
+    return {"stdout": _stdout_digest(stdout)}
 
 
 def sweep_digests(key: str, work_dir: Path) -> dict[str, str]:
@@ -228,13 +255,25 @@ def compare_digests(key: str, work_dir: Path) -> dict[str, str]:
 
 def test_config_set_is_the_checked_in_set():
     assert sorted(json.loads(DIGESTS.read_text())) == sorted(
-        [*CONFIGS, *COMPARES, *SWEEPS, *CALIBRATIONS])
+        [*CONFIGS, *JSON_LINES_RUNS, *PROFILE_COMMANDS, *COMPARES, *SWEEPS, *CALIBRATIONS])
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_run_outputs_match_golden_digests(name, tmp_path):
     want = json.loads(DIGESTS.read_text())[name]
     assert run_digests(name, tmp_path) == want
+
+
+@pytest.mark.parametrize("key", sorted(JSON_LINES_RUNS))
+def test_json_lines_run_outputs_match_golden_digests(key, tmp_path):
+    want = json.loads(DIGESTS.read_text())[key]
+    assert json_lines_digests(key, tmp_path) == want
+
+
+@pytest.mark.parametrize("key", sorted(PROFILE_COMMANDS))
+def test_profiles_stdout_matches_golden_digests(key, tmp_path):
+    want = json.loads(DIGESTS.read_text())[key]
+    assert profile_digests(key, tmp_path) == want
 
 
 @pytest.mark.parametrize("key", sorted(COMPARES))
@@ -275,10 +314,13 @@ def test_both_yaml_dumpers_write_the_report_bytes(name, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, open(DIGESTS, "w") as fh:
         digests = {name: run_digests(name, Path(tmp)) for name in sorted(CONFIGS)}
-        for table, digest in ((COMPARES, compare_digests), (SWEEPS, sweep_digests),
+        for table, digest in ((JSON_LINES_RUNS, json_lines_digests),
+                              (PROFILE_COMMANDS, profile_digests),
+                              (COMPARES, compare_digests), (SWEEPS, sweep_digests),
                               (CALIBRATIONS, calibrate_digests)):
             digests.update((key, digest(key, Path(tmp))) for key in sorted(table))
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {DIGESTS} ({len(CONFIGS)} run configs, {len(COMPARES)} compares, "
+    print(f"wrote {DIGESTS} ({len(CONFIGS)} run configs, {len(JSON_LINES_RUNS)} json-lines "
+          f"runs, {len(PROFILE_COMMANDS)} profiles commands, {len(COMPARES)} compares, "
           f"{len(SWEEPS)} sweeps, {len(CALIBRATIONS)} calibrations)", file=sys.stderr)
