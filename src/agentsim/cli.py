@@ -179,28 +179,24 @@ def load_config_file(path: str, out: str | None = None, seed: int | None = None)
 def execute(config: ExperimentConfig) -> tuple[Trace, Sweep, dict]:
     """The one runner: the trace of one run, the audit's sweep over it (the
     usage totals) and its report row, the mapping ``report.yaml`` holds and
-    ``sweep`` writes. A failed audit is an InternalConsistencyError, a row
-    cell out of a float's range an InfeasibleModelError."""
+    ``sweep`` writes: three header keys and ``MetricsReport.as_row()``. A
+    failed audit is an InternalConsistencyError, a row cell out of a float's
+    range an InfeasibleModelError."""
     tasks = build_workload(config.workload)
     trace = simulate(tasks, config.policy, config.resources, config.models,
                      seed=config.workload.seed)
     audit = replay_check(trace, config.models)
     if not audit.ok:
         raise InternalConsistencyError(f"replay audit failed: {audit.detail}")
-    labels = class_labels(tasks, config.policy.theta)
-    report = summarize(trace, config.models.energy, config.models.gpu, labels, audit.occupancy)
-    row = report.as_row()
-    # the per-class p90 and mean, not in the row, are finite when the row is
+    row = summarize(trace, config.models.energy, config.models.gpu,
+                    class_labels(tasks, config.policy.theta), audit.occupancy).as_row()
     for column, value in row.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise InfeasibleModelError(
                 f"report column {column} is {value!r}: the models drive it out of a float's range")
-    doc = {"schema_version": CONFIG_SCHEMA_VERSION, "tool_version": __version__,
-           "config_fp": config_fingerprint(config), **row}
-    for cls, sub in sorted(report.per_class.items()):
-        doc[f"{cls}_p90_s"] = sub.p90
-        doc[f"{cls}_mean_s"] = sub.mean
-    return trace, audit.occupancy, doc
+    return trace, audit.occupancy, {"schema_version": CONFIG_SCHEMA_VERSION,
+                                    "tool_version": __version__,
+                                    "config_fp": config_fingerprint(config), **row}
 
 
 def _csv_cell(value) -> str:
@@ -229,9 +225,7 @@ def _write_rows(rows: list[dict], out_dir: Path, stem: str, fmt: str, columns: l
 
 def cmd_run(args) -> int:
     config = load_config_file(args.config, args.out, args.seed)
-    # not the audit's sweep: its work per record would outlive the run while
-    # the trace text is built
-    trace, row = execute(config)[::2]
+    trace, _, row = execute(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     (config.out_dir / "trace.txt").write_text(serialize_trace(trace))
     (config.out_dir / "report.yaml").write_text(dump_yaml(row))

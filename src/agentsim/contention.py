@@ -202,7 +202,7 @@ def calibrate_cpu(
     Each observation is (load, cores, base_s, observed_s), all > 0. Only
     oversubscribed observations (load > cores) identify kappa; with a single
     one the fit is exact. All-undersubscribed data is rejected because kappa
-    is then unidentifiable.
+    is then unidentifiable, and a kappa out of a float's range is infeasible.
     """
     xs, ys = [], []
     cores_seen = None
@@ -222,6 +222,8 @@ def calibrate_cpu(
             "kappa is unidentifiable: no observation with load > cores"
         )
     kappa = sum(x * y for x, y in zip(xs, ys)) / sum(x * x for x in xs)
+    if not math.isfinite(kappa):
+        raise InfeasibleModelError(f"kappa fit {kappa!r} is out of a float's range")
     return CpuContentionParams(logical_cores=int(cores_seen), oversub_kappa=max(0.0, kappa))
 
 
@@ -262,13 +264,18 @@ def fit_dynamic_watts(
 ) -> float:
     """Fit one dynamic-power constant to two (energy, usage-integral)
     endpoints by log-space least squares, i.e. equal relative error on both
-    endpoints. With consistent endpoints the fit is exact."""
+    endpoints. With consistent endpoints the fit is exact; out of a float's
+    range, it is infeasible."""
     for v in (energy_small, energy_large, integral_small, integral_large):
         if v <= 0:
             raise InfeasibleModelError("energy endpoints and integrals must be > 0")
-    return math.sqrt(
-        (energy_small * energy_large) / (integral_small * integral_large)
-    )
+    product = integral_small * integral_large
+    if not 0 < product < math.inf:
+        raise InfeasibleModelError(f"integral product {product!r} is out of a float's range")
+    watts = math.sqrt((energy_small * energy_large) / product)
+    if not 0 < watts < math.inf:
+        raise InfeasibleModelError(f"dynamic watts fit {watts!r} is out of a float's range")
+    return watts
 
 
 def fit_cpu_watts(
@@ -284,7 +291,7 @@ def fit_cpu_watts(
 
     Returns (w_core, w_pkg). Proportional integrals leave the split
     unidentifiable, and a negative constant means no draw of this form can
-    produce the endpoints; both are infeasible.
+    produce the endpoints; both are infeasible, as is a fit out of a float's range.
     """
     for v in (energy_small, energy_large, busy_small, busy_large,
               active_small, active_large):
@@ -298,6 +305,9 @@ def fit_cpu_watts(
         )
     w_core = (energy_small * active_large - energy_large * active_small) / det
     w_pkg = (busy_small * energy_large - busy_large * energy_small) / det
+    if not all(map(math.isfinite, (det, w_core, w_pkg))):
+        raise InfeasibleModelError(f"CPU watts fit gives w_core={w_core!r} W, w_pkg={w_pkg!r} "
+                                   f"W over determinant {det!r}: out of a float's range")
     if w_core < 0 or w_pkg < 0:
         # nonnegative watts put the energy ratio between the two integral ratios
         bounds = sorted((active_large / active_small, busy_large / busy_small))

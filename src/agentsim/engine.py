@@ -616,8 +616,8 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
 
 
 class ReplayReport(NamedTuple):
-    """The audit's verdict, and the sweep it made: the trace's usage totals
-    and work done, without step series."""
+    """The audit's verdict, and the sweep it made: the trace's usage totals,
+    without work done or step series."""
 
     ok: bool
     detail: str = ""
@@ -640,4 +640,4 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
         i = min(bad, key=lambda i: records[i][:2])
         detail = (f"work mismatch at task {records[i].task_id} stage {records[i].stage_idx}: "
                   f"integrated {done[i]!r}, expected {records[i].work!r}")
-    return ReplayReport(not bad, detail, occupancy)
+    return ReplayReport(not bad, detail, occupancy._replace(work_done=None))

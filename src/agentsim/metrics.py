@@ -42,11 +42,14 @@ class MetricsReport(NamedTuple):
     per_class: dict[str, MetricsReport] = MappingProxyType({})  # read-only, so shareable
 
     def as_row(self) -> dict:
+        """The ``REPORT_COLUMNS``, and the p90 and mean of each class the run has."""
         row = {column: getattr(self, name) for column, name in _ROW_FIELDS.items()}
         for cls in TaskClass:
             sub = self.per_class.get(cls.value)
             for column, name in _CLASS_FIELDS.items():
                 row[f"{cls.value}_{column}"] = getattr(sub, name) if sub else ""
+            if sub:
+                row.update({f"{cls.value}_p90_s": sub.p90, f"{cls.value}_mean_s": sub.mean})
         return row
 
 

@@ -195,18 +195,9 @@ def pipeline_to_dict(pipeline: PipelineSpec) -> dict:
         "schema_version": PROFILE_SCHEMA_VERSION,
         "kind": "pipeline",
         "name": pipeline.name,
-        "stages": [
-            {
-                "label": s.label,
-                "kind": s.kind.value,
-                "base_latency": s.base_latency,
-                "cpu_share": s.cpu_share,
-                "kv_tokens": s.kv_tokens,
-                "host_blocking": s.host_blocking,
-                "sources": dict(s.sources),
-            }
-            for s in pipeline.stages
-        ],
+        # the label first; a key keeps its first position when reassigned
+        "stages": [{"label": s.label, **s.as_dict(), "kind": s.kind.value,
+                    "sources": dict(s.sources)} for s in pipeline.stages],
     }
 
 

@@ -572,6 +572,45 @@ class TestCalibrate:
         name = "langchain_batch_sweep_fit_energy.yaml"
         assert (tmp_path / "hot" / name).read_bytes() == (tmp_path / "named" / name).read_bytes()
 
+    @staticmethod
+    def _energyhost(first_gpu: bool, scale: float) -> dict:
+        """The energy host pipeline, its GPU stage first if ``first_gpu``,
+        with that stage's or else every stage's base_latency times ``scale``."""
+        doc = yaml.safe_load((PROFILES / "langchain_freshqa_energyhost.yaml").read_text())
+        if first_gpu:
+            doc["stages"] = doc["stages"][-1:] + doc["stages"][:-1]
+            doc["stages"][0]["base_latency"] *= scale
+        else:
+            for stage in doc["stages"]:
+                stage["base_latency"] *= scale
+        return doc
+
+    @pytest.mark.parametrize("case", ["cpu_determinant", "gpu_watts", "gpu_integrals", "kappa"])
+    def test_a_fit_out_of_a_floats_range_exits_3_writing_nothing(self, case, tmp_path, capsys):
+        # a CPU determinant of inf - inf, GPU watts past a float's range, a
+        # product of GPU-active integrals that underflows to 0, and a kappa
+        # that overflows: each fit is infeasible, not a config error or a crash
+        obs = {
+            "cpu_determinant": lambda: with_field(OBSERVATIONS, ("energy_endpoints", "pipeline"),
+                                                  self._energyhost(False, 1e300)),
+            "gpu_watts": lambda: with_field(with_field(
+                OBSERVATIONS, ("energy_endpoints", "gpu_j_small"), 1e200),
+                ("energy_endpoints", "gpu_j_large"), 1.5e201),
+            "gpu_integrals": lambda: with_field(OBSERVATIONS, ("energy_endpoints", "pipeline"),
+                                                self._energyhost(True, 1e-200)),
+            "kappa": lambda: {**{k: v for k, v in OBSERVATIONS.items()
+                                 if k not in ("gpu_latency_pair", "energy_endpoints")},
+                              "cpu_observations": [{"load": 128, "cores": 96, "base_s": 1e-300,
+                                                    "observed_s": 1e300}]},
+        }[case]()
+        path = tmp_path / "obs.yaml"
+        path.write_text(yaml.safe_dump(obs))
+        out = tmp_path / "out"
+        assert main(["calibrate", "--observations", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("model infeasible:") and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_energy_watts_reproduce_endpoints_on_replay(self, tmp_path):
         # fitted CPU and GPU watts must replay the measured endpoints within 10%
         assert main([

@@ -154,6 +154,13 @@ class TestCalibrateCpu:
         with pytest.raises(InfeasibleModelError):
             calibrate_cpu([(64, 96, 2.9, 2.9), (32, 96, 1.0, 1.0)])
 
+    # a kappa that overflows, and one that is inf / inf, which max(0, kappa)
+    # would turn into 0
+    @pytest.mark.parametrize("observation", [(128, 96, 1e-300, 1e300), (1e300, 1, 1e-300, 1e300)])
+    def test_kappa_out_of_a_floats_range_is_infeasible(self, observation):
+        with pytest.raises(InfeasibleModelError, match="out of a float's range"):
+            calibrate_cpu([observation])
+
     def test_round_trip_through_rate(self):
         fit = calibrate_cpu([(128, 96, 2.9, 6.3)])
         assert 2.9 / cpu_rate(128.0, fit) == pytest.approx(6.3, rel=1e-12)
@@ -213,6 +220,13 @@ class TestFitCpuWatts:
         with pytest.raises(InfeasibleModelError):
             fit_cpu_watts(10.0, 20.0, 1.0, 2.0, 3.0, 6.0)
 
+    # a determinant of inf - inf, and an infinite one, which would give 0 W
+    @pytest.mark.parametrize("integrals", [(3.804e300, 4.86912e302, 4e300, 4e300),
+                                           (1e200, 1.0, 1.0, 1e200)])
+    def test_determinant_out_of_a_floats_range_is_infeasible(self, integrals):
+        with pytest.raises(InfeasibleModelError, match="out of a float's range"):
+            fit_cpu_watts(22.0, 1807.0, *integrals)
+
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: cpu_rate(-1, params()), ConfigurationError, "active_cpu_load must be >= 0"),
@@ -224,8 +238,17 @@ class TestFitCpuWatts:
     (lambda: select_bcap({128: 1.5}, lam=1.0), ConfigurationError, "threshold must be > 1"),
     (lambda: fit_dynamic_watts(0, 1.0, 1.0, 1.0), InfeasibleModelError,
      "energy endpoints and integrals must be > 0"),
+    # integral products that underflow to 0 and overflow, an energy product that overflows
+    (lambda: fit_dynamic_watts(86.0, 2307.0, 1e-200, 1e-200), InfeasibleModelError,
+     "integral product 0.0 is out of a float's range"),
+    (lambda: fit_dynamic_watts(86.0, 2307.0, 1e200, 1e200), InfeasibleModelError,
+     "integral product inf is out of a float's range"),
+    (lambda: fit_dynamic_watts(1e200, 1.5e201, 2.0, 30.0), InfeasibleModelError,
+     "dynamic watts fit inf is out of a float's range"),
 ], ids=["cpu_rate_negative_load", "gpu_rate_empty_batch", "gpu_rate_negative_kv",
-        "thread_pool_rate_no_stage", "select_bcap_threshold_one", "fit_dynamic_watts_zero"])
+        "thread_pool_rate_no_stage", "select_bcap_threshold_one", "fit_dynamic_watts_zero",
+        "fit_dynamic_watts_integrals_underflow", "fit_dynamic_watts_integrals_overflow",
+        "fit_dynamic_watts_energies_overflow"])
 def test_argument_outside_the_domain_is_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -585,12 +585,18 @@ def test_the_sweeps_totals_are_the_fold_over_its_series(trace):
 @given(tasks=workloads(), policy=policies(), m=models())
 def test_the_audits_totals_are_the_fold_over_the_series(tasks, policy, m):
     """On a simulated run the audit's report carries the sweep's totals, the
-    fold over the series ``sweep(trace)`` lists bit for bit, and no series."""
+    fold over the series ``sweep(trace)`` lists bit for bit and those of
+    ``sweep(trace, m)``, and no series and no work done: only the sweep with
+    models lists the work."""
     trace = a.simulate(tasks, policy, a.ResourcePool(logical_cores=m.cpu.logical_cores), m)
     report = a.replay_check(trace, m)
     assert report.ok
     assert bits(TOTALS(report.occupancy)) == bits(folded_totals(trace, sweep(trace)))
     assert [getattr(report.occupancy, name) for name in SERIES] == [None] * 4
+    assert report.occupancy.work_done is None
+    audited = sweep(trace, m)
+    assert bits(TOTALS(report.occupancy)) == bits(TOTALS(audited))
+    assert len(audited.work_done) == len(trace.records)
 
 
 def refuses(trace: Trace) -> bool:

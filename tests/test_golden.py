@@ -36,8 +36,11 @@ from pathlib import Path
 import pytest
 import yaml
 
-from agentsim.cli import main
+from agentsim import __version__ as agentsim_version
+from agentsim.cli import execute, main, parse_config
+from agentsim.metrics import summarize
 from agentsim.profiles import list_profiles
+from agentsim.workload import build_workload, class_labels
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 CURVE = Path(__file__).parent / "data" / "throughput_curve.yaml"
@@ -298,6 +301,18 @@ def test_the_curve_data_is_the_batch_size_sweeps_curve(tmp_path):
     sweep_digests("sweep_batch_size_freshqa_multiprocessing", tmp_path)
     written = tmp_path / "sweep_batch_size_freshqa_multiprocessing" / "throughput_curve.yaml"
     assert yaml.safe_load(written.read_text()) == yaml.safe_load(CURVE.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_the_report_row_is_as_row_and_three_header_keys(name):
+    # the row a run writes has one owner: every key but the header's is the
+    # report's own row, per-class keys included
+    config = parse_config(CONFIGS[name], Path())
+    trace, _, row = execute(config)
+    assert [row.pop(key) for key in ("schema_version", "tool_version")] == [1, agentsim_version]
+    assert row.pop("config_fp")
+    labels = class_labels(build_workload(config.workload), config.policy.theta)
+    assert row == summarize(trace, config.models.energy, config.models.gpu, labels).as_row()
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
