@@ -136,6 +136,8 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
         )
     wdoc = _field(doc, "", "workload", dict, keys=("profile", "mix", "batch_size", "jitter_cv"))
     batch_size = _field(wdoc, "workload", "batch_size", int)
+    if ("profile" in wdoc) == ("mix" in wdoc):
+        raise ConfigurationError("workload needs exactly one of 'profile' and 'mix'")
     if "mix" in wdoc:
         refs = []
         for i, entry in enumerate(_field(wdoc, "workload", "mix", list)):
@@ -143,10 +145,8 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
             entry = _as(entry, dict, where, ("pipeline", "proportion"))
             refs.append((_field(entry, where, "pipeline", (str, dict)),
                          _field(entry, where, "proportion", float)))
-    elif "profile" in wdoc:
-        refs = [(_field(wdoc, "workload", "profile", (str, dict)), 1.0)]
     else:
-        raise ConfigurationError("workload needs 'profile' or 'mix'")
+        refs = [(_field(wdoc, "workload", "profile", (str, dict)), 1.0)]
     mix = tuple((_load_ref(ref, base_dir, "pipeline"), share) for ref, share in refs)
     workload = WorkloadSpec(
         batch_size=batch_size, mix=mix,
@@ -259,33 +259,32 @@ def cmd_sweep(args) -> int:
                           path.parent, args.out, args.seed)
 
     def cell(value) -> ExperimentConfig:
-        if axis == "batch_size":
-            return config._replace(workload=config.workload.replace(batch_size=value))
-        return config._replace(policy=config.policy.replace(**{POLICY_FIELDS[axis][0]: value}))
+        try:
+            if axis == "batch_size":
+                return config._replace(workload=config.workload.replace(batch_size=value))
+            return config._replace(policy=config.policy.replace(**{POLICY_FIELDS[axis][0]: value}))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"sweep aborted at {axis}={value}: {exc}")
 
     out_dir = config.out_dir
     if axis == "lambda":  # no run: a row is the b_cap the curve's gain ratios select
         ratios = gain_ratios(load_curve_file(path.parent / _field(sdoc, "sweep", "curve", str)))
         rows = [{"lambda": lam, "b_cap": select_bcap(ratios, lam)} for lam in values]
-        columns = ["lambda", "b_cap"]
-        out_dir.mkdir(parents=True, exist_ok=True)
+        columns, cells = ["lambda", "b_cap"], []
     else:
-        if axis in POLICY_FIELDS:
-            # an axis the policy does not read is refused before the first
-            # run, so it leaves no partial file
-            cell(values[0])
-        out_dir.mkdir(parents=True, exist_ok=True)
+        # every cell is resolved before the first run: a refused value runs and writes nothing
+        cells = [cell(value) for value in values]
         # the axis first, and each column once: a row already holds batch_size
         rows, columns = [], list(dict.fromkeys([axis, *_ROW_COLUMNS]))
-        for value in values:
-            try:
-                rows.append({**execute(cell(value))[2], axis: value})
-            except AgentsimError as exc:
-                partial = out_dir / "sweep_partial.csv"
-                partial.write_text(report_csv(rows, columns))
-                # the cell's own class, so the sweep exits as its run would
-                error = ConfigurationError if isinstance(exc, ConfigurationError) else type(exc)
-                raise error(f"sweep aborted at {axis}={value}: {exc}; partial results in {partial}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for value, cell_config in zip(values, cells):
+        try:
+            rows.append({**execute(cell_config)[2], axis: value})
+        except AgentsimError as exc:
+            partial = out_dir / "sweep_partial.csv"
+            partial.write_text(report_csv(rows, columns))
+            # the cell's own class, so the sweep exits as its run would
+            raise type(exc)(f"sweep aborted at {axis}={value}: {exc}; partial results in {partial}")
 
     written = _write_rows(rows, out_dir, "sweep", args.format, columns)
     print(f"wrote {written} ({len(rows)} rows)")
@@ -361,14 +360,11 @@ def cmd_calibrate(args) -> int:
     doc = _load_ref(args.observations, Path(), "observations")
     name = args.name or f"{_field(doc, 'observations', 'name', str)}_fit"
     base = _load_ref(args.base, Path(), "models") if args.base else ContentionModels(name=name)
-    written: list[Path] = []
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     sources: dict[str, str] = {}
     cpu = base.cpu
     gpu = base.gpu
-    if doc.get("cpu_observations"):
+    if "cpu_observations" in doc:
         obs = []
         kinds = {"load": float, "cores": int, "base_s": float, "observed_s": float}
         for i, o in enumerate(_field(doc, "observations", "cpu_observations", list)):
@@ -380,7 +376,7 @@ def cmd_calibrate(args) -> int:
         sources["oversub_kappa"] = (
             f"least-squares fit over {len(obs)} oversubscription observation(s)"
         )
-    if doc.get("gpu_latency_pair"):
+    if "gpu_latency_pair" in doc:
         where = "observations.gpu_latency_pair"
         kinds = {"batch_a": int, "latency_a": float, "batch_b": int, "latency_b": float}
         pair = _field(doc, "observations", "gpu_latency_pair", dict, keys=(*kinds, "source"))
@@ -392,27 +388,24 @@ def cmd_calibrate(args) -> int:
             f"{latency_b} s @ {batch_b}; per-request work {work!r} s"
         )
 
-    if not sources and not doc.get("energy_endpoints"):
-        raise InfeasibleModelError(
-            "observations contain no cpu_observations, gpu_latency_pair, or "
-            "energy_endpoints section to fit"
-        )
-
-    # both fits complete before either file is written
+    # every fit completes before a file is written
     fits = []
     if sources:  # a latency fit
         fits.append((ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=base.energy), sources))
-    if doc.get("energy_endpoints"):
+    if "energy_endpoints" in doc:
         e = _field(doc, "observations", "energy_endpoints", dict, keys=(
             "batch_small", "batch_large", "cpu_j_small", "cpu_j_large", "gpu_j_small",
             "gpu_j_large", "pipeline", "cores", "source"))
         fits.append(_calibrate_energy_profile(e, f"{name}_energy", base,
                                               Path(args.observations).parent))
+    if not fits:
+        raise InfeasibleModelError("observations contain no cpu_observations, gpu_latency_pair, "
+                                   "or energy_endpoints section to fit")
 
-    for models, model_sources in fits:
-        out = out_dir / f"{models.name}.yaml"
-        out.write_text(dump_yaml(models_to_dict(models, model_sources), sort_keys=False))
-        written.append(out)
+    written = [Path(args.out or ".") / f"{models.name}.yaml" for models, _ in fits]
+    for path, (models, model_sources) in zip(written, fits):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(dump_yaml(models_to_dict(models, model_sources), sort_keys=False))
         for key, text in sorted(model_sources.items()):
             print(f"{key}: {text}")
     for path in written:
@@ -423,19 +416,16 @@ def cmd_calibrate(args) -> int:
 def cmd_compare(args) -> int:
     baseline, candidate = (read_yaml(path, "report") for path in (args.baseline, args.candidate))
     speedup = compare(baseline, candidate)
-    lines = [
-        f"# agentsim {__version__} workload {speedup.workload_fp}",
-        "metric,baseline_over_candidate",
-    ]
     print(f"# compare workload {speedup.workload_fp}: "
           f"{baseline['policy']} (baseline) vs {candidate['policy']}")
     for metric, ratio in speedup.ratios.items():
         print(f"{metric:24s} {ratio:.4f}x")
-        lines.append(f"{metric},{ratio!r}")
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("\n".join(lines) + "\n")
+        columns = ["metric", "baseline_over_candidate"]
+        out.write_text(f"# agentsim {__version__} workload {speedup.workload_fp}\n" + report_csv(
+            [dict(zip(columns, item)) for item in speedup.ratios.items()], columns))
         print(f"wrote {out}")
     return EXIT_OK
 

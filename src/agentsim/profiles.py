@@ -42,10 +42,24 @@ def _with_exponent_floats(base: type) -> type:
     return cls
 
 
+def _construct_mapping(loader, node, deep=False):
+    """The safe loader's mapping, refusing a key it holds twice (``32`` and
+    ``32.0`` are one key, and so is one a merge brings in): PyYAML keeps the
+    last value, so nothing would read the first."""
+    mapping = yaml.constructor.SafeConstructor.construct_mapping(loader, node, deep)
+    if len(mapping) < len(node.value):
+        keys = [loader.construct_object(key_node) for key_node, _ in node.value]
+        i = next(i for i, key in enumerate(keys) if key in keys[:i])
+        raise yaml.constructor.ConstructorError(
+            None, None, f"found key {keys[i]!r} twice in one mapping", node.value[i][0].start_mark)
+    return mapping
+
+
 try:
     _LOADER, _DUMPER = map(_with_exponent_floats, (yaml.CSafeLoader, yaml.CSafeDumper))
 except AttributeError:  # PyYAML built without libyaml
     _LOADER, _DUMPER = map(_with_exponent_floats, (yaml.SafeLoader, yaml.SafeDumper))
+_LOADER.construct_mapping = _construct_mapping
 
 
 def read_yaml(path: str | Path, what: str) -> dict:

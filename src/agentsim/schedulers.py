@@ -168,24 +168,19 @@ class Dispatcher:
             raise ConfigurationError(f"task id {twice} is used by more than one task")
         ids = list(self._state)
 
-        name = policy.name
-        threads: list[int] = []  # ids run on the thread pool
+        # what each policy reads (POLICY_PARAMS) decides how it dispatches
+        reads = policy.reads()
+        batched, threads = ids, []  # the ids a cap batches; the ids run on the thread pool
         self.pool_size: int | None = None
-        gated: list[int] | None = None  # ids held for micro-batch release, FCFS
-        b_cap = policy.b_cap
-
-        if name == "multithreading" or (
-                name in ("cgam", "cgam_overlap") and policy.exec_mode == THREAD):
-            threads = ids
-            self.pool_size = policy.pool_size
-        if name in ("cgam", "cgam_overlap"):
-            gated = ids
-        elif name in ("maws", "maws_cgam"):
-            process_set, threads = maws_partition(tasks, policy.theta)
+        if "thread_pool_cores" in reads:  # the MAWS split
+            batched, threads = maws_partition(tasks, policy.theta)
             self.pool_size = policy.thread_pool_cores if threads else None
-            if name == "maws_cgam":
-                gated = process_set
-        elif name == "sequential":
+        elif "pool_size" in reads:
+            threads, self.pool_size = ids, policy.pool_size
+        # the ids held for micro-batch release, FCFS
+        gated: list[int] | None = batched if "b_cap" in reads else None
+        b_cap = policy.b_cap
+        if policy.name == "sequential":
             # one task at a time: micro-batches of one, each released when
             # the one before it finished
             gated, b_cap = sorted(ids), 1
@@ -200,7 +195,7 @@ class Dispatcher:
             self._prefix_left.append(sum(self._state[tid].prefix for tid in batch))
         self._tasks_left = [len(b) for b in self._batches]
         self._next = 0  # batches released so far
-        self._overlap = name == "cgam_overlap"
+        self._overlap = policy.name == "cgam_overlap"
 
     # -- introspection used by the engine ---------------------------------
 

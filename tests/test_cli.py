@@ -254,11 +254,11 @@ class TestSweep:
         assert not (tmp_path / "sweep_out" / "sweep_partial.csv").exists()
 
     def test_bcap_sweep_requires_microbatch_policy(self, tmp_path, capsys):
-        # refused before the first run: no partial file is written
+        # refused before the first run: no output directory is created
         cfg = self.sweep_doc(tmp_path, "b_cap", [2, 4])
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "policy.b_cap" in capsys.readouterr().err
-        assert not (tmp_path / "sweep_out" / "sweep_partial.csv").exists()
+        assert not (tmp_path / "sweep_out").exists()
 
     def test_theta_sweep_on_a_non_maws_policy_splits_the_report(self, tmp_path):
         # under multiprocessing theta moves only the per-class split
@@ -272,15 +272,22 @@ class TestSweep:
         assert columns[0]["cpu_heavy_p50_s"] and not columns[1]["cpu_heavy_p50_s"]
         assert columns[0]["config_fp"] != columns[1]["config_fp"]
 
-    def test_failed_member_run_leaves_partial_results(self, tmp_path, capsys):
-        cfg = self.sweep_doc(tmp_path, "b_cap", [2, 0],
-                             policy={"name": "cgam", "b_cap": 2})
+    @pytest.mark.parametrize("axis, values, refused", [
+        ("b_cap", [0, 2, 4], 0), ("b_cap", [2, 0, 4], 0), ("b_cap", [2, 4, 0], 0),
+        ("batch_size", [2, 4, 0], 0), ("theta", [0.3, 1.0], 1.0)])
+    def test_a_refused_value_at_any_position_runs_nothing(self, tmp_path, capsys, monkeypatch,
+                                                          axis, values, refused):
+        # every value is resolved before the first run: a refused one exits
+        # 2 naming the axis and the value, and creates no output directory
+        from agentsim import cli
+
+        monkeypatch.setattr(cli, "execute", lambda config: pytest.fail("a cell ran"))
+        cfg = self.sweep_doc(tmp_path, axis, values, policy={"name": "cgam", "b_cap": 2})
         assert main(["sweep", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "partial results" in err
-        partial = tmp_path / "sweep_out" / "sweep_partial.csv"
-        assert partial.exists()
-        assert len(partial.read_text().splitlines()) == 2  # header + b_cap=2 row
+        assert err.startswith(f"configuration error: sweep aborted at {axis}={refused}: ")
+        assert "partial" not in err and "Traceback" not in err
+        assert not (tmp_path / "sweep_out").exists()
 
     def test_failed_member_run_keeps_its_exit_code(self, tmp_path, capsys):
         # an infeasible cell exits 3 under sweep, as under run
@@ -528,7 +535,7 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "'cpu_j_large'" in err and "energy_endpoints" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_energy_pipeline_is_resolved_beside_the_observations(self, tmp_path, monkeypatch):
         # a .yaml pipeline is a file in the observations' directory, not the
@@ -609,7 +616,7 @@ class TestCalibrate:
         assert main(["calibrate", "--observations", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("model infeasible:") and "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_energy_watts_reproduce_endpoints_on_replay(self, tmp_path):
         # fitted CPU and GPU watts must replay the measured endpoints within 10%
@@ -860,8 +867,11 @@ class TestIllTypedInputs:
         (("gpu_latency_pair", "latency_b"), float("nan"), "observations.gpu_latency_pair.latency_b"),
         (("energy_endpoints", "gpu_j_small"), 0.0, "must be > 0"),
         (("energy_endpoints", "batch_small"), 0, "must be > 0"),
+        # a section that is present is read whatever its value, not skipped
+        (("gpu_latency_pair",), 0, "observations.gpu_latency_pair must be dict"),
+        (("energy_endpoints",), None, "observations.energy_endpoints must be dict"),
     ], ids=["cores_string", "zero_cores", "zero_batch_a", "nan_latency", "zero_gpu_energy",
-            "zero_batch_small"])
+            "zero_batch_small", "gpu_pair_zero", "energy_endpoints_null"])
     def test_calibrate_exits_2_naming_the_field(self, tmp_path, capsys, path, value, field):
         obs = tmp_path / "obs.yaml"
         obs.write_text(yaml.safe_dump(with_field(OBSERVATIONS, path, value)))
@@ -993,6 +1003,25 @@ class TestRefusals:
                          "points": {32: "fast", 64: 2.0}}},
          ["sweep", "--config", "s.yaml", "--out", "out"], 2,
          "throughput_curve.points.32 must be finite float, got 'fast'"),
+        # YAML keeps a key's last value, so 32.0 would replace 32's throughput
+        ({"s.yaml": {**BASE_CONFIG, "sweep": {**LAMBDA_SWEEP, "curve": "curve.yaml"}},
+          "curve.yaml": b"schema_version: 1\nkind: throughput_curve\n"
+                        b"points: {16: 1.0, 32: 2.0, 32.0: 5.0, 64: 5.5}\n"},
+         ["sweep", "--config", "s.yaml", "--out", "out"], 2,
+         "found key 32.0 twice in one mapping\n  in \"<unicode string>\", line 3, column 28"),
+        ({"c.yaml": yaml.safe_dump(BASE_CONFIG).encode() + b"seed: 1\n"},
+         ["run", "--config", "c.yaml", "--out", "out"], 2, "found key 'seed' twice"),
+        ({"c.yaml": yaml.safe_dump({k: v for k, v in BASE_CONFIG.items() if k != "resources"})
+          .encode() + b"resources: {<<: {logical_cores: 8}, logical_cores: 4}\n"},
+         ["run", "--config", "c.yaml", "--out", "out"], 2, "found key 'logical_cores' twice"),
+        ({"c.yaml": {**BASE_CONFIG, "workload": {
+            **BASE_CONFIG["workload"],
+            "mix": [{"pipeline": "langchain_freshqa", "proportion": 1.0}]}}},
+         ["run", "--config", "c.yaml", "--out", "out"], 2,
+         "workload needs exactly one of 'profile' and 'mix'"),
+        ({"c.yaml": {**BASE_CONFIG, "workload": {"batch_size": 8}}},
+         ["run", "--config", "c.yaml", "--out", "out"], 2,
+         "workload needs exactly one of 'profile' and 'mix'"),
         ({"obs.yaml": {"schema_version": 1, "kind": "observations", "name": "none"}},
          ["calibrate", "--observations", "obs.yaml", "--out", "out"], 3,
          "observations contain no cpu_observations, gpu_latency_pair, or energy_endpoints"),
@@ -1011,7 +1040,8 @@ class TestRefusals:
          "cannot read config file"),
     ], ids=["sweep_axis", "empty_sweep_values", "curve_kind", "curve_schema_version",
             "lambda_config_invalid", "lambda_config_without_run_config", "curve_without_points",
-            "curve_point_not_a_number",
+            "curve_point_not_a_number", "curve_batch_size_twice", "config_key_twice",
+            "merged_key_overridden", "workload_profile_and_mix", "workload_neither_profile_nor_mix",
             "calibrate_nothing_to_fit", "show_without_name", "observations_path_not_yaml",
             "missing_models_file", "config_list", "models_as_a_pipeline", "config_not_utf8"])
     def test_exits_with_its_code_and_message(self, tmp_path, capsys, files, argv, code,

@@ -412,22 +412,7 @@ def task_ids(n):
 
 
 @st.composite
-def gated_policies(draw):
-    """A policy that holds tasks at a micro-batch gate, under either exec
-    mode where it has one."""
-    name = draw(st.sampled_from(("sequential", "cgam", "cgam_overlap", "maws_cgam")))
-    kwargs = {}
-    if name != "sequential":
-        kwargs["b_cap"] = draw(st.integers(1, 8))
-    if name in ("cgam", "cgam_overlap") and draw(st.booleans()):
-        kwargs.update(exec_mode="thread", pool_size=draw(st.integers(1, 8)))
-    if name == "maws_cgam":
-        kwargs["theta"] = draw(st.sampled_from((0.2, 0.5, 0.8)))
-    return a.Policy(name, **kwargs)
-
-
-@st.composite
-def gated_tasks(draw):
+def dispatched_tasks(draw):
     """Up to 24 tasks of up to three pipelines of one to four stages, so a
     pipeline's CPU prefix may be empty (a GPU stage first), every stage (no
     GPU stage) or in between."""
@@ -442,13 +427,18 @@ def gated_tasks(draw):
     return tasks
 
 
-@given(tasks=gated_tasks(), policy=gated_policies(), data=st.data())
+@given(tasks=dispatched_tasks(), policy=policies(), data=st.data())
 def test_dispatcher_releases_what_the_rescanning_one_does(tasks, policy, data):
-    """Call by call, the dispatcher releases the ids the reference one does,
-    which rescans every gated task on each completion. The completions come
-    in a random order that keeps each task's pipeline order and completes
-    only stages that were started."""
+    """Under every policy, the dispatcher, which derives its dispatch from
+    what the policy reads, runs each task in the mode and on the pool width
+    the reference one does, which dispatches by policy name, and call by
+    call releases the ids the reference one does, which rescans every gated
+    task on each completion. The completions come in a random order that
+    keeps each task's pipeline order and completes only stages that were
+    started."""
     new, old = Dispatcher(policy, tasks), ref.Dispatcher(policy, tasks)
+    assert new.pool_size == old.pool_size
+    assert [new.mode_of(t.id) for t in tasks] == [old.mode_of(t.id) for t in tasks]
     started = new.initial_starts()
     assert started == old.initial_starts()
     n_stages = {t.id: len(t.stage_work) for t in tasks}

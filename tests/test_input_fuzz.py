@@ -5,7 +5,9 @@ models documents inlined, a sweep config on the batch_size or the lambda
 axis, or the bundled calibration observations), changes one field at a
 random path and runs the CLI on it in process. Whatever the change, the
 exit is 0, 2 or 3, no exception escapes, stderr holds no traceback, and a
-command that exits 0 writes no NaN or infinity into a report or profile.
+command that exits 0 writes no NaN or infinity into a report or profile. A
+refused input (exit 2) creates no output directory, and an infeasible one
+(exit 3) leaves at most a sweep's ``sweep_partial.csv`` there.
 """
 
 from __future__ import annotations
@@ -158,10 +160,15 @@ def test_one_mutated_field_keeps_the_exit_code_contract(case):
         code, stderr = _main(command, doc, Path(tmp))
         assert code in (0, 2, 3), stderr
         assert "Traceback" not in stderr
+        out = Path(tmp) / "out"
         if code == 0:
-            for written in (Path(tmp) / "out").rglob("*"):
+            for written in out.rglob("*"):
                 if written.is_file() and written.name != "trace.txt":
                     assert not NON_FINITE.search(written.read_text()), written.name
+        elif code == 2:
+            assert not out.exists(), stderr
+        else:  # only a sweep's run can have failed after the first was written
+            assert {p.name for p in out.glob("*")} <= {"sweep_partial.csv"}, stderr
 
 
 def _keys(node, where, prefix=()):

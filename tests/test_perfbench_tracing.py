@@ -7,12 +7,15 @@ metrics silently at zero; this test runs one small cell under the tracer and
 checks that every layer was seen. It then hands the cell to the benchmark's
 own analysis (``perfbench/run.py``'s ``analyse_traced_cell``), so dropping a
 name the benchmark reads off the program's objects fails here, not in a
-benchmark run.
+benchmark run. The set-up probe, which calls ``cli.load_config_file`` and
+``cli.build_workload`` by name, runs here as the benchmark runs it.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +26,13 @@ import agentsim.engine
 import agentsim.schedulers
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
+CELL = {
+    "schema_version": 1,
+    "workload": {"profile": "langchain_freshqa", "batch_size": 4},
+    "policy": {"name": "multiprocessing"},
+    "models": "emerald_rapids_b200",
+    "seed": 0,
+}
 
 
 def _load(path: Path, name: str):
@@ -35,13 +45,7 @@ def _load(path: Path, name: str):
 def test_every_traced_layer_records_a_span(tmp_path, monkeypatch):
     tracing = _load(PERFBENCH / "tracing.py", "perfbench_tracing")
     config = tmp_path / "cell.yaml"
-    config.write_text(yaml.safe_dump({
-        "schema_version": 1,
-        "workload": {"profile": "langchain_freshqa", "batch_size": 4},
-        "policy": {"name": "multiprocessing"},
-        "models": "emerald_rapids_b200",
-        "seed": 0,
-    }))
+    config.write_text(yaml.safe_dump(CELL))
     with tracing.Tracer(agentsim.cli, agentsim.engine) as tracer:
         with tracer.cell("cell"):
             argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
@@ -58,3 +62,15 @@ def test_every_traced_layer_records_a_span(tmp_path, monkeypatch):
     figures, issues = bench.analyse_traced_cell(modules, tracer, "cell")
     assert issues == []
     assert figures["engine.occupancy_steps"] > 0
+
+
+def test_the_set_up_probe_times_a_config(tmp_path):
+    """Every benchmark cell runs ``setup_probe.py CONFIG`` in a fresh
+    interpreter; if a name it calls on ``cli`` went, each probe would fail
+    and every run read ``correct: false``. Config mode imports no numpy."""
+    config = tmp_path / "cell.yaml"
+    config.write_text(yaml.safe_dump(CELL))
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "setup_probe.py"), str(config)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert list(json.loads(proc.stdout.splitlines()[-1])) == ["setup_s"]
