@@ -126,8 +126,8 @@ def _load_ref(ref: str | dict, base_dir: Path, kind: str):
     return bundled(ref)
 
 
-def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
-                 seed_override: int | None = None) -> ExperimentConfig:
+def parse_config(doc: dict, base_dir: Path, out_override: str | None = None) -> ExperimentConfig:
+    """The resolved config ``doc``; ``out_override`` replaces its ``out`` once read."""
     # a sweep config also holds ``sweep``, which its reader takes out
     version = _known(doc, "", _CONFIG_KEYS).get("schema_version")
     if version != CONFIG_SCHEMA_VERSION:
@@ -149,17 +149,14 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
         refs = [(_field(wdoc, "workload", "profile", (str, dict)), 1.0)]
     mix = tuple((_load_ref(ref, base_dir, "pipeline"), share) for ref, share in refs)
     workload = WorkloadSpec(
-        batch_size=batch_size, mix=mix,
-        # a config must set its seed explicitly unless the command line does
-        seed=seed_override if seed_override is not None else _field(doc, "", "seed", int),
+        batch_size=batch_size, mix=mix, seed=_field(doc, "", "seed", int),
         **{key: _field(wdoc, "workload", key, float) for key in ("jitter_cv",) if key in wdoc},
     )
 
     pdoc = _field(doc, "", "policy", dict, keys=("name", *POLICY_FIELDS))
-    policy = Policy(name=_field(pdoc, "policy", "name", str), **{
-        arg: _field(pdoc, "policy", key, kind)
-        for key, (arg, kind) in POLICY_FIELDS.items() if key in pdoc
-    })
+    policy = Policy(_field(pdoc, "policy", "name", str), **{
+        key: _field(pdoc, "policy", key, kind)
+        for key, kind in POLICY_FIELDS.items() if key in pdoc})
 
     models = _load_ref(_field(doc, "", "models", (str, dict)), base_dir, "models")
 
@@ -168,12 +165,12 @@ def parse_config(doc: dict, base_dir: Path, out_override: str | None = None,
     resources = ResourcePool(logical_cores=_field(
         rdoc, "resources", "logical_cores", int, models.cpu.logical_cores))
 
-    return ExperimentConfig(workload, policy, resources, models,
-                            Path(out_override or _field(doc, "", "out", str, DEFAULT_OUT)))
+    out = _field(doc, "", "out", str, DEFAULT_OUT)
+    return ExperimentConfig(workload, policy, resources, models, Path(out_override or out))
 
 
-def load_config_file(path: str, out: str | None = None, seed: int | None = None) -> ExperimentConfig:
-    return parse_config(read_yaml(path, "config"), Path(path).parent, out, seed)
+def load_config_file(path: str, out: str | None = None) -> ExperimentConfig:
+    return parse_config(read_yaml(path, "config"), Path(path).parent, out)
 
 
 def execute(config: ExperimentConfig) -> tuple[Trace, Sweep, dict]:
@@ -224,7 +221,7 @@ def _write_rows(rows: list[dict], out_dir: Path, stem: str, fmt: str, columns: l
 
 
 def cmd_run(args) -> int:
-    config = load_config_file(args.config, args.out, args.seed)
+    config = load_config_file(args.config, args.out)
     trace, _, row = execute(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     (config.out_dir / "trace.txt").write_text(serialize_trace(trace))
@@ -256,13 +253,13 @@ def cmd_sweep(args) -> int:
     # the run config is resolved once, on every axis; each cell replaces one
     # record of it, which validates the value as a new record would
     config = parse_config({key: value for key, value in doc.items() if key != "sweep"},
-                          path.parent, args.out, args.seed)
+                          path.parent, args.out)
 
     def cell(value) -> ExperimentConfig:
         try:
             if axis == "batch_size":
                 return config._replace(workload=config.workload.replace(batch_size=value))
-            return config._replace(policy=config.policy.replace(**{POLICY_FIELDS[axis][0]: value}))
+            return config._replace(policy=config.policy.replace(**{axis: value}))
         except ConfigurationError as exc:
             raise ConfigurationError(f"sweep aborted at {axis}={value}: {exc}")
 
@@ -358,7 +355,7 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels, base_d
 
 def cmd_calibrate(args) -> int:
     doc = _load_ref(args.observations, Path(), "observations")
-    name = args.name or f"{_field(doc, 'observations', 'name', str)}_fit"
+    name = args.name or f"{doc['name']}_fit"
     base = _load_ref(args.base, Path(), "models") if args.base else ContentionModels(name=name)
 
     sources: dict[str, str] = {}
@@ -467,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_config = sub.add_parser(command, help=text)
         p_config.add_argument("--config", required=True)
         p_config.add_argument("--out", default=None, help="output directory")
-        p_config.add_argument("--seed", type=int, default=None)
         p_config.add_argument("--format", choices=("csv", "json-lines"), default="csv")
         p_config.set_defaults(func=func)
 

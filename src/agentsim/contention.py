@@ -151,14 +151,14 @@ def gpu_rate(resident_batch: int, params: GpuSaturationParams, kv_in_use: int = 
 def thread_pool_rate(n_active: int, pool_size: int, params: CpuContentionParams) -> float:
     """Per-stage rate for CPU work multiplexed over a shared thread pool.
 
-    ``n_active`` stages share min(pool_size, logical_cores) workers and pay
+    ``n_active`` stages share ``pool_size`` workers, a width taken as given
+    (``engine.simulate`` clamps it to the core count once per run), and pay
     an interpreter-lock serialization penalty that grows with the number of
     live threads: rate = min(1, pool/n) / (1 + f * (n - 1)).
     """
     if n_active < 1:
         raise ConfigurationError("n_active must be >= 1")
-    pool_eff = min(pool_size, params.logical_cores)
-    share = min(1.0, pool_eff / n_active)
+    share = min(1.0, pool_size / n_active)
     return share / (1.0 + params.gil_serial_fraction * (n_active - 1))
 
 
@@ -199,19 +199,21 @@ def calibrate_cpu(
 ) -> CpuContentionParams:
     """Least-squares fit of the oversubscription penalty coefficient.
 
-    Each observation is (load, cores, base_s, observed_s), all > 0. Only
-    oversubscribed observations (load > cores) identify kappa; with a single
-    one the fit is exact. All-undersubscribed data is rejected because kappa
-    is then unidentifiable, and a kappa out of a float's range is infeasible.
+    Each observation is (load, cores, base_s, observed_s), all > 0, and a
+    fit describes one host, so all name one core count. Only oversubscribed
+    observations (load > cores) identify kappa; with a single one the fit is
+    exact. All-undersubscribed data is rejected because kappa is then
+    unidentifiable, and a kappa out of a float's range is infeasible.
     """
+    hosts = sorted({cores for _, cores, _, _ in observations})
+    if len(hosts) > 1:
+        raise ConfigurationError(f"CPU observations name core counts {hosts}, not one host")
     xs, ys = [], []
-    cores_seen = None
     for load, cores, base_s, observed_s in observations:
         if min(load, cores, base_s, observed_s) <= 0:
             raise ConfigurationError("load, cores, base_s and observed_s must be > 0")
         if load <= cores:
             continue
-        cores_seen = cores
         x = load / cores - 1.0
         fair_share_latency = base_s * (load / cores)
         y = observed_s / fair_share_latency - 1.0
@@ -224,7 +226,7 @@ def calibrate_cpu(
     kappa = sum(x * y for x, y in zip(xs, ys)) / sum(x * x for x in xs)
     if not math.isfinite(kappa):
         raise InfeasibleModelError(f"kappa fit {kappa!r} is out of a float's range")
-    return CpuContentionParams(logical_cores=int(cores_seen), oversub_kappa=max(0.0, kappa))
+    return CpuContentionParams(logical_cores=int(hosts[0]), oversub_kappa=max(0.0, kappa))
 
 
 def solve_b_half(batch_a: int, a: float, batch_b: int, b: float,

@@ -253,7 +253,8 @@ def load_models(name: str) -> ContentionModels:
 
 
 def observations_from_dict(doc: dict) -> dict:
-    """A copy of an ``observations`` document, the caller's to mutate."""
+    """A copy of an ``observations`` document with a str ``name``, the caller's to mutate."""
     _check_schema(doc, "observations", ("schema_version", "kind", "name", "cpu_observations",
                                         "gpu_latency_pair", "energy_endpoints"))
+    _field(doc, "observations", "name", str)
     return copy.deepcopy(doc)

@@ -19,12 +19,9 @@ from .workload import TaskClass, TaskInstance, class_labels
 PROCESS = "process"
 THREAD = "thread"
 
-# config key of each policy parameter -> (Policy field, type), in the order
-# Policy.canonical names them
-POLICY_FIELDS = {
-    "b_cap": ("b_cap", int), "pool_size": ("pool_size", int), "theta": ("theta", float),
-    "thread_pool_cores": ("thread_pool_cores", int), "exec": ("exec_mode", str),
-}
+# each policy parameter, a Policy field named by its config key -> its type, in canonical order
+POLICY_FIELDS = {"b_cap": int, "pool_size": int, "theta": float, "thread_pool_cores": int,
+                 "exec": str}
 
 # The parameters each policy reads. Every policy reads theta, the CPU-heavy
 # threshold that also splits the per-class report; a micro-batching policy
@@ -45,25 +42,25 @@ POLICY_NAMES = tuple(POLICY_PARAMS)
 class Policy(Frozen):
     """Scheduler variant plus its parameters.
 
-    ``exec_mode`` selects the parallelization used inside CGAM micro-batches
+    ``exec`` selects the parallelization used inside CGAM micro-batches
     so a thread-parallel workload keeps thread semantics when capped (the
     retrieval-bound case); it defaults to process semantics. A parameter the
     policy does not read (``POLICY_PARAMS``) must keep its default.
     """
 
-    __slots__ = ("name", "b_cap", "pool_size", "theta", "thread_pool_cores", "exec_mode")
+    __slots__ = ("name", *POLICY_FIELDS)
 
     def __init__(self, name: str, b_cap: int | None = None, pool_size: int | None = None,
-                 theta: float = 0.5, thread_pool_cores: int = 8, exec_mode: str = PROCESS):
-        self._init(name, b_cap, pool_size, theta, thread_pool_cores, exec_mode)
+                 theta: float = 0.5, thread_pool_cores: int = 8, exec: str = PROCESS):
+        self._init(name, b_cap, pool_size, theta, thread_pool_cores, exec)
         if name not in POLICY_PARAMS:
             raise ConfigurationError(
                 f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
             )
         reads = self.reads()
-        for key, (field, kind) in POLICY_FIELDS.items():
-            value = getattr(self, field)
-            if key not in reads and value != _DEFAULTS[field]:
+        for key, kind in POLICY_FIELDS.items():
+            value = getattr(self, key)
+            if key not in reads and value != _DEFAULTS[key]:
                 raise ConfigurationError(
                     f"policy.{key} is not read by policy {name!r}, which reads "
                     f"{', '.join(reads)}")
@@ -72,13 +69,13 @@ class Policy(Frozen):
                     f"policy {name!r} requires {key} >= 1 and within a float's range, as an int")
         if not (is_real(theta) and 0.0 < theta < 1.0):
             raise ConfigurationError("theta must be in (0, 1)")
-        if exec_mode not in (PROCESS, THREAD):
-            raise ConfigurationError("exec_mode must be 'process' or 'thread'")
+        if exec not in (PROCESS, THREAD):
+            raise ConfigurationError("exec must be 'process' or 'thread'")
 
     def reads(self) -> tuple[str, ...]:
         """The config keys of the parameters this policy reads."""
         keys = POLICY_PARAMS[self.name]
-        if "exec" in keys and self.exec_mode != THREAD:
+        if "exec" in keys and self.exec != THREAD:
             keys = tuple(key for key in keys if key != "pool_size")
         return keys
 
@@ -90,9 +87,9 @@ class Policy(Frozen):
         reads = self.reads()
         split = ("theta", "thread_pool_cores") if "thread_pool_cores" in reads else ()
         parts = [self.name]
-        for key, (name, _) in POLICY_FIELDS.items():
-            value = getattr(self, name)
-            if key in reads and (value != _DEFAULTS[name] or key in split):
+        for key in POLICY_FIELDS:
+            value = getattr(self, key)
+            if key in reads and (value != _DEFAULTS[key] or key in split):
                 parts.append(f"{key}={value}")
         return " ".join(parts)
 

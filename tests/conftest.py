@@ -28,10 +28,9 @@ POLICY_READS = {
     "maws": {"theta", "thread_pool_cores"},
     "maws_cgam": {"b_cap", "theta", "thread_pool_cores"},
 }
-# config key -> (Policy field, type) of each policy parameter
-POLICY_KEYS = {"b_cap": ("b_cap", int), "pool_size": ("pool_size", int),
-               "theta": ("theta", float), "thread_pool_cores": ("thread_pool_cores", int),
-               "exec": ("exec_mode", str)}
+# config key, which is also the Policy field, -> type of each policy parameter
+POLICY_KEYS = {"b_cap": int, "pool_size": int, "theta": float, "thread_pool_cores": int,
+               "exec": str}
 
 
 @pytest.fixture(scope="session")

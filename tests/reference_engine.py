@@ -90,7 +90,7 @@ class Dispatcher:
             self._modes = {tid: THREAD for tid in ids}
             self._pool = policy.pool_size
         elif name in ("cgam", "cgam_overlap"):
-            if policy.exec_mode == THREAD:
+            if policy.exec == THREAD:
                 self._modes = {tid: THREAD for tid in ids}
                 self._pool = policy.pool_size
             self._batches = plan_microbatches(ids, policy.b_cap)

@@ -63,7 +63,7 @@ class TestAcceptance:
         _, hy_base = run_uniform(a.load_profile("haystack_nq"), 128,
                                  a.Policy("multithreading", pool_size=96), models)
         _, hy_cgam = run_uniform(a.load_profile("haystack_nq"), 128,
-                                 a.Policy("cgam", b_cap=64, exec_mode="thread",
+                                 a.Policy("cgam", b_cap=64, exec="thread",
                                           pool_size=96), models)
         _, swe_base = run_uniform(a.load_profile("swe_agent_apps"), 128,
                                   a.Policy("multiprocessing"), models)

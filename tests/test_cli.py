@@ -17,7 +17,7 @@ from agentsim import profiles
 from agentsim.profiles import _bundled_doc
 from agentsim.schedulers import POLICY_FIELDS, POLICY_PARAMS
 
-from conftest import POLICY_KEYS, POLICY_READS
+from conftest import POLICY_READS
 
 SWE_GUARDRAIL = [
     {"pipeline": "swe_agent_apps", "proportion": 0.5},
@@ -436,7 +436,7 @@ class TestPolicyParameters:
         if name.startswith("cgam") and key in ("exec", "pool_size"):
             pdoc.update(exec="thread", pool_size=4)
         config = parse_config({**BASE_CONFIG, "policy": pdoc}, tmp_path)
-        assert getattr(config.policy, POLICY_KEYS[key][0]) == OFF_DEFAULT[key]
+        assert getattr(config.policy, key) == OFF_DEFAULT[key]
 
     def test_theta_off_its_default_changes_the_config_fingerprint(self, tmp_path):
         # theta splits the per-class report under every policy, so two
@@ -1038,12 +1038,32 @@ class TestRefusals:
          "expected a 'pipeline' document, got 'models'"),
         ({"c.yaml": b"seed: \xff\n"}, ["run", "--config", "c.yaml", "--out", "out"], 2,
          "cannot read config file"),
+        # a flag replaces a field only once the field is read
+        ({"c.yaml": {**BASE_CONFIG, "out": [1, 2]}}, ["run", "--config", "c.yaml", "--out", "out"],
+         2, "out must be str, got [1, 2]"),
+        ({"obs.yaml": {**OBSERVATIONS, "name": 5}},
+         ["calibrate", "--observations", "obs.yaml", "--name", "fit", "--out", "out"], 2,
+         "observations.name must be str, got 5"),
+        ({"obs.yaml": {k: v for k, v in OBSERVATIONS.items() if k != "name"}},
+         ["calibrate", "--observations", "obs.yaml", "--name", "fit", "--out", "out"], 2,
+         "missing field 'name' in observations"),
+        ({"c.yaml": {**BASE_CONFIG, "policy": {"name": "cgam", "b_cap": 4, "exec": "fork"}}},
+         ["run", "--config", "c.yaml", "--out", "out"], 2,
+         "configuration error: exec must be 'process' or 'thread'"),
+        # one kappa cannot describe a 96-core and a 32-core host
+        ({"obs.yaml": {**OBSERVATIONS, "cpu_observations": [
+            {"load": 128, "cores": 96, "base_s": 2.9, "observed_s": 6.3},
+            {"load": 64, "cores": 32, "base_s": 2.9, "observed_s": 7.0}]}},
+         ["calibrate", "--observations", "obs.yaml", "--out", "out"], 2,
+         "CPU observations name core counts [32, 96], not one host"),
     ], ids=["sweep_axis", "empty_sweep_values", "curve_kind", "curve_schema_version",
             "lambda_config_invalid", "lambda_config_without_run_config", "curve_without_points",
             "curve_point_not_a_number", "curve_batch_size_twice", "config_key_twice",
             "merged_key_overridden", "workload_profile_and_mix", "workload_neither_profile_nor_mix",
             "calibrate_nothing_to_fit", "show_without_name", "observations_path_not_yaml",
-            "missing_models_file", "config_list", "models_as_a_pipeline", "config_not_utf8"])
+            "missing_models_file", "config_list", "models_as_a_pipeline", "config_not_utf8",
+            "out_not_a_str_under_out_flag", "observations_name_not_a_str_under_name_flag",
+            "observations_without_name_under_name_flag", "exec_fork", "cpu_observations_two_hosts"])
     def test_exits_with_its_code_and_message(self, tmp_path, capsys, files, argv, code,
                                              message):
         for name, content in files.items():
@@ -1058,6 +1078,17 @@ class TestRefusals:
         assert message in err and "Traceback" not in err
         # a configuration error is found before any file is written
         assert code != 2 or not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_seed_is_no_flag(self, tmp_path, capsys, command):
+        # a run's seed is its config's, which is always read
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: agentsim ") and "unrecognized arguments: --seed 1" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAudit:

@@ -165,6 +165,20 @@ class TestCalibrateCpu:
         fit = calibrate_cpu([(128, 96, 2.9, 6.3)])
         assert 2.9 / cpu_rate(128.0, fit) == pytest.approx(6.3, rel=1e-12)
 
+    def test_observations_of_two_hosts_are_refused(self):
+        # one kappa fitted over both would be written as the 32-core host's
+        with pytest.raises(ConfigurationError, match=r"core counts \[32, 96\], not one host"):
+            calibrate_cpu([(128, 96, 2.9, 6.3), (64, 32, 2.9, 7.0)])
+
+
+class TestThreadPoolRate:
+    @pytest.mark.parametrize("n", [1, 100, 200, 400])
+    def test_the_pool_width_is_taken_as_given(self, n):
+        # simulate clamps the width to the core count once per run; a width
+        # above the 96 cores here is used as it is
+        cpu = CpuContentionParams(logical_cores=96, gil_serial_fraction=0.02)
+        assert thread_pool_rate(n, 200, cpu) == min(1.0, 200 / n) / (1.0 + 0.02 * (n - 1))
+
 
 class TestCalibrateGpu:
     def test_reference_pair(self):

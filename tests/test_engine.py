@@ -97,7 +97,7 @@ class TestSimulateBasics:
         (a.Policy("sequential"), None),
         (a.Policy("multithreading", pool_size=6), 4),
         (a.Policy("multiprocessing"), None),
-        (a.Policy("cgam", b_cap=2, pool_size=3, exec_mode="thread"), 3),
+        (a.Policy("cgam", b_cap=2, pool_size=3, exec="thread"), 3),
         (a.Policy("cgam_overlap", b_cap=2), None),
         # the maws split gives a thread pool only to LLM-heavy tasks
         (a.Policy("maws"), None),

@@ -93,7 +93,7 @@ def policies(draw):
     if name == "multithreading":
         kwargs["pool_size"] = draw(st.integers(1, 8))
     if name in ("cgam", "cgam_overlap") and draw(st.booleans()):
-        kwargs.update(exec_mode="thread", pool_size=draw(st.integers(1, 8)))
+        kwargs.update(exec="thread", pool_size=draw(st.integers(1, 8)))
     if name in ("maws", "maws_cgam"):
         kwargs["theta"] = draw(st.sampled_from((0.2, 0.5, 0.8)))
         kwargs["thread_pool_cores"] = draw(st.integers(1, 8))

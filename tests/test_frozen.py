@@ -104,7 +104,7 @@ CASES = [
         ("pool_size", 4, "policy.pool_size is not read by policy 'cgam', which reads "
                          "b_cap, theta, exec"),
         ("theta", 1.0, "theta must be in (0, 1)"),
-        ("exec_mode", "fork", "exec_mode must be 'process' or 'thread'"),
+        ("exec", "fork", "exec must be 'process' or 'thread'"),
     ]),
 ]
 REFUSALS = [(cls, args, field, value, message)

@@ -38,7 +38,7 @@ def _bundled(name: str) -> dict:
     return yaml.safe_load((PROFILES / f"{name}.yaml").read_text())
 
 
-def _run_config(pipelines, batch_size, policy, models, seed, cores=None, jitter=0.05):
+def _run_config(pipelines, batch_size, policy, models, seed, cores=None, jitter=0.05, out=None):
     """A golden-style run config with every profile it names inlined."""
     if isinstance(pipelines, str):
         workload = {"profile": _bundled(pipelines)}
@@ -54,6 +54,8 @@ def _run_config(pipelines, batch_size, policy, models, seed, cores=None, jitter=
     }
     if cores is not None:
         doc["resources"] = {"logical_cores": cores}
+    if out is not None:  # read and checked, then replaced by --out
+        doc["out"] = out
     return doc
 
 
@@ -65,7 +67,7 @@ INPUTS = {
     "mix_maws_cgam_b8": ("run", _run_config(
         [("swe_agent_apps", 0.5), ("langchain_guardrail", 0.5)], 8,
         {"name": "maws_cgam", "b_cap": 4, "theta": 0.4, "thread_pool_cores": 4},
-        "emerald_rapids_b200", seed=5, cores=32)),
+        "emerald_rapids_b200", seed=5, cores=32, out="runs/maws_cgam")),
     "energyhost_multithreading_b7": ("run", _run_config(
         "langchain_freshqa_energyhost", 7, {"name": "multithreading", "pool_size": 4},
         "threadripper_h200_energy", seed=1, jitter=0.0)),
@@ -117,15 +119,20 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _parent(doc, steps):
+    """The mapping or list in ``doc`` that holds the item at ``steps``, and its key."""
+    *parents, key = steps
+    for step in parents:
+        doc = doc[step]
+    return doc, key
+
+
 @st.composite
 def mutated_inputs(draw):
     name = draw(st.sampled_from(sorted(INPUTS)))
     command, doc = INPUTS[name]
     doc = copy.deepcopy(doc)
-    *parents, key = draw(st.sampled_from(list(_paths(doc))))
-    parent = doc
-    for step in parents:
-        parent = parent[step]
+    parent, key = _parent(doc, draw(st.sampled_from(list(_paths(doc)))))
     value = parent[key]
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
     _, apply = draw(st.sampled_from(CHANGES + (NUMBER_CHANGES if numeric else [])))
@@ -138,11 +145,12 @@ def mutated_inputs(draw):
 
 def _main(command: str, doc: dict, tmp: Path) -> tuple[int, str]:
     """The exit code and stderr of ``command`` on ``doc``, written to a file
-    in ``tmp``; its outputs go to ``tmp / "out"``."""
+    in ``tmp``; its outputs go to ``tmp / "out"``, and a fit is named by
+    ``--name`` (the document's ``name`` is still read)."""
     path, out = tmp / "input.yaml", tmp / "out"
     path.write_text(yaml.safe_dump(doc))
     if command == "calibrate":
-        argv = ["calibrate", "--observations", str(path),
+        argv = ["calibrate", "--observations", str(path), "--name", "fit",
                 "--base", "emerald_rapids_b200", "--out", str(out)]
     else:
         argv = [command, "--config", str(path), "--out", str(out)]
@@ -195,10 +203,7 @@ def _keys(node, where, prefix=()):
 def _renamed(doc, steps, new):
     """A copy of ``doc`` whose key at ``steps`` is renamed ``new``."""
     doc = copy.deepcopy(doc)
-    *parents, key = steps
-    node = doc
-    for step in parents:
-        node = node[step]
+    node, key = _parent(doc, steps)
     node[new] = node.pop(key)
     return doc
 
@@ -220,3 +225,22 @@ def test_a_renamed_key_exits_2_naming_its_path(name, tmp_path):
             assert code == 2 and stderr.startswith(
                 f"configuration error: unknown field {new!r} in {where}; expected one of "), (
                 steps, stderr)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_an_ill_typed_field_exits_2(name, tmp_path):
+    """Setting any field or list item of an input document to a mapping no
+    reader takes, ``{"a": 1}``, exits 2 and creates no output directory. That
+    holds for a field a flag replaces too: ``out`` under ``--out`` and the
+    observations' ``name`` under ``--name`` are read before they are
+    replaced. Provenance text (``sources``, ``source``) is read by no one."""
+    command, doc = INPUTS[name]
+    for steps in _paths(doc):
+        if {"sources", "source"} & set(steps):
+            continue
+        changed = copy.deepcopy(doc)
+        node, key = _parent(changed, steps)
+        node[key] = {"a": 1}
+        code, stderr = _main(command, changed, tmp_path)
+        assert code == 2, (steps, stderr)
+        assert not (tmp_path / "out").exists(), steps

@@ -8,7 +8,8 @@ checks that every layer was seen. It then hands the cell to the benchmark's
 own analysis (``perfbench/run.py``'s ``analyse_traced_cell``), so dropping a
 name the benchmark reads off the program's objects fails here, not in a
 benchmark run. The set-up probe, which calls ``cli.load_config_file`` and
-``cli.build_workload`` by name, runs here as the benchmark runs it.
+``cli.build_workload`` by name, runs here as the benchmark runs it, and so
+does the hand-run scaling mode on a tiny grid.
 """
 
 from __future__ import annotations
@@ -74,3 +75,19 @@ def test_the_set_up_probe_times_a_config(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert list(json.loads(proc.stdout.splitlines()[-1])) == ["setup_s"]
+
+
+def test_the_scaling_mode_runs(monkeypatch, capsys):
+    """``perfbench/scaling.py`` is run by hand, so only this test holds the
+    public calls it makes: ``ResourcePool(logical_cores=...)``,
+    ``Policy(name, b_cap=64)``, ``simulate(..., seed=...)`` and
+    ``replay_check(...).ok``."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # each module prepends a directory
+    # scaling.py imports run.py, and run.py tracing.py, by these names
+    monkeypatch.setitem(sys.modules, "tracing", _load(PERFBENCH / "tracing.py", "tracing"))
+    monkeypatch.setitem(sys.modules, "run", _load(PERFBENCH / "run.py", "run"))
+    scaling = _load(PERFBENCH / "scaling.py", "perfbench_scaling")
+    monkeypatch.setattr(scaling, "BATCHES", (8, 16))
+    monkeypatch.setattr(scaling, "REPEATS", 1)
+    assert scaling.main([]) == 0
+    assert "log-log slope" in capsys.readouterr().out

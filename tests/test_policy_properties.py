@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import agentsim as a
 from agentsim.errors import ConfigurationError
+from agentsim.schedulers import POLICY_FIELDS
 
 from conftest import POLICY_KEYS, POLICY_READS
 
@@ -28,7 +29,7 @@ VALUES = {
 def accepted_policies(draw):
     """A policy with each parameter it reads left out or drawn."""
     name = draw(st.sampled_from(sorted(POLICY_READS)))
-    kwargs = {POLICY_KEYS[key][0]: draw(VALUES[key])
+    kwargs = {key: draw(VALUES[key])
               for key in sorted(POLICY_READS[name]) if draw(st.booleans())}
     try:
         return a.Policy(name, **kwargs)
@@ -41,8 +42,7 @@ def from_canonical(text: str) -> a.Policy:
     kwargs = {}
     for pair in pairs:
         key, value = pair.split("=")
-        field, kind = POLICY_KEYS[key]
-        kwargs[field] = kind(value)
+        kwargs[key] = POLICY_KEYS[key](value)
     return a.Policy(name, **kwargs)
 
 
@@ -55,3 +55,9 @@ def test_canonical_names_theta_off_its_default():
     assert a.Policy("multiprocessing", theta=0.3).canonical() == "multiprocessing theta=0.3"
     assert a.Policy("multiprocessing").canonical() == "multiprocessing"
     assert a.Policy("maws").canonical() == "maws theta=0.5 thread_pool_cores=8"
+
+
+def test_each_parameter_has_one_name():
+    # a Policy field is named by its config key, and canonical() writes that key
+    assert POLICY_FIELDS == POLICY_KEYS
+    assert a.Policy.__slots__ == ("name", *POLICY_KEYS)
