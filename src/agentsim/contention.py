@@ -8,10 +8,11 @@ be evaluated concurrently and are trivially replayable.
 from __future__ import annotations
 
 import math
+from operator import mul
 from types import MappingProxyType
 
 from .errors import ConfigurationError, InfeasibleModelError
-from .frozen import Frozen, is_real, whole_problem
+from .frozen import Frozen, is_real, left_sum, whole_problem
 
 
 class CpuContentionParams(Frozen):
@@ -201,9 +202,10 @@ def calibrate_cpu(
 
     Each observation is (load, cores, base_s, observed_s), all > 0, and a
     fit describes one host, so all name one core count. Only oversubscribed
-    observations (load > cores) identify kappa; with a single one the fit is
-    exact. All-undersubscribed data is rejected because kappa is then
-    unidentifiable, and a kappa out of a float's range is infeasible.
+    observations (a load / cores above 1.0 as a float: ``load > cores`` may
+    round to 1.0) identify kappa; with a single one the fit is exact. Data
+    with none is rejected because kappa is then unidentifiable, and a kappa
+    out of a float's range is infeasible. Both sums fold left to right.
     """
     hosts = sorted({cores for _, cores, _, _ in observations})
     if len(hosts) > 1:
@@ -212,18 +214,19 @@ def calibrate_cpu(
     for load, cores, base_s, observed_s in observations:
         if min(load, cores, base_s, observed_s) <= 0:
             raise ConfigurationError("load, cores, base_s and observed_s must be > 0")
-        if load <= cores:
+        ratio = load / cores
+        if ratio <= 1.0:
             continue
-        x = load / cores - 1.0
-        fair_share_latency = base_s * (load / cores)
+        x = ratio - 1.0
+        fair_share_latency = base_s * ratio
         y = observed_s / fair_share_latency - 1.0
         xs.append(x)
         ys.append(y)
     if not xs:
         raise InfeasibleModelError(
-            "kappa is unidentifiable: no observation with load > cores"
+            "kappa is unidentifiable: no observation with load / cores above 1.0"
         )
-    kappa = sum(x * y for x, y in zip(xs, ys)) / sum(x * x for x in xs)
+    kappa = left_sum(map(mul, xs, ys)) / left_sum(map(mul, xs, xs))
     if not math.isfinite(kappa):
         raise InfeasibleModelError(f"kappa fit {kappa!r} is out of a float's range")
     return CpuContentionParams(logical_cores=int(hosts[0]), oversub_kappa=max(0.0, kappa))

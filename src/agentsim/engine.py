@@ -180,9 +180,13 @@ class Occupancy:
     ``key_of`` maps one to its (class, slot, KV tokens) and ``classes`` lists
     the run's classes in ascending order. It counts the running stages per
     class and per slot, one slot per (mode, share) pair (``1`` and ``1.0`` are
-    one), and the KV tokens of the GPU ones. A mode's slots ascend in share, so
-    its load, ``sum([share * count, ...], 0.0)``, does not depend on the order
-    stages joined in; the thread pool's is capped at the pool width."""
+    one), and the KV tokens of the GPU ones. The process slots come first,
+    then the thread slots, each mode's in ascending share, so a mode's load,
+    ``sum([share * count, ...], 0.0)``, does not depend on the order stages
+    joined in; the thread pool's is capped at the pool width. The thread
+    shares are laid against the whole slot list, 0.0 at each process slot:
+    a ``+0.0`` term changes no bit of a sum, so the thread sum reads the
+    counts unsliced."""
 
     def __init__(self, pool_eff: int | None, shapes: Iterable[tuple]):
         """``shapes``: the shape of every stage that may run. A shape no StageSpec
@@ -209,7 +213,9 @@ class Occupancy:
                                shape[4]) for shape in shapes}
         self.classes = sorted({cls for cls, _, _ in self.key_of.values()})
         self._process = [share for thread, share in ordered if not thread]
-        self._thread = [share for thread, share in ordered if thread]
+        self._thread = ([share if thread else 0.0 for thread, share in ordered]
+                        if ordered and ordered[-1][0] else None)  # thread slots sort last
+        self._pool = float(pool_eff) if self._thread else None  # the thread load's cap
         self._counts = [0] * len(ordered)
         self._rates = [0.0] * N_CLASSES  # what rates() returns
 
@@ -221,36 +227,38 @@ class Occupancy:
             self.kv_tokens += delta * kv_tokens
 
     def rates(self, models: ContentionModels | None = None) -> tuple[float, list[float]]:
-        """The CPU load, the process and thread sums with the thread one capped
-        at the pool width; and, with ``models``, the rate of each class that
+        """The CPU load: the process sum plus the thread sum capped at the pool
+        width, each a ``sum`` from 0.0 over the slot counts (the process one
+        stops at the last process slot, the thread one reads every slot);
+        and, with ``models``, the rate of each class that
         has a running stage, in a list this occupancy reuses, so the next call
         overwrites it. Entries of idle classes are not meaningful; without
         ``models`` they all stay 0.0. Each contention model is evaluated at
         most once."""
-        counts, process = self._counts, self._process
-        load = sum(map(mul, process, counts), 0.0)
+        counts = self._counts
+        load = sum(map(mul, self._process, counts), 0.0)
         if self._thread:
-            load += min(sum(map(mul, self._thread, counts[len(process):]), 0.0),
-                        float(self.pool_eff))
+            threads, pool = sum(map(mul, self._thread, counts), 0.0), self._pool
+            load += pool if pool < threads else threads  # min(threads, pool)
         rates = self._rates
         if models is None:
             return load, rates
-        n = self.per_class
-        if n[EXTERNAL]:
+        external, process, thread, gpu_async, gpu_blocking = self.per_class
+        if external:
             rates[EXTERNAL] = 1.0
-        if n[CPU_PROCESS] or n[CPU_THREAD] or n[GPU_BLOCKING]:
+        if process or thread or gpu_blocking:
             cpu = cpu_rate(load, models.cpu)
             rates[CPU_PROCESS] = cpu
-            if n[CPU_THREAD]:
-                pool = thread_pool_rate(n[CPU_THREAD], self.pool_eff, models.cpu)
-                rates[CPU_THREAD] = pool * cpu
-        if n[GPU_ASYNC] or n[GPU_BLOCKING]:
+            if thread:
+                rates[CPU_THREAD] = thread_pool_rate(thread, self.pool_eff, models.cpu) * cpu
+        if gpu_async or gpu_blocking:
             # saturation curve and KV spill; synchronous host clients also
             # stall with the host CPU
-            gpu = gpu_rate(n[GPU_ASYNC] + n[GPU_BLOCKING], models.gpu,
-                           self.kv_tokens * models.gpu.kv_bytes_per_token)
+            params = models.gpu
+            gpu = gpu_rate(gpu_async + gpu_blocking, params,
+                           self.kv_tokens * params.kv_bytes_per_token)
             rates[GPU_ASYNC] = gpu
-            if n[GPU_BLOCKING]:
+            if gpu_blocking:
                 rates[GPU_BLOCKING] = gpu * cpu
         return load, rates
 
@@ -296,10 +304,10 @@ def simulate(
     # its (shape, label): (class, occupancy slot, *shape, label). Each task's
     # records fill a run of the record list, the runs in ascending task id (the
     # dispatcher refused a repeated id), so the list comes out in (task, stage)
-    # order unsorted; ``first`` holds where each run begins.
+    # order unsorted; a task's facts hold where its run begins.
     tables: dict[tuple[int, str], list] = {}  # (id of pipeline, mode) -> table
-    facts: dict[int, tuple[list[tuple], tuple[float, ...]]] = {}  # task id -> (table, work)
-    first: dict[int, int] = {}  # task id -> index of its first record
+    # task id -> (table, work, index of its first record)
+    facts: dict[int, tuple[list[tuple], tuple[float, ...], int]] = {}
     n_records = 0
     for t in sorted(tasks, key=attrgetter("id")):
         mode = dispatcher.mode_of(t.id)
@@ -308,8 +316,7 @@ def simulate(
             table = tables[id(t.pipeline), mode] = [
                 ((s.kind.value, mode, s.host_blocking, s.cpu_share, s.kv_tokens), s.label)
                 for s in t.pipeline.stages]
-        facts[t.id] = (table, t.stage_work)
-        first[t.id] = n_records
+        facts[t.id] = (table, t.stage_work, n_records)
         n_records += len(t.stage_work)
     occupancy = Occupancy(pool_eff, (shape for table in tables.values() for shape, _ in table))
     key_of, present = occupancy.key_of, occupancy.classes
@@ -332,7 +339,7 @@ def simulate(
     events = 0
     while True:
         for task_id, stage_idx in starts:
-            table, work = facts[task_id]
+            table, work, _ = facts[task_id]
             cls, slot, _, _, _, _, kv_tokens, _ = table[stage_idx]
             change(cls, slot, kv_tokens, 1)
             heappush(heaps[cls], (clocks[cls] + work[stage_idx], task_id, stage_idx, now))
@@ -368,17 +375,18 @@ def simulate(
                 clock, rate = clocks[c], rates[c]
                 while heap and (heap[0][0] - clock) / rate <= limit:
                     _, task_id, stage_idx, start = heappop(heap)
-                    table, work = facts[task_id]
+                    table, work, first = facts[task_id]
                     _, slot, kind, mode, host_blocking, cpu_share, kv_tokens, label = \
                         table[stage_idx]
                     change(c, slot, kv_tokens, -1)
-                    records[first[task_id] + stage_idx] = new_record(StageRecord, (
+                    records[first + stage_idx] = new_record(StageRecord, (
                         task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens,
                         work[stage_idx], start, end, label))
                     if stage_idx + 1 < len(table):
                         starts.append((task_id, stage_idx + 1))
-                    for released in on_stage_complete(task_id, stage_idx):
-                        starts.append((released, 0))
+                    released = on_stage_complete(task_id, stage_idx)
+                    if released:
+                        starts.extend([(released_id, 0) for released_id in released])
                 clocks[c] = clock + rate * dt if heap else 0.0
         now = end
 
@@ -559,9 +567,10 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
         t = end_times[ei]
         if si < n_live and start_times[si] < t:
             t = start_times[si]
+        span = t - prev
         for c in present:
             if per_class[c]:
-                integral[c] += rates[c] * (t - prev)
+                integral[c] += rates[c] * span
         while si < n_live and start_times[si] == t:
             i = by_start[si]
             cls, slot, kv_tokens = keys[shape_of[i]]

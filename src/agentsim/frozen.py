@@ -8,6 +8,8 @@ the class is built by plain class creation, with no code generated at import.
 """
 
 import sys
+from functools import reduce
+from operator import add
 
 _set_field = object.__setattr__
 FLOAT_MAX = sys.float_info.max
@@ -18,6 +20,13 @@ def is_real(value) -> bool:
     a bool, within a float's range, so NaN, an infinity and ``10**400`` are not."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and (
         abs(value) <= FLOAT_MAX)
+
+
+def left_sum(values) -> float:
+    """``values`` added left to right from 0.0, the order CPython 3.11's
+    ``sum`` takes: from 3.12 on, ``sum`` of floats is compensated and can
+    differ in the last bit, so a sum that reaches an output is this fold."""
+    return reduce(add, values, 0.0)
 
 
 def whole_problem(name: str, value, low: int) -> str | None:

@@ -22,6 +22,7 @@ from typing import NamedTuple
 from .contention import EnergyParams, GpuSaturationParams
 from .engine import Sweep, Trace, sweep
 from .errors import ConfigurationError
+from .frozen import left_sum
 from .profiles import _as
 from .workload import TaskClass
 
@@ -93,7 +94,7 @@ def _latency_report(latencies: list[float], trace: Trace, **rest) -> MetricsRepo
     ordered = sorted(latencies)
     return MetricsReport(
         p50=_nearest_rank(ordered, 0.50), p90=_nearest_rank(ordered, 0.90),
-        p99=_nearest_rank(ordered, 0.99), mean=sum(latencies) / len(latencies),
+        p99=_nearest_rank(ordered, 0.99), mean=left_sum(latencies) / len(latencies),
         throughput=len(latencies) / trace.makespan, batch_size=len(latencies),
         workload_fp=trace.workload_fp, policy=trace.policy, **rest,
     )

@@ -12,7 +12,7 @@ import enum
 import math
 
 from .errors import ConfigurationError
-from .frozen import FLOAT_MAX, Frozen, is_real, whole_problem
+from .frozen import FLOAT_MAX, Frozen, is_real, left_sum, whole_problem
 from .rng import lognormal
 
 
@@ -97,7 +97,7 @@ class PipelineSpec(Frozen):
 
     @property
     def total_base_latency(self) -> float:
-        return sum(s.base_latency for s in self.stages)
+        return left_sum(s.base_latency for s in self.stages)
 
     def cpu_prefix_len(self) -> int:
         """Number of leading stages before the first GPU inference stage.
@@ -152,7 +152,7 @@ class WorkloadSpec(Frozen):
             raise ConfigurationError("workload mix must not be empty")
         if not all(is_real(p) and p > 0 for _, p in mix):
             raise ConfigurationError("mix proportions must be finite and positive")
-        total = sum(p for _, p in mix)
+        total = left_sum(p for _, p in mix)
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(f"mix proportions must sum to 1 (got {total})")
         if not (is_real(jitter_cv) and jitter_cv >= 0):
@@ -216,7 +216,7 @@ def classify_task(pipeline: PipelineSpec, theta: float = 0.5) -> TaskClass:
     """
     if not (is_real(theta) and 0.0 < theta < 1.0):
         raise ConfigurationError("theta must be in (0, 1)")
-    cpu = sum(s.base_latency for s in pipeline.stages if s.kind is StageKind.CPU_TOOL)
+    cpu = left_sum(s.base_latency for s in pipeline.stages if s.kind is StageKind.CPU_TOOL)
     ratio = cpu / pipeline.total_base_latency
     return TaskClass.CPU_HEAVY if ratio >= theta else TaskClass.LLM_HEAVY
 

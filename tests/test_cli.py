@@ -592,11 +592,14 @@ class TestCalibrate:
                 stage["base_latency"] *= scale
         return doc
 
-    @pytest.mark.parametrize("case", ["cpu_determinant", "gpu_watts", "gpu_integrals", "kappa"])
+    @pytest.mark.parametrize("case", ["cpu_determinant", "gpu_watts", "gpu_integrals", "kappa",
+                                      "cores_no_float_holds"])
     def test_a_fit_out_of_a_floats_range_exits_3_writing_nothing(self, case, tmp_path, capsys):
         # a CPU determinant of inf - inf, GPU watts past a float's range, a
-        # product of GPU-active integrals that underflows to 0, and a kappa
-        # that overflows: each fit is infeasible, not a config error or a crash
+        # product of GPU-active integrals that underflows to 0, a kappa that
+        # overflows, and a load above a core count no float holds, whose
+        # ratio rounds to 1.0: each fit is infeasible, not a config error or
+        # a crash
         obs = {
             "cpu_determinant": lambda: with_field(OBSERVATIONS, ("energy_endpoints", "pipeline"),
                                                   self._energyhost(False, 1e300)),
@@ -609,6 +612,11 @@ class TestCalibrate:
                                  if k not in ("gpu_latency_pair", "energy_endpoints")},
                               "cpu_observations": [{"load": 128, "cores": 96, "base_s": 1e-300,
                                                     "observed_s": 1e300}]},
+            "cores_no_float_holds": lambda: {
+                **{k: v for k, v in OBSERVATIONS.items()
+                   if k not in ("gpu_latency_pair", "energy_endpoints")},
+                "cpu_observations": [{"load": 2.0 ** 60, "cores": 2 ** 60 - 1, "base_s": 1.0,
+                                      "observed_s": 2.0}]},
         }[case]()
         path = tmp_path / "obs.yaml"
         path.write_text(yaml.safe_dump(obs))

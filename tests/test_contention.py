@@ -154,6 +154,11 @@ class TestCalibrateCpu:
         with pytest.raises(InfeasibleModelError):
             calibrate_cpu([(64, 96, 2.9, 2.9), (32, 96, 1.0, 1.0)])
 
+    def test_a_load_over_cores_whose_ratio_rounds_to_one_is_unidentifiable(self):
+        # 2**60 - 1 cores, which no float holds: load / cores is 1.0, so x is 0
+        with pytest.raises(InfeasibleModelError, match="kappa is unidentifiable"):
+            calibrate_cpu([(2.0 ** 60, 2 ** 60 - 1, 1.0, 2.0)])
+
     # a kappa that overflows, and one that is inf / inf, which max(0, kappa)
     # would turn into 0
     @pytest.mark.parametrize("observation", [(128, 96, 1e-300, 1e300), (1e300, 1, 1e-300, 1e300)])

@@ -2,12 +2,13 @@
 engine on random small pipelines, mixes, policies, models and core counts
 (the occupancy series the sweep derives from the records against those the
 reference records at each event), the occupancy's per-slot CPU load against
-a fresh sum, the trace serializer against the one it replaced, the trace
-parser on corrupted traces, the dispatcher against the rescanning one, the
-record order under any task ids, task latencies and the audit's verdict
-against their ``max`` definitions, the sweep's usage totals against a fold
-over its step series, the audit of a hand-edited trace, and a run whose works
-are all scaled by a power of two against the run it scales."""
+a fresh sum and its class rates against the contention models, the trace
+serializer against the one it replaced, the trace parser on corrupted
+traces, the dispatcher against the rescanning one, the record order under
+any task ids, task latencies and the audit's verdict against their ``max``
+definitions, the sweep's usage totals against a fold over its step series,
+the audit of a hand-edited trace, and a run whose works are all scaled by a
+power of two against the run it scales."""
 
 import functools
 import itertools
@@ -29,10 +30,17 @@ from agentsim.contention import (
     ContentionModels,
     CpuContentionParams,
     GpuSaturationParams,
+    cpu_rate,
+    gpu_rate,
+    thread_pool_rate,
 )
 from agentsim.engine import (
     CLASSES,
+    CPU_PROCESS,
+    CPU_THREAD,
+    EXTERNAL,
     GPU_ASYNC,
+    GPU_BLOCKING,
     Occupancy,
     StageRecord,
     Trace,
@@ -308,12 +316,35 @@ OCCUPANCY_OPS = st.lists(
 )
 
 
-@given(ops=OCCUPANCY_OPS, pool_eff=st.sampled_from((1, 3, 8)))
-def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff):
+# Drawn runs almost never hold more thread work than a pool of 1, nor KV
+# tokens past a capacity, so one run does both: three CPU tools on threads
+# (a load of 2.55), a host-blocking GPU stage of 4,000 KV tokens, an async
+# one, an external call and a CPU tool on a process, then the first ends.
+RATE_OPS = [(False, 0, ("cpu_tool", False), THREAD, share, True) for share in (1.0, 1.0, 0.55)] + [
+    (False, 4000, ("gpu_inference", True), PROCESS, 0.05, True),
+    (False, 10, ("gpu_inference", False), PROCESS, 0.05, True),
+    (False, 0, ("external_api", False), PROCESS, 0.0, True),
+    (False, 0, ("cpu_tool", False), PROCESS, 1.0, True),
+    (True, 0, ("cpu_tool", False), THREAD, 1.0, True),
+]
+
+
+def rate_models(cores: int) -> ContentionModels:
+    return ContentionModels(
+        name="prop", cpu=CpuContentionParams(cores, oversub_kappa=0.3, gil_serial_fraction=0.2),
+        gpu=GpuSaturationParams(b_half=4.0, kv_capacity=3000 * 131072))
+
+
+@example(ops=RATE_OPS, pool_eff=1, m=rate_models(1))  # the pool caps, the host is oversubscribed
+@example(ops=RATE_OPS, pool_eff=64, m=rate_models(96))  # neither
+@given(ops=OCCUPANCY_OPS, pool_eff=st.sampled_from((1, 3, 8, 64)), m=models())
+def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff, m):
     """After any sequence of starts and finishes, the load ``rates`` returns
     equals, bit for bit, a fresh sum over the ascending distinct shares of
-    each mode with a running stage, with the thread pool's cap applied. The
-    run's shapes are every drawn one, so some slots never hold a stage."""
+    each mode with a running stage, with the thread pool's cap applied, and
+    each running class's rate equals, bit for bit, its contention model at
+    that load, the class counts and the KV bytes. The run's shapes are every
+    drawn one, so some slots never hold a stage."""
     # a GPU stage's kv tokens are ``which``
     shapes = [(kind, mode, host_blocking, share, which if kind == "gpu_inference" else 0)
               for _, which, (kind, host_blocking), mode, share, _ in ops]
@@ -329,17 +360,27 @@ def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff):
         occupancy.change(*occupancy.key_of[shape], delta)
         if not read:
             continue  # several changes between two reads
-        load, _ = occupancy.rates()
+        load, rates = occupancy.rates(m)
+        assert occupancy.rates()[0].hex() == load.hex()
         per_mode = []
-        for m in (PROCESS, THREAD):
-            counts = Counter(share for _, mode, _, share, _ in running if mode == m)
+        for mode in (PROCESS, THREAD):
+            counts = Counter(share for _, md, _, share, _ in running if md == mode)
             per_mode.append(sum([s * n for s, n in sorted(counts.items())], 0.0))
         process, thread = per_mode
         assert load.hex() == (process + min(thread, float(pool_eff))).hex()
         classes = [stage_class(*shape[:3]) for shape in running]
-        assert occupancy.per_class == [classes.count(c) for c in CLASSES]
-        assert occupancy.kv_tokens == sum(shape[4] for shape, c in zip(running, classes)
-                                          if c >= GPU_ASYNC)
+        n = [classes.count(c) for c in CLASSES]
+        assert occupancy.per_class == n
+        kv_tokens = sum(shape[4] for shape, c in zip(running, classes) if c >= GPU_ASYNC)
+        assert occupancy.kv_tokens == kv_tokens
+        # each model at the counts of its class, if it has a stage: only those are compared
+        cpu = cpu_rate(load, m.cpu)
+        gpu = gpu_rate(max(n[GPU_ASYNC] + n[GPU_BLOCKING], 1), m.gpu,
+                       kv_tokens * m.gpu.kv_bytes_per_token)
+        want = {EXTERNAL: 1.0, CPU_PROCESS: cpu, GPU_ASYNC: gpu, GPU_BLOCKING: gpu * cpu,
+                CPU_THREAD: thread_pool_rate(max(n[CPU_THREAD], 1), pool_eff, m.cpu) * cpu}
+        assert {c: rates[c].hex() for c in CLASSES if n[c]} == \
+            {c: want[c].hex() for c in CLASSES if n[c]}
 
 
 @pytest.mark.parametrize("shape, pool_eff", [
