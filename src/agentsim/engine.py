@@ -9,24 +9,17 @@ share and GIL penalty), GPU inference through an async client
 (half-saturation curve plus KV spill) and through a host-blocking client
 (that, times the CPU rate).
 
-``simulate`` keeps per class a virtual service clock and a min-heap of
-finish tags, clock at start plus work, as in the virtual time of fair
-queueing; an event evaluates at most the five class rates, visits only the
-classes the run has, advances their clocks and pops the finished stages:
-those due within a relative 1e-12 of the event, so no time unit is special.
-Each stage record goes straight to its (task id, stage index) slot of the
-record list, so the list is never sorted, and a completion that opens no
-micro-batch gate costs the dispatcher a few comparisons.
-``Occupancy`` owns a run's stage shapes: it refuses a shape no stage can
-have, maps the others to their class and integer (mode, CPU share) slot, and
-keeps counts per slot, so its sums do not depend on the order stages joined
-in. A trace keeps only the stage records: ``sweep`` derives the occupancy
-from them in one pass over the sorted interval boundaries, adding up on the
-way the usage totals the report reads. ``replay_check`` audits work
-conservation on that same pass, which lists no step series, so a run never
-holds them; only a sweep without models lists them. Reruns are
-byte-identical; traces written before the virtual clocks may differ from
-today's in the last digits of some times, within 1e-9 relative.
+``Occupancy`` is the one definition of occupancy and class rates that
+``simulate`` and the audit both read; it keeps each mode's CPU load as an
+int count of share quanta, so that load is the exact sum of the mode's
+running shares rounded once, whatever order they joined in. ``simulate``
+keeps per class a virtual service clock and a min-heap of finish tags, as
+in the virtual time of fair queueing. A trace keeps only the stage records:
+``sweep`` derives the occupancy from them in one pass over the sorted
+interval boundaries, and ``replay_check`` audits work conservation on that
+pass. Reruns are byte-identical; traces written before the virtual clocks
+may differ from today's in the last digits of some times, within 1e-9
+relative.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterable
-from operator import attrgetter, itemgetter, mul
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import __version__
@@ -177,16 +170,12 @@ def stage_class(kind: str, mode: str, host_blocking: bool) -> int | None:
 class Occupancy:
     """Resource occupancy of a running set, and the one owner of a run's stage
     shapes, each a (kind, mode, host blocking, CPU share, KV tokens) tuple:
-    ``key_of`` maps one to its (class, slot, KV tokens) and ``classes`` lists
-    the run's classes in ascending order. It counts the running stages per
-    class and per slot, one slot per (mode, share) pair (``1`` and ``1.0`` are
-    one), and the KV tokens of the GPU ones. The process slots come first,
-    then the thread slots, each mode's in ascending share, so a mode's load,
-    ``sum([share * count, ...], 0.0)``, does not depend on the order stages
-    joined in; the thread pool's is capped at the pool width. The thread
-    shares are laid against the whole slot list, 0.0 at each process slot:
-    a ``+0.0`` term changes no bit of a sum, so the thread sum reads the
-    counts unsliced."""
+    ``key_of`` maps one to its (class, is thread, quanta, KV tokens) and
+    ``classes`` lists the run's classes in ascending order. It counts the
+    running stages per class, the KV tokens of the GPU ones and each mode's
+    CPU load in quanta of ``1 / per_core``, ``per_core`` the largest
+    denominator of the run's shares: a float's is a power of two, so each
+    share is a whole number of quanta and each load exact in any order."""
 
     def __init__(self, pool_eff: int | None, shapes: Iterable[tuple]):
         """``shapes``: the shape of every stage that may run. A shape no StageSpec
@@ -195,8 +184,8 @@ class Occupancy:
         self.pool_eff = pool_eff
         self.per_class = [0] * N_CLASSES
         self.kv_tokens = 0
-        shapes = dict.fromkeys(shapes)
-        for shape in shapes:
+        ratios = {}  # shape -> its share as (n, d), d a power of two
+        for shape in dict.fromkeys(shapes):
             kind, mode, host_blocking, share, kv_tokens = shape
             problem = shape_problem(kind, share, kv_tokens, host_blocking)
             if problem is None and stage_class(kind, mode, host_blocking) is None:
@@ -206,39 +195,44 @@ class Occupancy:
             if problem is not None:
                 raise ConfigurationError(
                     f"stage (kind, mode, host blocking, share, kv) {shape!r}: {problem}")
-        # (is thread, share) in slot order: the process slots first
-        ordered = sorted(dict.fromkeys((mode == THREAD, share) for _, mode, _, share, _ in shapes))
-        slot_of = {key: slot for slot, key in enumerate(ordered)}
-        self.key_of = {shape: (stage_class(*shape[:3]), slot_of[shape[1] == THREAD, shape[3]],
-                               shape[4]) for shape in shapes}
-        self.classes = sorted({cls for cls, _, _ in self.key_of.values()})
-        self._process = [share for thread, share in ordered if not thread]
-        self._thread = ([share if thread else 0.0 for thread, share in ordered]
-                        if ordered and ordered[-1][0] else None)  # thread slots sort last
-        self._pool = float(pool_eff) if self._thread else None  # the thread load's cap
-        self._counts = [0] * len(ordered)
+            ratios[shape] = float(share).as_integer_ratio()
+        self._per_core = per_core = max([d for _, d in ratios.values()], default=1)
+        self.key_of = {shape: (stage_class(*shape[:3]), shape[1] == THREAD,
+                               n * (per_core // d), shape[4])
+                       for shape, (n, d) in ratios.items()}
+        self.classes = sorted({cls for cls, _, _, _ in self.key_of.values()})
+        # the thread load's cap, if a stage can run on the pool
+        self._pool = float(pool_eff) if any(key[1] for key in self.key_of.values()) else None
+        self._processes = self._threads = 0  # each mode's load in quanta
         self._rates = [0.0] * N_CLASSES  # what rates() returns
 
-    def change(self, cls: int, slot: int, kv_tokens: int, delta: int):
+    def change(self, cls: int, thread: bool, quanta: int, kv_tokens: int, delta: int):
         """Add (delta=+1) or remove (delta=-1) one running stage."""
         self.per_class[cls] += delta
-        self._counts[slot] += delta
+        if delta > 0:  # not ``+= delta * quanta``: a big int's product costs an allocation
+            if thread:
+                self._threads += quanta
+            else:
+                self._processes += quanta
+        elif thread:
+            self._threads -= quanta
+        else:
+            self._processes -= quanta
         if cls >= GPU_ASYNC:
             self.kv_tokens += delta * kv_tokens
 
     def rates(self, models: ContentionModels | None = None) -> tuple[float, list[float]]:
-        """The CPU load: the process sum plus the thread sum capped at the pool
-        width, each a ``sum`` from 0.0 over the slot counts (the process one
-        stops at the last process slot, the thread one reads every slot);
-        and, with ``models``, the rate of each class that
-        has a running stage, in a list this occupancy reuses, so the next call
-        overwrites it. Entries of idle classes are not meaningful; without
-        ``models`` they all stay 0.0. Each contention model is evaluated at
-        most once."""
-        counts = self._counts
-        load = sum(map(mul, self._process, counts), 0.0)
-        if self._thread:
-            threads, pool = sum(map(mul, self._thread, counts), 0.0), self._pool
+        """The CPU load, the process load plus the thread load capped at the
+        pool width, each its quanta over ``per_core`` (an int true division,
+        so the exact sum rounded once); and, with ``models``, the rate of each
+        class that has a running stage, in a list this occupancy reuses, so the
+        next call overwrites it. Entries of idle classes are not meaningful;
+        without ``models`` they all stay 0.0. Each contention model is
+        evaluated at most once."""
+        per_core, pool = self._per_core, self._pool
+        load = self._processes / per_core
+        if pool is not None:
+            threads = self._threads / per_core
             load += pool if pool < threads else threads  # min(threads, pool)
         rates = self._rates
         if models is None:
@@ -301,7 +295,7 @@ def simulate(
         pool_eff = min(dispatcher.pool_size, resources.logical_cores)
 
     # The static facts of each stage, resolved once per (pipeline, mode) from
-    # its (shape, label): (class, occupancy slot, *shape, label). Each task's
+    # its (shape, label): (class, is thread, quanta, *shape, label). Each task's
     # records fill a run of the record list, the runs in ascending task id (the
     # dispatcher refused a repeated id), so the list comes out in (task, stage)
     # order unsorted; a task's facts hold where its run begins.
@@ -322,7 +316,7 @@ def simulate(
     key_of, present = occupancy.key_of, occupancy.classes
     for table in tables.values():  # in place, as the facts hold the tables
         for i, (shape, label) in enumerate(table):
-            table[i] = (*key_of[shape][:2], *shape, label)
+            table[i] = (*key_of[shape][:3], *shape, label)
 
     change = occupancy.change
     clocks = [0.0] * N_CLASSES
@@ -340,8 +334,8 @@ def simulate(
     while True:
         for task_id, stage_idx in starts:
             table, work, _ = facts[task_id]
-            cls, slot, _, _, _, _, kv_tokens, _ = table[stage_idx]
-            change(cls, slot, kv_tokens, 1)
+            cls, thread, quanta, _, _, _, _, kv_tokens, _ = table[stage_idx]
+            change(cls, thread, quanta, kv_tokens, 1)
             heappush(heaps[cls], (clocks[cls] + work[stage_idx], task_id, stage_idx, now))
 
         _, rates = occupancy.rates(models)
@@ -376,9 +370,9 @@ def simulate(
                 while heap and (heap[0][0] - clock) / rate <= limit:
                     _, task_id, stage_idx, start = heappop(heap)
                     table, work, first = facts[task_id]
-                    _, slot, kind, mode, host_blocking, cpu_share, kv_tokens, label = \
+                    _, thread, quanta, kind, mode, host_blocking, cpu_share, kv_tokens, label = \
                         table[stage_idx]
-                    change(c, slot, kv_tokens, -1)
+                    change(c, thread, quanta, kv_tokens, -1)
                     records[first + stage_idx] = new_record(StageRecord, (
                         task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens,
                         work[stage_idx], start, end, label))
@@ -536,7 +530,7 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
     shapes: dict[tuple, int] = {}  # (kind, mode, host blocking, share, kv) -> its index
     shape_of = [shapes.setdefault(r[2:7], len(shapes)) for r in records]
     occupancy = Occupancy(trace.pool_eff, shapes)
-    keys = list(map(occupancy.key_of.__getitem__, shapes))  # (class, slot, kv) per shape index
+    keys = list(map(occupancy.key_of.__getitem__, shapes))  # each shape index's key
     present = occupancy.classes
     starts = [r.start for r in records]
     ends = [r.end for r in records]
@@ -573,15 +567,15 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
                 integral[c] += rates[c] * span
         while si < n_live and start_times[si] == t:
             i = by_start[si]
-            cls, slot, kv_tokens = keys[shape_of[i]]
-            change(cls, slot, kv_tokens, 1)
+            cls, thread, quanta, kv_tokens = keys[shape_of[i]]
+            change(cls, thread, quanta, kv_tokens, 1)
             at_start[i] = integral[cls]
             si += 1
         while ei < n_live and end_times[ei] == t:
             i = by_end[ei]
-            cls, slot, kv_tokens = keys[shape_of[i]]
+            cls, thread, quanta, kv_tokens = keys[shape_of[i]]
             done[i] = integral[cls] - at_start[i]
-            change(cls, slot, kv_tokens, -1)
+            change(cls, thread, quanta, kv_tokens, -1)
             if not per_class[cls]:
                 integral[cls] = 0.0
             ei += 1

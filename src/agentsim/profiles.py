@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 import functools
-import importlib.resources
+import itertools
 import re
 from pathlib import Path
 
@@ -61,13 +61,33 @@ except AttributeError:  # PyYAML built without libyaml
     _LOADER, _DUMPER = map(_with_exponent_floats, (yaml.SafeLoader, yaml.SafeDumper))
 _LOADER.construct_mapping = _construct_mapping
 
+# Both composers recurse per level of nesting, so a deep document crashes
+# them: pure-Python PyYAML with a RecursionError, libyaml by overflowing the
+# C stack. No document the package reads nests a tenth this deep.
+_MAX_DEPTH = 100
+
+
+def _too_deep(text: str) -> bool:
+    """Whether ``text`` nests deeper than ``_MAX_DEPTH``, from its parse events
+    (no parser recurses to make them), read no further than that depth."""
+    events = yaml.parse(text, Loader=_LOADER)
+    depths = itertools.accumulate(isinstance(event, yaml.CollectionStartEvent)
+                                  - isinstance(event, yaml.CollectionEndEvent) for event in events)
+    return any(depth > _MAX_DEPTH for depth in depths)
+
 
 def read_yaml(path: str | Path, what: str) -> dict:
-    """The YAML mapping in file ``path``; a missing, unreadable or malformed
-    file, or one that does not hold a mapping, is a ConfigurationError naming
-    ``what`` it should have been."""
+    """The YAML mapping in file ``path``; a missing, unreadable, malformed or
+    too deeply nested file, or one that does not hold a mapping, is a
+    ConfigurationError naming ``what`` it should have been."""
     try:
-        doc = yaml.load(Path(path).read_text(), Loader=_LOADER)
+        text = Path(path).read_text()
+        # a collection opens at one of "[{-?:", so a text with fewer cannot nest too deep
+        if sum(map(text.count, "[{-?:")) > _MAX_DEPTH and _too_deep(text):
+            raise ConfigurationError(f"{what} {path} nests deeper than {_MAX_DEPTH} levels")
+        doc = yaml.load(text, Loader=_LOADER)
+    except RecursionError:
+        raise ConfigurationError(f"{what} {path} nests too deeply to read")
     except FileNotFoundError:
         raise ConfigurationError(f"{what} file not found: {path}")
     except (OSError, UnicodeDecodeError) as exc:
@@ -123,7 +143,7 @@ def _known(doc: dict, where: str, keys) -> dict:
 
 
 def _profile_dir() -> Path:
-    return Path(importlib.resources.files("agentsim") / "profiles")
+    return Path(__file__).with_name("profiles")
 
 
 @functools.lru_cache(maxsize=None)

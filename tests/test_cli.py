@@ -739,6 +739,35 @@ class TestUnreadableFiles:
         assert err.startswith("configuration error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("parser, levels, recursion_limit", [
+        ("python", 2_000, None),  # deeper than the bound: refused before it is composed
+        ("libyaml", 40_000, None),  # deep enough to overflow libyaml's C stack
+        ("python", 90, 120),  # within the bound, but deeper than the recursion limit
+    ])
+    def test_a_deeply_nested_document_exits_2(self, tmp_path, parser, levels, recursion_limit):
+        """``run`` exits 2 without a traceback on a config whose ``seed``
+        nests ``levels`` lists deep, read by pure-Python PyYAML (whose
+        composer raises RecursionError) or by libyaml (whose composer can
+        crash the interpreter), so each run has a child interpreter."""
+        if parser == "libyaml" and not yaml.__with_libyaml__:
+            pytest.skip("PyYAML is built without libyaml")
+        path = tmp_path / "config.yaml"
+        path.write_text("seed: " + "[" * levels + "]" * levels + "\n")
+        args = ["run", "--config", str(path), "--out", str(tmp_path / "o")]
+        # None in sys.modules fails PyYAML's import of its libyaml bindings
+        no_libyaml = "sys.modules['yaml._yaml'] = None; " if parser == "python" else ""
+        limit = f"sys.setrecursionlimit({recursion_limit}); " if recursion_limit else ""
+        code = (f"import sys; {no_libyaml}from agentsim.cli import main; "
+                f"{limit}sys.exit(main({args!r}))")
+        src = Path(agentsim.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("configuration error:")
+        assert "Traceback" not in proc.stderr
+
 
 class TestUnwritableOutput:
     """Every subcommand that writes files exits 2, with a one-line message

@@ -1,9 +1,9 @@
 """Property tests: the virtual-clock engine against the rescanning reference
 engine on random small pipelines, mixes, policies, models and core counts
 (the occupancy series the sweep derives from the records against those the
-reference records at each event), the occupancy's per-slot CPU load against
-a fresh sum and its class rates against the contention models, the trace
-serializer against the one it replaced, the trace parser on corrupted
+reference records at each event), the occupancy's CPU load against the
+exact sum of its shares and its class rates against the contention models,
+the trace serializer against the one it replaced, the trace parser on corrupted
 traces, the dispatcher against the rescanning one, the record order under
 any task ids, task latencies and the audit's verdict against their ``max``
 definitions, the sweep's usage totals against a fold over its step series,
@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import re
-from collections import Counter
+from fractions import Fraction
 from operator import attrgetter
 
 import pytest
@@ -303,7 +303,7 @@ def test_serializer_writes_the_text_of_the_reference_one(trace):
         assert serialize_trace(parsed) == ref.serialize_trace(parsed) == plain_text(parsed)
 
 
-# shares: 0.0, and an int equal to a float one (1 and 1.0 share a slot)
+# shares: 0.0, and an int equal to a float one (1 and 1.0 are one shape)
 SHARES = st.one_of(st.sampled_from((0.0, 0.02, 0.05, 0.3, 0.55, 1.0, 0, 1)), st.floats(0.0, 1.0))
 # the (kind, host blocking) pairs a StageSpec can make
 KIND_CLIENTS = [(kind, False) for kind in STAGE_KINDS] + [("gpu_inference", True)]
@@ -329,6 +329,20 @@ RATE_OPS = [(False, 0, ("cpu_tool", False), THREAD, share, True) for share in (1
 ]
 
 
+# 17, 4 and 156 process stages of shares 0.3, 0.55 and 0.7: the exact load is
+# 116.5, and a float fold over the shares in ascending order gives
+# 116.49999999999999
+EXACT_OPS = [(False, 0, ("cpu_tool", False), PROCESS, share, False)
+             for share, count in ((0.3, 17), (0.55, 4), (0.7, 156)) for _ in range(count)]
+EXACT_OPS[-1] = (*EXACT_OPS[-1][:-1], True)
+# a subnormal share beside a share of 1: the quantum is 2**-1074, so 1.0 is
+# 2**1074 quanta, more than a float holds
+SUBNORMAL_OPS = [(False, 0, ("cpu_tool", False), THREAD, 5e-324, True),
+                 (False, 0, ("gpu_inference", False), THREAD, 1.0, True),
+                 (False, 0, ("cpu_tool", False), PROCESS, 5e-324, True),
+                 (True, 1, ("cpu_tool", False), THREAD, 5e-324, True)]
+
+
 def rate_models(cores: int) -> ContentionModels:
     return ContentionModels(
         name="prop", cpu=CpuContentionParams(cores, oversub_kappa=0.3, gil_serial_fraction=0.2),
@@ -337,14 +351,16 @@ def rate_models(cores: int) -> ContentionModels:
 
 @example(ops=RATE_OPS, pool_eff=1, m=rate_models(1))  # the pool caps, the host is oversubscribed
 @example(ops=RATE_OPS, pool_eff=64, m=rate_models(96))  # neither
+@example(ops=EXACT_OPS, pool_eff=8, m=rate_models(96))
+@example(ops=SUBNORMAL_OPS, pool_eff=1, m=rate_models(96))
 @given(ops=OCCUPANCY_OPS, pool_eff=st.sampled_from((1, 3, 8, 64)), m=models())
-def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff, m):
-    """After any sequence of starts and finishes, the load ``rates`` returns
-    equals, bit for bit, a fresh sum over the ascending distinct shares of
-    each mode with a running stage, with the thread pool's cap applied, and
-    each running class's rate equals, bit for bit, its contention model at
-    that load, the class counts and the KV bytes. The run's shapes are every
-    drawn one, so some slots never hold a stage."""
+def test_occupancy_load_is_the_exact_sum(ops, pool_eff, m):
+    """After any sequence of starts and finishes, each mode's load is the
+    float of the exact sum of its running stages' shares, and the load
+    ``rates`` returns is, bit for bit, the process load plus the thread load
+    capped at the pool width; each running class's rate equals, bit for bit,
+    its contention model at that load, the class counts and the KV bytes.
+    The run's shapes are every drawn one, so some never hold a stage."""
     # a GPU stage's kv tokens are ``which``
     shapes = [(kind, mode, host_blocking, share, which if kind == "gpu_inference" else 0)
               for _, which, (kind, host_blocking), mode, share, _ in ops]
@@ -362,11 +378,9 @@ def test_occupancy_load_is_a_fresh_sorted_sum(ops, pool_eff, m):
             continue  # several changes between two reads
         load, rates = occupancy.rates(m)
         assert occupancy.rates()[0].hex() == load.hex()
-        per_mode = []
-        for mode in (PROCESS, THREAD):
-            counts = Counter(share for _, md, _, share, _ in running if md == mode)
-            per_mode.append(sum([s * n for s, n in sorted(counts.items())], 0.0))
-        process, thread = per_mode
+        process, thread = [
+            float(sum(Fraction(share) for _, md, _, share, _ in running if md == mode))
+            for mode in (PROCESS, THREAD)]
         assert load.hex() == (process + min(thread, float(pool_eff))).hex()
         classes = [stage_class(*shape[:3]) for shape in running]
         n = [classes.count(c) for c in CLASSES]

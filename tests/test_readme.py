@@ -22,10 +22,11 @@ def test_the_run_config_runs(tmp_path):
 
 
 def test_the_library_example_runs(tmp_path):
-    # in a fresh interpreter that finds the package only through PYTHONPATH=src
+    # in a fresh interpreter that finds the package through src prepended to PYTHONPATH
     text = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
     block = text.split("```python\n", 1)[1].split("```", 1)[0]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
