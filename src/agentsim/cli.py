@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import stat
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -207,13 +208,27 @@ def report_csv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_new(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``. A writable regular file already there is
+    unlinked first, so the write makes a new file (writing over one in place
+    makes ext4's ``auto_da_alloc`` flush it on close); a symlink, FIFO,
+    device or read-only file there is written to as it is."""
+    try:
+        mode = path.lstat().st_mode
+        if stat.S_ISREG(mode) and mode & stat.S_IWUSR:
+            path.unlink()
+    except OSError:  # nothing there, or a file this user may not unlink
+        pass
+    path.write_text(text)
+
+
 def _write_rows(rows: list[dict], out_dir: Path, stem: str, fmt: str, columns: list[str]) -> Path:
     if fmt == "json-lines":
         path = out_dir / f"{stem}.jsonl"
-        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+        _write_new(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
     else:
         path = out_dir / f"{stem}.csv"
-        path.write_text(report_csv(rows, columns))
+        _write_new(path, report_csv(rows, columns))
     return path
 
 
@@ -224,8 +239,8 @@ def cmd_run(args) -> int:
     config = load_config_file(args.config, args.out)
     trace, _, row = execute(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    (config.out_dir / "trace.txt").write_text(serialize_trace(trace))
-    (config.out_dir / "report.yaml").write_text(dump_yaml(row))
+    _write_new(config.out_dir / "trace.txt", serialize_trace(trace))
+    _write_new(config.out_dir / "report.yaml", dump_yaml(row))
     written = _write_rows([row], config.out_dir, "report", args.format, _ROW_COLUMNS)
     print(f"# run {row['config_fp']} policy={row['policy']} B={row['batch_size']}")
     for key in METRIC_COLUMNS:
@@ -279,7 +294,7 @@ def cmd_sweep(args) -> int:
             rows.append({**execute(cell_config)[2], axis: value})
         except AgentsimError as exc:
             partial = out_dir / "sweep_partial.csv"
-            partial.write_text(report_csv(rows, columns))
+            _write_new(partial, report_csv(rows, columns))
             # the cell's own class, so the sweep exits as its run would
             raise type(exc)(f"sweep aborted at {axis}={value}: {exc}; partial results in {partial}")
 
@@ -289,7 +304,7 @@ def cmd_sweep(args) -> int:
         points = dict(sorted((row[axis], row["throughput_rps"]) for row in rows))
         curve_doc = dict(zip(_CURVE_KEYS, (1, "throughput_curve", __version__,
                                            rows[-1]["config_fp"], points)))
-        (out_dir / "throughput_curve.yaml").write_text(dump_yaml(curve_doc))
+        _write_new(out_dir / "throughput_curve.yaml", dump_yaml(curve_doc))
         print(f"wrote {out_dir}/throughput_curve.yaml")
     return EXIT_OK
 
@@ -402,7 +417,7 @@ def cmd_calibrate(args) -> int:
     written = [Path(args.out or ".") / f"{models.name}.yaml" for models, _ in fits]
     for path, (models, model_sources) in zip(written, fits):
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(dump_yaml(models_to_dict(models, model_sources), sort_keys=False))
+        _write_new(path, dump_yaml(models_to_dict(models, model_sources), sort_keys=False))
         for key, text in sorted(model_sources.items()):
             print(f"{key}: {text}")
     for path in written:
@@ -421,7 +436,7 @@ def cmd_compare(args) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         columns = ["metric", "baseline_over_candidate"]
-        out.write_text(f"# agentsim {__version__} workload {speedup.workload_fp}\n" + report_csv(
+        _write_new(out, f"# agentsim {__version__} workload {speedup.workload_fp}\n" + report_csv(
             [dict(zip(columns, item)) for item in speedup.ratios.items()], columns))
         print(f"wrote {out}")
     return EXIT_OK

@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import os
@@ -11,6 +12,7 @@ import yaml
 import pytest
 
 import agentsim
+from agentsim import cli
 from agentsim.cli import main, parse_config
 from agentsim.engine import parse_trace, serialize_trace
 from agentsim import profiles
@@ -82,13 +84,16 @@ class TestRun:
     def test_run_never_imports_numpy(self, tmp_path):
         # in a fresh interpreter, so that no other test's import counts; nor
         # dataclasses and the inspect it pulls in, whose import and generated
-        # methods once cost a quarter of the set-up time
+        # methods once cost a quarter of the set-up time. Only what the run
+        # adds counts: the interpreter's start-up may import any of them (a
+        # .pth file's certifi imports inspect from 3.12 on)
         doc = {**BASE_CONFIG, "workload": {**BASE_CONFIG["workload"], "jitter_cv": 0.05}}
         cfg = write_config(tmp_path, doc)
         args = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
         absent = ("numpy", "dataclasses", "inspect")
-        code = ("import sys; from agentsim.cli import main; "
-                f"code = main({args!r}); print(code, [m for m in {absent!r} if m in sys.modules])")
+        code = ("import sys; before = set(sys.modules); from agentsim.cli import main; "
+                f"code = main({args!r}); "
+                f"print(code, [m for m in {absent!r} if m in sys.modules and m not in before])")
         src = Path(agentsim.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -771,13 +776,22 @@ class TestUnreadableFiles:
 
 class TestUnwritableOutput:
     """Every subcommand that writes files exits 2, with a one-line message
-    and no traceback, when its output path cannot be written: here a path
-    under a regular file."""
+    and no traceback, when its output path cannot be written: a path under
+    a regular file, or an output name that is a directory."""
 
+    FIRST_OUTPUT = {"run": "trace.txt", "sweep": "sweep.csv", "calibrate": "fit.yaml",
+                    "compare": "speedup.csv"}
+
+    @pytest.mark.parametrize("blocker", ["file_above", "directory"])
     @pytest.mark.parametrize("command", ["run", "sweep", "calibrate", "compare"])
-    def test_exits_2_without_traceback(self, tmp_path, capsys, command):
-        (tmp_path / "afile").write_text("")
-        out = str(tmp_path / "afile" / "sub")
+    def test_exits_2_without_traceback(self, tmp_path, capsys, command, blocker):
+        if blocker == "file_above":
+            (tmp_path / "afile").write_text("")
+            out, named = str(tmp_path / "afile" / "sub"), "afile"
+        else:
+            named = self.FIRST_OUTPUT[command]
+            out = str(tmp_path / "o")
+            (tmp_path / "o" / named).mkdir(parents=True)
         config = write_config(tmp_path, BASE_CONFIG)
         if command == "compare":
             doc = {**BASE_CONFIG, "out": str(tmp_path / "solo")}
@@ -796,8 +810,106 @@ class TestUnwritableOutput:
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "afile" in err
+        assert err.startswith("configuration error:") and named in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# command -> the files it writes into its output directory, and its exit code
+WRITES = {
+    "run": (("trace.txt", "report.yaml", "report.csv"), 0),
+    "sweep": (("sweep.csv", "throughput_curve.yaml"), 0),
+    "failing_sweep": (("sweep_partial.csv",), 3),
+    "calibrate": (("fit.yaml", "fit_energy.yaml"), 0),
+    "compare": (("speedup.csv",), 0),
+}
+
+
+def writing_argv(base: Path, command: str) -> list[str]:
+    """The argv of ``command`` with its inputs under ``base``, writing the
+    files ``WRITES`` names into ``base / "out"``."""
+    out = base / "out"
+    base.mkdir(exist_ok=True)
+    if command == "run":
+        return ["run", "--config", str(write_config(base, BASE_CONFIG)), "--out", str(out)]
+    if command in ("sweep", "failing_sweep"):
+        doc = {**BASE_CONFIG, "sweep": {"axis": "batch_size", "values": [1, 2]}}
+        if command == "failing_sweep":  # batch_size=16 is infeasible, so exits 3
+            doc = {**doc, "resources": {"logical_cores": 4},
+                   "models": with_field(HOST, ("cpu", "oversub_kappa"), 1e308),
+                   "sweep": {"axis": "batch_size", "values": [4, 16]}}
+        return ["sweep", "--config", str(write_config(base, doc)), "--out", str(out)]
+    if command == "calibrate":
+        return ["calibrate", "--observations", "langchain_batch_sweep", "--name", "fit",
+                "--out", str(out)]
+    reports = []
+    for policy, name in (({"name": "multiprocessing"}, "mp"), ({"name": "cgam", "b_cap": 4}, "cg")):
+        doc = {**BASE_CONFIG, "policy": policy, "out": str(base / name)}
+        assert main(["run", "--config", str(write_config(base, doc, f"{name}.yaml"))]) == 0
+        reports.append(str(base / name / "report.yaml"))
+    return ["compare", *reports, "--out", str(out / "speedup.csv")]
+
+
+class TestOutputsAreNewFiles:
+    """A writable regular file at an output path is replaced by a new file,
+    so a hard link's other names keep their bytes; a symlink or FIFO there
+    is written through."""
+
+    @pytest.mark.parametrize("command", WRITES)
+    def test_a_hard_link_at_an_output_path_is_replaced(self, tmp_path, command):
+        names, code = WRITES[command]
+        assert main(writing_argv(tmp_path / "fresh", command)) == code
+        fresh = {name: (tmp_path / "fresh" / "out" / name).read_bytes() for name in names}
+        argv = writing_argv(tmp_path / "again", command)
+        out = tmp_path / "again" / "out"
+        out.mkdir()
+        old = {name: b"old bytes\n" * (len(blob) + 100) for name, blob in fresh.items()}
+        for name in names:
+            (tmp_path / f"other_{name}").write_bytes(old[name])
+            os.link(tmp_path / f"other_{name}", out / name)
+        assert main(argv) == code
+        for name, blob in fresh.items():
+            assert (out / name).read_bytes() == blob and os.stat(out / name).st_nlink == 1
+            assert (tmp_path / f"other_{name}").read_bytes() == old[name]
+
+    def test_a_symlink_at_an_output_path_is_written_through(self, tmp_path):
+        assert main(writing_argv(tmp_path / "fresh", "compare")) == 0
+        fresh = (tmp_path / "fresh" / "out" / "speedup.csv").read_bytes()
+        argv = writing_argv(tmp_path / "again", "compare")
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"old bytes\n" * 100)
+        (tmp_path / "again" / "out").mkdir()
+        (tmp_path / "again" / "out" / "speedup.csv").symlink_to(target)
+        assert main(argv) == 0
+        assert (tmp_path / "again" / "out" / "speedup.csv").is_symlink()
+        assert target.read_bytes() == fresh
+
+    def test_a_fifo_at_an_output_path_is_written_through(self, tmp_path):
+        assert main(writing_argv(tmp_path / "fresh", "compare")) == 0
+        fresh = (tmp_path / "fresh" / "out" / "speedup.csv").read_bytes()
+        argv = writing_argv(tmp_path / "again", "compare")
+        fifo = tmp_path / "again" / "out" / "speedup.csv"
+        fifo.parent.mkdir()
+        os.mkfifo(fifo)
+        # a reader that is already open lets the write proceed without
+        # blocking; the report is far smaller than the pipe's buffer
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(argv) == 0
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert fifo.is_fifo() and received == fresh
+
+    def test_the_cli_writes_only_through_its_one_helper(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        helper = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_write_new")
+
+        def write_text_calls(node) -> list[ast.Call]:
+            return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute) and n.func.attr == "write_text"]
+
+        assert write_text_calls(tree) == write_text_calls(helper) != []
 
 
 class TestIllTypedInputs:
