@@ -208,17 +208,22 @@ def report_csv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_new(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``. A writable regular file already there is
-    unlinked first, so the write makes a new file (writing over one in place
-    makes ext4's ``auto_da_alloc`` flush it on close); a symlink, FIFO,
-    device or read-only file there is written to as it is."""
+def _unlink_regular(path: Path) -> None:
+    """Unlink a writable regular file at ``path``; a symlink, FIFO, device or
+    read-only file there is left as it is."""
     try:
         mode = path.lstat().st_mode
         if stat.S_ISREG(mode) and mode & stat.S_IWUSR:
             path.unlink()
     except OSError:  # nothing there, or a file this user may not unlink
         pass
+
+
+def _write_new(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, as a new file where ``_unlink_regular``
+    unlinks the one there (writing over one in place makes ext4's
+    ``auto_da_alloc`` flush it on close), else through what is there."""
+    _unlink_regular(path)
     path.write_text(text)
 
 
@@ -289,11 +294,11 @@ def cmd_sweep(args) -> int:
         # the axis first, and each column once: a row already holds batch_size
         rows, columns = [], list(dict.fromkeys([axis, *_ROW_COLUMNS]))
     out_dir.mkdir(parents=True, exist_ok=True)
+    partial = out_dir / "sweep_partial.csv"
     for value, cell_config in zip(values, cells):
         try:
             rows.append({**execute(cell_config)[2], axis: value})
         except AgentsimError as exc:
-            partial = out_dir / "sweep_partial.csv"
             _write_new(partial, report_csv(rows, columns))
             # the cell's own class, so the sweep exits as its run would
             raise type(exc)(f"sweep aborted at {axis}={value}: {exc}; partial results in {partial}")
@@ -306,6 +311,7 @@ def cmd_sweep(args) -> int:
                                            rows[-1]["config_fp"], points)))
         _write_new(out_dir / "throughput_curve.yaml", dump_yaml(curve_doc))
         print(f"wrote {out_dir}/throughput_curve.yaml")
+    _unlink_regular(partial)  # the rows of an earlier sweep that failed
     return EXIT_OK
 
 

@@ -2,7 +2,9 @@
 KV-cache pressure, dynamic energy, and throughput-gain cap selection.
 
 All models are pure functions over immutable parameter records, so they can
-be evaluated concurrently and are trivially replayable.
+be evaluated concurrently and are trivially replayable. The rate functions'
+constants are ints, so ``Fraction`` arguments (parameters and pool width
+too) give an exact rate, or ``1.0`` where it is exactly 1.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def cpu_rate(active_cpu_load: float, params: CpuContentionParams) -> float:
     if active_cpu_load <= cores:
         return 1.0
     x = active_cpu_load / cores
-    return (1.0 / x) / (1.0 + params.oversub_kappa * (x - 1.0))
+    return (1 / x) / (1 + params.oversub_kappa * (x - 1))
 
 
 def gpu_rate(resident_batch: int, params: GpuSaturationParams, kv_in_use: int = 0) -> float:
@@ -143,7 +145,7 @@ def gpu_rate(resident_batch: int, params: GpuSaturationParams, kv_in_use: int = 
         raise ConfigurationError("resident_batch must be >= 1")
     if kv_in_use < 0:
         raise ConfigurationError("kv_in_use must be >= 0")
-    rate = (1.0 + params.b_half) / (resident_batch + params.b_half)
+    rate = (1 + params.b_half) / (resident_batch + params.b_half)
     if kv_in_use > params.kv_capacity:
         rate *= params.spill_rate_factor
     return rate
@@ -159,8 +161,8 @@ def thread_pool_rate(n_active: int, pool_size: int, params: CpuContentionParams)
     """
     if n_active < 1:
         raise ConfigurationError("n_active must be >= 1")
-    share = min(1.0, pool_size / n_active)
-    return share / (1.0 + params.gil_serial_fraction * (n_active - 1))
+    share = min(1, pool_size / n_active)
+    return share / (1 + params.gil_serial_fraction * (n_active - 1))
 
 
 def gain_ratios(curve: ThroughputCurve) -> dict[int, float]:

@@ -1,38 +1,22 @@
-"""Reference implementation: the per-event-rescan engine and audit.
+"""Reference implementations of two production parts, kept verbatim so
+property tests can check that the production ones behave the same.
 
-This is the engine and replay audit ``agentsim`` shipped before the
-virtual-clock rewrite, kept verbatim (together with the dispatcher that
-rescanned every gated task on each completion) so property tests can check
-that the production engine reproduces it to 1e-9 relative. Three deliberate
-changes: the ``cgam_overlap`` gate also waits until the batch before was
-released, as the production gate does, so batches start in order; the
-occupancy step series it records at every event are returned beside the
-trace, which no longer holds them; and the audit checks work conservation
-only, as the production audit does. Its cost is quadratic in the batch
-size; use it only on small inputs.
+``Dispatcher`` is the dispatcher that dispatched by policy name and
+rescanned every gated task on each completion; its ``cgam_overlap`` gate
+also waits until the batch before was released, as the production gate
+does, so batches start in order. Its cost is quadratic in the batch size;
+use it only on small inputs. ``serialize_trace`` is the trace serializer
+that formatted each distinct event time once through a ``_Reprs`` cache
+and joined the stage lines and then the sections; the production
+serializer must write the same text.
 
-It also keeps, verbatim, the trace serializer that formatted each distinct
-event time once through a ``_Reprs`` cache and joined the stage lines and
-then the sections; the production serializer must write the same text.
+The engine's reference is ``exact_engine``, which replays the fluid
+semantics in exact arithmetic.
 """
 
 from __future__ import annotations
 
-import bisect
-import enum
-from dataclasses import dataclass, field
-
-from agentsim.contention import ContentionModels, cpu_rate, gpu_rate, thread_pool_rate
-from agentsim.engine import (
-    _TRACE_META,
-    TRACE_SCHEMA_VERSION,
-    ReplayReport,
-    ResourcePool,
-    StageRecord,
-    Trace,
-    models_fingerprint,
-    workload_fingerprint,
-)
+from agentsim.engine import _TRACE_META, TRACE_SCHEMA_VERSION, Trace
 from agentsim.errors import InternalConsistencyError
 from agentsim.schedulers import (
     PROCESS,
@@ -41,25 +25,7 @@ from agentsim.schedulers import (
     maws_partition,
     plan_microbatches,
 )
-from agentsim.workload import StageKind, TaskInstance
-
-# the engine's old absolute tie rule: a stage this close to an event ends with it
-TIME_EPS = 1e-12
-
-
-class EventKind(enum.Enum):
-    STAGE_COMPLETE = "stage_complete"
-    DISPATCH_WAKE = "dispatch_wake"
-
-
-@dataclass(frozen=True, order=True)
-class Event:
-    """Engine event, totally ordered by (time, task id, stage index)."""
-
-    time: float
-    task_id: int
-    stage_idx: int
-    kind: EventKind = field(compare=False, default=EventKind.STAGE_COMPLETE)
+from agentsim.workload import TaskInstance
 
 
 class Dispatcher:
@@ -191,281 +157,6 @@ class Dispatcher:
                 still_gated.append(tid)
         self._gated = still_gated
         return sorted(released)
-
-
-@dataclass
-class _Running:
-    task: TaskInstance
-    stage_idx: int
-    mode: str
-    remaining: float
-    start: float
-
-
-def _occupancy(running: list[_Running], pool_eff: int | None, kv_bytes_per_token: int):
-    """(cpu_load, gpu_residency, kv_bytes, kv_tokens, n_pool_threads) for the
-    current running set. Thread-mode stages draw CPU through the shared pool,
-    so their aggregate share is capped at the pool width."""
-    process_load = 0.0
-    thread_raw = 0.0
-    gpu_res = 0
-    kv_tokens = 0
-    n_pool = 0
-    for r in running:
-        stage = r.task.pipeline.stages[r.stage_idx]
-        if r.mode == THREAD:
-            thread_raw += stage.cpu_share
-            if stage.kind is StageKind.CPU_TOOL:
-                n_pool += 1
-        else:
-            process_load += stage.cpu_share
-        if stage.kind is StageKind.GPU_INFERENCE:
-            gpu_res += 1
-            kv_tokens += stage.kv_tokens
-    thread_load = min(thread_raw, float(pool_eff)) if pool_eff is not None else thread_raw
-    return process_load + thread_load, gpu_res, kv_tokens * kv_bytes_per_token, kv_tokens, n_pool
-
-
-def _stage_rate(
-    stage, mode: str, load: float, gpu_res: int, kv_bytes: int, n_pool: int,
-    pool_eff: int | None, models: ContentionModels,
-) -> float:
-    """Execution rate of one running stage given the current occupancy."""
-    if stage.kind is StageKind.EXTERNAL_API:
-        return 1.0
-    if stage.kind is StageKind.CPU_TOOL:
-        base = cpu_rate(load, models.cpu)
-        if mode == THREAD:
-            return thread_pool_rate(n_pool, pool_eff, models.cpu) * base
-        return base
-    # GPU inference: saturation curve, KV spill, and (for synchronous host
-    # clients) the host CPU availability.
-    rate = gpu_rate(gpu_res, models.gpu, kv_bytes)
-    if stage.host_blocking:
-        rate *= cpu_rate(load, models.cpu)
-    return rate
-
-
-def simulate(
-    tasks: list[TaskInstance],
-    policy: Policy,
-    resources: ResourcePool,
-    models: ContentionModels,
-    seed: int = 0,
-) -> tuple[Trace, dict[str, list]]:
-    """Run the closed-loop workload under the given policy to completion.
-    Returns the trace and the occupancy step series recorded at each event,
-    by the name of the ``Trace`` property that derives each.
-
-    Pure function: the trace depends only on the arguments. Ties are broken
-    by (time, task id, stage index) so simultaneous completions are
-    processed in a fixed order.
-    """
-    # The machine size lives in resources; rebind the contention params to it.
-    models = models.replace(cpu=models.cpu.replace(logical_cores=resources.logical_cores))
-    if not tasks:
-        return Trace(
-            workload_fp=workload_fingerprint(tasks),
-            policy=policy.canonical(),
-            models_fp=models_fingerprint(models),
-            seed=seed,
-            logical_cores=resources.logical_cores,
-            pool_eff=None,
-            records=[], makespan=0.0,
-        ), {"cpu_load_steps": [], "gpu_res_steps": [], "kv_token_steps": [],
-            "pool_n_steps": []}
-
-    dispatcher = Dispatcher(policy, tasks)
-    pool_eff = None
-    if dispatcher.pool_size is not None:
-        pool_eff = min(dispatcher.pool_size, resources.logical_cores)
-
-    by_id = {t.id: t for t in tasks}
-    running: dict[int, _Running] = {}
-    records: list[StageRecord] = []
-    cpu_steps: list[tuple[float, float]] = []
-    gpu_steps: list[tuple[float, int]] = []
-    kv_steps: list[tuple[float, int]] = []
-    pool_steps: list[tuple[float, int]] = []
-    now = 0.0
-    remaining_stages = sum(len(t.pipeline.stages) for t in tasks)
-    max_events = 100 * remaining_stages + 1000
-
-    def start_stage(task_id: int, stage_idx: int):
-        task = by_id[task_id]
-        running[task_id] = _Running(
-            task=task,
-            stage_idx=stage_idx,
-            mode=dispatcher.mode_of(task_id),
-            remaining=task.stage_work[stage_idx],
-            start=now,
-        )
-
-    def record_occupancy():
-        load, gpu_res, _, kv_tokens, n_pool = _occupancy(
-            _sorted_running(), pool_eff, models.gpu.kv_bytes_per_token
-        )
-        for steps, value in (
-            (cpu_steps, load), (gpu_steps, gpu_res),
-            (kv_steps, kv_tokens), (pool_steps, n_pool),
-        ):
-            if not steps or steps[-1][1] != value:
-                steps.append((now, value))
-
-    def _sorted_running() -> list[_Running]:
-        return [running[tid] for tid in sorted(running)]
-
-    for tid in dispatcher.initial_starts():
-        start_stage(tid, 0)
-    record_occupancy()
-
-    events = 0
-    while running:
-        events += 1
-        if events > max_events:
-            raise InternalConsistencyError("event budget exhausted; engine stuck")
-
-        active = _sorted_running()
-        load, gpu_res, kv_bytes, _, n_pool = _occupancy(
-            active, pool_eff, models.gpu.kv_bytes_per_token
-        )
-        rates = {
-            r.task.id: _stage_rate(
-                r.task.pipeline.stages[r.stage_idx], r.mode,
-                load, gpu_res, kv_bytes, n_pool, pool_eff, models,
-            )
-            for r in active
-        }
-        dt = min(r.remaining / rates[r.task.id] for r in active)
-
-        completions: list[Event] = []
-        for r in active:
-            need = r.remaining / rates[r.task.id]
-            if need <= dt + TIME_EPS:
-                completions.append(Event(now + dt, r.task.id, r.stage_idx))
-            else:
-                r.remaining -= rates[r.task.id] * dt
-        now += dt
-
-        released: list[int] = []
-        follow_ups: list[tuple[int, int]] = []
-        for ev in sorted(completions):
-            r = running.pop(ev.task_id)
-            stage = r.task.pipeline.stages[r.stage_idx]
-            records.append(
-                StageRecord(
-                    task_id=ev.task_id, stage_idx=ev.stage_idx,
-                    kind=stage.kind.value, mode=r.mode,
-                    host_blocking=stage.host_blocking,
-                    cpu_share=stage.cpu_share, kv_tokens=stage.kv_tokens,
-                    work=r.task.stage_work[r.stage_idx],
-                    start=r.start, end=now, label=stage.label,
-                )
-            )
-            released.extend(dispatcher.on_stage_complete(ev.task_id, ev.stage_idx))
-            if ev.stage_idx + 1 < len(r.task.pipeline.stages):
-                follow_ups.append((ev.task_id, ev.stage_idx + 1))
-
-        for task_id, stage_idx in sorted(follow_ups):
-            start_stage(task_id, stage_idx)
-        for task_id in sorted(set(released)):
-            start_stage(task_id, 0)
-        record_occupancy()
-
-    records.sort(key=lambda r: (r.task_id, r.stage_idx))
-    n_done = len(records)
-    if n_done != remaining_stages:
-        raise InternalConsistencyError(
-            f"run ended with {remaining_stages - n_done} unfinished stages"
-        )
-    return Trace(
-        workload_fp=workload_fingerprint(tasks),
-        policy=policy.canonical(),
-        models_fp=models_fingerprint(models),
-        seed=seed,
-        logical_cores=resources.logical_cores,
-        pool_eff=pool_eff,
-        records=records,
-        makespan=now,
-    ), {"cpu_load_steps": cpu_steps, "gpu_res_steps": gpu_steps,
-        "kv_token_steps": kv_steps, "pool_n_steps": pool_steps}
-
-
-
-def _interval_occupancy(trace: Trace):
-    """Event times plus the occupancy tuple holding from each time to the
-    next, recomputed from the stage intervals alone. O(times * records)."""
-    times = sorted({r.start for r in trace.records} | {r.end for r in trace.records})
-    occupancy = []
-    for t in times:
-        active = [r for r in trace.records if r.start <= t < r.end]
-        occupancy.append(_occupancy_from_records(active, trace.pool_eff))
-    return times, occupancy
-
-
-def _occupancy_from_records(active: list[StageRecord], pool_eff: int | None):
-    process_load = 0.0
-    thread_raw = 0.0
-    gpu_res = 0
-    kv_tokens = 0
-    n_pool = 0
-    for r in sorted(active, key=lambda r: r.task_id):
-        if r.mode == THREAD:
-            thread_raw += r.cpu_share
-            if r.kind == StageKind.CPU_TOOL.value:
-                n_pool += 1
-        else:
-            process_load += r.cpu_share
-        if r.kind == StageKind.GPU_INFERENCE.value:
-            gpu_res += 1
-            kv_tokens += r.kv_tokens
-    thread_load = min(thread_raw, float(pool_eff)) if pool_eff is not None else thread_raw
-    return process_load + thread_load, gpu_res, kv_tokens, n_pool
-
-
-def _record_rate(
-    r: StageRecord, load: float, gpu_res: int, kv_bytes: int, n_pool: int,
-    pool_eff: int | None, models: ContentionModels,
-) -> float:
-    if r.kind == StageKind.EXTERNAL_API.value:
-        return 1.0
-    if r.kind == StageKind.CPU_TOOL.value:
-        base = cpu_rate(load, models.cpu)
-        if r.mode == THREAD:
-            return thread_pool_rate(n_pool, pool_eff, models.cpu) * base
-        return base
-    rate = gpu_rate(gpu_res, models.gpu, kv_bytes)
-    if r.host_blocking:
-        rate *= cpu_rate(load, models.cpu)
-    return rate
-
-
-def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) -> ReplayReport:
-    """Work-conservation audit: integrating each stage's recomputed rate over
-    its recorded interval must recover the stage's work to within ``rel_tol``
-    relative error. Returns a failure naming the first offending stage."""
-    models = models.replace(cpu=models.cpu.replace(logical_cores=trace.logical_cores))
-    times, occupancy = _interval_occupancy(trace)
-    for rec in sorted(trace.records, key=lambda r: (r.task_id, r.stage_idx)):
-        lo = bisect.bisect_left(times, rec.start)
-        done = 0.0
-        for i in range(lo, len(times) - 1):
-            t1, t2 = times[i], times[i + 1]
-            if t1 >= rec.end:
-                break
-            load, gpu_res, kv_tokens, n_pool = occupancy[i]
-            rate = _record_rate(
-                rec, load, gpu_res, kv_tokens * models.gpu.kv_bytes_per_token,
-                n_pool, trace.pool_eff, models,
-            )
-            done += rate * (t2 - t1)
-        if abs(done - rec.work) > rel_tol * max(rec.work, 1e-30):
-            return ReplayReport(
-                False,
-                f"work mismatch at task {rec.task_id} stage {rec.stage_idx}: "
-                f"integrated {done!r}, expected {rec.work!r}",
-            )
-    return ReplayReport(True)
 
 
 class _Reprs(dict):

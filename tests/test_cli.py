@@ -307,6 +307,25 @@ class TestSweep:
         partial = tmp_path / "sweep_out" / "sweep_partial.csv"
         assert len(partial.read_text().splitlines()) == 2  # header + batch_size=4 row
 
+    def test_a_sweep_that_completes_removes_an_earlier_partial_file(self, tmp_path):
+        # an infeasible sweep leaves its rows in sweep_partial.csv; the same
+        # sweep on the bundled models into the same --out removes that file,
+        # but leaves a symlink of that name as it is
+        doc = {**BASE_CONFIG, "out": str(tmp_path / "sweep_out"),
+               "resources": {"logical_cores": 4},
+               "sweep": {"axis": "batch_size", "values": [4, 16]}}
+        failing = {**doc, "models": with_field(HOST, ("cpu", "oversub_kappa"), 1e308)}
+        failing_cfg = write_config(tmp_path, failing, "failing.yaml")
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(failing_cfg)]) == 3
+        assert (out / "sweep_partial.csv").is_file()
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "throughput_curve.yaml"]
+        (out / "sweep_partial.csv").symlink_to(tmp_path / "failing.yaml")
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert (out / "sweep_partial.csv").is_symlink()
+
     def test_batch_sweep_curve_saturates_at_128(self, tmp_path):
         # the emitted throughput curve feeds the cap selection: on the
         # bundled calibration the gain ratio crosses the 1.1 threshold

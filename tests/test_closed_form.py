@@ -12,7 +12,8 @@ one rate. The sum is taken exactly in ``Fraction``, with ``phi`` read from
 the production rate functions, and every end the engine records must lie
 within ``B * 2**-53`` relative of it. The oracle shares nothing with the
 engine's event loop, its virtual clocks or its tie rule, and it runs at
-batch sizes the float reference engines do not reach.
+batch sizes the exact engine (``exact_engine``, O(running stages) per
+event) does not reach.
 """
 
 from __future__ import annotations

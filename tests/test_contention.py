@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from agentsim.contention import (
@@ -15,6 +17,7 @@ from agentsim.contention import (
     thread_pool_rate,
 )
 from agentsim.errors import ConfigurationError, InfeasibleModelError
+from exact_engine import exact_params
 
 
 def params(cores=96, kappa=0.0):
@@ -183,6 +186,47 @@ class TestThreadPoolRate:
         # above the 96 cores here is used as it is
         cpu = CpuContentionParams(logical_cores=96, gil_serial_fraction=0.02)
         assert thread_pool_rate(n, 200, cpu) == min(1.0, 200 / n) / (1.0 + 0.02 * (n - 1))
+
+
+def is_exact(got, want) -> bool:
+    """Whether ``got`` is ``want`` exactly: a Fraction, or the float 1.0 for a
+    rate of exactly 1."""
+    return got == want and (type(got) is Fraction or type(got) is float and got == 1)
+
+
+class TestExactArguments:
+    """Each rate function keeps ``Fraction`` arguments exact, and gives float
+    arguments a float, bit for bit the one its formula written with float
+    constants (``1.0 / x``, ``min(1.0, ...)``) gives."""
+
+    CPU = CpuContentionParams(logical_cores=8, oversub_kappa=0.3, gil_serial_fraction=0.0126)
+    GPU = GpuSaturationParams(b_half=4.0, kv_capacity=1000, spill_rate_factor=0.25)
+
+    @pytest.mark.parametrize("load", [0.0, 5.5, 8.0, 8.5, 13.3, 1e6])
+    def test_cpu_rate(self, load):
+        x = Fraction(load) / 8
+        want = 1 if x <= 1 else (1 / x) / (1 + Fraction(0.3) * (x - 1))
+        assert is_exact(cpu_rate(Fraction(load), exact_params(self.CPU)), want)
+        got = cpu_rate(load, self.CPU)
+        x = load / 8
+        assert type(got) is float
+        assert got.hex() == (1.0 if x <= 1 else (1.0 / x) / (1.0 + 0.3 * (x - 1.0))).hex()
+
+    @pytest.mark.parametrize("n, kv", [(1, 0), (1, 1001), (3, 1000), (3, 1001), (17, 0)])
+    def test_gpu_rate(self, n, kv):
+        want = (1 + Fraction(4.0)) / (n + Fraction(4.0)) * (Fraction(0.25) if kv > 1000 else 1)
+        assert is_exact(gpu_rate(n, exact_params(self.GPU), kv), want)
+        got = gpu_rate(n, self.GPU, kv)
+        assert type(got) is float
+        assert got.hex() == ((1.0 + 4.0) / (n + 4.0) * (0.25 if kv > 1000 else 1.0)).hex()
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 13])
+    def test_thread_pool_rate(self, n):
+        want = min(1, Fraction(8, n)) / (1 + Fraction(0.0126) * (n - 1))
+        assert is_exact(thread_pool_rate(n, Fraction(8), exact_params(self.CPU)), want)
+        got = thread_pool_rate(n, 8, self.CPU)
+        assert type(got) is float
+        assert got.hex() == (min(1.0, 8 / n) / (1.0 + 0.0126 * (n - 1))).hex()
 
 
 class TestCalibrateGpu:

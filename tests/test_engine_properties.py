@@ -1,14 +1,17 @@
-"""Property tests: the virtual-clock engine against the rescanning reference
-engine on random small pipelines, mixes, policies, models and core counts
-(the occupancy series the sweep derives from the records against those the
-reference records at each event), the occupancy's CPU load against the
-exact sum of its shares and its class rates against the contention models,
-the trace serializer against the one it replaced, the trace parser on corrupted
-traces, the dispatcher against the rescanning one, the record order under
-any task ids, task latencies and the audit's verdict against their ``max``
-definitions, the sweep's usage totals against a fold over its step series,
-the audit of a hand-edited trace, and a run whose works are all scaled by a
-power of two against the run it scales."""
+"""Property tests: the virtual-clock engine against the exact-arithmetic
+engine (``exact_engine``) on random small pipelines, mixes, policies,
+models and core counts, and on runs built with cross-class near-ties (the
+records, ends within a derived bound of exact, event groups, and the
+occupancy series the sweep derives from the records against those the exact
+engine records at each event); the occupancy's CPU load against the exact
+sum of its shares and its class rates against the contention models; the
+trace serializer against the one it replaced; the trace parser on corrupted
+traces; the dispatcher against the one that rescanned every gated task
+(``reference_engine``); the record order under any task ids; task latencies
+and the audit's verdict against their ``max`` definitions; the sweep's usage
+totals against a fold over its step series; the audit of a hand-edited
+trace; and a run whose works are all scaled by a power of two against the
+run it scales."""
 
 import functools
 import itertools
@@ -21,10 +24,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import agentsim as a
+import exact_engine
 import reference_engine as ref
 from agentsim.contention import (
     ContentionModels,
@@ -125,59 +129,142 @@ def models(draw):
     )
 
 
-def assert_close(got, want, rel=1e-9):
-    assert abs(got - want) <= rel * abs(want), (got, want)
+U = Fraction(1, 2**53)  # a float's unit roundoff
+# roundings in the float rate of any class, to first order, with kappa <= 1 (as
+# models() draws it): the load 2; cpu_rate 11 (x 3, 1/x 4, the denominator 6,
+# the quotient 1; a load that rounds across the knee errs by at most 4); and
+# thread_pool_rate 4; gpu_rate 4 (spill included); a product of two class
+# rates adds their counts and 1, at most 16 (CPU thread, GPU host-blocking)
+RATE_ROUNDINGS = 16
 
 
-def assert_same_step_function(got, want, tol=1e-9):
-    """Two step-function lists agree: the same breakpoints at times within
-    ``tol`` relative and values within ``tol``, once entries that move the
-    value by no more than ``tol`` are dropped."""
-    def breakpoints(steps):
-        kept = []
-        for t, v in steps:
-            if not kept or abs(v - kept[-1][1]) > tol:
-                kept.append((t, v))
-        return kept
+def end_bound(run: exact_engine.Run) -> Fraction:
+    """How far, relative, the float engine's times may lie from the exact
+    ones on ``run``: ``events · u · (1 + Q) · (3 + ρ)``, with u = 2^-53, ρ =
+    RATE_ROUNDINGS and Q >= 1 the largest ratio between one class's fastest
+    and slowest exact rate over the run.
 
-    got, want = breakpoints(got), breakpoints(want)
-    assert len(got) == len(want), (got, want)
-    for (t, v), (u, w) in zip(got, want):
-        assert_close(t, u, tol)
-        assert abs(v - w) <= tol, (got, want)
+    To first order in u, every rounding is an absolute time error that the
+    times after it carry. An event's sum ``now + dt`` adds u·now, at most
+    events·u·now over the run. Its ``dt = (tag - clock) / rate`` adds u·dt for
+    the difference, u·dt for the division and ρ·u·dt for the rate, which sum
+    to (2 + ρ)·u·now over the events. A class's clock advance ``clock +
+    rate·dt`` adds u·rate·dt and u·clock in work, and ρ·u·rate·dt from the
+    rate; read as time at a rate up to Q times slower, that is Q·u·dt,
+    Q·u·now (per event) and Q·ρ·u·dt, and a finish tag ``clock + work`` adds
+    one more Q·u·now to its stage. In all, u·now·(events·(1 + Q) + 2·(1 + Q)
+    + ρ·(1 + Q)), at most the bound since events >= 1. Products of two
+    rounding errors are dropped, and an error's growth through a later,
+    slower rate is counted once, in Q."""
+    spread: dict[str, tuple] = {}
+    for rates in run.rates:
+        for cls, rate in rates.items():
+            low, high = spread.get(cls, (rate, rate))
+            spread[cls] = (min(low, rate), max(high, rate))
+    q = max((high / low for low, high in spread.values()), default=1)
+    events = len({r.end for r in run.trace.records})
+    return events * U * (1 + q) * (3 + RATE_ROUNDINGS)
 
 
-@settings(max_examples=300)  # half of them skip classes
-@given(tasks=workloads(), policy=policies(), m=models())
-def test_engine_matches_reference(tasks, policy, m):
+def within(got: float, want, rel: Fraction) -> bool:
+    return abs(Fraction(got) - want) <= rel * abs(want)
+
+
+def event_groups(trace: Trace) -> list[list[tuple[int, int]]]:
+    """The (task, stage) pairs each event ends, by ascending event time."""
+    groups: dict = {}
+    for r in trace.records:
+        groups.setdefault(r.end, []).append((r.task_id, r.stage_idx))
+    return [groups[end] for end in sorted(groups)]
+
+
+def assert_same_step_function(got, want, rel: Fraction):
+    """A series the sweep derives from a float trace against the exact one:
+    the same breakpoints, each time and value within ``rel`` relative, once
+    the float series' steps that move its value by no more than ``rel``
+    relative are dropped (running sets of one exact load may round to two
+    floats)."""
+    kept = []
+    for t, v in got:
+        if not kept or not within(v, kept[-1][1], rel):
+            kept.append((t, v))
+    assert len(kept) == len(want), (kept, want)
+    for (t, v), (exact_t, exact_v) in zip(kept, want):
+        assert within(t, exact_t, rel) and within(v, exact_v, rel), (kept, want)
+
+
+def assert_matches_exact(tasks, policy, m):
+    """The float engine's run against the exact engine's: the same records
+    in (task, stage) order with equal shape fields, every start and end within
+    ``end_bound`` relative of exact, the same event groups, the sweep's
+    occupancy series against the exact engine's, the audit passing on both
+    engines' traces (the exact one rounded to floats), and reruns and the
+    text round trip bit-exact."""
     resources = a.ResourcePool(logical_cores=m.cpu.logical_cores)
     new = a.simulate(tasks, policy, resources, m)
-    old, old_steps = ref.simulate(tasks, policy, resources, m)
+    run = exact_engine.simulate(tasks, policy, resources, m)
+    exact = run.trace
+    assert [x._replace(start=0.0, end=0.0) for x in new.records] == \
+        [y._replace(start=0.0, end=0.0) for y in exact.records]
+    rel = end_bound(run)
+    for x, y in zip(new.records, exact.records):
+        assert within(x.start, y.start, rel) and within(x.end, y.end, rel), (x, y, float(rel))
+    assert within(new.makespan, exact.makespan, rel)
+    assert event_groups(new) == event_groups(exact)
 
-    assert [(r.task_id, r.stage_idx) for r in new.records] == \
-        [(r.task_id, r.stage_idx) for r in old.records]
-    for x, y in zip(new.records, old.records):
-        assert x._replace(start=0.0, end=0.0) == y._replace(start=0.0, end=0.0)
-        assert_close(x.start, y.start)
-        assert_close(x.end, y.end)
-    assert_close(new.makespan, old.makespan)
-
-    # The reference sums the CPU load in task-id order, the sweep per
-    # distinct share, so where the load moves by a rounding error one of them
-    # may take a step the other does not; the comparison drops such steps.
     derived = sweep(new)
-    for name, steps in old_steps.items():
-        assert_same_step_function(getattr(derived, name), steps)
+    for name, steps in run.steps.items():
+        assert_same_step_function(getattr(derived, name), steps, rel)
         assert getattr(new, name) == getattr(derived, name)
 
-    # each audit passes on its own engine's trace and on the other's
-    for audit, trace in itertools.product((a.replay_check, ref.replay_check), (new, old)):
-        assert audit(trace, m).ok
+    rounded = exact._replace(makespan=float(exact.makespan), records=[
+        r._replace(start=float(r.start), end=float(r.end)) for r in exact.records])
+    for trace in (new, rounded):
+        assert a.replay_check(trace, m).ok
 
     text = serialize_trace(new)
     assert serialize_trace(a.simulate(tasks, policy, resources, m)) == text
     assert parse_trace(text) == new
     assert serialize_trace(parse_trace(text)) == text
+
+
+@settings(max_examples=300)  # half of them skip classes
+@given(tasks=workloads(), policy=policies(), m=models())
+def test_engine_matches_reference(tasks, policy, m):
+    assert_matches_exact(tasks, policy, m)
+
+
+CPU_TOOL = a.PipelineSpec("cpu", (a.StageSpec(a.StageKind.CPU_TOOL, 1.0, 1.0, label="cpu"),))
+GPU_ASYNC_CALL = a.PipelineSpec(
+    "gpu", (a.StageSpec(a.StageKind.GPU_INFERENCE, 1.0, 0.0, label="gpu"),))
+
+
+# the CPU rate rounds to 0.27272727272727276, the GPU rate to 0.2727272727272727
+@example(cores=3, extra=8, n_gpu=4, work=1.0, gap=0)
+@example(cores=3, extra=8, n_gpu=4, work=1.0, gap=1)
+@given(cores=st.integers(1, 6), extra=st.sampled_from((1, 2, 4, 8)), n_gpu=st.integers(1, 12),
+       work=st.sampled_from((1.0, 0.7, 3.0)), gap=st.sampled_from((0, 1, -1)))
+def test_cross_class_near_ties_group_as_exact_arithmetic_does(cores, extra, n_gpu, work, gap):
+    """Two classes whose rates are equal as rationals, but rounded along two
+    float paths. ``cores + extra`` CPU process stages of share 1 on ``cores``
+    cores run at rate cores / load; ``n_gpu`` async GPU stages of share 0
+    with b_half = (cores·n_gpu - load) / extra (a float exactly, as extra is
+    a power of two) run at (1 + b_half) / (n_gpu + b_half), the same
+    rational. The float engine takes the first as ``1 / (load / cores)`` and
+    the second in one division, which differ in the last bit in some draws:
+    equal works (``gap`` 0) then end an ulp apart, and without a tie margin
+    the float engine ends them in two events where exact arithmetic has one.
+    GPU works 2^-30 longer or shorter (``gap`` ±1) end in two events exact
+    arithmetic separates by about 1e-9 relative, which a margin of 1e-6
+    would merge."""
+    load = cores + extra
+    assume(cores * n_gpu > load)  # a positive b_half
+    m = ContentionModels(name="tie", cpu=CpuContentionParams(logical_cores=cores),
+                         gpu=GpuSaturationParams(b_half=(cores * n_gpu - load) / extra))
+    gpu_work = work * (1 + gap * 2.0 ** -30)
+    tasks = [a.TaskInstance(i, CPU_TOOL, (work,)) for i in range(load)] + [
+        a.TaskInstance(load + i, GPU_ASYNC_CALL, (gpu_work,)) for i in range(n_gpu)]
+    assert_matches_exact(tasks, a.Policy("multiprocessing"), m)
 
 
 @given(tasks=workloads(), policy=policies(), m=models(), k=st.integers(-60, 60))

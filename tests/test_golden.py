@@ -5,11 +5,12 @@ Each config below runs through the CLI, and the sha256 digests of its
 stdout, `trace.txt`, `report.csv` and `report.yaml` must equal those checked
 in at `golden_digests.json`; a command's stdout is digested with the output
 paths cut from its `wrote` lines. The set covers every bundled pipeline, all seven
-policies, mixes, the thread-pool paths, both bundled models profiles and
-batch sizes 1, 7, 64 and 256. Each report pair in COMPARES is also compared, and
-the digests of the command's stdout and of its `--out` CSV are checked the
-same way. Each run in JSON_LINES_RUNS, a CONFIGS entry run with `--format
-json-lines`, pins its stdout and every file it writes, and each command in
+policies, mixes, the thread-pool paths, both bundled models profiles,
+batch sizes 1, 7, 64, 256, 257 and 384, and three runs past KV capacity
+(the ``_spill`` ones), so the GPU rate's spill branch is pinned. Each
+report pair in COMPARES is also compared, and the digests of the command's
+stdout and of its `--out` CSV are checked the same way. Each run in
+JSON_LINES_RUNS, a CONFIGS entry run with `--format json-lines`, pins its stdout and every file it writes, and each command in
 PROFILE_COMMANDS (`profiles list`, and `profiles show` of every bundled
 profile) pins its stdout. Each sweep in SWEEPS (every axis, one in json-lines and one whose
 second cell is infeasible) pins its exit code, its stdout and the digest of
@@ -121,6 +122,17 @@ CONFIGS = {
     "mix_multithreading_b7": _config(
         THREE_WAY, 7, {"name": "multithreading", "pool_size": 2}, seed=7),
     "mix_sequential_b7": _config(THREE_WAY, 7, {"name": "sequential"}),
+    # past KV capacity: on the energy host at 128 cores B=256 fills it
+    # exactly, and under maws at 136 cores the SWE-agent requests reach the
+    # GPU while the guardrail ones are still there
+    "energyhost_multiprocessing_b257_spill": _config(
+        "langchain_freshqa_energyhost", 257, {"name": "multiprocessing"},
+        models=ENERGY_HOST, jitter=0.0, cores=128),
+    "energyhost_multiprocessing_b384_spill": _config(
+        "langchain_freshqa_energyhost", 384, {"name": "multiprocessing"},
+        models=ENERGY_HOST, jitter=0.0, cores=128),
+    "mix_maws_b256_136cores_spill": _config(
+        SWE_GUARDRAIL, 256, {"name": "maws"}, jitter=0.0, cores=136),
 }
 
 # digest key -> (sweep config, --format) of one `agentsim sweep`
