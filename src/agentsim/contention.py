@@ -161,7 +161,10 @@ def thread_pool_rate(n_active: int, pool_size: int, params: CpuContentionParams)
     """
     if n_active < 1:
         raise ConfigurationError("n_active must be >= 1")
-    share = min(1, pool_size / n_active)
+    # min(1, pool/n) without the builtin call, which costs as much as the
+    # rest of the function; where pool < n rounds pool/n up to 1.0, min's 1
+    # divides to the same float
+    share = pool_size / n_active if pool_size < n_active else 1
     return share / (1 + params.gil_serial_fraction * (n_active - 1))
 
 

@@ -71,7 +71,8 @@ class StageRecord(NamedTuple):
 
 
 # fields of a StageRecord, read without its attribute lookup
-_TASK_ID, _WORK, _END = itemgetter(0), itemgetter(7), itemgetter(9)
+_TASK_ID, _WORK, _START, _END = itemgetter(0), itemgetter(7), itemgetter(8), itemgetter(9)
+_SHAPE = itemgetter(2, 3, 4, 5, 6)  # kind, mode, host blocking, share, kv tokens
 
 
 class Trace(NamedTuple):
@@ -423,16 +424,19 @@ def serialize_trace(trace: Trace) -> str:
 
 def _trace_chunks(trace: Trace):
     """The text of the header, then of each run of ``_CHUNK_LINES`` stage
-    lines, each joined once. A stage whose start is the nonzero float its
-    predecessor ended at reuses that end's text, and the middle of a line,
-    from kind to kv tokens, is formatted once per distinct shape with a
-    nonzero float share and an int kv count (``0.0`` and ``-0.0``, or ``1``
-    and ``1.0``, are equal but print differently)."""
+    lines, each joined once. A stage whose start is a nonzero float reuses
+    the text of an equal one: the end its predecessor wrote, or else the
+    last start formatted, such as the release time of a micro-batch's first
+    stages. The middle of a line, from kind to kv tokens, is formatted once
+    per distinct shape with a nonzero float share and an int kv count
+    (``0.0`` and ``-0.0``, or ``1`` and ``1.0``, are equal but print
+    differently)."""
     fields = {"schema_version": TRACE_SCHEMA_VERSION, **trace._asdict()}
     yield "# agentsim trace\n" + "".join([
         f"meta {key} {'none' if fields[key] is None else fields[key]}\n" for key in _TRACE_META])
     middles: dict[tuple, str] = {}  # (kind, mode, host blocking, share, kv) -> its text
     prev_end = prev_text = None  # the previous record's end if a nonzero float, its text
+    last_start = last_text = None  # the last nonzero float start formatted, its text
     records = trace.records
     for first in range(0, len(records), _CHUNK_LINES):
         lines = []
@@ -446,7 +450,14 @@ def _trace_chunks(trace: Trace):
                 middle = f" {kind} {mode} {int(host_blocking)} {cpu_share!r} {kv_tokens} "
                 if cacheable:
                     middles[shape] = middle
-            start_text = prev_text if start == prev_end and type(start) is float else repr(start)
+            if start == prev_end and type(start) is float:
+                start_text = prev_text
+            elif start == last_start and type(start) is float:
+                start_text = last_text
+            else:
+                start_text = repr(start)
+                if start and type(start) is float:
+                    last_start, last_text = start, start_text
             prev_end, prev_text = end if end and type(end) is float else None, repr(end)
             append(f"stage {task_id} {stage_idx}{middle}{work!r} {start_text} {prev_text} "
                    f"{label}\n")
@@ -528,12 +539,12 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
     records = trace.records
     n = len(records)
     shapes: dict[tuple, int] = {}  # (kind, mode, host blocking, share, kv) -> its index
-    shape_of = [shapes.setdefault(r[2:7], len(shapes)) for r in records]
+    shape_of = [shapes.setdefault(shape, len(shapes)) for shape in map(_SHAPE, records)]
     occupancy = Occupancy(trace.pool_eff, shapes)
     keys = list(map(occupancy.key_of.__getitem__, shapes))  # each shape index's key
     present = occupancy.classes
-    starts = [r.start for r in records]
-    ends = [r.end for r in records]
+    starts = list(map(_START, records))
+    ends = list(map(_END, records))
     # an interval that does not end after it starts is never active
     live = [i for i in range(n) if ends[i] > starts[i]]
     by_start = sorted(live, key=starts.__getitem__)

@@ -2,16 +2,18 @@
 
 A record class lists its fields in ``__slots__``, in the order of its
 ``__init__`` parameters, validates its arguments in ``__init__`` and stores
-them with ``_init``. Slots keep a field read as cheap as Python allows, which
-matters for the contention parameters the engine reads at every event, and
-the class is built by plain class creation, with no code generated at import.
+them with ``_init``; a record made once per task stores them with
+``set_field``, one call per field, which costs less than ``_init``'s loop.
+Slots keep a field read as cheap as Python allows, which matters for the
+contention parameters the engine reads at every event, and the class is
+built by plain class creation, with no code generated at import.
 """
 
 import sys
 from functools import reduce
 from operator import add
 
-_set_field = object.__setattr__
+set_field = object.__setattr__  # stores a field past Frozen.__setattr__
 FLOAT_MAX = sys.float_info.max
 
 
@@ -46,7 +48,7 @@ class Frozen:
     def _init(self, *values) -> None:
         """Store ``values`` as the fields, in ``__slots__`` order."""
         for name, value in zip(self.__slots__, values):
-            _set_field(self, name, value)
+            set_field(self, name, value)
 
     def _key(self) -> tuple:
         """The values that equality and the hash compare."""

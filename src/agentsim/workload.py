@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
+from operator import mul
 
 from .errors import ConfigurationError
-from .frozen import FLOAT_MAX, Frozen, is_real, left_sum, whole_problem
+from .frozen import FLOAT_MAX, Frozen, is_real, left_sum, set_field, whole_problem
 from .rng import lognormal
 
 
@@ -122,15 +123,20 @@ class TaskInstance(Frozen):
             raise ConfigurationError(f"task id must be an int, not {id!r}")
         if len(stage_work) != len(pipeline.stages):
             raise ConfigurationError("stage_work length must equal stage count")
-        # is_real's rule and a range: inline for floats, as a call per work
-        # costs twice as much, and through is_real for any other work, which
-        # is held as its float, as a trace writes and reads it back
-        if not all(type(w) is float and 0.0 < w <= FLOAT_MAX for w in stage_work):
-            if not all(is_real(w) and w > 0 for w in stage_work):
-                raise ConfigurationError(
-                    "all stage_work entries must be finite and > 0; a bool is no number")
-            stage_work = tuple(map(float, stage_work))
-        self._init(id, pipeline, stage_work)
+        # is_real's rule and a range, inline while the works are floats, as a
+        # call per work costs twice as much; at the first other work, all are
+        # checked through is_real and held as their floats, as a trace writes
+        # and reads them back
+        for w in stage_work:
+            if type(w) is not float or not 0.0 < w <= FLOAT_MAX:
+                if not all(is_real(w) and w > 0 for w in stage_work):
+                    raise ConfigurationError(
+                        "all stage_work entries must be finite and > 0; a bool is no number")
+                stage_work = tuple(map(float, stage_work))
+                break
+        set_field(self, "id", id)
+        set_field(self, "pipeline", pipeline)
+        set_field(self, "stage_work", stage_work)
 
 
 class WorkloadSpec(Frozen):
@@ -202,7 +208,7 @@ def build_workload(spec: WorkloadSpec) -> list[TaskInstance]:
         for _ in range(count):
             work = base
             if factors:
-                work = tuple([b * f for b, f in zip(base, factors[at:at + n])])
+                work = tuple(map(mul, base, factors[at:at + n]))
                 at += n
             tasks.append(TaskInstance(id=len(tasks), pipeline=pipeline, stage_work=work))
     return tasks

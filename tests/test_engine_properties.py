@@ -373,14 +373,32 @@ def times_mix_int_and_float(trace: Trace) -> bool:
     return any(type(t) is float and t in ints for t in times)
 
 
+def timed_trace(*spans) -> Trace:
+    """A trace of one-stage tasks with these (start, end) spans, in order."""
+    return Trace(
+        workload_fp="0" * 16, policy="cgam", models_fp="1" * 16, seed=0, logical_cores=4,
+        pool_eff=None, makespan=3.5, records=[
+            StageRecord(i, 0, "cpu_tool", "process", False, 1.0, 0, 0.1, start, end, "")
+            for i, (start, end) in enumerate(spans)])
+
+
+# several first stages released at one time, between other starts
+@example(trace=timed_trace((0.0, 1.1), (1.1, 2.3000000000000003), (2.3000000000000003, 2.5),
+                           (2.3000000000000003, 3.1), (3.1, 3.5), (2.3000000000000003, 2.9)))
+# a 0.0 start next to a -0.0 one, after equal ends of either sign
+@example(trace=timed_trace((0.0, 1.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, 2.0), (0.0, 1.0)))
+# an int start 1 after a float release time 1.0, and a float 1.0 after an int 1
+@example(trace=timed_trace((1.0, 2.0), (2.0, 3.0), (1, 2.5), (1.0, 3.0), (1, 1.0), (1, 3)))
+# a start equal to an earlier end that is not the previous record's
+@example(trace=timed_trace((0.5, 1.25), (0.5, 2.0), (1.25, 3.0), (2.0, 3.5)))
 @given(trace=serializer_traces())
 def test_serializer_writes_the_text_of_the_reference_one(trace):
     """The serializer writes the bytes of the one that cached every time's
     repr, for any records: zeros of either sign, ints where floats are
     expected, a start equal to the previous end (the same object, another
-    one, or one of the other type), and the trace parsed back. Each field
-    is written as its own repr, also where the reference's cache wrote an
-    equal time of the other type."""
+    one, or one of the other type) or to the last release time, and the
+    trace parsed back. Each field is written as its own repr, also where the
+    reference's cache wrote an equal time of the other type."""
     text = serialize_trace(trace)
     assert text == plain_text(trace)
     if not times_mix_int_and_float(trace):

@@ -1,20 +1,24 @@
 """Property tests: ``build_workload``, ``workload_fingerprint`` and
 ``class_labels`` against their reference forms in ``reference_workload`` on
 random pipelines, mixes, seeds and jitter, with work values of any size and
-type a TaskInstance accepts."""
+type a TaskInstance accepts; and the works a TaskInstance refuses or holds,
+against ``is_real``."""
+
+import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import agentsim as a
 import reference_workload as ref
 from agentsim.engine import workload_fingerprint
 from agentsim.errors import ConfigurationError
+from agentsim.frozen import FLOAT_MAX, is_real
 from agentsim.workload import class_labels
 
 # base latencies: positive finite floats of any size
@@ -92,3 +96,50 @@ def test_fingerprint_of_any_task_list_matches_reference(data):
         tasks.append(a.TaskInstance(id=data.draw(st.integers(0, 10**20)), pipeline=pipe,
                                     stage_work=tuple(work)))
     assert workload_fingerprint(tasks) == ref.workload_fingerprint(tasks)
+
+
+# works of every kind: any float (NaN, both infinities, both zeros,
+# subnormals and FLOAT_MAX among the edges), ints past a float's range,
+# bools and None
+ANY_WORK = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(),
+    st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.0**-1030, FLOAT_MAX,
+                     -FLOAT_MAX)),
+    st.integers(-3, 10**400),
+    st.sampled_from((1, 2**1024, int(FLOAT_MAX), int(FLOAT_MAX) + 1)),
+    st.booleans(),
+    st.none(),
+)
+
+
+@example(work=[math.inf])
+@example(work=[1.0, math.nan])
+@example(work=[2.0, -0.0, 1.0])
+@example(work=[FLOAT_MAX, 5e-324])
+@example(work=[1.0, 2**1024])
+@example(work=[0.5, True])
+@example(work=[None, 1.0])
+@example(work=[3.0, 10**400])
+@example(work=[3.0, 7, 2.5])
+@given(work=st.lists(ANY_WORK, min_size=1, max_size=5))
+def test_a_task_refuses_exactly_the_works_is_real_refuses(work):
+    """Wherever a work that fails ``is_real(w) and w > 0`` sits, the task is
+    refused with one message; otherwise it holds a tuple of floats as given,
+    the same object, and any other works as their floats."""
+    stage = a.StageSpec(kind=a.StageKind.EXTERNAL_API, base_latency=1.0, cpu_share=0.0)
+    pipe = a.PipelineSpec(name="p", stages=(stage,) * len(work))
+    given_work = tuple(work)
+    if not all(is_real(w) and w > 0 for w in work):
+        with pytest.raises(ConfigurationError) as info:
+            a.TaskInstance(id=0, pipeline=pipe, stage_work=given_work)
+        assert str(info.value) == (
+            "all stage_work entries must be finite and > 0; a bool is no number")
+        return
+    task = a.TaskInstance(id=0, pipeline=pipe, stage_work=given_work)
+    if all(type(w) is float for w in work):
+        assert task.stage_work is given_work
+    else:
+        assert type(task.stage_work) is tuple
+        assert [(type(w), w.hex()) for w in task.stage_work] == \
+            [(float, float(w).hex()) for w in work]
