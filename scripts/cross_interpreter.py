@@ -4,7 +4,7 @@
 Usage:
     python3 scripts/cross_interpreter.py
 
-Runs `agentsim run` on the 24 golden run configs (``CONFIGS`` in
+Runs `agentsim run` on every golden run config (``CONFIGS`` in
 ``tests/test_golden.py``) and the benchmark's cells (``WORKLOADS`` in
 ``perfbench/run.py``, seed 0), once under this interpreter as the reference
 and once under each CPython 3.10 or later found under ``~/.pyenv/versions``.

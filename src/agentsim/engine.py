@@ -29,6 +29,7 @@ import heapq
 import itertools
 import json
 import math
+import struct
 from collections.abc import Iterable
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -115,25 +116,25 @@ def fingerprint(data) -> str:
 
 
 def workload_fingerprint(tasks: list[TaskInstance]) -> str:
-    """``fingerprint`` of ``[(id, pipeline name, [(kind, cpu share, kv
-    tokens, host blocking), ...], [work, ...]), ...]`` over the tasks. Each
-    pipeline's name and stage list is encoded once and the text is hashed
-    task by task, so the whole document is never built."""
-    digest = hashlib.sha256(b"[")
-    encoded: dict[int, str] = {}  # id(pipeline) -> ",<name>,<stage list>,"
-    sep = ""
+    """First 16 hex digits of the sha256 of, in order: the JSON text of each
+    distinct pipeline ``[name, [(kind, cpu share, kv tokens, host blocking),
+    ...]]``, numbered 0, 1, ... by value in order of first use; ``<id>,<pipeline
+    number>;`` for each task; and every work as a little-endian IEEE-754
+    double. No work is formatted, and each pipeline object is encoded once."""
+    numbers: dict[str, int] = {}  # pipeline text -> its number
+    number_of: dict[int, int] = {}  # id(pipeline) -> its number
+    heads = []
     for t in tasks:
         pipeline = t.pipeline
-        middle = encoded.get(id(pipeline))
-        if middle is None:
-            middle = encoded[id(pipeline)] = "," + _json(pipeline.name) + "," + _json(
-                [(s.kind.value, s.cpu_share, s.kv_tokens, s.host_blocking)
-                 for s in pipeline.stages]) + ","
-        # the text _json gives a list of floats, without its encoder
-        work = "[" + ",".join(map(float.__repr__, t.stage_work)) + "]"
-        digest.update(f"{sep}[{t.id}{middle}{work}]".encode())
-        sep = ","
-    digest.update(b"]")
+        number = number_of.get(id(pipeline))
+        if number is None:
+            text = _json([pipeline.name, [(s.kind.value, s.cpu_share, s.kv_tokens,
+                                           s.host_blocking) for s in pipeline.stages]])
+            number = number_of[id(pipeline)] = numbers.setdefault(text, len(numbers))
+        heads.append(f"{t.id},{number};")
+    works = [w for t in tasks for w in t.stage_work]
+    digest = hashlib.sha256(("".join(numbers) + "".join(heads)).encode())
+    digest.update(struct.pack(f"<{len(works)}d", *works))
     return digest.hexdigest()[:16]
 
 

@@ -1,15 +1,18 @@
 """Reference forms of ``build_workload`` and ``workload_fingerprint``: one
-numpy draw per task, and one JSON document of the whole task list. The
-package's forms draw all jitter at once and encode each pipeline once; the
-property tests hold them equal to these, bit for bit."""
+numpy draw per task, and one JSON encoding and one packing of works per
+task. The package's forms draw all jitter at once, encode each pipeline
+object once and pack every work at once; the property tests hold them equal
+to these, bit for bit."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 
-from agentsim.engine import fingerprint
 from agentsim.workload import (
     TaskInstance,
     WorkloadSpec,
@@ -42,19 +45,18 @@ def build_workload(spec: WorkloadSpec) -> list[TaskInstance]:
 
 
 def workload_fingerprint(tasks: list[TaskInstance]) -> str:
-    stage_lists: dict[int, list] = {}  # id(pipeline) -> its stage list
+    pipelines: list[str] = []  # each distinct pipeline's JSON text, in order of first use
+    heads = ""
+    works = b""
     for t in tasks:
-        if id(t.pipeline) not in stage_lists:
-            stage_lists[id(t.pipeline)] = [
-                (s.kind.value, s.cpu_share, s.kv_tokens, s.host_blocking)
-                for s in t.pipeline.stages
-            ]
-    return fingerprint(
-        [
-            (t.id, t.pipeline.name, stage_lists[id(t.pipeline)], list(t.stage_work))
-            for t in tasks
-        ]
-    )
+        text = json.dumps([t.pipeline.name, [[s.kind.value, s.cpu_share, s.kv_tokens,
+                                               s.host_blocking] for s in t.pipeline.stages]],
+                          separators=(",", ":"))
+        if text not in pipelines:
+            pipelines.append(text)
+        heads += f"{t.id},{pipelines.index(text)};"
+        works += struct.pack(f"<{len(t.stage_work)}d", *t.stage_work)
+    return hashlib.sha256("".join(pipelines).encode() + heads.encode() + works).hexdigest()[:16]
 
 
 def class_labels(tasks, theta: float = 0.5):

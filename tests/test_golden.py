@@ -338,16 +338,47 @@ def test_both_yaml_dumpers_write_the_report_bytes(name, tmp_path):
         assert yaml.dump(doc, Dumper=dumper, sort_keys=True, default_flow_style=False) == text
 
 
+def digest_changes(old: dict, new: dict) -> list[str]:
+    """One line per key whose digests changed (naming the outputs that
+    moved), appeared or vanished from ``old`` to ``new``."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old:
+            lines.append(f"appeared {key}")
+        elif key not in new:
+            lines.append(f"vanished {key}")
+        elif old[key] != new[key]:
+            moved = sorted(f for f in old[key].keys() | new[key].keys()
+                           if old[key].get(f) != new[key].get(f))
+            lines.append(f"changed {key}: {', '.join(moved)}")
+    return lines
+
+
+def test_digest_changes_names_each_moved_appeared_and_vanished_key():
+    old = {"a": {"stdout": "1", "trace.txt": "2"}, "b": {"stdout": "3"}, "c": {"stdout": "4"}}
+    new = {"a": {"stdout": "1", "trace.txt": "5", "report.csv": "6"}, "c": {"stdout": "4"},
+           "d": {"stdout": "7"}}
+    assert digest_changes(old, new) == [
+        "changed a: report.csv, trace.txt", "vanished b", "appeared d"]
+    assert digest_changes(new, new) == []
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp, open(DIGESTS, "w") as fh:
+    # every digest is computed before the file is opened, so a run that
+    # fails leaves the checked-in file as it was
+    with tempfile.TemporaryDirectory() as tmp:
         digests = {name: run_digests(name, Path(tmp)) for name in sorted(CONFIGS)}
         for table, digest in ((JSON_LINES_RUNS, json_lines_digests),
                               (PROFILE_COMMANDS, profile_digests),
                               (COMPARES, compare_digests), (SWEEPS, sweep_digests),
                               (CALIBRATIONS, calibrate_digests)):
             digests.update((key, digest(key, Path(tmp))) for key in sorted(table))
-        json.dump(digests, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        old = json.loads(DIGESTS.read_text())
+    except (OSError, ValueError):  # missing, or left unreadable
+        old = {}
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print("\n".join(digest_changes(old, digests)) or "no digest changed")
     print(f"wrote {DIGESTS} ({len(CONFIGS)} run configs, {len(JSON_LINES_RUNS)} json-lines "
           f"runs, {len(PROFILE_COMMANDS)} profiles commands, {len(COMPARES)} compares, "
           f"{len(SWEEPS)} sweeps, {len(CALIBRATIONS)} calibrations)", file=sys.stderr)

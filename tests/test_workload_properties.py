@@ -1,9 +1,11 @@
 """Property tests: ``build_workload``, ``workload_fingerprint`` and
 ``class_labels`` against their reference forms in ``reference_workload`` on
 random pipelines, mixes, seeds and jitter, with work values of any size and
-type a TaskInstance accepts; and the works a TaskInstance refuses or holds,
-against ``is_real``."""
+type a TaskInstance accepts; the fingerprint's change under any one changed
+value; and the works a TaskInstance refuses or holds, against ``is_real``."""
 
+import copy
+import hashlib
 import math
 
 import numpy as np
@@ -78,7 +80,7 @@ def test_build_workload_matches_reference(spec, theta):
     assert class_labels(tasks, theta) == ref.class_labels(want, theta)
 
 
-# work values of any type a TaskInstance accepts, each encoded by json
+# work values of any type a TaskInstance accepts, which it holds as floats
 WORK = st.one_of(
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     st.integers(1, 2**70),
@@ -86,16 +88,110 @@ WORK = st.one_of(
 )
 
 
-@given(data=st.data())
-def test_fingerprint_of_any_task_list_matches_reference(data):
-    pipes = [data.draw(pipelines(i)) for i in range(data.draw(st.integers(1, 3)))]
+@st.composite
+def task_lists(draw):
+    """Up to 6 tasks on up to 3 pipelines, a pipeline object shared by any
+    number of them, with any ids and works."""
+    pipes = [draw(pipelines(i)) for i in range(draw(st.integers(1, 3)))]
     tasks = []
-    for _ in range(data.draw(st.integers(0, 6))):
-        pipe = data.draw(st.sampled_from(pipes))
-        work = data.draw(st.lists(WORK, min_size=len(pipe.stages), max_size=len(pipe.stages)))
-        tasks.append(a.TaskInstance(id=data.draw(st.integers(0, 10**20)), pipeline=pipe,
+    for _ in range(draw(st.integers(0, 6))):
+        pipe = draw(st.sampled_from(pipes))
+        work = draw(st.lists(WORK, min_size=len(pipe.stages), max_size=len(pipe.stages)))
+        tasks.append(a.TaskInstance(id=draw(st.integers(-10**20, 10**20)), pipeline=pipe,
                                     stage_work=tuple(work)))
+    return tasks
+
+
+@given(tasks=task_lists())
+def test_fingerprint_of_any_task_list_matches_reference(tasks):
     assert workload_fingerprint(tasks) == ref.workload_fingerprint(tasks)
+
+
+def test_the_fingerprint_digests_pipelines_then_ids_then_little_endian_works():
+    stage = a.StageSpec(kind=a.StageKind.CPU_TOOL, base_latency=1.0, cpu_share=1.0)
+    pipe = a.PipelineSpec(name="p", stages=(stage, stage))
+    tasks = [a.TaskInstance(id=7, pipeline=pipe, stage_work=(1.0, 2.0)),
+             a.TaskInstance(id=-3, pipeline=pipe, stage_work=(0.5, 2.0))]
+    stream = (b'["p",[["cpu_tool",1.0,0,false],["cpu_tool",1.0,0,false]]]' + b"7,0;-3,0;"
+              + bytes.fromhex("000000000000f03f" "0000000000000040"
+                              "000000000000e03f" "0000000000000040"))
+    assert workload_fingerprint(tasks) == hashlib.sha256(stream).hexdigest()[:16]
+
+
+def stage_edit(draw, stage: a.StageSpec, what: str) -> dict:
+    """A change to one of ``stage``'s share, KV count or host-blocking flag."""
+    if what == "share":
+        return {"cpu_share": draw(st.floats(0.0, 1.0).filter(lambda x: x != stage.cpu_share))}
+    if what == "kv":
+        return {"kv_tokens": draw(st.integers(0, 4000).filter(lambda k: k != stage.kv_tokens))}
+    return {"host_blocking": not stage.host_blocking}
+
+
+@st.composite
+def edits(draw):
+    """A task list and, unless it is empty, a copy with one value changed:
+    one work by one ulp, one id, or one task's pipeline name, stage share,
+    KV count or host-blocking flag; or two unequal tasks swapped."""
+    tasks = draw(task_lists())
+    if not tasks:
+        return tasks, None
+    i = draw(st.integers(0, len(tasks) - 1))
+    task, changed = tasks[i], list(tasks)
+    pipe = task.pipeline
+    gpu = [j for j, s in enumerate(pipe.stages) if s.kind is a.StageKind.GPU_INFERENCE]
+    unequal = [j for j, t in enumerate(tasks) if t != task]
+    what = draw(st.sampled_from(["work", "id", "name", "share"]
+                                + ["kv", "host blocking"] * bool(gpu) + ["swap"] * bool(unequal)))
+    if what == "swap":
+        j = draw(st.sampled_from(unequal))
+        changed[i], changed[j] = tasks[j], tasks[i]
+    elif what == "work":
+        j = draw(st.integers(0, len(pipe.stages) - 1))
+        w = task.stage_work[j]
+        work = list(task.stage_work)
+        work[j] = math.nextafter(w, 0.0 if w == FLOAT_MAX else math.inf)
+        changed[i] = task.replace(stage_work=tuple(work))
+    elif what == "id":
+        changed[i] = task.replace(id=draw(st.integers(-10**20, 10**20).filter(
+            lambda n: n != task.id)))
+    elif what == "name":
+        changed[i] = task.replace(pipeline=pipe.replace(
+            name=draw(st.text(max_size=6).filter(lambda n: n != pipe.name))))
+    else:
+        j = draw(st.sampled_from(gpu if what != "share" else range(len(pipe.stages))))
+        stages = list(pipe.stages)
+        stages[j] = stages[j].replace(**stage_edit(draw, stages[j], what))
+        changed[i] = task.replace(pipeline=pipe.replace(stages=tuple(stages)))
+    return tasks, changed
+
+
+def ids_edit(before, after, pipes):
+    """Tasks with ids ``before`` on ``pipes`` in turn, and the same tasks with
+    ids ``after``."""
+    return tuple([a.TaskInstance(id=i, pipeline=p, stage_work=(1.0,) * len(p.stages))
+                  for i, p in zip(ids, pipes)] for ids in (before, after))
+
+
+P_PIPE = a.PipelineSpec(name="p", stages=(
+    a.StageSpec(kind=a.StageKind.CPU_TOOL, base_latency=1.0, cpu_share=1.0),))
+Q_PIPE = P_PIPE.replace(name="q")
+
+
+@example(edit=([], None))
+@example(edit=ids_edit([1, 23], [12, 3], [P_PIPE, P_PIPE]))
+@example(edit=ids_edit([1, 23], [12, 3], [P_PIPE, Q_PIPE]))
+@given(edit=edits())
+def test_changing_any_one_value_changes_the_fingerprint(edit):
+    """Any one change to a task list gives another digest, while equal
+    pipelines held as distinct objects are one pipeline and give the same."""
+    tasks, changed = edit
+    assert workload_fingerprint(tasks) == ref.workload_fingerprint(tasks)
+    if changed is not None:
+        assert workload_fingerprint(changed) != workload_fingerprint(tasks)
+    for task_list in (tasks, changed or []):
+        copies = [t.replace(pipeline=copy.deepcopy(t.pipeline)) for t in task_list]
+        assert all(c.pipeline is not t.pipeline for c, t in zip(copies, task_list))
+        assert workload_fingerprint(copies) == workload_fingerprint(task_list)
 
 
 # works of every kind: any float (NaN, both infinities, both zeros,
