@@ -36,8 +36,8 @@ from .contention import (
 )
 from .engine import (
     ResourcePool,
-    Sweep,
     Trace,
+    Usage,
     fingerprint,
     models_fingerprint,
     replay_check,
@@ -174,16 +174,19 @@ def load_config_file(path: str, out: str | None = None) -> ExperimentConfig:
     return parse_config(read_yaml(path, "config"), Path(path).parent, out)
 
 
-def execute(config: ExperimentConfig) -> tuple[Trace, Sweep, dict]:
-    """The one runner: the trace of one run, the audit's sweep over it (the
-    usage totals) and its report row, the mapping ``report.yaml`` holds and
+def execute(config: ExperimentConfig) -> tuple[Trace, Usage, dict]:
+    """The one runner: the trace of one run, the usage totals of the audit's
+    walk over it and its report row, the mapping ``report.yaml`` holds and
     ``sweep`` writes: three header keys and ``MetricsReport.as_row()``. A
     failed audit is an InternalConsistencyError, a row cell out of a float's
-    range an InfeasibleModelError."""
-    tasks = build_workload(config.workload)
-    trace = simulate(tasks, config.policy, config.resources, config.models,
-                     seed=config.workload.seed)
-    audit = replay_check(trace, config.models)
+    range an InfeasibleModelError, and so is a run too big for the host's memory."""
+    try:
+        tasks = build_workload(config.workload)
+        trace = simulate(tasks, config.policy, config.resources, config.models,
+                         seed=config.workload.seed)
+        audit = replay_check(trace, config.models)
+    except MemoryError:
+        raise InfeasibleModelError(f"out of memory at batch_size {config.workload.batch_size}")
     if not audit.ok:
         raise InternalConsistencyError(f"replay audit failed: {audit.detail}")
     row = summarize(trace, config.models.energy, config.models.gpu,
@@ -349,7 +352,7 @@ def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels, base_d
     # the zero energy constants: the base's could drive an unread energy
     # column out of a float's range
     probe_models = ContentionModels(name=name, cpu=cpu, gpu=gpu)
-    small, large = (  # the audit's sweep of each endpoint run
+    small, large = (  # the usage totals of each endpoint run
         execute(ExperimentConfig(WorkloadSpec(b, ((pipeline, 1.0),), jitter_cv=0.0, seed=0),
                                  Policy("multiprocessing"), ResourcePool(logical_cores=cores),
                                  probe_models))[1]
@@ -518,8 +521,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, OSError) as exc:  # an OSError: a path that cannot be written
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InfeasibleModelError as exc:
-        print(f"model infeasible: {exc}", file=sys.stderr)
+    except (InfeasibleModelError, MemoryError) as exc:  # MemoryError: too big for the host
+        print(f"model infeasible: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -15,11 +15,12 @@ int count of share quanta, so that load is the exact sum of the mode's
 running shares rounded once, whatever order they joined in. ``simulate``
 keeps per class a virtual service clock and a min-heap of finish tags, as
 in the virtual time of fair queueing. A trace keeps only the stage records:
-``sweep`` derives the occupancy from them in one pass over the sorted
-interval boundaries, and ``replay_check`` audits work conservation on that
-pass. Reruns are byte-identical; traces written before the virtual clocks
-may differ from today's in the last digits of some times, within 1e-9
-relative.
+``_walk`` derives the occupancy from them in one pass over the sorted
+interval boundaries, and two folds read that pass: ``usage`` adds up the
+report's totals (with models, the pass on which ``replay_check`` audits
+work conservation) and ``occupancy_steps`` lists the step series. Reruns
+are byte-identical; traces written before the virtual clocks may differ
+from today's in the last digits of some times, within 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ _SHAPE = itemgetter(2, 3, 4, 5, 6)  # kind, mode, host blocking, share, kv token
 class Trace(NamedTuple):
     """Complete record of one simulation run: the per-(task, stage)
     intervals and the fingerprints needed to pair the trace with its config.
-    The occupancy step functions are properties ``sweep`` derives from the
-    records on each read: not fields, so neither written nor compared."""
+    The occupancy step functions are properties ``occupancy_steps`` derives
+    from the records on each read: not fields, so neither written nor
+    compared."""
 
     workload_fp: str
     policy: str
@@ -92,10 +94,10 @@ class Trace(NamedTuple):
     makespan: float
     tool_version: str = __version__
 
-    cpu_load_steps = property(lambda self: sweep(self).cpu_load_steps)
-    gpu_res_steps = property(lambda self: sweep(self).gpu_res_steps)
-    kv_token_steps = property(lambda self: sweep(self).kv_token_steps)
-    pool_n_steps = property(lambda self: sweep(self).pool_n_steps)
+    cpu_load_steps = property(lambda self: occupancy_steps(self)[0])
+    gpu_res_steps = property(lambda self: occupancy_steps(self)[1])
+    kv_token_steps = property(lambda self: occupancy_steps(self)[2])
+    pool_n_steps = property(lambda self: occupancy_steps(self)[3])
 
     def task_latencies(self) -> dict[int, float]:
         """End-to-end latency per task (arrivals are at t=0)."""
@@ -502,40 +504,19 @@ def parse_trace(text: str) -> Trace:
     return Trace(**meta, records=records)
 
 
-# -- occupancy sweep and audit ------------------------------------------------
+# -- occupancy walk, its folds and the audit ----------------------------------
 
 
-class Sweep(NamedTuple):
-    """What one pass over a trace's sorted interval boundaries derives from
-    its records. Always the usage totals the report reads, each step holding
-    until the next change and the last one until the makespan: busy
-    core-seconds (the CPU load capped at the core count), CPU package-active
-    seconds (a load above 0), GPU-active seconds (a request resident), and
-    the peak of the resident KV tokens. With models, also the work each
-    record received, in record order, and no series; without, the four
-    occupancy step series, each value holding from its time until the next
-    entry's, and no work."""
-
-    busy_core_s: float
-    pkg_active_s: float
-    gpu_active_s: float
-    kv_peak_tokens: int
-    work_done: list[float] | None
-    cpu_load_steps: list[tuple[float, float]] | None
-    gpu_res_steps: list[tuple[float, int]] | None
-    kv_token_steps: list[tuple[float, int]] | None
-    pool_n_steps: list[tuple[float, int]] | None
-
-
-def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
-    """The occupancy the records imply, from one pass over their sorted
-    interval boundaries, the only derivation of occupancy from records. With
-    ``models`` it is the audit's pass: it evaluates the class rates on each
-    interval and keeps, per class, the prefix integral of its rate since the
-    class was last idle, and a record's work done is that integral's
-    difference between its end and its start; it lists no step series."""
-    listing = models is None
-    if not listing:
+def _walk(trace: Trace, models: ContentionModels | None = None, done: list | None = None):
+    """The occupancy the records imply at each of their sorted interval
+    boundaries, the only derivation of occupancy from records: (time, CPU
+    load, GPU residents, KV tokens, running pool stages) once the starts and
+    then the ends at that time are applied. With ``models`` it is the
+    audit's walk: it evaluates the class rates on each interval, keeps per
+    class the prefix integral of its rate since the class was last idle, and
+    writes a record's work done, that integral's difference between its end
+    and its start, into ``done`` (a list as long as the records)."""
+    if models is not None:
         models = _on_machine(models, trace.logical_cores)
     records = trace.records
     n = len(records)
@@ -557,15 +538,8 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
     per_class = occupancy.per_class
     integral = [0.0] * N_CLASSES  # of each class's rate, since it was last idle
     at_start = [0.0] * n
-    done = [0.0] * n
-    cpu, gpu, kv, pool = series = ([], [], [], []) if listing else (None,) * 4
-    last_cpu = last_gpu = last_kv = last_pool = None  # each step's value
-    cpu_t = gpu_t = math.inf  # each step's start; no step has begun
-    # the busy cores are the load capped at the core count, an int compared as
-    # it is: a count no float can hold is never converted, as no load exceeds it
-    cores = trace.logical_cores
-    busy = active = gpu_s = 0.0
-    kv_peak = 0
+    if done is None:
+        done = [0.0] * n
     rates = [0.0] * N_CLASSES  # read only once a stage runs, after the first boundary
     si = ei = 0
     prev = 0.0
@@ -592,61 +566,81 @@ def sweep(trace: Trace, models: ContentionModels | None = None) -> Sweep:
                 integral[cls] = 0.0
             ei += 1
         load, rates = occupancy.rates(models)
-        # a step's usage is added where the next one begins
+        yield (t, load, per_class[GPU_ASYNC] + per_class[GPU_BLOCKING], occupancy.kv_tokens,
+               per_class[CPU_THREAD])
+        prev = t
+
+
+class Usage(NamedTuple):
+    """The usage totals the report reads, each step of the occupancy holding
+    until the next change and the last one until the makespan: busy
+    core-seconds (the CPU load capped at the core count), CPU package-active
+    seconds (a load above 0), GPU-active seconds (a request resident), and
+    the peak of the resident KV tokens."""
+
+    busy_core_s: float
+    pkg_active_s: float
+    gpu_active_s: float
+    kv_peak_tokens: int
+
+
+def usage(trace: Trace, models: ContentionModels | None = None,
+          done: list | None = None) -> Usage:
+    """The usage totals, folded over ``_walk(trace, models, done)``: a step's
+    usage is added where the next one begins, and the makespan is the last,
+    sentinel step's time, at which the last steps end."""
+    # the busy cores are the load capped at the core count, an int compared as
+    # it is: a count no float can hold is never converted, as no load exceeds it
+    cores = trace.logical_cores
+    busy = active = gpu_s = 0.0
+    kv_peak = 0
+    last_cpu = last_gpu = None  # each step's value
+    cpu_t = gpu_t = math.inf  # each step's start; no step has begun
+    for t, load, residents, kv_tokens, _ in itertools.chain(
+            _walk(trace, models, done), ((trace.makespan, None, None, 0, 0),)):
         if load != last_cpu:
             if t > cpu_t:
                 dt = t - cpu_t
                 busy += (cores if cores < last_cpu else last_cpu) * dt
                 active += (1.0 if last_cpu > 0 else 0.0) * dt
-            cpu_t = t
-            if listing:
-                cpu.append((t, load))
-            last_cpu = load
-        value = per_class[GPU_ASYNC] + per_class[GPU_BLOCKING]
-        if value != last_gpu:
+            cpu_t, last_cpu = t, load
+        if residents != last_gpu:
             if t > gpu_t:
                 gpu_s += (1.0 if last_gpu >= 1 else 0.0) * (t - gpu_t)
-            gpu_t = t
-            if listing:
-                gpu.append((t, value))
-            last_gpu = value
-        value = occupancy.kv_tokens
-        if value > kv_peak:
-            kv_peak = value
-        if listing and value != last_kv:
-            kv.append((t, last_kv := value))
-        if listing:
-            value = per_class[CPU_THREAD]
-            if value != last_pool:
-                pool.append((t, last_pool := value))
-        prev = t
-    end = trace.makespan  # the last steps hold until the makespan
-    if end > cpu_t:
-        dt = end - cpu_t
-        busy += (cores if cores < last_cpu else last_cpu) * dt
-        active += (1.0 if last_cpu > 0 else 0.0) * dt
-    if end > gpu_t:
-        gpu_s += (1.0 if last_gpu >= 1 else 0.0) * (end - gpu_t)
-    return Sweep(busy, active, gpu_s, kv_peak, None if listing else done, *series)
+            gpu_t, last_gpu = t, residents
+        if kv_tokens > kv_peak:
+            kv_peak = kv_tokens
+    return Usage(busy, active, gpu_s, kv_peak)
+
+
+def occupancy_steps(trace: Trace) -> tuple[list, list, list, list]:
+    """The CPU load, GPU residents, KV tokens and running pool stages of
+    ``_walk(trace)`` as four step series of (time, value) pairs, each value
+    holding from its time until the next entry's."""
+    series = ([], [], [], [])
+    for t, *values in _walk(trace):
+        for steps, value in zip(series, values):
+            if not steps or steps[-1][1] != value:
+                steps.append((t, value))
+    return series
 
 
 class ReplayReport(NamedTuple):
-    """The audit's verdict, and the sweep it made: the trace's usage totals,
-    without work done or step series."""
+    """The audit's verdict, and the usage totals of the walk it made."""
 
     ok: bool
-    detail: str = ""
-    occupancy: Sweep | None = None
+    detail: str
+    occupancy: Usage
 
 
 def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) -> ReplayReport:
     """Work-conservation audit: integrating each stage's recomputed rate over
-    its recorded interval, in one ``sweep``, must recover the stage's work to
+    its recorded interval, in one ``_walk``, must recover the stage's work to
     within ``rel_tol`` relative error. Returns a failure naming the first
     offending stage in (task, stage) order."""
-    occupancy = sweep(trace, models)
-    done = occupancy.work_done
     records = trace.records
+    done = [0.0] * len(records)
+    occupancy = usage(trace, models, done)
     # a record matches if its error is within rel_tol times its work, never if NaN
     bad = [i for i, d, w in zip(itertools.count(), done, map(_WORK, records))
            if not abs(d - w) <= rel_tol * w]
@@ -655,4 +649,4 @@ def replay_check(trace: Trace, models: ContentionModels, rel_tol: float = 1e-9) 
         i = min(bad, key=lambda i: records[i][:2])
         detail = (f"work mismatch at task {records[i].task_id} stage {records[i].stage_idx}: "
                   f"integrated {done[i]!r}, expected {records[i].work!r}")
-    return ReplayReport(not bad, detail, occupancy._replace(work_done=None))
+    return ReplayReport(not bad, detail, occupancy)

@@ -8,9 +8,9 @@ exact piecewise-constant occupancy: CPU energy is a per-core draw over busy
 cores (capped at the machine's logical core count) plus a package draw over
 the time any host work is runnable, and GPU energy is a board draw over the
 time at least one request is resident. Idle draws are excluded throughout.
-The usage each draw multiplies, and the KV peak, are totals that
-``engine.sweep`` adds up in its one pass over a trace; on the run path that
-pass is the audit's.
+The usage each draw multiplies, and the KV peak, are the totals that
+``engine.usage`` folds over one walk of a trace's interval boundaries; on
+the run path that walk is the audit's.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .contention import EnergyParams, GpuSaturationParams
-from .engine import Sweep, Trace, sweep
+from .engine import Trace, Usage, usage
 from .errors import ConfigurationError
 from .frozen import left_sum
 from .profiles import _as
@@ -105,12 +105,12 @@ def summarize(
     energy_params: EnergyParams,
     kv_params: GpuSaturationParams,
     class_labels: dict[int, TaskClass] | None = None,
-    occupancy: Sweep | None = None,
+    occupancy: Usage | None = None,
 ) -> MetricsReport:
     """Metrics for one run. Empty traces yield an all-zero report; a per-class
     report covers latencies only, its energies and KV peak are 0. Those are
-    the usage totals of ``occupancy`` (the sweep ``replay_check`` returns) or
-    of ``sweep(trace)``, times the energy constants and the KV bytes per token."""
+    the usage totals of ``occupancy`` (those ``replay_check`` returns) or
+    of ``usage(trace)``, times the energy constants and the KV bytes per token."""
     latencies = trace.task_latencies()
     if not latencies:
         return MetricsReport(
@@ -119,7 +119,7 @@ def summarize(
             workload_fp=trace.workload_fp, policy=trace.policy,
         )
     if occupancy is None:
-        occupancy = sweep(trace)
+        occupancy = usage(trace)
     cpu_energy = (energy_params.cpu_dyn_w_per_core * occupancy.busy_core_s
                   + energy_params.cpu_pkg_dyn_w * occupancy.pkg_active_s)
     gpu_energy = energy_params.gpu_dyn_w * occupancy.gpu_active_s

@@ -1274,6 +1274,33 @@ class TestAudit:
         assert not out.exists()
 
 
+class TestHostLimits:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    @pytest.mark.parametrize("jitter_cv", [0.0, 0.05])
+    def test_a_run_too_big_for_the_host_exits_3(self, tmp_path, jitter_cv):
+        """A run whose workload does not fit in the address space exits 3 with
+        one line naming the batch size, and writes nothing: the child's
+        limit is its footprint once the program is imported, plus 16 MiB, so
+        ``build_workload`` (with jitter, its lognormal draws) runs out."""
+        doc = {**BASE_CONFIG, "workload": {**BASE_CONFIG["workload"],
+                                           "batch_size": 100_000_000, "jitter_cv": jitter_cv}}
+        out = tmp_path / "out"
+        args = ["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]
+        code = ("import resource, sys; from agentsim.cli import main; "
+                "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize(); "
+                "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+                "resource.setrlimit(resource.RLIMIT_AS, (size + 16 * 2**20, hard)); "
+                f"sys.exit(main({args!r}))")
+        src = Path(agentsim.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == "model infeasible: out of memory at batch_size 100000000\n"
+        assert not out.exists()
+
+
 class TestExtremeNumbers:
     """Numbers at the ends of a float's range: an int no float can hold
     exits 2 naming its field; models that drive a class rate to 0.0 or a

@@ -2,14 +2,14 @@
 engine (``exact_engine``) on random small pipelines, mixes, policies,
 models and core counts, and on runs built with cross-class near-ties (the
 records, ends within a derived bound of exact, event groups, and the
-occupancy series the sweep derives from the records against those the exact
-engine records at each event); the occupancy's CPU load against the exact
+occupancy series the interval walk derives from the records against those
+the exact engine records at each event); the occupancy's CPU load against the exact
 sum of its shares and its class rates against the contention models; the
 trace serializer against the one it replaced; the trace parser on corrupted
 traces; the dispatcher against the one that rescanned every gated task
 (``reference_engine``); the record order under any task ids; task latencies
-and the audit's verdict against their ``max`` definitions; the sweep's usage
-totals against a fold over its step series; the audit of a hand-edited
+and the audit's verdict against their ``max`` definitions; the usage
+totals against a fold over the step series; the audit of a hand-edited
 trace; and a run whose works are all scaled by a power of two against the
 run it scales."""
 
@@ -18,7 +18,6 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from operator import attrgetter
 
 import pytest
 
@@ -50,8 +49,10 @@ from agentsim.engine import (
     Trace,
     parse_trace,
     serialize_trace,
+    Usage,
+    occupancy_steps,
     stage_class,
-    sweep,
+    usage,
 )
 from agentsim.errors import ConfigurationError
 from agentsim.schedulers import POLICY_NAMES, PROCESS, THREAD, Dispatcher
@@ -179,7 +180,7 @@ def event_groups(trace: Trace) -> list[list[tuple[int, int]]]:
 
 
 def assert_same_step_function(got, want, rel: Fraction):
-    """A series the sweep derives from a float trace against the exact one:
+    """A series the walk derives from a float trace against the exact one:
     the same breakpoints, each time and value within ``rel`` relative, once
     the float series' steps that move its value by no more than ``rel``
     relative are dropped (running sets of one exact load may round to two
@@ -196,7 +197,7 @@ def assert_same_step_function(got, want, rel: Fraction):
 def assert_matches_exact(tasks, policy, m):
     """The float engine's run against the exact engine's: the same records
     in (task, stage) order with equal shape fields, every start and end within
-    ``end_bound`` relative of exact, the same event groups, the sweep's
+    ``end_bound`` relative of exact, the same event groups, the walk's
     occupancy series against the exact engine's, the audit passing on both
     engines' traces (the exact one rounded to floats), and reruns and the
     text round trip bit-exact."""
@@ -212,10 +213,10 @@ def assert_matches_exact(tasks, policy, m):
     assert within(new.makespan, exact.makespan, rel)
     assert event_groups(new) == event_groups(exact)
 
-    derived = sweep(new)
+    derived = dict(zip(exact_engine.STEP_SERIES, occupancy_steps(new)))
     for name, steps in run.steps.items():
-        assert_same_step_function(getattr(derived, name), steps, rel)
-        assert getattr(new, name) == getattr(derived, name)
+        assert_same_step_function(derived[name], steps, rel)
+        assert getattr(new, name) == derived[name]
 
     rounded = exact._replace(makespan=float(exact.makespan), records=[
         r._replace(start=float(r.start), end=float(r.end)) for r in exact.records])
@@ -660,8 +661,9 @@ def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
         [(k, repr(v), type(v)) for k, v in want.items()]
 
     trace = auditable(trace)
-    done = sweep(trace, AUDIT_MODELS).work_done
     records = trace.records
+    done = [0.0] * len(records)
+    usage(trace, AUDIT_MODELS, done)
     bad = [i for i, r in enumerate(records)
            if not abs(done[i] - r.work) <= rel_tol * r.work]
     report = a.replay_check(trace, AUDIT_MODELS, rel_tol)
@@ -673,35 +675,30 @@ def test_latencies_and_audit_verdict_keep_their_max_definitions(trace, rel_tol):
             f"integrated {done[i]!r}, expected {records[i].work!r}")
 
 
-TOTALS = attrgetter("busy_core_s", "pkg_active_s", "gpu_active_s", "kv_peak_tokens")
-
-
-def folded_totals(trace: Trace, listed) -> tuple:
-    """The totals of ``TOTALS`` as a fold over the step series of ``listed``,
-    a sweep without models, as the report read them before the sweep added
-    them up: each step holds until the next entry's time, the last one until
-    the makespan, and the KV peak is the largest token count listed."""
+def folded_totals(trace: Trace, steps) -> tuple:
+    """The usage totals as a fold over ``steps``, the series of
+    ``occupancy_steps``, as the report read them before the walk added them
+    up: each step holds until the next entry's time, the last one until the
+    makespan, and the KV peak is the largest token count listed."""
+    cpu_load_steps, gpu_res_steps, kv_token_steps, _ = steps
     cores = float(trace.logical_cores)
     end = trace.makespan
     busy = active = gpu = 0.0
     for (t1, load), (t2, _) in itertools.pairwise(
-            itertools.chain(listed.cpu_load_steps, ((end, None),))):
+            itertools.chain(cpu_load_steps, ((end, None),))):
         if t2 > t1:
             busy += (cores if cores < load else load) * (t2 - t1)
             active += (1.0 if load > 0 else 0.0) * (t2 - t1)
     for (t1, res), (t2, _) in itertools.pairwise(
-            itertools.chain(listed.gpu_res_steps, ((end, None),))):
+            itertools.chain(gpu_res_steps, ((end, None),))):
         if t2 > t1:
             gpu += (1.0 if res >= 1 else 0.0) * (t2 - t1)
-    return busy, active, gpu, max((tokens for _, tokens in listed.kv_token_steps), default=0)
+    return busy, active, gpu, max((tokens for _, tokens in kv_token_steps), default=0)
 
 
 def bits(values) -> list:
     """Each value with its type, a float as its hex text, so -0.0 is not 0.0."""
     return [(type(v), v.hex() if type(v) is float else v) for v in values]
-
-
-SERIES = ("cpu_load_steps", "gpu_res_steps", "kv_token_steps", "pool_n_steps")
 
 
 def two_stage_trace(makespan: float) -> Trace:
@@ -717,36 +714,27 @@ def two_stage_trace(makespan: float) -> Trace:
 @example(trace=two_stage_trace(math.inf))
 @example(trace=two_stage_trace(3.0))
 @given(trace=serializer_traces())
-def test_the_sweeps_totals_are_the_fold_over_its_series(trace):
+def test_the_usage_totals_are_the_fold_over_the_series(trace):
     """For any records (zeros of either sign, ints where floats are expected,
-    NaN and infinite times) the totals a sweep adds up are, bit for bit,
-    those the fold over its series gives, with or without models; the sweep
-    with models, the audit's, lists no series."""
+    NaN and infinite times) the usage totals are, bit for bit, those the
+    fold over the step series gives, with or without models."""
     trace = auditable(trace)
-    listed = sweep(trace)
-    want = bits(folded_totals(trace, listed))
-    assert bits(TOTALS(listed)) == want
-    audited = sweep(trace, AUDIT_MODELS)
-    assert bits(TOTALS(audited)) == want
-    assert [getattr(audited, name) for name in SERIES] == [None] * 4
+    want = bits(folded_totals(trace, occupancy_steps(trace)))
+    assert bits(usage(trace)) == want
+    assert bits(usage(trace, AUDIT_MODELS)) == want
 
 
 @settings(max_examples=100)
 @given(tasks=workloads(), policy=policies(), m=models())
 def test_the_audits_totals_are_the_fold_over_the_series(tasks, policy, m):
-    """On a simulated run the audit's report carries the sweep's totals, the
-    fold over the series ``sweep(trace)`` lists bit for bit and those of
-    ``sweep(trace, m)``, and no series and no work done: only the sweep with
-    models lists the work."""
+    """On a simulated run the audit's report carries the usage totals of its
+    walk, bit for bit the fold over the series ``occupancy_steps(trace)``
+    lists and the totals of ``usage(trace, m)``."""
     trace = a.simulate(tasks, policy, a.ResourcePool(logical_cores=m.cpu.logical_cores), m)
     report = a.replay_check(trace, m)
-    assert report.ok
-    assert bits(TOTALS(report.occupancy)) == bits(folded_totals(trace, sweep(trace)))
-    assert [getattr(report.occupancy, name) for name in SERIES] == [None] * 4
-    assert report.occupancy.work_done is None
-    audited = sweep(trace, m)
-    assert bits(TOTALS(report.occupancy)) == bits(TOTALS(audited))
-    assert len(audited.work_done) == len(trace.records)
+    assert report.ok and type(report.occupancy) is Usage
+    assert bits(report.occupancy) == bits(folded_totals(trace, occupancy_steps(trace)))
+    assert bits(report.occupancy) == bits(usage(trace, m))
 
 
 def refuses(trace: Trace) -> bool:

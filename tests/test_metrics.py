@@ -3,7 +3,7 @@ import yaml
 
 import agentsim as a
 from agentsim.contention import EnergyParams, GpuSaturationParams
-from agentsim.engine import sweep
+from agentsim.engine import usage
 from agentsim.errors import ConfigurationError
 from agentsim.metrics import compare, percentile, summarize
 
@@ -65,13 +65,13 @@ class TestSummarize:
                                                 jitter_cv=0.0))
         trace = a.simulate(tasks, a.Policy("multiprocessing"),
                            a.ResourcePool(logical_cores=4), a.ContentionModels())
-        occupancy = sweep(trace)
+        occupancy = usage(trace)
         assert (occupancy.busy_core_s, occupancy.pkg_active_s) == (2.0, 1.0)
         energy = EnergyParams(cpu_dyn_w_per_core=10.0, cpu_pkg_dyn_w=7.0)
         report = summarize(trace, energy, GpuSaturationParams())
         assert report.cpu_dyn_energy == pytest.approx(2 * 10.0 + 7.0, rel=1e-12)
 
-    def test_the_audits_sweep_gives_the_bare_traces_report(self, models, resources):
+    def test_the_audits_usage_gives_the_bare_traces_report(self, models, resources):
         mix = ((a.load_profile("swe_agent_apps"), 0.5), (a.load_profile("langchain_guardrail"), 0.5))
         tasks = a.build_workload(a.WorkloadSpec(batch_size=32, mix=mix, seed=4))
         trace = a.simulate(tasks, a.Policy("maws"), resources, models)
@@ -79,7 +79,7 @@ class TestSummarize:
         bare = summarize(trace, models.energy, models.gpu)
         assert summarize(trace, models.energy, models.gpu, occupancy=audit.occupancy) == bare
         # the usage totals: busy core-s, package-active s, GPU-active s, KV peak
-        assert audit.occupancy[:4] == sweep(trace)[:4]
+        assert audit.occupancy == usage(trace)
 
     def test_negative_package_draw_rejected(self):
         with pytest.raises(ConfigurationError):
