@@ -327,18 +327,29 @@ def load_curve_file(path: str | Path) -> ThroughputCurve:
     return ThroughputCurve(points=dict(points))
 
 
-def _calibrate_energy_profile(e: dict, name: str, base: ContentionModels, base_dir: Path):
+# the fields of each observations section, in the order they are read; the
+# energies are kept as written, so the provenance strings quote the document
+_CPU_FIELDS = {"load": float, "cores": int, "base_s": float, "observed_s": float}
+_GPU_FIELDS = {"batch_a": int, "latency_a": float, "batch_b": int, "latency_b": float}
+_ENERGY_FIELDS = {"pipeline": (str, dict), "batch_small": int, "batch_large": int,
+                  "cpu_j_small": (int, float), "cpu_j_large": (int, float),
+                  "gpu_j_small": (int, float), "gpu_j_large": (int, float), "cores": int}
+
+
+def _section(value, where: str, kinds: dict, **defaults) -> list:
+    """Each field of ``kinds`` read from the mapping ``value`` at ``where``,
+    which may also hold a ``source``; a field in ``defaults`` may be absent."""
+    value = _as(value, dict, where, (*kinds, "source"))
+    return [_field(value, where, key, kind, defaults.get(key)) for key, kind in kinds.items()]
+
+
+def _calibrate_energy_profile(endpoints: list, name: str, base: ContentionModels):
     """Fit the energy-host profile, never mixed with a latency host's: its own saturation
     constant from the GPU busy-time ratio, then the dynamic-power constants from a replay
-    of the endpoint runs of ``e``'s pipeline, which ``_load_ref`` resolves from ``base_dir``."""
-    where = "observations.energy_endpoints"
-    pipeline = _load_ref(_field(e, where, "pipeline", (str, dict)), base_dir, "pipeline")
-    b_small, b_large = (_field(e, where, k, int) for k in ("batch_small", "batch_large"))
-    # kept as written, so the provenance strings quote the document
-    cpu_j_small, cpu_j_large, gpu_j_small, gpu_j_large = (
-        _field(e, where, k, (int, float))
-        for k in ("cpu_j_small", "cpu_j_large", "gpu_j_small", "gpu_j_large"))
-    cores = _field(e, where, "cores", int, base.cpu.logical_cores)
+    of the endpoint runs of the resolved pipeline, ``endpoints`` being the
+    ``_ENERGY_FIELDS`` values."""
+    (pipeline, b_small, b_large, cpu_j_small, cpu_j_large, gpu_j_small, gpu_j_large,
+     cores) = endpoints
     b_half_energy, busy_ratio = solve_b_half(
         b_small, float(gpu_j_small), b_large, float(gpu_j_large), "busy-time")
     # At or below the hardware thread count the oversubscription term is
@@ -382,26 +393,30 @@ def cmd_calibrate(args) -> int:
     name = args.name or f"{doc['name']}_fit"
     base = _load_ref(args.base, Path(), "models") if args.base else ContentionModels(name=name)
 
+    # the whole document is read, and its pipeline resolved, before the first
+    # fit, so an infeasible fit cannot hide a configuration error after it
+    obs = pair = endpoints = None
+    if "cpu_observations" in doc:
+        obs = [tuple(_section(o, f"observations.cpu_observations[{i}]", _CPU_FIELDS))
+               for i, o in enumerate(_field(doc, "observations", "cpu_observations", list))]
+    if "gpu_latency_pair" in doc:
+        pair = _section(doc["gpu_latency_pair"], "observations.gpu_latency_pair", _GPU_FIELDS)
+    if "energy_endpoints" in doc:
+        endpoints = _section(doc["energy_endpoints"], "observations.energy_endpoints",
+                             _ENERGY_FIELDS, cores=base.cpu.logical_cores)
+        endpoints[0] = _load_ref(endpoints[0], Path(args.observations).parent, "pipeline")
+
     sources: dict[str, str] = {}
     cpu = base.cpu
     gpu = base.gpu
-    if "cpu_observations" in doc:
-        obs = []
-        kinds = {"load": float, "cores": int, "base_s": float, "observed_s": float}
-        for i, o in enumerate(_field(doc, "observations", "cpu_observations", list)):
-            where = f"observations.cpu_observations[{i}]"
-            o = _as(o, dict, where, (*kinds, "source"))
-            obs.append(tuple(_field(o, where, k, kinds[k]) for k in kinds))
+    if obs is not None:
         fit = calibrate_cpu(obs)
         cpu = cpu.replace(logical_cores=fit.logical_cores, oversub_kappa=fit.oversub_kappa)
         sources["oversub_kappa"] = (
             f"least-squares fit over {len(obs)} oversubscription observation(s)"
         )
-    if "gpu_latency_pair" in doc:
-        where = "observations.gpu_latency_pair"
-        kinds = {"batch_a": int, "latency_a": float, "batch_b": int, "latency_b": float}
-        pair = _field(doc, "observations", "gpu_latency_pair", dict, keys=(*kinds, "source"))
-        batch_a, latency_a, batch_b, latency_b = (_field(pair, where, k, kinds[k]) for k in kinds)
+    if pair is not None:
+        batch_a, latency_a, batch_b, latency_b = pair
         b_half, work = calibrate_gpu(batch_a, latency_a, batch_b, latency_b)
         gpu = gpu.replace(b_half=b_half)
         sources["b_half"] = (
@@ -413,12 +428,8 @@ def cmd_calibrate(args) -> int:
     fits = []
     if sources:  # a latency fit
         fits.append((ContentionModels(name=name, cpu=cpu, gpu=gpu, energy=base.energy), sources))
-    if "energy_endpoints" in doc:
-        e = _field(doc, "observations", "energy_endpoints", dict, keys=(
-            "batch_small", "batch_large", "cpu_j_small", "cpu_j_large", "gpu_j_small",
-            "gpu_j_large", "pipeline", "cores", "source"))
-        fits.append(_calibrate_energy_profile(e, f"{name}_energy", base,
-                                              Path(args.observations).parent))
+    if endpoints is not None:
+        fits.append(_calibrate_energy_profile(endpoints, f"{name}_energy", base))
     if not fits:
         raise InfeasibleModelError("observations contain no cpu_observations, gpu_latency_pair, "
                                    "or energy_endpoints section to fit")

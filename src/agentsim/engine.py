@@ -42,7 +42,7 @@ from .frozen import Frozen, whole_problem
 from .schedulers import PROCESS, THREAD, Dispatcher, Policy
 from .workload import StageKind, TaskInstance, shape_problem
 
-TRACE_SCHEMA_VERSION = 2  # version 1 also held the occupancy step series
+TRACE_SCHEMA_VERSION = 2
 
 
 class ResourcePool(Frozen):
@@ -413,8 +413,6 @@ _TRACE_META = {
     "models_fp": str, "seed": int, "logical_cores": int,
     "pool_eff": lambda value: None if value == "none" else int(value), "makespan": float,
 }
-# the tags of the occupancy step lines a version-1 trace also holds
-_V1_STEP_TAGS = frozenset(("cpuload", "gpures", "kvtokens", "pooln"))
 _CHUNK_LINES = 128  # stage lines serialize_trace holds apart before joining them
 
 
@@ -468,9 +466,8 @@ def _trace_chunks(trace: Trace):
 
 
 def parse_trace(text: str) -> Trace:
-    """The trace ``serialize_trace`` wrote as ``text``, in this version's
-    format or in version 1, whose occupancy step lines are skipped. A
-    malformed line, or a schema version other than those, is a
+    """The trace ``serialize_trace`` wrote as ``text``. A malformed line, or
+    a schema version other than ``TRACE_SCHEMA_VERSION``, is a
     ConfigurationError naming its 1-based number."""
     meta: dict = {}
     records: list[StageRecord] = []
@@ -482,10 +479,9 @@ def parse_trace(text: str) -> Trace:
             if tag == "meta":
                 key, _, value = rest.partition(" ")
                 meta[key] = value = _TRACE_META[key](value)
-                if key == "schema_version" and value not in (1, TRACE_SCHEMA_VERSION):
-                    raise ConfigurationError(
-                        f"trace line {number} has schema_version {value}; "
-                        f"this version reads 1 and {TRACE_SCHEMA_VERSION}")
+                if key == "schema_version" and value != TRACE_SCHEMA_VERSION:
+                    raise ConfigurationError(f"trace line {number} has schema_version {value}; "
+                                             f"this version reads {TRACE_SCHEMA_VERSION}")
             elif tag == "stage":
                 (task_id, stage_idx, kind, mode, host_blocking, cpu_share, kv_tokens, work,
                  start, end, label) = rest.split(" ", 10)
@@ -493,7 +489,7 @@ def parse_trace(text: str) -> Trace:
                     int(task_id), int(stage_idx), kind, mode, bool(int(host_blocking)),
                     float(cpu_share), int(kv_tokens), float(work), float(start), float(end),
                     label))
-            elif not (tag in _V1_STEP_TAGS and meta.get("schema_version") == 1):
+            else:
                 raise ValueError(f"unknown tag {tag!r}")
         except (KeyError, ValueError) as exc:
             raise ConfigurationError(f"trace line {number} is malformed ({exc}): {line!r}")
@@ -524,7 +520,7 @@ def _walk(trace: Trace, models: ContentionModels | None = None, done: list | Non
     shape_of = [shapes.setdefault(shape, len(shapes)) for shape in map(_SHAPE, records)]
     occupancy = Occupancy(trace.pool_eff, shapes)
     keys = list(map(occupancy.key_of.__getitem__, shapes))  # each shape index's key
-    present = occupancy.classes
+    audited = occupancy.classes if models is not None else ()  # without models every rate is 0.0
     starts = list(map(_START, records))
     ends = list(map(_END, records))
     # an interval that does not end after it starts is never active
@@ -548,7 +544,7 @@ def _walk(trace: Trace, models: ContentionModels | None = None, done: list | Non
         if si < n_live and start_times[si] < t:
             t = start_times[si]
         span = t - prev
-        for c in present:
+        for c in audited:
             if per_class[c]:
                 integral[c] += rates[c] * span
         while si < n_live and start_times[si] == t:

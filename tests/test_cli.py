@@ -561,6 +561,33 @@ class TestCalibrate:
         assert "'cpu_j_large'" in err and "energy_endpoints" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, field", [
+        *(("gpu_latency_pair", key) for key in ("batch_a", "latency_a", "batch_b", "latency_b")),
+        *(("energy_endpoints", key) for key in ("pipeline", "batch_small", "batch_large",
+                                                "cpu_j_small", "cpu_j_large", "gpu_j_small",
+                                                "gpu_j_large")),
+        ("energy_endpoints", "missing.yaml"),
+    ])
+    def test_the_whole_document_is_read_before_the_first_fit(self, tmp_path, capsys, section,
+                                                             field):
+        # an undersubscribed CPU section cannot fit kappa (exit 3), yet a
+        # field missing from a later section, or a pipeline file that is not
+        # there, is the error reported
+        obs = with_field(OBSERVATIONS, ("cpu_observations",),
+                         [{"load": 64, "cores": 96, "base_s": 2.9, "observed_s": 2.9}])
+        if field.endswith(".yaml"):
+            obs = with_field(obs, (section, "pipeline"), field)
+            named = f"pipeline file not found: {tmp_path / field}"
+        else:
+            del obs[section][field]
+            named = f"missing field {field!r} in observations.{section}"
+        path = tmp_path / "obs.yaml"
+        path.write_text(yaml.safe_dump(obs))
+        out = tmp_path / "out"
+        assert main(["calibrate", "--observations", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {named}\n"
+        assert not out.exists()
+
     def test_energy_pipeline_is_resolved_beside_the_observations(self, tmp_path, monkeypatch):
         # a .yaml pipeline is a file in the observations' directory, not the
         # working directory, and an inline one is read as in a config; both

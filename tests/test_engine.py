@@ -2,10 +2,8 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import pytest
-import yaml
 
 import agentsim as a
 import agentsim.engine as engine
@@ -149,43 +147,15 @@ class TestDeterminism:
 
 
 class TestTraceFormat:
-    """A trace is written as schema version 2, stage records only; a version-1
-    trace, which also held the occupancy step lines, still loads."""
+    """A trace is written, and read, as schema version 2: stage records only."""
 
-    RUN_V1 = Path(__file__).with_name("data") / "run_v1"  # a maws run, B=4, version 1
-
-    def test_version_1_trace_loads_without_its_step_lines(self, models):
-        text = (self.RUN_V1 / "trace.txt").read_text()
-        trace = parse_trace(text)
-        assert a.replay_check(trace, models).ok
-        lines = text.splitlines()
-        assert "meta schema_version 1" in lines
-        # written back as version 2: the same lines less the step lines
-        steps = {tag: [line.split(" ")[1:] for line in lines if line.startswith(tag + " ")]
-                 for tag in ("cpuload", "gpures", "kvtokens", "pooln")}
-        assert all(steps.values())
-        kept = [line for line in lines if line.split(" ")[0] not in steps]
-        assert serialize_trace(trace).splitlines() == [
-            "meta schema_version 2" if line == "meta schema_version 1" else line
-            for line in kept]
-        # the series derived from the records are the ones the file stored
-        for tag, name in (("cpuload", "cpu_load_steps"), ("gpures", "gpu_res_steps"),
-                          ("kvtokens", "kv_token_steps"), ("pooln", "pool_n_steps")):
-            assert [[repr(t), repr(v)] for t, v in getattr(trace, name)] == steps[tag]
-
-    def test_version_1_run_reports_the_same_metrics(self, models):
-        trace = parse_trace((self.RUN_V1 / "trace.txt").read_text())
-        report = yaml.safe_load((self.RUN_V1 / "report.yaml").read_text())
-        row = a.summarize(trace, models.energy, models.gpu).as_row()
-        for column in ("p50_s", "makespan_s", "kv_peak_bytes", "cpu_dyn_energy_j",
-                       "gpu_dyn_energy_j"):
-            assert row[column] == report[column], column
-
-    @pytest.mark.parametrize("version", ["0", "3", "99"])
+    @pytest.mark.parametrize("version", ["0", "1", "3", "99"])
     def test_other_schema_version_is_a_configuration_error(self, version):
-        text = (self.RUN_V1 / "trace.txt").read_text().replace(
-            "meta schema_version 1\n", f"meta schema_version {version}\n")
-        with pytest.raises(ConfigurationError, match=f"schema_version {version};"):
+        text = serialize_trace(simulate_mp(tasks_from_works([[1.0], [2.0]]), 96, bare_models()))
+        assert "\nmeta schema_version 2\n" in text
+        text = text.replace("\nmeta schema_version 2\n", f"\nmeta schema_version {version}\n")
+        with pytest.raises(ConfigurationError, match=f"trace line 2 has schema_version {version}; "
+                                                     "this version reads 2$"):
             parse_trace(text)
 
     @pytest.mark.parametrize("kind", ["int", "numpy.float64"])

@@ -268,45 +268,27 @@ def compare_digests(key: str, work_dir: Path) -> dict[str, str]:
     }
 
 
+# what each table pins, the table, and the digests of one of its keys
+FAMILIES = (
+    ("run configs", CONFIGS, run_digests),
+    ("json-lines runs", JSON_LINES_RUNS, json_lines_digests),
+    ("profiles commands", PROFILE_COMMANDS, profile_digests),
+    ("compares", COMPARES, compare_digests),
+    ("sweeps", SWEEPS, sweep_digests),
+    ("calibrations", CALIBRATIONS, calibrate_digests),
+)
+GOLDEN = {key: digest for _, table, digest in FAMILIES for key in sorted(table)}
+
+
 def test_config_set_is_the_checked_in_set():
-    assert sorted(json.loads(DIGESTS.read_text())) == sorted(
-        [*CONFIGS, *JSON_LINES_RUNS, *PROFILE_COMMANDS, *COMPARES, *SWEEPS, *CALIBRATIONS])
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(GOLDEN)
+    assert len(GOLDEN) == sum(len(table) for _, table, _ in FAMILIES)  # no key in two tables
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_run_outputs_match_golden_digests(name, tmp_path):
-    want = json.loads(DIGESTS.read_text())[name]
-    assert run_digests(name, tmp_path) == want
-
-
-@pytest.mark.parametrize("key", sorted(JSON_LINES_RUNS))
-def test_json_lines_run_outputs_match_golden_digests(key, tmp_path):
+@pytest.mark.parametrize("key", GOLDEN)
+def test_outputs_match_golden_digests(key, tmp_path):
     want = json.loads(DIGESTS.read_text())[key]
-    assert json_lines_digests(key, tmp_path) == want
-
-
-@pytest.mark.parametrize("key", sorted(PROFILE_COMMANDS))
-def test_profiles_stdout_matches_golden_digests(key, tmp_path):
-    want = json.loads(DIGESTS.read_text())[key]
-    assert profile_digests(key, tmp_path) == want
-
-
-@pytest.mark.parametrize("key", sorted(COMPARES))
-def test_compare_outputs_match_golden_digests(key, tmp_path):
-    want = json.loads(DIGESTS.read_text())[key]
-    assert compare_digests(key, tmp_path) == want
-
-
-@pytest.mark.parametrize("key", sorted(SWEEPS))
-def test_sweep_outputs_match_golden_digests(key, tmp_path):
-    want = json.loads(DIGESTS.read_text())[key]
-    assert sweep_digests(key, tmp_path) == want
-
-
-@pytest.mark.parametrize("key", sorted(CALIBRATIONS))
-def test_calibrate_outputs_match_golden_digests(key, tmp_path):
-    want = json.loads(DIGESTS.read_text())[key]
-    assert calibrate_digests(key, tmp_path) == want
+    assert GOLDEN[key](key, tmp_path) == want
 
 
 def test_the_curve_data_is_the_batch_size_sweeps_curve(tmp_path):
@@ -367,18 +349,12 @@ if __name__ == "__main__":
     # every digest is computed before the file is opened, so a run that
     # fails leaves the checked-in file as it was
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: run_digests(name, Path(tmp)) for name in sorted(CONFIGS)}
-        for table, digest in ((JSON_LINES_RUNS, json_lines_digests),
-                              (PROFILE_COMMANDS, profile_digests),
-                              (COMPARES, compare_digests), (SWEEPS, sweep_digests),
-                              (CALIBRATIONS, calibrate_digests)):
-            digests.update((key, digest(key, Path(tmp))) for key in sorted(table))
+        digests = {key: digest(key, Path(tmp)) for key, digest in GOLDEN.items()}
     try:
         old = json.loads(DIGESTS.read_text())
     except (OSError, ValueError):  # missing, or left unreadable
         old = {}
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print("\n".join(digest_changes(old, digests)) or "no digest changed")
-    print(f"wrote {DIGESTS} ({len(CONFIGS)} run configs, {len(JSON_LINES_RUNS)} json-lines "
-          f"runs, {len(PROFILE_COMMANDS)} profiles commands, {len(COMPARES)} compares, "
-          f"{len(SWEEPS)} sweeps, {len(CALIBRATIONS)} calibrations)", file=sys.stderr)
+    print(f"wrote {DIGESTS} ("
+          f"{', '.join(f'{len(table)} {what}' for what, table, _ in FAMILIES)})", file=sys.stderr)
